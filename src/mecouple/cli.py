@@ -129,15 +129,23 @@ def _cmd_couple(args, tol) -> dict:
     q, nq_raw = _load(args.q, tol)
     u = _scale(args)
     cm = min_entropy_coupling(p, q, tol)
-    full = cm.matrix if args.sorted else cm.in_original_order()
-    trimmed = full[:np_raw, :nq_raw]
+    rows, cols = cm.rows, cm.cols
+    if not args.sorted:
+        rows = np.asarray(cm.row_perm)[rows]
+        cols = np.asarray(cm.col_perm)[cols]
+    # trimmed to the caller's window like the dense matrix: padding rows and
+    # columns hold at most eps_sum of mass
+    mat = [[0.0] * nq_raw for _ in range(np_raw)]
+    for i, j, v in zip(rows.tolist(), cols.tolist(), cm.vals.tolist()):
+        if i < np_raw and j < nq_raw:
+            mat[i][j] = _sig(v)
     h_m = cm.entropy()
     h_z = entropy(glb(p, q, tol).meet)
     return {
         "order": "sorted" if args.sorted else "original",
         "rows": np_raw,
         "cols": nq_raw,
-        "matrix": _matrix_doc(trimmed),
+        "matrix": mat,
         "joint_entropy": _sig(h_m * u),
         "glb_entropy": _sig(h_z * u),
         "gap": _sig((h_m - h_z) * u),

@@ -46,7 +46,7 @@ class AxisOutOfRange(ValidationError):
 
 
 class InstanceTooLarge(ValidationError):
-    """Exhaustive enumeration refused; instance exceeds the configured cap."""
+    """A dense form or exhaustive enumeration refused; instance exceeds the cap."""
 
 
 class InternalInvariant(MecoupleError):

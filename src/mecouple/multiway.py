@@ -90,10 +90,12 @@ def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> Me
     pl = make_probvec(left.values, tol)
     pr = make_probvec(right.values, tol)
     cm = min_entropy_coupling(pl, pr, tol)
-    entries: list[tuple[float, tuple[int, ...]]] = []
-    for s, t in np.argwhere(cm.matrix > 0.0):
-        entries.append((float(cm.matrix[s, t]), left.coords[s] + right.coords[t]))
-    entries.sort(key=lambda e: -e[0])
+    # pieces come row-major; a stable sort by -value keeps that order among ties
+    rows, cols, vals = cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()
+    entries = [
+        (vals[i], left.coords[rows[i]] + right.coords[cols[i]])
+        for i in np.argsort(-cm.vals, kind="stable").tolist()
+    ]
     return MergeNode(
         values=tuple(v for v, _ in entries),
         coords=tuple(c for _, c in entries),
@@ -126,11 +128,15 @@ def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> list[li
     return levels
 
 
-def _axis_sums(joint: SparseJoint, axis: int) -> np.ndarray:
-    vec = np.zeros(joint.dims[axis])
-    for v, c in joint.entries:
-        vec[c[axis]] += v
-    return vec
+def _axis_sums(joint: SparseJoint) -> list[np.ndarray]:
+    """Every axis marginal, in entry order, from one (entries x k) index array."""
+    vals = np.array([v for v, _ in joint.entries])
+    coords = np.array([c for _, c in joint.entries], dtype=np.int32)
+    coords = coords.reshape(vals.size, joint.k)
+    return [
+        np.bincount(coords[:, axis], weights=vals, minlength=dim)
+        for axis, dim in enumerate(joint.dims)
+    ]
 
 
 def k_min_entropy_coupling(
@@ -153,10 +159,13 @@ def k_min_entropy_coupling(
         k=k,
         dims=dims,
     )
-    for axis, p in enumerate(ps):
-        dev = float(np.abs(_axis_sums(joint, axis) - p.in_original_order()).max())
+    for axis, (got, p) in enumerate(zip(_axis_sums(joint), ps)):
+        dev = float(np.abs(got - p.in_original_order()).max())
         if dev > tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    total = float(np.sum(root.values))
+    if abs(total - 1.0) > tol.eps_sum:
+        raise InternalInvariant(f"joint mass {total!r} deviates from 1 beyond eps_sum")
     return joint
 
 
@@ -164,4 +173,4 @@ def marginalize(j: int, joint: SparseJoint, tol: Tolerances = DEFAULT_TOL) -> Pr
     """Sum the entries over all axes except j and sort the result."""
     if not 0 <= j < joint.k:
         raise AxisOutOfRange(f"axis {j} out of range for k = {joint.k}")
-    return make_probvec(_axis_sums(joint, j), tol)
+    return make_probvec(_axis_sums(joint)[j], tol)

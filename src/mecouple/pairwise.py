@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleSplit, InternalInvariant, LengthMismatch
+from .errors import InfeasibleSplit, InstanceTooLarge, InternalInvariant, LengthMismatch
 from .lattice import glb, meet_values
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy, entropy_bits, pad_to
 
@@ -62,32 +62,80 @@ class SplitResult:
     selected: frozenset[int]
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Dense joint distribution whose rows follow p and columns follow q.
+MATRIX_CELL_CAP = 4096 * 4096
 
-    Rows and columns are in sorted (non-increasing marginal) order;
-    row_perm/col_perm map sorted positions back to the caller's indices.
-    nnz counts entries above eps_zero.
+
+class _DenseFromPieces:
+    """Data descriptor behind CouplingMatrix.matrix.
+
+    A value passed to the constructor is kept as given; otherwise the dense
+    matrix is scattered from the pieces on first access and cached. Class
+    access returns None, which dataclasses takes as the field's default.
     """
 
-    matrix: np.ndarray
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj: "CouplingMatrix | None", owner: type | None = None):
+        if obj is None:
+            return None
+        m = obj.__dict__.get(self.slot)
+        if m is None:
+            m = obj._scatter(obj.rows, obj.cols)
+            m.flags.writeable = False
+            obj.__dict__[self.slot] = m
+        return m
+
+    def __set__(self, obj: "CouplingMatrix", value: np.ndarray | None) -> None:
+        obj.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True, eq=False)
+class CouplingMatrix:
+    """Joint distribution of p and q, stored as its nonzero pieces.
+
+    Piece i holds mass vals[i] at cell (rows[i], cols[i]) in sorted
+    (non-increasing marginal) order; pieces are listed row-major and there
+    are at most 2n of them. row_perm/col_perm map sorted positions back to
+    the caller's indices. nnz counts pieces above eps_zero. The dense n x n
+    matrix is built from the pieces only when .matrix is read, is cached and
+    read-only, and is refused above MATRIX_CELL_CAP cells. A matrix passed to
+    the constructor (dataclasses.replace passes the current one) is kept as
+    given, unchecked against the pieces.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    n: int
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     nnz: int
+    matrix: np.ndarray = _DenseFromPieces()
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def __repr__(self) -> str:
+        return f"CouplingMatrix(n={self.n}, nnz={self.nnz})"
 
     def entropy(self) -> float:
         """Joint Shannon entropy in bits."""
-        return entropy_bits(self.matrix.ravel())
+        return entropy_bits(self.vals)
 
     def in_original_order(self) -> np.ndarray:
-        """The matrix rearranged back to the callers' indexing."""
-        out = np.zeros_like(self.matrix)
-        out[np.ix_(list(self.row_perm), list(self.col_perm))] = self.matrix
+        """The dense matrix rearranged back to the callers' indexing."""
+        return self._scatter(
+            np.asarray(self.row_perm, dtype=np.intp)[self.rows],
+            np.asarray(self.col_perm, dtype=np.intp)[self.cols],
+        )
+
+    def _scatter(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense n x n matrix holding vals at (rows, cols), zero elsewhere."""
+        cells = self.n * self.n
+        if cells > MATRIX_CELL_CAP:
+            raise InstanceTooLarge(
+                f"dense coupling needs {cells} cells, cap is {MATRIX_CELL_CAP}"
+            )
+        out = np.zeros((self.n, self.n))
+        out[rows, cols] = self.vals
         return out
 
 
@@ -212,42 +260,41 @@ def _couple_oriented(
     tol: Tolerances,
     trace: dict | None = None,
     flip_writes: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[list[int], list[int], list[float]]:
     """Core construction for an oriented, equal-length, sorted pair (a, b).
 
-    Returns (matrix, row_sums, col_sums, cells_written) where the matrix has
-    row sums a and column sums b; with flip_writes the transposed matrix is
-    produced directly, sparing the caller an n^2 copy. Every cell is written
-    at most once, so the sums and the write count are accumulated on the fly
-    instead of re-scanning the dense matrix. When trace is a dict it
+    Returns the written pieces as parallel lists (rows, cols, vals) of
+    0-based cells whose row sums are a and column sums b; with flip_writes
+    the transposed pieces are produced directly. Every cell is written at
+    most once and every piece exceeds eps_zero. When trace is a dict it
     receives "pieces" (component index, written value) for every cell and
-    "boundaries" (segment number, parity, low index, matrix copy) after each
-    segment's flush.
+    "boundaries" (segment number, parity, low index, dense matrix copy) after
+    each segment's flush; only then is a dense matrix kept.
     """
     n = len(a)
     eps = tol.eps_zero
     idx = _inversion_indices(a, b, eps)
     z = meet_values(a, b, eps)
-    m = np.zeros((n, n))
-    row_sums = np.zeros(n)
-    col_sums = np.zeros(n)
-    written = 0
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     carried: deque[tuple[int, float]] = deque()
+    m = None
     if trace is not None:
+        m = np.zeros((n, n))
         trace.setdefault("pieces", [])
         trace.setdefault("boundaries", [])
         trace["indices"] = idx
         trace["meet"] = z.copy()
 
     def write(row: int, col: int, value: float, source: int) -> None:
-        nonlocal written
         if flip_writes:
             row, col = col, row
-        m[row - 1, col - 1] = value
-        row_sums[row - 1] += value
-        col_sums[col - 1] += value
-        written += 1
+        rows.append(row - 1)
+        cols.append(col - 1)
+        vals.append(value)
         if trace is not None:
+            m[row - 1, col - 1] = value
             trace["pieces"].append((source, value))
 
     for s in range(1, len(idx)):
@@ -291,7 +338,7 @@ def _couple_oriented(
     leftover = sum(v for _, v in carried)
     if leftover > tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
-    return m, row_sums, col_sums, written
+    return rows, cols, vals
 
 
 def min_entropy_coupling(
@@ -302,10 +349,13 @@ def min_entropy_coupling(
 ) -> CouplingMatrix:
     """A coupling of p and q with entropy within one bit of the minimum.
 
-    The output matrix is square of side max(p.n, q.n) (inputs are zero-padded
-    to a common length), has exact marginals up to eps_sum, support size at
-    most 2n, and satisfies H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. Identical
-    inputs always produce identical matrices, in O(n^2) time.
+    The coupling has side n = max(p.n, q.n) (inputs are zero-padded to a
+    common length), exact marginals and total mass up to eps_sum, at most
+    2n nonzero cells, and H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. It is built
+    and checked as its pieces in O(n) time and memory (plus an O(n log n)
+    sort of the pieces); the dense .matrix is built only when read, and is
+    refused above MATRIX_CELL_CAP cells. Identical inputs always produce
+    identical couplings.
     """
     n = max(p.n, q.n)
     pp = pad_to(p, n)
@@ -314,24 +364,42 @@ def min_entropy_coupling(
     b = qq.as_array()
     if not np.any(np.abs(a - b) > tol.eps_zero):
         # componentwise-equal marginals couple on the diagonal
-        m = np.diag(a)
-        row_sums = a.copy()
-        col_sums = a.copy()
-        nnz = int((a > tol.eps_zero).sum())
-    elif _needs_swap(a, b, tol.eps_zero):
-        m, row_sums, col_sums, nnz = _couple_oriented(b, a, tol, _trace, flip_writes=True)
+        rows = cols = np.flatnonzero(a > 0.0)
+        vals = a[rows]
     else:
-        m, row_sums, col_sums, nnz = _couple_oriented(a, b, tol, _trace)
-    row_dev = float(np.abs(row_sums - a).max())
-    col_dev = float(np.abs(col_sums - b).max())
+        if _needs_swap(a, b, tol.eps_zero):
+            r, c, v = _couple_oriented(b, a, tol, _trace, flip_writes=True)
+        else:
+            r, c, v = _couple_oriented(a, b, tol, _trace)
+        rows = np.asarray(r, dtype=np.intp)
+        cols = np.asarray(c, dtype=np.intp)
+        vals = np.asarray(v, dtype=float)
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise InternalInvariant("a cell was written twice")
+    row_dev = float(np.abs(np.bincount(rows, weights=vals, minlength=n) - a).max())
+    col_dev = float(np.abs(np.bincount(cols, weights=vals, minlength=n) - b).max())
     if max(row_dev, col_dev) > tol.eps_sum:
         raise InternalInvariant(
             f"marginal deviation {max(row_dev, col_dev)!r} exceeds eps_sum"
         )
-    if nnz > 2 * n:
-        raise InternalInvariant(f"support size {nnz} exceeds 2n = {2 * n}")
-    m.flags.writeable = False
-    return CouplingMatrix(matrix=m, row_perm=pp.perm, col_perm=qq.perm, nnz=nnz)
+    total = float(vals.sum())
+    if abs(total - 1.0) > tol.eps_sum:
+        raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
+    if vals.size > 2 * n:
+        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
+    for arr in (rows, cols, vals):
+        arr.flags.writeable = False
+    return CouplingMatrix(
+        rows=rows,
+        cols=cols,
+        vals=vals,
+        n=n,
+        row_perm=pp.perm,
+        col_perm=qq.perm,
+        nnz=int((vals > tol.eps_zero).sum()),
+    )
 
 
 def bounds(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> BoundsReport:

@@ -115,12 +115,15 @@ def pad_to(p: ProbVec, n: int) -> ProbVec:
     return ProbVec(p.values + (0.0,) * (n - p.n), p.perm + tuple(range(p.n, n)))
 
 
-def entropy_bits(values: Iterable[float]) -> float:
+def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> float:
     """Shannon entropy of a collection of probabilities, in bits.
 
-    Zero components contribute nothing.
+    Arrays, lists and tuples are read in place; other iterables (generators)
+    are collected first. Zero components contribute nothing.
     """
-    v = np.asarray(list(values), dtype=float)
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    v = np.asarray(values, dtype=float)
     v = v[v > 0.0]
     if v.size == 0:
         return 0.0

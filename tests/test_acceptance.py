@@ -288,6 +288,6 @@ def test_criterion_9_complexity_smoke():
     largest = timings[-1]
     ok = slope <= 2.3 and largest < 5.0
     detail = ", ".join(f"n={n}: {t * 1e3:.1f} ms" for n, t in zip(sizes, timings))
-    report(9, "quadratic-consistent scaling", ok, f"slope {slope:.2f}; {detail}")
+    report(9, "at most quadratic scaling", ok, f"slope {slope:.2f}; {detail}")
     assert slope <= 2.3, f"fitted exponent {slope:.2f} exceeds 2.3"
     assert largest < 5.0, f"couple at n=4096 took {largest:.2f} s"

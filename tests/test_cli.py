@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mecouple import make_probvec, min_entropy_coupling
 from mecouple.cli import main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
@@ -79,6 +80,22 @@ class TestCouple:
         assert np.allclose(mat.sum(axis=0), [0.2, 0.3, 0.5], atol=1e-9)
         assert doc["order"] == "original"
         assert doc["rows"] == 2 and doc["cols"] == 3
+
+    def test_matrix_matches_the_dense_coupling(self, capsys):
+        rng = np.random.default_rng(42)
+        for i in range(30):
+            n, m = (int(x) for x in rng.integers(1, 12, size=2))
+            if i % 2:
+                raw_p, raw_q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            else:   # zeros and exact ties
+                raw_p = rng.multinomial(64, np.full(n, 1.0 / n)) / 64.0
+                raw_q = rng.multinomial(64, np.full(m, 1.0 / m)) / 64.0
+            cm = min_entropy_coupling(make_probvec(raw_p), make_probvec(raw_q))
+            for flags, full in (([], cm.in_original_order()), (["--sorted"], cm.matrix)):
+                doc = run_json(capsys, "couple", *flags,
+                               json.dumps(raw_p.tolist()), json.dumps(raw_q.tolist()))
+                expected = [[float(f"{v:.12g}") for v in row] for row in full[:n, :m]]
+                assert doc["matrix"] == expected
 
     def test_gap_certificate(self, capsys):
         doc = run_json(capsys, "couple", "0.5 0.5", "0.6 0.4")

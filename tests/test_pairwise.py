@@ -1,22 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecouple import (
     InfeasibleSplit,
+    InstanceTooLarge,
     LengthMismatch,
+    MecoupleError,
     bounds,
     distance_interval,
     entropy,
     exact_min_entropy,
     glb,
     inversion_points,
+    k_min_entropy_coupling,
     make_probvec,
     min_entropy_coupling,
     pad_to,
     split,
 )
 from mecouple.lattice import meet_values
-from mecouple.pairwise import _couple_oriented, _inversion_indices, _needs_swap
+from mecouple.pairwise import (
+    MATRIX_CELL_CAP,
+    _couple_oriented,
+    _inversion_indices,
+    _needs_swap,
+)
 from mecouple.probvec import DEFAULT_TOL
 from golden13 import (
     COUPLING_CELLS13,
@@ -254,6 +266,113 @@ class TestCoupling:
             z = trace["meet"]
             check_boundary_invariants(a, b, z, trace)
             check_piece_partition(z, trace)
+
+
+def dense_entropy(m: np.ndarray) -> float:
+    v = m[m > 0.0]
+    return float(-(v * np.log2(v)).sum())
+
+
+@st.composite
+def sixty_fourths(draw, max_len=12):
+    """Multiples of 1/64 summing to exactly 1: exact ties and zeros."""
+    n = draw(st.integers(1, max_len))
+    cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=n - 1, max_size=n - 1)))
+    return list(np.diff([0, *cuts, 64]) / 64.0)
+
+
+@st.composite
+def point_masses(draw, max_len=12):
+    n = draw(st.integers(1, max_len))
+    out = [0.0] * n
+    out[draw(st.integers(0, n - 1))] = 1.0
+    return out
+
+
+marginals = st.one_of(sixty_fourths(), point_masses())
+
+
+class TestSparseCore:
+    @settings(max_examples=300, deadline=None)
+    @given(marginals, marginals)
+    def test_pieces_dense_view_and_sandwich(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        cm = min_entropy_coupling(p, q)
+        n = max(len(raw_p), len(raw_q))
+        assert cm.n == n
+        assert cm.vals.size <= 2 * n
+        assert np.all(cm.vals > 0.0)
+        # row-major, each cell at most once
+        keys = cm.rows * n + cm.cols
+        assert np.all(np.diff(keys) > 0)
+        dense = np.zeros((n, n))
+        dense[cm.rows, cm.cols] = cm.vals
+        assert np.array_equal(cm.matrix, dense)
+        original = np.zeros((n, n))
+        original[np.ix_(list(cm.row_perm), list(cm.col_perm))] = dense
+        assert np.array_equal(cm.in_original_order(), original)
+        assert np.abs(original.sum(axis=1)[: len(raw_p)] - raw_p).max() <= 1e-9
+        assert np.abs(original.sum(axis=0)[: len(raw_q)] - raw_q).max() <= 1e-9
+        assert cm.entropy() == pytest.approx(dense_entropy(dense), abs=1e-12)
+        h_z = entropy(glb(p, q).meet)
+        assert h_z - 1e-12 <= cm.entropy() <= h_z + 1.0 + 1e-12
+
+    def test_large_n_checked_on_the_pieces(self):
+        rng = np.random.default_rng(32)
+        n = 100_000
+        raw_p, raw_q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        cm = min_entropy_coupling(p, q)
+        assert cm.nnz <= 2 * n
+        rows = np.asarray(cm.row_perm)[cm.rows]
+        cols = np.asarray(cm.col_perm)[cm.cols]
+        assert np.abs(np.bincount(rows, weights=cm.vals, minlength=n) - raw_p).max() <= 1e-9
+        assert np.abs(np.bincount(cols, weights=cm.vals, minlength=n) - raw_q).max() <= 1e-9
+        h_z = entropy(glb(p, q).meet)
+        assert h_z - 1e-12 <= cm.entropy() <= h_z + 1.0 + 1e-12
+
+    def test_dense_forms_refused_above_the_cap(self):
+        side = int(np.sqrt(MATRIX_CELL_CAP)) + 1
+        rng = np.random.default_rng(33)
+        cm = min_entropy_coupling(
+            make_probvec(rng.dirichlet(np.ones(side))),
+            make_probvec(rng.dirichlet(np.ones(side))),
+        )
+        assert cm.n * cm.n > MATRIX_CELL_CAP
+        assert cm.entropy() > 0.0
+        with pytest.raises(InstanceTooLarge):
+            cm.matrix
+        with pytest.raises(InstanceTooLarge):
+            cm.in_original_order()
+
+    def test_matrix_is_built_once_and_can_be_replaced(self):
+        cm = min_entropy_coupling(make_probvec([0.5, 0.5]), make_probvec([0.6, 0.4]))
+        assert cm.matrix is cm.matrix
+        other = np.eye(2) / 2.0
+        assert dataclasses.replace(cm, matrix=other).matrix is other
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.matrix = other
+
+    def test_tiny_masses_conserve_total_or_raise(self):
+        # one large mass plus 3000 masses below eps_zero against a uniform
+        # marginal: the construction once dropped each tiny diagonal part
+        tol = DEFAULT_TOL
+        raw_p = np.array([1.0 - 3000 * 0.9e-12] + [0.9e-12] * 3000)
+        raw_q = np.full(3001, 1.0 / 3001)
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        for a, b in ((p, q), (q, p)):
+            try:
+                cm = min_entropy_coupling(a, b)
+            except MecoupleError:
+                continue
+            assert abs(cm.vals.sum() - 1.0) <= tol.eps_sum
+            assert np.abs(np.bincount(cm.rows, weights=cm.vals, minlength=cm.n)
+                          - a.as_array()).max() <= tol.eps_sum
+        try:
+            joint = k_min_entropy_coupling([p, q, q])
+        except MecoupleError:
+            return
+        assert abs(sum(v for v, _ in joint.entries) - 1.0) <= tol.eps_sum
 
 
 class TestBounds:

@@ -15,6 +15,7 @@ from mecouple import (
     ValidationError,
     aggregate,
     entropy,
+    entropy_bits,
     majorizes,
     make_probvec,
     pad_to,
@@ -127,6 +128,17 @@ class TestEntropy:
         for _ in range(50):
             p = random_probvec(rng, int(rng.integers(1, 12)))
             assert entropy(pad_to(p, p.n + 5)) == entropy(p)
+
+
+    def test_entropy_bits_accepts_arrays_sequences_and_generators(self):
+        cells = [0.5, 0.25, 0.0, 0.25]
+        arr = np.array(cells)
+        assert entropy_bits(arr) == pytest.approx(1.5, abs=1e-15)
+        assert entropy_bits(arr.reshape(2, 2)) == entropy_bits(arr)
+        assert entropy_bits(cells) == entropy_bits(arr)
+        assert entropy_bits(tuple(cells)) == entropy_bits(arr)
+        assert entropy_bits(v for v in cells) == entropy_bits(arr)
+        assert entropy_bits(np.zeros(3)) == 0.0
 
 
 class TestMajorizes:
