@@ -1,10 +1,16 @@
 """Joint distributions of k marginals within ceil(log2 k) bits of minimum entropy.
 
 The marginals sit at the leaves of a balanced binary tree; each internal node
-couples its two children pairwise and keeps only the nonzero cells, each cell
-remembering the tuple of original leaf indices it covers. Every merge splits
-the components of the children's meet into at most two pieces, so each level
-of the tree costs at most one bit over the meet of all leaves below it.
+couples its two children pairwise and keeps only the nonzero cells. A node
+holds two arrays: its cell values, sorted non-increasingly, and an int32
+(cells x leaves) array of the original leaf indices each cell covers, built
+from the children's rows by fancy indexing rather than per-cell tuples.
+Every merge splits the components of the children's meet into at most two
+pieces, so each level of the tree costs at most one bit over the meet of all
+leaves below it. The merged values are already sorted and their total was
+checked by the pairwise coupling, so they go to the next merge without a
+re-validating make_probvec; the index tuples of SparseJoint are built once,
+at the root.
 
 When k is not a power of two, the leaf list is padded with point-mass
 distributions: coupling with a deterministic marginal changes neither the
@@ -17,15 +23,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import AxisOutOfRange, InstanceTooLarge, InternalInvariant, TooFewMarginals
 from .pairwise import min_entropy_coupling
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy_bits, make_probvec, pad_to
+from .probvec import (
+    DEFAULT_TOL,
+    ProbVec,
+    Tolerances,
+    check_sorted_total,
+    entropy_bits,
+    make_probvec,
+    pad_to,
+)
 
 DENSE_CELL_CAP = 10**6
+# rows of the root converted to Python tuples at a time, bounding the temporaries
+ENTRY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -64,79 +80,87 @@ class SparseJoint:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergeNode:
-    """One node of the merge tree: sorted values plus covered leaf coordinates."""
+    """One node of the merge tree, as two arrays over its cells.
 
-    values: tuple[float, ...]
-    coords: tuple[tuple[int, ...], ...]
+    values holds the cell masses, sorted non-increasingly. coords is an int32
+    array with one row per cell and one column per covered leaf
+    (leaf_lo..leaf_hi): row i gives, in each leaf's original indexing, the
+    component whose mass values[i] was drawn from.
+    """
+
+    values: np.ndarray
+    coords: np.ndarray
     level: int
     leaf_lo: int
     leaf_hi: int
 
 
 def _leaf(p: ProbVec, position: int) -> MergeNode:
-    kept = [(float(v), (int(orig),)) for v, orig in zip(p.values, p.perm) if v > 0.0]
+    values = p.as_array()
+    kept = values > 0.0
     return MergeNode(
-        values=tuple(v for v, _ in kept),
-        coords=tuple(c for _, c in kept),
+        values=values[kept],
+        coords=np.asarray(p.perm, dtype=np.int32)[kept].reshape(-1, 1),
         level=0,
         leaf_lo=position,
         leaf_hi=position,
     )
 
 
+def _as_probvec(values: np.ndarray) -> ProbVec:
+    """A node's values as a ProbVec with the identity perm, without re-validation.
+
+    The values are already sorted, and the coupling that produced them
+    checked their total; min_entropy_coupling checks both again at entry.
+    """
+    return ProbVec(tuple(values.tolist()), tuple(range(values.size)))
+
+
 def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> MergeNode:
-    pl = make_probvec(left.values, tol)
-    pr = make_probvec(right.values, tol)
-    cm = min_entropy_coupling(pl, pr, tol)
+    cm = min_entropy_coupling(_as_probvec(left.values), _as_probvec(right.values), tol)
     # pieces come row-major; a stable sort by -value keeps that order among ties
-    rows, cols, vals = cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()
-    entries = [
-        (vals[i], left.coords[rows[i]] + right.coords[cols[i]])
-        for i in np.argsort(-cm.vals, kind="stable").tolist()
-    ]
+    order = np.argsort(-cm.vals, kind="stable")
     return MergeNode(
-        values=tuple(v for v, _ in entries),
-        coords=tuple(c for _, c in entries),
+        values=cm.vals[order],
+        coords=np.hstack((left.coords[cm.rows[order]], right.coords[cm.cols[order]])),
         level=level,
         leaf_lo=left.leaf_lo,
         leaf_hi=right.leaf_hi,
     )
 
 
-def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> list[list[MergeNode]]:
-    """All levels of the balanced merge tree, leaves first, root last.
+def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
+    """The levels of the balanced merge tree, leaves first, root last.
 
-    The leaf list is padded with point masses up to the next power of two.
+    Levels are yielded one at a time, so a caller that keeps only the
+    latest holds at most two levels. The leaf list is padded with point
+    masses up to the next power of two.
     """
     k = len(ps)
     n = max(p.n for p in ps)
     total = 1 << (k - 1).bit_length()
-    leaves = [_leaf(pad_to(p, n), pos) for pos, p in enumerate(ps)]
+    current = [_leaf(pad_to(p, n), pos) for pos, p in enumerate(ps)]
     for pos in range(k, total):
-        leaves.append(MergeNode((1.0,), ((0,),), 0, pos, pos))
-    levels = [leaves]
-    current = leaves
+        current.append(MergeNode(np.ones(1), np.zeros((1, 1), dtype=np.int32), 0, pos, pos))
+    yield current
     level = 0
     while len(current) > 1:
         level += 1
         current = [
             _merge(a, b, level, tol) for a, b in zip(current[::2], current[1::2])
         ]
-        levels.append(current)
-    return levels
+        yield current
 
 
-def _axis_sums(joint: SparseJoint) -> list[np.ndarray]:
-    """Every axis marginal, in entry order, from one (entries x k) index array."""
-    vals = np.array([v for v, _ in joint.entries])
-    coords = np.array([c for _, c in joint.entries], dtype=np.int32)
-    coords = coords.reshape(vals.size, joint.k)
-    return [
-        np.bincount(coords[:, axis], weights=vals, minlength=dim)
-        for axis, dim in enumerate(joint.dims)
-    ]
+def _entries(values: np.ndarray, coords: np.ndarray) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """(value, index tuple) pairs, converted to Python objects a chunk at a time."""
+    out: list[tuple[float, tuple[int, ...]]] = []
+    for lo in range(0, values.size, ENTRY_CHUNK):
+        hi = lo + ENTRY_CHUNK
+        out.extend(zip(values[lo:hi].tolist(), map(tuple, coords[lo:hi].tolist())))
+    return tuple(out)
 
 
 def k_min_entropy_coupling(
@@ -147,30 +171,34 @@ def k_min_entropy_coupling(
 
     Reproduces every marginal up to eps_sum and satisfies
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
-    The support holds at most 2**ceil(log2 k) * n entries.
+    The support holds at most 2**ceil(log2 k) * n entries. As in
+    min_entropy_coupling, each marginal is taken as given: values out of
+    non-increasing order raise ValidationError, a total off 1 raises BadTotal.
     """
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
+    for p in ps:
+        check_sorted_total(p.as_array(), tol)
     k = len(ps)
-    dims = tuple(p.n for p in ps)
-    root = _merge_tree(ps, tol)[-1][0]
-    joint = SparseJoint(
-        entries=tuple((v, c[:k]) for v, c in zip(root.values, root.coords)),
-        k=k,
-        dims=dims,
-    )
-    for axis, (got, p) in enumerate(zip(_axis_sums(joint), ps)):
+    for level in _merge_tree(ps, tol):
+        pass  # each finished level is dropped once the next one is built
+    (root,) = level
+    values, coords = root.values, root.coords[:, :k]
+    for axis, p in enumerate(ps):
+        got = np.bincount(coords[:, axis], weights=values, minlength=p.n)
         dev = float(np.abs(got - p.in_original_order()).max())
         if dev > tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
-    total = float(np.sum(root.values))
+    total = float(values.sum())
     if abs(total - 1.0) > tol.eps_sum:
         raise InternalInvariant(f"joint mass {total!r} deviates from 1 beyond eps_sum")
-    return joint
+    return SparseJoint(entries=_entries(values, coords), k=k, dims=tuple(p.n for p in ps))
 
 
 def marginalize(j: int, joint: SparseJoint, tol: Tolerances = DEFAULT_TOL) -> ProbVec:
     """Sum the entries over all axes except j and sort the result."""
     if not 0 <= j < joint.k:
         raise AxisOutOfRange(f"axis {j} out of range for k = {joint.k}")
-    return make_probvec(_axis_sums(joint)[j], tol)
+    values = np.array([v for v, _ in joint.entries])
+    axis = np.array([c[j] for _, c in joint.entries], dtype=np.intp)
+    return make_probvec(np.bincount(axis, weights=values, minlength=joint.dims[j]), tol)

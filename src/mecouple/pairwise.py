@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import InfeasibleSplit, InstanceTooLarge, InternalInvariant, LengthMismatch
 from .lattice import glb, meet_values
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy, entropy_bits, pad_to
+from .probvec import (
+    DEFAULT_TOL,
+    ProbVec,
+    Tolerances,
+    check_sorted_total,
+    entropy,
+    entropy_bits,
+    pad_to,
+)
 
 
 @dataclass(frozen=True)
@@ -266,79 +274,98 @@ def _couple_oriented(
     Returns the written pieces as parallel lists (rows, cols, vals) of
     0-based cells whose row sums are a and column sums b; with flip_writes
     the transposed pieces are produced directly. Every cell is written at
-    most once and every piece exceeds eps_zero. When trace is a dict it
-    receives "pieces" (component index, written value) for every cell and
-    "boundaries" (segment number, parity, low index, dense matrix copy) after
-    each segment's flush; only then is a dense matrix kept.
+    most once and every piece exceeds eps_zero. The loop runs on Python
+    floats and records only how many pieces each segment wrote. When trace
+    is a dict it is filled after the loop from those counts: "pieces"
+    (component index, written value) for every cell, "boundaries" (segment
+    number, parity, low index, dense matrix copy) as of each segment's
+    flush, "indices" and "meet"; only then is a dense matrix built.
     """
-    n = len(a)
     eps = tol.eps_zero
     idx = _inversion_indices(a, b, eps)
     z = meet_values(a, b, eps)
+    a_l, b_l, z_l = a.tolist(), b.tolist(), z.tolist()
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
+    put_val = vals.append
+    seg_ends: list[int] = []
     carried: deque[tuple[int, float]] = deque()
-    m = None
-    if trace is not None:
-        m = np.zeros((n, n))
-        trace.setdefault("pieces", [])
-        trace.setdefault("boundaries", [])
-        trace["indices"] = idx
-        trace["meet"] = z.copy()
-
-    def write(row: int, col: int, value: float, source: int) -> None:
-        if flip_writes:
-            row, col = col, row
-        rows.append(row - 1)
-        cols.append(col - 1)
-        vals.append(value)
-        if trace is not None:
-            m[row - 1, col - 1] = value
-            trace["pieces"].append((source, value))
-
     for s in range(1, len(idx)):
-        lo, hi = idx[s], idx[s - 1] - 1
+        lo, hi = idx[s] - 1, idx[s - 1] - 1  # 0-based: components lo..hi-1
         odd = s % 2 == 1
-        marginal = b if odd else a
-        for j in range(hi, lo - 1, -1):
-            zj = float(z[j - 1])
+        marginal = b_l if odd else a_l
+        # a split component indexes the row in odd segments and the column in
+        # even ones, its partner the other line; flip_writes swaps the two
+        if odd != flip_writes:
+            put_comp, put_partner = rows.append, cols.append
+        else:
+            put_comp, put_partner = cols.append, rows.append
+        for j in range(hi - 1, lo - 1, -1):
+            zj = z_l[j]
             if zj <= 0.0:
                 continue
-            x = float(marginal[j - 1])
+            x = marginal[j]
             acc = 0.0
             while carried and acc + carried[0][1] < x - eps:
                 src, v = carried.popleft()
-                if odd:
-                    write(src, j, v, src)
-                else:
-                    write(j, src, v, src)
+                put_comp(src)
+                put_partner(j)
+                put_val(v)
                 acc += v
             diag = x - acc
             if diag > eps:
-                write(j, j, diag, j)
+                put_comp(j)
+                put_partner(j)
+                put_val(diag)
             rem = zj - diag
             if rem < -tol.eps_sum:
                 raise InternalInvariant(
-                    f"carried remainder {rem!r} for component {j} below zero"
+                    f"carried remainder {rem!r} for component {j + 1} below zero"
                 )
             if rem > eps:
                 carried.append((j, rem))
-        if lo != 1:
+        if lo != 0:
             while carried:
                 src, v = carried.popleft()
-                if odd:
-                    write(src, lo - 1, v, src)
-                else:
-                    write(lo - 1, src, v, src)
-        if trace is not None:
-            trace["boundaries"].append(
-                {"segment": s, "odd": odd, "lo": lo, "matrix": m.copy()}
-            )
+                put_comp(src)
+                put_partner(lo - 1)
+                put_val(v)
+        seg_ends.append(len(vals))
     leftover = sum(v for _, v in carried)
     if leftover > tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
+    if trace is not None:
+        _fill_trace(trace, idx, z, seg_ends, rows, cols, vals, flip_writes)
     return rows, cols, vals
+
+
+def _fill_trace(
+    trace: dict,
+    idx: tuple[int, ...],
+    z: np.ndarray,
+    seg_ends: list[int],
+    rows: list[int],
+    cols: list[int],
+    vals: list[float],
+    flip_writes: bool,
+) -> None:
+    """Replay the written pieces segment by segment into a test trace dict."""
+    n = len(z)
+    m = np.zeros((n, n))
+    pieces = trace.setdefault("pieces", [])
+    boundaries = trace.setdefault("boundaries", [])
+    trace["indices"] = idx
+    trace["meet"] = z.copy()
+    start = 0
+    for s, end in enumerate(seg_ends, start=1):
+        odd = s % 2 == 1
+        comps = rows if odd != flip_writes else cols
+        for i in range(start, end):
+            m[rows[i], cols[i]] = vals[i]
+            pieces.append((comps[i] + 1, vals[i]))
+        boundaries.append({"segment": s, "odd": odd, "lo": idx[s], "matrix": m.copy()})
+        start = end
 
 
 def min_entropy_coupling(
@@ -355,13 +382,17 @@ def min_entropy_coupling(
     and checked as its pieces in O(n) time and memory (plus an O(n log n)
     sort of the pieces); the dense .matrix is built only when read, and is
     refused above MATRIX_CELL_CAP cells. Identical inputs always produce
-    identical couplings.
+    identical couplings. Inputs are taken as given, not re-sorted: values
+    out of non-increasing order raise ValidationError, and a total off 1 by
+    more than eps_sum raises BadTotal.
     """
     n = max(p.n, q.n)
     pp = pad_to(p, n)
     qq = pad_to(q, n)
     a = pp.as_array()
     b = qq.as_array()
+    check_sorted_total(a, tol)
+    check_sorted_total(b, tol)
     if not np.any(np.abs(a - b) > tol.eps_zero):
         # componentwise-equal marginals couple on the diagonal
         rows = cols = np.flatnonzero(a > 0.0)

@@ -95,15 +95,32 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     if bad.size:
         i = int(bad[0])
         raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol.eps_sum:
-        raise BadTotal(f"total mass {total!r} deviates from 1 beyond eps_sum")
+    _check_total(arr, tol)
     arr = np.where(arr < 0.0, 0.0, arr)
     order = np.argsort(-arr, kind="stable")
     return ProbVec(
         tuple(float(v) for v in arr[order]),
         tuple(int(i) for i in order),
     )
+
+
+def _check_total(values: np.ndarray, tol: Tolerances) -> None:
+    total = float(values.sum())
+    if abs(total - 1.0) > tol.eps_sum:
+        raise BadTotal(f"total mass {total!r} deviates from 1 beyond eps_sum")
+
+
+def check_sorted_total(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
+    """Entry check on a ProbVec's values for algorithms that take it as given.
+
+    The ProbVec constructor checks neither order nor total, so a hand-built
+    one may be unsorted or short. Raises ValidationError unless the values
+    are non-increasing within eps_zero, and BadTotal unless they sum to 1
+    within eps_sum.
+    """
+    if bool((np.diff(values) > tol.eps_zero).any()):
+        raise ValidationError("components must be sorted non-increasingly")
+    _check_total(values, tol)
 
 
 def pad_to(p: ProbVec, n: int) -> ProbVec:

@@ -99,7 +99,7 @@ def eight_way_instances():
     out = []
     for _ in range(200):
         ps = [random_probvec(rng, int(rng.integers(2, 9))) for _ in range(8)]
-        out.append((ps, _merge_tree(ps)))
+        out.append((ps, list(_merge_tree(ps))))
     return out
 
 

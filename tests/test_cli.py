@@ -9,6 +9,37 @@ from mecouple import make_probvec, min_entropy_coupling
 from mecouple.cli import main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
+# couple-k stdout, byte for byte, for marginals with exact 1/64 ties, unequal
+# lengths and unsorted caller order
+COUPLE_K_ARGV = (
+    "couple-k",
+    "0.25 0.125 0.5 0.125",
+    "0.375 0.375 0.25",
+    "0.1 0.6 0.3",
+    "0.0625 0.4375 0.25 0.25",
+    "0.2 0.2 0.2 0.2 0.2",
+)
+COUPLE_K_STDOUT = (
+    '{"k":5,"dims":[4,3,3,4,5],"entries":['
+    '{"value":0.2,"indices":[2,0,1,1,2]},'
+    '{"value":0.175,"indices":[2,0,1,1,1]},'
+    '{"value":0.1625,"indices":[0,1,2,3,0]},'
+    '{"value":0.0625,"indices":[0,1,1,1,3]},'
+    '{"value":0.0625,"indices":[1,2,1,2,3]},'
+    '{"value":0.0625,"indices":[3,2,0,0,4]},'
+    '{"value":0.0625,"indices":[2,1,1,2,3]},'
+    '{"value":0.05,"indices":[1,2,2,2,4]},'
+    '{"value":0.0375,"indices":[2,1,1,2,0]},'
+    '{"value":0.0375,"indices":[3,2,0,3,4]},'
+    '{"value":0.025,"indices":[0,1,2,3,1]},'
+    '{"value":0.025,"indices":[2,1,2,3,4]},'
+    '{"value":0.025,"indices":[3,2,2,2,4]},'
+    '{"value":0.0125,"indices":[1,2,2,2,3]}],'
+    '"joint_entropy":3.37996531805,"glb_entropy":2.32192809489,'
+    '"bound":5.32192809489,"unit":"bits"}'
+    "\n"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +149,11 @@ class TestCoupleK:
         dense = np.asarray(doc["dense"])
         assert dense.shape == (2, 2)
         assert dense.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_stdout_is_byte_identical(self, capsys):
+        code, out, _ = run(capsys, *COUPLE_K_ARGV)
+        assert code == 0
+        assert out == COUPLE_K_STDOUT
 
     def test_single_marginal_rejected(self, capsys):
         code, _, err = run(capsys, "couple-k", "[1.0]")

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import mecouple.multiway
 from mecouple import (
     AxisOutOfRange,
+    BadTotal,
     InstanceTooLarge,
+    ProbVec,
     SparseJoint,
     TooFewMarginals,
+    ValidationError,
     entropy,
     glb,
     half_pow,
@@ -19,7 +23,7 @@ from mecouple import (
 from mecouple.multiway import _merge_tree
 from mecouple.pairwise import _couple_oriented, _needs_swap
 from mecouple.probvec import DEFAULT_TOL
-from util import check_piece_partition, random_probvec
+from util import check_piece_partition, random_probvec, reference_k_entries
 
 
 def meet_of(ps):
@@ -153,7 +157,7 @@ class TestGuarantees:
         rng = np.random.default_rng(53)
         for _ in range(25):
             ps = [random_probvec(rng, int(rng.integers(2, 7))) for _ in range(4)]
-            levels = _merge_tree(ps)
+            levels = list(_merge_tree(ps))
             for level_nodes in levels[:-1]:
                 for left, right in zip(level_nodes[::2], level_nodes[1::2]):
                     n = max(len(left.values), len(right.values))
@@ -164,3 +168,61 @@ class TestGuarantees:
                     trace = {}
                     _couple_oriented(a, b, DEFAULT_TOL, trace)
                     check_piece_partition(trace["meet"], trace)
+
+
+def sixty_fourths(rng, n):
+    """n multiples of 1/64 summing to exactly 1: exact ties and zeros."""
+    cuts = np.sort(rng.integers(0, 65, size=n - 1))
+    return make_probvec(np.diff(np.concatenate(([0], cuts, [64]))) / 64.0)
+
+
+class TestArrayNativeTree:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 48])
+    def test_entries_equal_the_tuple_reference(self, k):
+        rng = np.random.default_rng(60 + k)
+        for trial in range(12 if k < 48 else 4):
+            ps = []
+            for _ in range(k):
+                n = int(rng.integers(1, 10))
+                if trial % 3 == 0:
+                    ps.append(random_probvec(rng, n))
+                elif trial % 3 == 1:
+                    ps.append(sixty_fourths(rng, n))
+                else:
+                    gen = random_probvec if rng.random() < 0.5 else sixty_fourths
+                    ps.append(gen(rng, n))
+            assert k_min_entropy_coupling(ps).entries == reference_k_entries(ps)
+
+    def test_merges_skip_revalidation(self, monkeypatch):
+        # merged values are sorted and checked already; every merge must still
+        # go through the public pairwise coupling
+        calls = {"make_probvec": 0, "min_entropy_coupling": 0}
+
+        def spy(name):
+            real = getattr(mecouple.multiway, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mecouple.multiway, name, wrapper)
+
+        spy("make_probvec")
+        spy("min_entropy_coupling")
+        rng = np.random.default_rng(70)
+        k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(8)])
+        assert calls == {"make_probvec": 0, "min_entropy_coupling": 7}
+
+    def test_unsorted_or_short_input_is_rejected(self):
+        good = make_probvec([0.6, 0.4])
+        unsorted = ProbVec((0.2, 0.3, 0.5), (0, 1, 2))
+        # the leaf drops the zero, so only the entry check sees this one
+        zero_inside = ProbVec((0.5, 0.0, 0.5), (0, 1, 2))
+        short = ProbVec((0.5, 0.3), (0, 1))
+        for ps in ([unsorted, good, good], [good, good, unsorted], [zero_inside, good]):
+            with pytest.raises(ValidationError) as info:
+                k_min_entropy_coupling(ps)
+            assert not isinstance(info.value, BadTotal)
+        for ps in ([short, good], [good, good, short]):
+            with pytest.raises(BadTotal):
+                k_min_entropy_coupling(ps)

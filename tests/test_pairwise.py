@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecouple import (
+    BadTotal,
     InfeasibleSplit,
     InstanceTooLarge,
     LengthMismatch,
     MecoupleError,
+    ProbVec,
+    ValidationError,
     bounds,
     distance_interval,
     entropy,
@@ -43,6 +47,7 @@ from util import (
     check_meet_segment_identities,
     check_piece_partition,
     random_probvec,
+    reference_couple_oriented,
     suffix_diffs,
     brute_inversion_sequences,
 )
@@ -290,6 +295,64 @@ def point_masses(draw, max_len=12):
 
 
 marginals = st.one_of(sixty_fourths(), point_masses())
+
+
+@st.composite
+def generic_floats(draw, max_len=12):
+    """Positive floats scaled to sum to 1: no decimal structure."""
+    raw = draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=max_len))
+    total = math.fsum(raw)
+    return [v / total for v in raw]
+
+
+class TestKernelReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(sixty_fourths(), point_masses(), generic_floats()),
+        st.one_of(sixty_fourths(), point_masses(), generic_floats()),
+    )
+    def test_pieces_and_trace_match_the_closure_loop(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        n = max(p.n, q.n)
+        a, b = oriented(pad_to(p, n), pad_to(q, n))
+        for flip in (False, True):
+            got_trace, ref_trace = {}, {}
+            got = _couple_oriented(a, b, DEFAULT_TOL, got_trace, flip_writes=flip)
+            ref = reference_couple_oriented(a, b, DEFAULT_TOL, ref_trace, flip_writes=flip)
+            for g, r in zip(got, ref):
+                assert len(g) == len(r)
+                assert np.array_equal(g, r)
+            assert got == _couple_oriented(a, b, DEFAULT_TOL, flip_writes=flip)
+            assert got_trace["indices"] == ref_trace["indices"]
+            assert np.array_equal(got_trace["meet"], ref_trace["meet"])
+            assert got_trace["pieces"] == ref_trace["pieces"]
+            assert len(got_trace["boundaries"]) == len(ref_trace["boundaries"])
+            for g, r in zip(got_trace["boundaries"], ref_trace["boundaries"]):
+                assert (g["segment"], g["odd"], g["lo"]) == (r["segment"], r["odd"], r["lo"])
+                assert np.array_equal(g["matrix"], r["matrix"])
+
+
+class TestInputContract:
+    # ProbVec's constructor checks neither order nor total, so the coupling does
+    def test_unsorted_values_are_rejected(self):
+        unsorted = ProbVec((0.2, 0.3, 0.5), (0, 1, 2))
+        other = make_probvec([0.6, 0.4])
+        for p, q in ((unsorted, other), (other, unsorted)):
+            with pytest.raises(ValidationError) as info:
+                min_entropy_coupling(p, q)
+            assert not isinstance(info.value, BadTotal)
+
+    def test_short_total_is_rejected(self):
+        short = ProbVec((0.5, 0.3), (0, 1))
+        other = make_probvec([0.6, 0.4])
+        for p, q in ((short, other), (other, short)):
+            with pytest.raises(BadTotal):
+                min_entropy_coupling(p, q)
+
+    def test_order_within_eps_zero_is_accepted(self):
+        p = ProbVec((0.5 - 2e-13, 0.5 + 2e-13), (0, 1))
+        cm = min_entropy_coupling(p, make_probvec([0.6, 0.4]))
+        assert abs(cm.vals.sum() - 1.0) <= DEFAULT_TOL.eps_sum
 
 
 class TestSparseCore:

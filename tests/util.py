@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
-from mecouple import ProbVec, make_probvec
+from mecouple import ProbVec, make_probvec, min_entropy_coupling, pad_to
+from mecouple.errors import InternalInvariant
+from mecouple.lattice import meet_values
+from mecouple.pairwise import _inversion_indices
+from mecouple.probvec import DEFAULT_TOL, Tolerances
 
 
 def random_probvec(rng: np.random.Generator, n: int) -> ProbVec:
@@ -164,3 +169,125 @@ def check_segment_strips(m: np.ndarray, idx, z, atol=1e-9):
                 assert abs(line.sum() - z[j - 1]) <= atol, (s, j)
             covered[line_lo - 1 : hi, lo - 1 : hi] = True
     assert np.all(m[~covered] == 0.0)
+
+
+def reference_couple_oriented(
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: Tolerances,
+    trace: dict | None = None,
+    flip_writes: bool = False,
+) -> tuple[list[int], list[int], list[float]]:
+    """The pairwise greedy loop as first written: one write closure per cell.
+
+    Reference for pairwise._couple_oriented, which must return the same
+    pieces in the same order and fill the same trace. Returns the written
+    pieces as parallel lists (rows, cols, vals) of 0-based cells whose row
+    sums are a and column sums b; with flip_writes the transposed pieces are
+    produced directly. When trace is a dict it receives "pieces" (component
+    index, written value) for every cell and "boundaries" (segment number,
+    parity, low index, dense matrix copy) after each segment's flush.
+    """
+    n = len(a)
+    eps = tol.eps_zero
+    idx = _inversion_indices(a, b, eps)
+    z = meet_values(a, b, eps)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    carried: deque[tuple[int, float]] = deque()
+    m = None
+    if trace is not None:
+        m = np.zeros((n, n))
+        trace.setdefault("pieces", [])
+        trace.setdefault("boundaries", [])
+        trace["indices"] = idx
+        trace["meet"] = z.copy()
+
+    def write(row: int, col: int, value: float, source: int) -> None:
+        if flip_writes:
+            row, col = col, row
+        rows.append(row - 1)
+        cols.append(col - 1)
+        vals.append(value)
+        if trace is not None:
+            m[row - 1, col - 1] = value
+            trace["pieces"].append((source, value))
+
+    for s in range(1, len(idx)):
+        lo, hi = idx[s], idx[s - 1] - 1
+        odd = s % 2 == 1
+        marginal = b if odd else a
+        for j in range(hi, lo - 1, -1):
+            zj = float(z[j - 1])
+            if zj <= 0.0:
+                continue
+            x = float(marginal[j - 1])
+            acc = 0.0
+            while carried and acc + carried[0][1] < x - eps:
+                src, v = carried.popleft()
+                if odd:
+                    write(src, j, v, src)
+                else:
+                    write(j, src, v, src)
+                acc += v
+            diag = x - acc
+            if diag > eps:
+                write(j, j, diag, j)
+            rem = zj - diag
+            if rem < -tol.eps_sum:
+                raise InternalInvariant(
+                    f"carried remainder {rem!r} for component {j} below zero"
+                )
+            if rem > eps:
+                carried.append((j, rem))
+        if lo != 1:
+            while carried:
+                src, v = carried.popleft()
+                if odd:
+                    write(src, lo - 1, v, src)
+                else:
+                    write(lo - 1, src, v, src)
+        if trace is not None:
+            trace["boundaries"].append(
+                {"segment": s, "odd": odd, "lo": lo, "matrix": m.copy()}
+            )
+    leftover = sum(v for _, v in carried)
+    if leftover > tol.eps_sum:
+        raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
+    return rows, cols, vals
+
+
+def _reference_merge(left, right, tol):
+    """Merge two nodes given as lists of (value, leaf-index tuple) cells."""
+    cm = min_entropy_coupling(
+        make_probvec([v for v, _ in left], tol),
+        make_probvec([v for v, _ in right], tol),
+        tol,
+    )
+    rows, cols, vals = cm.rows.tolist(), cm.cols.tolist(), cm.vals.tolist()
+    return [
+        (vals[i], left[rows[i]][1] + right[cols[i]][1])
+        for i in np.argsort(-cm.vals, kind="stable").tolist()
+    ]
+
+
+def reference_k_entries(ps, tol: Tolerances = DEFAULT_TOL):
+    """SparseJoint entries of the k-way merge tree, built cell by cell.
+
+    Every node is a list of (value, leaf-index tuple) cells; each merge
+    re-validates both children with make_probvec and concatenates index
+    tuples per cell. Reference for multiway's array-native tree.
+    """
+    k = len(ps)
+    n = max(p.n for p in ps)
+    nodes = []
+    for p in ps:
+        padded = pad_to(p, n)
+        nodes.append(
+            [(float(v), (int(i),)) for v, i in zip(padded.values, padded.perm) if v > 0.0]
+        )
+    nodes += [[(1.0, (0,))]] * ((1 << (k - 1).bit_length()) - k)
+    while len(nodes) > 1:
+        nodes = [_reference_merge(a, b, tol) for a, b in zip(nodes[::2], nodes[1::2])]
+    return tuple((v, c[:k]) for v, c in nodes[0])
