@@ -118,7 +118,7 @@ def _cmd_glb(args, tol) -> dict:
     u = _scale(args)
     z = glb(p, q, tol).meet
     return {
-        "glb": [_sig(v) for v in z.values],
+        "glb": [_sig(v) for v in z.values.tolist()],
         "entropy": _sig(entropy(z) * u),
         "unit": args.base,
     }
@@ -131,8 +131,8 @@ def _cmd_couple(args, tol) -> dict:
     cm = min_entropy_coupling(p, q, tol)
     rows, cols = cm.rows, cm.cols
     if not args.sorted:
-        rows = np.asarray(cm.row_perm)[rows]
-        cols = np.asarray(cm.col_perm)[cols]
+        rows = cm.row_perm[rows]
+        cols = cm.col_perm[cols]
     # trimmed to the caller's window like the dense matrix: padding rows and
     # columns hold at most eps_sum of mass
     mat = [[0.0] * nq_raw for _ in range(np_raw)]
@@ -218,7 +218,7 @@ def _cmd_oracle(args, tol) -> dict:
         mat = vc.matrix
     else:
         mat = np.zeros_like(vc.matrix)
-        mat[np.ix_(list(p.perm), list(q.perm))] = vc.matrix
+        mat[np.ix_(p.perm, q.perm)] = vc.matrix
     return {
         "opt_entropy": _sig(opt * u),
         "order": "sorted" if args.sorted else "original",

@@ -10,13 +10,17 @@ from .errors import InternalInvariant
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, pad_to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlbResult:
-    """Greatest lower bound of two distributions, plus their cached prefix sums."""
+    """Greatest lower bound of two distributions, plus their cached prefix sums.
+
+    prefix_p and prefix_q are read-only float64 arrays of the zero-padded
+    inputs' prefix sums; the meet carries the identity perm.
+    """
 
     meet: ProbVec
-    prefix_p: tuple[float, ...]
-    prefix_q: tuple[float, ...]
+    prefix_p: np.ndarray
+    prefix_q: np.ndarray
 
 
 def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
@@ -47,12 +51,11 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     a = pad_to(p, n).as_array()
     b = pad_to(q, n).as_array()
     z = meet_values(a, b, tol.eps_zero)
-    zvec = ProbVec(tuple(float(v) for v in z), tuple(range(n)))
-    return GlbResult(
-        meet=zvec,
-        prefix_p=tuple(float(v) for v in np.cumsum(a)),
-        prefix_q=tuple(float(v) for v in np.cumsum(b)),
-    )
+    prefix_p = np.cumsum(a)
+    prefix_q = np.cumsum(b)
+    prefix_p.flags.writeable = False
+    prefix_q.flags.writeable = False
+    return GlbResult(meet=ProbVec(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)
 
 
 def half(p: ProbVec) -> ProbVec:
@@ -60,8 +63,7 @@ def half(p: ProbVec) -> ProbVec:
 
     Adds exactly one bit of entropy and preserves sortedness.
     """
-    doubled = np.repeat(p.as_array(), 2) / 2.0
-    return ProbVec(tuple(float(v) for v in doubled), tuple(range(2 * p.n)))
+    return ProbVec(np.repeat(p.values, 2) / 2.0, np.arange(2 * p.n))
 
 
 def half_pow(p: ProbVec, i: int) -> ProbVec:

@@ -2,9 +2,10 @@
 
 The marginals sit at the leaves of a balanced binary tree; each internal node
 couples its two children pairwise and keeps only the nonzero cells. A node
-holds two arrays: its cell values, sorted non-increasingly, and an int32
-(cells x leaves) array of the original leaf indices each cell covers, built
-from the children's rows by fancy indexing rather than per-cell tuples.
+holds two arrays: its cell values, sorted non-increasingly, and a leaf-major
+int32 (leaves x cells) array of the original leaf indices each cell covers,
+built from the children's columns by np.take rather than per-cell
+tuples.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
 leaves below it. The merged values are already sorted and their total was
@@ -40,7 +41,7 @@ from .probvec import (
 )
 
 DENSE_CELL_CAP = 10**6
-# rows of the root converted to Python tuples at a time, bounding the temporaries
+# cells of the root converted to Python tuples at a time, bounding the temporaries
 ENTRY_CHUNK = 4096
 
 
@@ -84,10 +85,11 @@ class SparseJoint:
 class MergeNode:
     """One node of the merge tree, as two arrays over its cells.
 
-    values holds the cell masses, sorted non-increasingly. coords is an int32
-    array with one row per cell and one column per covered leaf
-    (leaf_lo..leaf_hi): row i gives, in each leaf's original indexing, the
-    component whose mass values[i] was drawn from.
+    values holds the cell masses, sorted non-increasingly. coords is a
+    leaf-major int32 array with one row per covered leaf (leaf_lo..leaf_hi)
+    and one column per cell: column i gives, in each leaf's original
+    indexing, the component whose mass values[i] was drawn from. Each leaf's
+    row is contiguous, so the root's per-axis checks read it in one pass.
     """
 
     values: np.ndarray
@@ -98,11 +100,10 @@ class MergeNode:
 
 
 def _leaf(p: ProbVec, position: int) -> MergeNode:
-    values = p.as_array()
-    kept = values > 0.0
+    kept = p.values > 0.0
     return MergeNode(
-        values=values[kept],
-        coords=np.asarray(p.perm, dtype=np.int32)[kept].reshape(-1, 1),
+        values=p.values[kept],
+        coords=p.perm[kept].astype(np.int32).reshape(1, -1),
         level=0,
         leaf_lo=position,
         leaf_hi=position,
@@ -110,21 +111,25 @@ def _leaf(p: ProbVec, position: int) -> MergeNode:
 
 
 def _as_probvec(values: np.ndarray) -> ProbVec:
-    """A node's values as a ProbVec with the identity perm, without re-validation.
+    """A node's values as a ProbVec with the identity perm, without make_probvec.
 
     The values are already sorted, and the coupling that produced them
     checked their total; min_entropy_coupling checks both again at entry.
     """
-    return ProbVec(tuple(values.tolist()), tuple(range(values.size)))
+    return ProbVec(values, np.arange(values.size))
 
 
 def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> MergeNode:
     cm = min_entropy_coupling(_as_probvec(left.values), _as_probvec(right.values), tol)
     # pieces come row-major; a stable sort by -value keeps that order among ties
     order = np.argsort(-cm.vals, kind="stable")
+    # take, unlike [:, idx], returns C order, so each leaf's row stays contiguous
     return MergeNode(
         values=cm.vals[order],
-        coords=np.hstack((left.coords[cm.rows[order]], right.coords[cm.cols[order]])),
+        coords=np.vstack((
+            left.coords.take(cm.rows[order], axis=1),
+            right.coords.take(cm.cols[order], axis=1),
+        )),
         level=level,
         leaf_lo=left.leaf_lo,
         leaf_hi=right.leaf_hi,
@@ -155,11 +160,11 @@ def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterato
 
 
 def _entries(values: np.ndarray, coords: np.ndarray) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """(value, index tuple) pairs, converted to Python objects a chunk at a time."""
+    """(value, index tuple) pairs from leaf-major coords, a chunk of cells at a time."""
     out: list[tuple[float, tuple[int, ...]]] = []
     for lo in range(0, values.size, ENTRY_CHUNK):
         hi = lo + ENTRY_CHUNK
-        out.extend(zip(values[lo:hi].tolist(), map(tuple, coords[lo:hi].tolist())))
+        out.extend(zip(values[lo:hi].tolist(), map(tuple, coords[:, lo:hi].T.tolist())))
     return tuple(out)
 
 
@@ -183,14 +188,15 @@ def k_min_entropy_coupling(
     for level in _merge_tree(ps, tol):
         pass  # each finished level is dropped once the next one is built
     (root,) = level
-    values, coords = root.values, root.coords[:, :k]
+    values, coords = root.values, root.coords[:k]
+    # the deviation checks are written so that a NaN fails them
     for axis, p in enumerate(ps):
-        got = np.bincount(coords[:, axis], weights=values, minlength=p.n)
+        got = np.bincount(coords[axis], weights=values, minlength=p.n)
         dev = float(np.abs(got - p.in_original_order()).max())
-        if dev > tol.eps_sum:
+        if not dev <= tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
     total = float(values.sum())
-    if abs(total - 1.0) > tol.eps_sum:
+    if not abs(total - 1.0) <= tol.eps_sum:
         raise InternalInvariant(f"joint mass {total!r} deviates from 1 beyond eps_sum")
     return SparseJoint(entries=_entries(values, coords), k=k, dims=tuple(p.n for p in ps))
 

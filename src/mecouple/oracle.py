@@ -83,7 +83,7 @@ def enumerate_vertices(
                 rq[j] -= v
                 rec(cells + ((i, j, v),), nxt_key, tuple(rp), tuple(rq))
 
-    rec((), frozenset(), tuple(p.values), tuple(q.values))
+    rec((), frozenset(), tuple(p.values.tolist()), tuple(q.values.tolist()))
     out = []
     for key in sorted(found):
         mat = found[key]
@@ -141,12 +141,12 @@ def exact_min_entropy(
         memo[key] = (best, choice)
         return best
 
-    opt = solve(tuple(p.values), tuple(q.values))
+    # the search runs on Python floats, converted once
+    res_p, res_q = p.values.tolist(), q.values.tolist()
+    opt = solve(tuple(res_p), tuple(res_q))
 
     # replay the stored choices to materialize one optimal fill
     mat = np.zeros((n, m))
-    res_p = list(p.values)
-    res_q = list(q.values)
     while any(v > eps for v in res_p) and any(v > eps for v in res_q):
         _, choice = memo[key_of(res_p, res_q)]
         if choice is None:

@@ -104,10 +104,11 @@ class CouplingMatrix:
 
     Piece i holds mass vals[i] at cell (rows[i], cols[i]) in sorted
     (non-increasing marginal) order; pieces are listed row-major and there
-    are at most 2n of them. row_perm/col_perm map sorted positions back to
-    the caller's indices. nnz counts pieces above eps_zero. The dense n x n
-    matrix is built from the pieces only when .matrix is read, is cached and
-    read-only, and is refused above MATRIX_CELL_CAP cells. A matrix passed to
+    are at most 2n of them. row_perm/col_perm are the inputs' read-only perm
+    arrays, mapping sorted positions back to the caller's indices. nnz
+    counts pieces above eps_zero. The dense n x n matrix is built from the
+    pieces only when .matrix is read, is cached and read-only, and is
+    refused above MATRIX_CELL_CAP cells. A matrix passed to
     the constructor (dataclasses.replace passes the current one) is kept as
     given, unchecked against the pieces.
     """
@@ -116,8 +117,8 @@ class CouplingMatrix:
     cols: np.ndarray
     vals: np.ndarray
     n: int
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
+    row_perm: np.ndarray
+    col_perm: np.ndarray
     nnz: int
     matrix: np.ndarray = _DenseFromPieces()
 
@@ -130,10 +131,7 @@ class CouplingMatrix:
 
     def in_original_order(self) -> np.ndarray:
         """The dense matrix rearranged back to the callers' indexing."""
-        return self._scatter(
-            np.asarray(self.row_perm, dtype=np.intp)[self.rows],
-            np.asarray(self.col_perm, dtype=np.intp)[self.cols],
-        )
+        return self._scatter(self.row_perm[self.rows], self.col_perm[self.cols])
 
     def _scatter(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense n x n matrix holding vals at (rows, cols), zero elsewhere."""
@@ -333,7 +331,7 @@ def _couple_oriented(
                 put_val(v)
         seg_ends.append(len(vals))
     leftover = sum(v for _, v in carried)
-    if leftover > tol.eps_sum:
+    if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
     if trace is not None:
         _fill_trace(trace, idx, z, seg_ends, rows, cols, vals, flip_writes)
@@ -411,12 +409,13 @@ def min_entropy_coupling(
             raise InternalInvariant("a cell was written twice")
     row_dev = float(np.abs(np.bincount(rows, weights=vals, minlength=n) - a).max())
     col_dev = float(np.abs(np.bincount(cols, weights=vals, minlength=n) - b).max())
-    if max(row_dev, col_dev) > tol.eps_sum:
+    # the deviation checks are written so that a NaN fails them
+    if not (row_dev <= tol.eps_sum and col_dev <= tol.eps_sum):
         raise InternalInvariant(
             f"marginal deviation {max(row_dev, col_dev)!r} exceeds eps_sum"
         )
     total = float(vals.sum())
-    if abs(total - 1.0) > tol.eps_sum:
+    if not abs(total - 1.0) <= tol.eps_sum:
         raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
     if vals.size > 2 * n:
         raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")

@@ -2,7 +2,8 @@
 
 Every distribution in this package is kept in non-increasing order together
 with the permutation back to the caller's original indexing, so downstream
-results can be reported either way.
+results can be reported either way. Both are read-only numpy arrays, so the
+numeric layers read them in place.
 """
 
 from __future__ import annotations
@@ -44,36 +45,56 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVec:
     """A discrete distribution, sorted non-increasingly.
 
-    perm maps each sorted position to the caller's original index; it is a
-    bijection on range(n).
+    values is a read-only float64 array of finite, non-negative masses; perm
+    is a read-only intp array mapping each sorted position to the caller's
+    original index, a bijection on range(n). The constructor copies both
+    inputs, so later changes to the caller's arrays do not reach it. It
+    checks neither order nor total (see check_sorted_total).
     """
 
-    values: tuple[float, ...]
-    perm: tuple[int, ...]
+    values: np.ndarray
+    perm: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.perm):
-            raise ValidationError("values and perm must have equal length")
-        if sorted(self.perm) != list(range(len(self.perm))):
+        values = np.array(self.values, dtype=float)
+        perm = np.asarray(self.perm)
+        if perm.size and perm.dtype.kind not in "iu":
+            raise ValidationError("perm must hold integers")
+        perm = perm.astype(np.intp)
+        if values.ndim != 1 or values.shape != perm.shape:
+            raise ValidationError("values and perm must be 1-D and of equal length")
+        n = values.size
+        if n and (
+            perm.min() < 0
+            or perm.max() >= n
+            or not (np.bincount(perm, minlength=n) == 1).all()
+        ):
             raise ValidationError("perm must be a bijection on range(n)")
-        if any(v < 0.0 for v in self.values):
+        if not np.isfinite(values).all():
+            raise ValidationError("ProbVec components must be finite")
+        if (values < 0.0).any():
             raise NegativeMass("ProbVec components must be non-negative")
+        values.flags.writeable = False
+        perm.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "perm", perm)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The sorted values themselves (read-only, not a copy)."""
+        return self.values
 
     def in_original_order(self) -> np.ndarray:
         """The components rearranged back to the caller's indexing."""
         out = np.empty(self.n)
-        out[list(self.perm)] = self.values
+        out[self.perm] = self.values
         return out
 
 
@@ -82,9 +103,10 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
 
     Ties keep ascending original index (stable sort), values in
     [-eps_zero, 0) are clamped to zero, and total mass is checked but never
-    rescaled: a bad total is the caller's bug to fix.
+    rescaled: a bad total is the caller's bug to fix. Arrays, lists and
+    tuples are read in place; other iterables are collected first.
     """
-    arr = np.asarray(list(raw), dtype=float)
+    arr = _float_array(raw)
     if arr.ndim != 1:
         raise ValidationError("input must be a flat sequence of numbers")
     if arr.size == 0:
@@ -98,15 +120,19 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     _check_total(arr, tol)
     arr = np.where(arr < 0.0, 0.0, arr)
     order = np.argsort(-arr, kind="stable")
-    return ProbVec(
-        tuple(float(v) for v in arr[order]),
-        tuple(int(i) for i in order),
-    )
+    return ProbVec(arr[order], order)
+
+
+def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
+    """raw as a float array; arrays, lists and tuples are read in place."""
+    if not isinstance(raw, (np.ndarray, list, tuple)):
+        raw = list(raw)
+    return np.asarray(raw, dtype=float)
 
 
 def _check_total(values: np.ndarray, tol: Tolerances) -> None:
     total = float(values.sum())
-    if abs(total - 1.0) > tol.eps_sum:
+    if not abs(total - 1.0) <= tol.eps_sum:  # written so that a NaN total fails
         raise BadTotal(f"total mass {total!r} deviates from 1 beyond eps_sum")
 
 
@@ -129,7 +155,10 @@ def pad_to(p: ProbVec, n: int) -> ProbVec:
         raise ShrinkRequested(f"cannot pad length-{p.n} vector down to {n}")
     if n == p.n:
         return p
-    return ProbVec(p.values + (0.0,) * (n - p.n), p.perm + tuple(range(p.n, n)))
+    return ProbVec(
+        np.concatenate((p.values, np.zeros(n - p.n))),
+        np.concatenate((p.perm, np.arange(p.n, n))),
+    )
 
 
 def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> float:
@@ -138,9 +167,7 @@ def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> floa
     Arrays, lists and tuples are read in place; other iterables (generators)
     are collected first. Zero components contribute nothing.
     """
-    if not isinstance(values, (np.ndarray, list, tuple)):
-        values = list(values)
-    v = np.asarray(values, dtype=float)
+    v = _float_array(values)
     v = v[v > 0.0]
     if v.size == 0:
         return 0.0

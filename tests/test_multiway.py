@@ -6,6 +6,7 @@ from mecouple import (
     AxisOutOfRange,
     BadTotal,
     InstanceTooLarge,
+    InternalInvariant,
     ProbVec,
     SparseJoint,
     TooFewMarginals,
@@ -23,7 +24,7 @@ from mecouple import (
 from mecouple.multiway import _merge_tree
 from mecouple.pairwise import _couple_oriented, _needs_swap
 from mecouple.probvec import DEFAULT_TOL
-from util import check_piece_partition, random_probvec, reference_k_entries
+from util import check_piece_partition, random_probvec, reference_k_entries, unchecked_probvec
 
 
 def meet_of(ps):
@@ -90,7 +91,7 @@ class TestMarginalize:
     def test_single_entry(self):
         joint = SparseJoint(entries=((1.0, (0, 0, 0)),), k=3, dims=(1, 1, 1))
         for axis in range(3):
-            assert marginalize(axis, joint).values == (1.0,)
+            assert marginalize(axis, joint).values.tolist() == [1.0]
 
     def test_axis_out_of_range(self):
         joint = SparseJoint(entries=((1.0, (0, 0)),), k=2, dims=(1, 1))
@@ -226,3 +227,20 @@ class TestArrayNativeTree:
         for ps in ([short, good], [good, good, short]):
             with pytest.raises(BadTotal):
                 k_min_entropy_coupling(ps)
+
+    def test_root_check_fails_on_a_nan_marginal(self, monkeypatch):
+        # behind the entry check: the leaf drops the NaN, so the tree builds a
+        # joint whose axis-0 marginal is (0, 1); only the root check sees it
+        monkeypatch.setattr(mecouple.multiway, "check_sorted_total", lambda *args: None)
+        p = unchecked_probvec((float("nan"), 1.0), (0, 1))
+        with pytest.raises(InternalInvariant):
+            k_min_entropy_coupling([p, make_probvec([0.5, 0.5])])
+
+    def test_coords_are_leaf_major(self):
+        rng = np.random.default_rng(71)
+        ps = [random_probvec(rng, 5) for _ in range(6)]
+        for level in _merge_tree(ps):
+            for node in level:
+                assert node.coords.dtype == np.int32
+                assert node.coords.shape == (node.leaf_hi - node.leaf_lo + 1, node.values.size)
+                assert node.coords.flags.c_contiguous

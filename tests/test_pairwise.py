@@ -48,6 +48,7 @@ from util import (
     check_piece_partition,
     random_probvec,
     reference_couple_oriented,
+    run_python_bounded,
     suffix_diffs,
     brute_inversion_sequences,
 )
@@ -353,6 +354,45 @@ class TestInputContract:
         p = ProbVec((0.5 - 2e-13, 0.5 + 2e-13), (0, 1))
         cm = min_entropy_coupling(p, make_probvec([0.6, 0.4]))
         assert abs(cm.vals.sum() - 1.0) <= DEFAULT_TOL.eps_sum
+
+
+class TestNonFiniteMass:
+    # A NaN mass once hung min_entropy_coupling (NaN suffix sums stop both
+    # scans of _inversion_indices while its output list grows), made
+    # k_min_entropy_coupling return a joint with a wrong marginal, and made
+    # bounds report h_p = -0.0. Each call runs in a bounded child process,
+    # so a regression fails instead of hanging the suite.
+    @pytest.mark.parametrize(
+        "call",
+        ["mc.min_entropy_coupling(p, q)", "mc.k_min_entropy_coupling([p, q])", "mc.bounds(p, q)"],
+    )
+    def test_nan_mass_is_rejected_at_construction(self, call):
+        script = (
+            "import math, mecouple as mc\n"
+            "q = mc.make_probvec([0.5, 0.5])\n"
+            "try:\n"
+            "    p = mc.ProbVec((math.nan, 1.0), (0, 1))\n"
+            f"    print('returned', {call})\n"
+            "except mc.MecoupleError as exc:\n"
+            "    print(exc.code)\n"
+        )
+        assert run_python_bounded(script) == "ValidationError"
+
+    @pytest.mark.parametrize("entry", ["min_entropy_coupling", "k_min_entropy_coupling"])
+    def test_entry_check_rejects_nan_behind_the_constructor(self, entry):
+        # the sorted/total entry check must fail on a NaN total, too
+        args = "p, q" if entry == "min_entropy_coupling" else "[p, q]"
+        script = (
+            "import math, mecouple as mc\n"
+            "from util import unchecked_probvec\n"
+            "p = unchecked_probvec((math.nan, 1.0), (0, 1))\n"
+            "q = mc.make_probvec([0.5, 0.5])\n"
+            "try:\n"
+            f"    print('returned', mc.{entry}({args}))\n"
+            "except mc.MecoupleError as exc:\n"
+            "    print(exc.code)\n"
+        )
+        assert run_python_bounded(script) == "BadTotal"
 
 
 class TestSparseCore:

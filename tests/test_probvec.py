@@ -10,14 +10,18 @@ from mecouple import (
     BadTotal,
     Empty,
     NegativeMass,
+    ProbVec,
     ShrinkRequested,
     Tolerances,
     ValidationError,
     aggregate,
     entropy,
     entropy_bits,
+    glb,
+    half,
     majorizes,
     make_probvec,
+    min_entropy_coupling,
     pad_to,
 )
 from util import comparable_pair, random_probvec
@@ -28,18 +32,18 @@ H_06_04 = 0.9709505944546686  # recomputed with 50-digit arithmetic
 class TestMakeProbvec:
     def test_sorts_descending(self):
         p = make_probvec([0.4, 0.6])
-        assert p.values == (0.6, 0.4)
-        assert p.perm == (1, 0)
+        assert p.values.tolist() == [0.6, 0.4]
+        assert p.perm.tolist() == [1, 0]
 
     def test_singleton(self):
         p = make_probvec([1.0])
-        assert p.values == (1.0,)
-        assert p.perm == (0,)
+        assert p.values.tolist() == [1.0]
+        assert p.perm.tolist() == [0]
 
     def test_stable_tie_break_keeps_ascending_original_index(self):
         p = make_probvec([0.3, 0.3, 0.4])
-        assert p.values == (0.4, 0.3, 0.3)
-        assert p.perm == (2, 0, 1)
+        assert p.values.tolist() == [0.4, 0.3, 0.3]
+        assert p.perm.tolist() == [2, 0, 1]
 
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
@@ -63,7 +67,7 @@ class TestMakeProbvec:
 
     def test_tiny_negative_clamps_to_zero(self):
         p = make_probvec([1.0, -1e-13])
-        assert p.values == (1.0, 0.0)
+        assert p.values.tolist() == [1.0, 0.0]
 
     def test_total_is_not_rescaled(self):
         # 1e-6 off is outside the default tolerance: reject, never silently fix
@@ -94,11 +98,83 @@ class TestMakeProbvec:
         assert np.allclose(p.in_original_order(), raw)
 
 
+class TestArrayContract:
+    def test_values_and_perm_are_read_only_arrays(self):
+        p = make_probvec([0.1, 0.6, 0.3])
+        built = [
+            p,
+            ProbVec([0.6, 0.4], [1, 0]),
+            pad_to(p, 5),
+            glb(p, make_probvec([0.5, 0.5])).meet,
+            half(p),
+        ]
+        for vec in built:
+            assert isinstance(vec.values, np.ndarray) and vec.values.dtype == np.float64
+            assert isinstance(vec.perm, np.ndarray) and vec.perm.dtype == np.intp
+            assert not vec.values.flags.writeable
+            assert not vec.perm.flags.writeable
+            with pytest.raises(ValueError):
+                vec.values[0] = 0.5
+            with pytest.raises(ValueError):
+                vec.perm[0] = 0
+        assert p.as_array() is p.values
+
+    def test_caller_arrays_are_copied(self):
+        values = np.array([0.6, 0.4])
+        perm = np.array([1, 0])
+        p = ProbVec(values, perm)
+        values[0] = 0.9
+        perm[:] = [0, 1]
+        assert p.values.tolist() == [0.6, 0.4]
+        assert p.perm.tolist() == [1, 0]
+        raw = np.array([0.1, 0.6, 0.3])
+        q = make_probvec(raw)
+        raw[:] = [1.0, 0.0, 0.0]
+        assert q.values.tolist() == [0.6, 0.3, 0.1]
+        assert q.perm.tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "values, perm",
+        [
+            ([0.5, 0.5], [0, 0]),                # duplicate
+            ([0.5, 0.5], [-1, 0]),               # negative
+            ([0.5, 0.5], [0, 2]),                # out of range
+            ([0.5, 0.3, 0.2], [0, 1]),           # length mismatch
+            ([[0.5, 0.5]], [[0, 1]]),            # 2-D values
+            ([0.5, 0.5], [0.0, 1.0]),            # non-integer perm
+            ([float("nan"), 1.0], [0, 1]),       # non-finite mass
+            ([float("inf"), 0.0], [0, 1]),
+            ([1.0, -float("inf")], [0, 1]),
+        ],
+    )
+    def test_malformed_input_is_rejected(self, values, perm):
+        with pytest.raises(ValidationError):
+            ProbVec(values, perm)
+
+    def test_negative_mass_is_rejected(self):
+        with pytest.raises(NegativeMass):
+            ProbVec([1.1, -0.1], [0, 1])
+
+    def test_glb_prefix_sums_are_read_only(self):
+        g = glb(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.3, 0.2]))
+        for prefix in (g.prefix_p, g.prefix_q):
+            assert isinstance(prefix, np.ndarray) and prefix.dtype == np.float64
+            assert not prefix.flags.writeable
+        assert g.prefix_p.tolist() == np.cumsum([0.6, 0.4, 0.0]).tolist()
+        assert g.prefix_q.tolist() == np.cumsum([0.5, 0.3, 0.2]).tolist()
+
+    def test_coupling_keeps_the_input_perm_arrays(self):
+        p = make_probvec([0.1, 0.6, 0.3])
+        q = make_probvec([0.5, 0.25, 0.25])
+        cm = min_entropy_coupling(p, q)
+        assert cm.row_perm is p.perm and cm.col_perm is q.perm
+
+
 class TestPadTo:
     def test_pads_with_zeros(self):
         p = pad_to(make_probvec([1.0]), 3)
-        assert p.values == (1.0, 0.0, 0.0)
-        assert p.perm == (0, 1, 2)
+        assert p.values.tolist() == [1.0, 0.0, 0.0]
+        assert p.perm.tolist() == [0, 1, 2]
 
     def test_noop(self):
         p = make_probvec([0.6, 0.4])
@@ -106,7 +182,7 @@ class TestPadTo:
 
     def test_longer(self):
         p = pad_to(make_probvec([0.6, 0.4]), 4)
-        assert p.values == (0.6, 0.4, 0.0, 0.0)
+        assert p.values.tolist() == [0.6, 0.4, 0.0, 0.0]
 
     def test_shrink_rejected(self):
         with pytest.raises(ShrinkRequested):
@@ -191,15 +267,15 @@ class TestAggregate:
     def test_two_blocks(self):
         p = make_probvec([0.5, 0.3, 0.2])
         agg = aggregate(p, [{0}, {1, 2}])
-        assert agg.values == (0.5, 0.5)
+        assert agg.values.tolist() == [0.5, 0.5]
 
     def test_single_block(self):
         p = make_probvec([0.5, 0.3, 0.2])
-        assert aggregate(p, [{0, 1, 2}]).values == (1.0,)
+        assert aggregate(p, [{0, 1, 2}]).values.tolist() == [1.0]
 
     def test_interleaved_blocks(self):
         p = make_probvec([0.4, 0.3, 0.2, 0.1])
-        assert aggregate(p, [{0, 3}, {1, 2}]).values == (0.5, 0.5)
+        assert aggregate(p, [{0, 3}, {1, 2}]).values.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize(
         "partition",

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +17,46 @@ from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.pairwise import _inversion_indices
 from mecouple.probvec import DEFAULT_TOL, Tolerances
+
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def unchecked_probvec(values, perm) -> ProbVec:
+    """A ProbVec built around the constructor's checks, for testing the
+    checks that sit behind it."""
+    p = object.__new__(ProbVec)
+    object.__setattr__(p, "values", np.asarray(values, dtype=float))
+    object.__setattr__(p, "perm", np.asarray(perm, dtype=np.intp))
+    return p
+
+
+def run_python_bounded(script: str, timeout: float = 30.0, mem_bytes: int = 2 << 30) -> str:
+    """Run script in a fresh interpreter that imports mecouple from src/
+    and this directory's helpers (util).
+
+    For code that hangs when it regresses: the child is killed after
+    timeout seconds, and its address space is capped at mem_bytes so that a
+    runaway loop fails with MemoryError instead of exhausting memory.
+    Returns stdout, stripped; a non-zero exit fails with its stderr.
+    """
+
+    def cap_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def random_probvec(rng: np.random.Generator, n: int) -> ProbVec:
