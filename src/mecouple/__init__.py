@@ -10,10 +10,8 @@ provides a brute-force ground truth for desk-size instances.
 
 from .errors import (
     AxisOutOfRange,
-    BadPartition,
     BadTotal,
     Empty,
-    InfeasibleSplit,
     InstanceTooLarge,
     InternalInvariant,
     LengthMismatch,
@@ -23,26 +21,23 @@ from .errors import (
     TooFewMarginals,
     ValidationError,
 )
-from .lattice import GlbResult, glb, half, half_pow
+from .lattice import GlbResult, glb
 from .multiway import SparseJoint, k_min_entropy_coupling, marginalize
-from .oracle import VertexCoupling, enumerate_vertices, exact_min_entropy
+from .oracle import VertexCoupling, exact_min_entropy
 from .pairwise import (
     BoundsReport,
     CouplingMatrix,
     DistanceInterval,
     InversionPoints,
-    SplitResult,
     bounds,
     distance_interval,
     inversion_points,
     min_entropy_coupling,
-    split,
 )
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
     Tolerances,
-    aggregate,
     entropy,
     entropy_bits,
     majorizes,
@@ -54,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisOutOfRange",
-    "BadPartition",
     "BadTotal",
     "BoundsReport",
     "CouplingMatrix",
@@ -62,7 +56,6 @@ __all__ = [
     "DistanceInterval",
     "Empty",
     "GlbResult",
-    "InfeasibleSplit",
     "InstanceTooLarge",
     "InternalInvariant",
     "InversionPoints",
@@ -72,21 +65,16 @@ __all__ = [
     "ProbVec",
     "ShrinkRequested",
     "SparseJoint",
-    "SplitResult",
     "Tolerances",
     "TooFewMarginals",
     "ValidationError",
     "VertexCoupling",
-    "aggregate",
     "bounds",
     "distance_interval",
     "entropy",
     "entropy_bits",
-    "enumerate_vertices",
     "exact_min_entropy",
     "glb",
-    "half",
-    "half_pow",
     "inversion_points",
     "k_min_entropy_coupling",
     "majorizes",
@@ -94,5 +82,4 @@ __all__ = [
     "marginalize",
     "min_entropy_coupling",
     "pad_to",
-    "split",
 ]

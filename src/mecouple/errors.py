@@ -33,10 +33,6 @@ class ShrinkRequested(ValidationError):
     """pad_to was asked to produce a shorter vector than the input."""
 
 
-class BadPartition(ValidationError):
-    """Aggregation partition has an overlap, a gap, or an out-of-range index."""
-
-
 class TooFewMarginals(ValidationError):
     """Multi-marginal coupling needs at least two distributions."""
 
@@ -55,7 +51,3 @@ class InternalInvariant(MecoupleError):
 
 class LengthMismatch(InternalInvariant):
     """Vectors that must share a length (after padding) do not."""
-
-
-class InfeasibleSplit(InternalInvariant):
-    """Greedy split preconditions violated beyond tolerance by the caller."""

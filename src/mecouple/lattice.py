@@ -1,4 +1,4 @@
-"""Majorization-lattice operators: greatest lower bound and component halving."""
+"""The greatest lower bound (meet) in the majorization lattice."""
 
 from __future__ import annotations
 
@@ -57,20 +57,3 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     prefix_q.flags.writeable = False
     return GlbResult(meet=ProbVec(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)
 
-
-def half(p: ProbVec) -> ProbVec:
-    """Split every component into two equal halves (length doubles).
-
-    Adds exactly one bit of entropy and preserves sortedness.
-    """
-    return ProbVec(np.repeat(p.values, 2) / 2.0, np.arange(2 * p.n))
-
-
-def half_pow(p: ProbVec, i: int) -> ProbVec:
-    """Apply half() i times; i = 0 returns p unchanged."""
-    if i < 0:
-        raise ValueError(f"exponent must be non-negative, got {i}")
-    out = p
-    for _ in range(i):
-        out = half(out)
-    return out

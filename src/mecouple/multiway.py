@@ -110,17 +110,12 @@ def _leaf(p: ProbVec, position: int) -> MergeNode:
     )
 
 
-def _as_probvec(values: np.ndarray) -> ProbVec:
-    """A node's values as a ProbVec with the identity perm, without make_probvec.
-
-    The values are already sorted, and the coupling that produced them
-    checked their total; min_entropy_coupling checks both again at entry.
-    """
-    return ProbVec(values, np.arange(values.size))
-
-
 def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> MergeNode:
-    cm = min_entropy_coupling(_as_probvec(left.values), _as_probvec(right.values), tol)
+    cm = min_entropy_coupling(
+        ProbVec(left.values, np.arange(left.values.size)),
+        ProbVec(right.values, np.arange(right.values.size)),
+        tol,
+    )
     # pieces come row-major; a stable sort by -value keeps that order among ties
     order = np.argsort(-cm.vals, kind="stable")
     # take, unlike [:, idx], returns C order, so each leaf's row stays contiguous

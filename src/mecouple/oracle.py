@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy_bits
 
 DEFAULT_SIZE_CAP = 10
 _KEY_DIGITS = 12
@@ -31,65 +31,7 @@ class VertexCoupling:
     support_size: int
 
     def entropy(self) -> float:
-        v = self.matrix[self.matrix > 0.0]
-        return float(-(v * np.log2(v)).sum()) if v.size else 0.0
-
-
-def _check_cap(p: ProbVec, q: ProbVec, cap: int) -> None:
-    if p.n + q.n > cap:
-        raise InstanceTooLarge(
-            f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}"
-        )
-
-
-def enumerate_vertices(
-    p: ProbVec,
-    q: ProbVec,
-    tol: Tolerances = DEFAULT_TOL,
-    cap: int = DEFAULT_SIZE_CAP,
-) -> tuple[VertexCoupling, ...]:
-    """Every matrix reachable by greedy fills; a superset of the vertices.
-
-    Matrices are deduplicated after rounding to 12 decimal digits, since many
-    cell orders regenerate the same fill.
-    """
-    _check_cap(p, q, cap)
-    eps = tol.eps_zero
-    n, m = p.n, q.n
-    seen: set[frozenset] = set()
-    found: dict[tuple, np.ndarray] = {}
-
-    def rec(cells: tuple, key: frozenset, res_p: tuple, res_q: tuple) -> None:
-        rows = [i for i in range(n) if res_p[i] > eps]
-        cols = [j for j in range(m) if res_q[j] > eps]
-        if not rows or not cols:
-            final = tuple(sorted(key))
-            if final not in found:
-                mat = np.zeros((n, m))
-                for i, j, v in cells:
-                    mat[i, j] = v
-                found[final] = mat
-            return
-        for i in rows:
-            for j in cols:
-                v = min(res_p[i], res_q[j])
-                nxt_key = key | {(i, j, round(v, _KEY_DIGITS))}
-                if nxt_key in seen:
-                    continue
-                seen.add(nxt_key)
-                rp = list(res_p)
-                rq = list(res_q)
-                rp[i] -= v
-                rq[j] -= v
-                rec(cells + ((i, j, v),), nxt_key, tuple(rp), tuple(rq))
-
-    rec((), frozenset(), tuple(p.values.tolist()), tuple(q.values.tolist()))
-    out = []
-    for key in sorted(found):
-        mat = found[key]
-        mat.flags.writeable = False
-        out.append(VertexCoupling(mat, int((mat > eps).sum())))
-    return tuple(out)
+        return entropy_bits(self.matrix)
 
 
 def exact_min_entropy(
@@ -105,7 +47,8 @@ def exact_min_entropy(
     cell contributions -v log2 v are additive, so states collapse heavily
     compared to enumerating whole fills.
     """
-    _check_cap(p, q, cap)
+    if p.n + q.n > cap:
+        raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
     eps = tol.eps_zero
     n, m = p.n, q.n
     memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}

@@ -1,25 +1,26 @@
 """Two-marginal coupling with entropy at most one bit above the minimum.
 
-The construction walks indices from n down to 1 in alternating runs
-("segments") determined by which marginal's suffix sums dominate. Within a
-segment, each component z_j of the meet z = p ∧ q is split greedily into a
-part placed on the diagonal cell (j, j) and a remainder carried toward the
-next index; at a segment boundary the carried remainders are flushed one
-index further. Every output cell is therefore one of at most two pieces of
-some z_j, which caps the joint entropy at H(z) + 1 bit and the support size
-at 2n, while H(z) itself lower-bounds every coupling's entropy.
+inversion_points orients the pair, so that the last differing component
+belongs to the first marginal a, and cuts indices n..1 into alternating
+runs ("segments") in which a's or b's suffix sums dominate. The greedy
+kernel, _couple_oriented, then walks the segments downward: each component
+z_j of the meet z = p ∧ q becomes a part on the diagonal cell (j, j) plus
+a remainder carried toward the next index, and at a segment boundary the
+carried remainders are flushed one index further. Every output cell is
+therefore one of at most two pieces of some z_j, which caps the joint
+entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
+lower-bounds every coupling's entropy.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleSplit, InstanceTooLarge, InternalInvariant, LengthMismatch
+from .errors import InstanceTooLarge, InternalInvariant, LengthMismatch
 from .lattice import glb, meet_values
 from .probvec import (
     DEFAULT_TOL,
@@ -49,25 +50,6 @@ class InversionPoints:
     @property
     def k(self) -> int:
         return len(self.indices) - 1
-
-    def segment(self, s: int) -> tuple[int, int]:
-        """Inclusive 1-based bounds (low, high) of segment s in 1..k."""
-        if not 1 <= s <= self.k:
-            raise IndexError(f"segment {s} out of range 1..{self.k}")
-        return self.indices[s], self.indices[s - 1] - 1
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Outcome of the greedy split: a diagonal part plus a carried remainder.
-
-    diag_part + sum of the selected slice entries equals the target exactly;
-    diag_part + remainder equals the component being split.
-    """
-
-    diag_part: float
-    remainder: float
-    selected: frozenset[int]
 
 
 MATRIX_CELL_CAP = 4096 * 4096
@@ -164,12 +146,6 @@ class DistanceInterval(NamedTuple):
     estimate: float
 
 
-def _needs_swap(a: np.ndarray, b: np.ndarray, eps_zero: float) -> bool:
-    """True if the last differing component of a is smaller than b's."""
-    diff = np.flatnonzero(np.abs(a - b) > eps_zero)
-    return bool(diff.size) and bool(a[diff[-1]] < b[diff[-1]])
-
-
 def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
     """Segment boundaries for an already-oriented pair (a dominates at the tail).
 
@@ -200,94 +176,47 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     """Dominance segments of a pair of equal-length distributions.
 
     The pair is oriented first: if the largest index where the components
-    differ has p below q, the roles are exchanged and swapped is set. For
-    componentwise-equal inputs there is a single segment, indices (n+1, 1).
+    differ has p below q, the roles are exchanged and swapped is set. This
+    is the only place that decides the orientation; min_entropy_coupling
+    takes both it and the segments from here. For componentwise-equal
+    inputs there is a single segment, indices (n+1, 1).
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
     a = p.as_array()
     b = q.as_array()
-    swapped = _needs_swap(a, b, tol.eps_zero)
+    diff = np.flatnonzero(np.abs(a - b) > tol.eps_zero)
+    swapped = bool(diff.size) and bool(a[diff[-1]] < b[diff[-1]])
     if swapped:
         a, b = b, a
     return InversionPoints(_inversion_indices(a, b, tol.eps_zero), swapped)
 
 
-def split(
-    z: float,
-    x: float,
-    residuals: Sequence[float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> SplitResult:
-    """Greedily cover x with a prefix of the residual slice plus part of z.
-
-    Scans the slice in the given order, absorbing entries while the running
-    total stays below x, then takes diag_part = x - total out of z. Requires
-    every residual to be at most z and x to be at most z plus the slice sum;
-    under those hypotheses 0 <= diag_part <= z. An entry is absorbed only
-    when it fits below the target with eps_zero to spare: ties and near-ties
-    stop the scan, so data with exact decimal structure follows the same
-    branch it would under exact arithmetic, and results are deterministic.
-    """
-    eps = tol.eps_zero
-    vals = [float(v) for v in residuals]
-    if z <= 0.0:
-        raise InfeasibleSplit(f"component to split must be positive, got {z!r}")
-    if x < -eps:
-        raise InfeasibleSplit(f"target must be non-negative, got {x!r}")
-    x = max(x, 0.0)
-    for i, v in enumerate(vals):
-        if v < -eps:
-            raise InfeasibleSplit(f"residual {i} is negative: {v!r}")
-        if v > z + eps:
-            raise InfeasibleSplit(f"residual {i} exceeds the split component: {v!r} > {z!r}")
-    if x > z + math.fsum(vals) + eps:
-        raise InfeasibleSplit("target exceeds component plus residual total")
-    acc = 0.0
-    selected = []
-    for i, v in enumerate(vals):
-        if acc + v < x - eps:
-            selected.append(i)
-            acc += v
-        else:
-            break
-    diag = x - acc
-    rem = z - diag
-    if rem < -tol.eps_sum:
-        raise InfeasibleSplit(f"remainder {rem!r} below zero beyond tolerance")
-    if rem < 0.0:
-        rem = 0.0
-    return SplitResult(diag_part=diag, remainder=rem, selected=frozenset(selected))
-
-
 def _couple_oriented(
     a: np.ndarray,
     b: np.ndarray,
+    idx: tuple[int, ...],
     tol: Tolerances,
-    trace: dict | None = None,
     flip_writes: bool = False,
 ) -> tuple[list[int], list[int], list[float]]:
-    """Core construction for an oriented, equal-length, sorted pair (a, b).
+    """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
 
+    idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the written pieces as parallel lists (rows, cols, vals) of
     0-based cells whose row sums are a and column sums b; with flip_writes
-    the transposed pieces are produced directly. Every cell is written at
-    most once and every piece exceeds eps_zero. The loop runs on Python
-    floats and records only how many pieces each segment wrote. When trace
-    is a dict it is filled after the loop from those counts: "pieces"
-    (component index, written value) for every cell, "boundaries" (segment
-    number, parity, low index, dense matrix copy) as of each segment's
-    flush, "indices" and "meet"; only then is a dense matrix built.
+    the transposed pieces are produced directly. Pieces are listed in the
+    order they are written: segment by segment, each component's absorbed
+    carried remainders before its diagonal part, and the flush at the
+    segment's end. Every cell is written at most once and every piece
+    exceeds eps_zero. The loop runs on Python floats.
     """
     eps = tol.eps_zero
-    idx = _inversion_indices(a, b, eps)
     z = meet_values(a, b, eps)
     a_l, b_l, z_l = a.tolist(), b.tolist(), z.tolist()
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     put_val = vals.append
-    seg_ends: list[int] = []
     carried: deque[tuple[int, float]] = deque()
     for s in range(1, len(idx)):
         lo, hi = idx[s] - 1, idx[s - 1] - 1  # 0-based: components lo..hi-1
@@ -329,48 +258,16 @@ def _couple_oriented(
                 put_comp(src)
                 put_partner(lo - 1)
                 put_val(v)
-        seg_ends.append(len(vals))
     leftover = sum(v for _, v in carried)
     if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
-    if trace is not None:
-        _fill_trace(trace, idx, z, seg_ends, rows, cols, vals, flip_writes)
     return rows, cols, vals
-
-
-def _fill_trace(
-    trace: dict,
-    idx: tuple[int, ...],
-    z: np.ndarray,
-    seg_ends: list[int],
-    rows: list[int],
-    cols: list[int],
-    vals: list[float],
-    flip_writes: bool,
-) -> None:
-    """Replay the written pieces segment by segment into a test trace dict."""
-    n = len(z)
-    m = np.zeros((n, n))
-    pieces = trace.setdefault("pieces", [])
-    boundaries = trace.setdefault("boundaries", [])
-    trace["indices"] = idx
-    trace["meet"] = z.copy()
-    start = 0
-    for s, end in enumerate(seg_ends, start=1):
-        odd = s % 2 == 1
-        comps = rows if odd != flip_writes else cols
-        for i in range(start, end):
-            m[rows[i], cols[i]] = vals[i]
-            pieces.append((comps[i] + 1, vals[i]))
-        boundaries.append({"segment": s, "odd": odd, "lo": idx[s], "matrix": m.copy()})
-        start = end
 
 
 def min_entropy_coupling(
     p: ProbVec,
     q: ProbVec,
     tol: Tolerances = DEFAULT_TOL,
-    _trace: dict | None = None,
 ) -> CouplingMatrix:
     """A coupling of p and q with entropy within one bit of the minimum.
 
@@ -396,10 +293,9 @@ def min_entropy_coupling(
         rows = cols = np.flatnonzero(a > 0.0)
         vals = a[rows]
     else:
-        if _needs_swap(a, b, tol.eps_zero):
-            r, c, v = _couple_oriented(b, a, tol, _trace, flip_writes=True)
-        else:
-            r, c, v = _couple_oriented(a, b, tol, _trace)
+        ip = inversion_points(pp, qq, tol)
+        first, second = (b, a) if ip.swapped else (a, b)
+        r, c, v = _couple_oriented(first, second, ip.indices, tol, flip_writes=ip.swapped)
         rows = np.asarray(r, dtype=np.intp)
         cols = np.asarray(c, dtype=np.intp)
         vals = np.asarray(v, dtype=float)

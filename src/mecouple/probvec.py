@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BadPartition,
     BadTotal,
     Empty,
     NegativeMass,
@@ -191,33 +190,3 @@ def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
     pb = np.cumsum(pad_to(b, n).values)
     return bool(np.all(pa >= pb - tol.eps_zero))
 
-
-def aggregate(
-    p: ProbVec,
-    partition: Sequence[Iterable[int]],
-    tol: Tolerances = DEFAULT_TOL,
-) -> ProbVec:
-    """Sum components over a partition of the index range and re-sort.
-
-    The partition must consist of disjoint, nonempty blocks of sorted
-    positions 0..n-1 that together cover all of them. The result always
-    majorizes p.
-    """
-    blocks = [tuple(block) for block in partition]
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
-            raise BadPartition("empty block")
-        for i in block:
-            if not isinstance(i, (int, np.integer)):
-                raise BadPartition(f"non-integer index {i!r}")
-            if not 0 <= i < p.n:
-                raise BadPartition(f"index {i} out of range for length {p.n}")
-            if i in seen:
-                raise BadPartition(f"index {i} appears in more than one block")
-            seen.add(int(i))
-    if len(seen) != p.n:
-        missing = sorted(set(range(p.n)) - seen)
-        raise BadPartition(f"indices not covered: {missing}")
-    sums = [float(sum(p.values[i] for i in block)) for block in blocks]
-    return make_probvec(sums, tol)

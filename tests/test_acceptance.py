@@ -16,8 +16,6 @@ from mecouple import (
     entropy,
     exact_min_entropy,
     glb,
-    half,
-    half_pow,
     k_min_entropy_coupling,
     majorizes,
     make_probvec,
@@ -41,6 +39,8 @@ from util import (
     check_meet_segment_identities,
     check_segment_strips,
     comparable_pair,
+    half,
+    half_pow,
     random_probvec,
 )
 

@@ -3,16 +3,20 @@ import pytest
 
 from mecouple import (
     entropy,
-    enumerate_vertices,
     glb,
-    half,
-    half_pow,
     majorizes,
     make_probvec,
     pad_to,
 )
 from golden13 import MEET13, P13, Q13
-from util import comparable_pair, flatten_sorted, random_probvec
+from util import (
+    comparable_pair,
+    enumerate_vertices,
+    flatten_sorted,
+    half,
+    half_pow,
+    random_probvec,
+)
 
 
 class TestGlb:

@@ -13,7 +13,6 @@ from mecouple import (
     ValidationError,
     entropy,
     glb,
-    half_pow,
     k_min_entropy_coupling,
     majorizes,
     make_probvec,
@@ -22,9 +21,17 @@ from mecouple import (
     pad_to,
 )
 from mecouple.multiway import _merge_tree
-from mecouple.pairwise import _couple_oriented, _needs_swap
+from mecouple.pairwise import _couple_oriented
 from mecouple.probvec import DEFAULT_TOL
-from util import check_piece_partition, random_probvec, reference_k_entries, unchecked_probvec
+from util import (
+    check_piece_partition,
+    half_pow,
+    oriented,
+    random_probvec,
+    reference_couple_oriented,
+    reference_k_entries,
+    unchecked_probvec,
+)
 
 
 def meet_of(ps):
@@ -162,12 +169,14 @@ class TestGuarantees:
             for level_nodes in levels[:-1]:
                 for left, right in zip(level_nodes[::2], level_nodes[1::2]):
                     n = max(len(left.values), len(right.values))
-                    a = pad_to(make_probvec(left.values), n).as_array()
-                    b = pad_to(make_probvec(right.values), n).as_array()
-                    if _needs_swap(a, b, DEFAULT_TOL.eps_zero):
-                        a, b = b, a
+                    a, b, idx = oriented(
+                        pad_to(make_probvec(left.values), n),
+                        pad_to(make_probvec(right.values), n),
+                    )
+                    # the trace comes from the reference, whose pieces the kernel matches
                     trace = {}
-                    _couple_oriented(a, b, DEFAULT_TOL, trace)
+                    pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
+                    assert _couple_oriented(a, b, idx, DEFAULT_TOL) == pieces
                     check_piece_partition(trace["meet"], trace)
 
 

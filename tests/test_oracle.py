@@ -4,14 +4,13 @@ import pytest
 from mecouple import (
     InstanceTooLarge,
     entropy,
-    enumerate_vertices,
     exact_min_entropy,
     glb,
     majorizes,
     make_probvec,
     min_entropy_coupling,
 )
-from util import flatten_sorted, random_probvec
+from util import enumerate_vertices, flatten_sorted, random_probvec
 
 OPT_2X2 = 1.3609640474436812
 

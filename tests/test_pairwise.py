@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mecouple import (
     BadTotal,
-    InfeasibleSplit,
     InstanceTooLarge,
     LengthMismatch,
     MecoupleError,
@@ -24,15 +23,9 @@ from mecouple import (
     make_probvec,
     min_entropy_coupling,
     pad_to,
-    split,
 )
 from mecouple.lattice import meet_values
-from mecouple.pairwise import (
-    MATRIX_CELL_CAP,
-    _couple_oriented,
-    _inversion_indices,
-    _needs_swap,
-)
+from mecouple.pairwise import MATRIX_CELL_CAP, _couple_oriented
 from mecouple.probvec import DEFAULT_TOL
 from golden13 import (
     COUPLING_CELLS13,
@@ -46,6 +39,7 @@ from util import (
     check_boundary_invariants,
     check_meet_segment_identities,
     check_piece_partition,
+    oriented,
     random_probvec,
     reference_couple_oriented,
     run_python_bounded,
@@ -55,11 +49,6 @@ from util import (
 
 H_06_04 = 0.9709505944546686
 OPT_2X2 = 1.3609640474436812  # entropy of the cell multiset {0.5, 0.4, 0.1}
-
-
-def oriented(p, q, eps=DEFAULT_TOL.eps_zero):
-    a, b = p.as_array(), q.as_array()
-    return (b, a) if _needs_swap(a, b, eps) else (a, b)
 
 
 class TestInversionPoints:
@@ -86,24 +75,12 @@ class TestInversionPoints:
         with pytest.raises(LengthMismatch):
             inversion_points(make_probvec([1.0]), make_probvec([0.5, 0.5]))
 
-    def test_segment_accessor(self):
-        ip = inversion_points(make_probvec(P13), make_probvec(Q13))
-        assert ip.segment(1) == (11, 13)
-        assert ip.segment(2) == (9, 10)
-        assert ip.segment(3) == (6, 8)
-        assert ip.segment(4) == (1, 5)
-        with pytest.raises(IndexError):
-            ip.segment(0)
-        with pytest.raises(IndexError):
-            ip.segment(5)
-
     def test_agrees_with_exhaustive_scan(self):
         rng = np.random.default_rng(20)
         eps = DEFAULT_TOL.eps_zero
         for _ in range(200):
             n = int(rng.integers(2, 8))
-            a, b = oriented(random_probvec(rng, n), random_probvec(rng, n))
-            idx = _inversion_indices(a, b, eps)
+            a, b, idx = oriented(random_probvec(rng, n), random_probvec(rng, n))
             valid = brute_inversion_sequences(a, b, eps)
             assert idx in valid
             # maximal extension makes every boundary pointwise minimal
@@ -115,8 +92,7 @@ class TestInversionPoints:
         eps = DEFAULT_TOL.eps_zero
         for _ in range(300):
             n = int(rng.integers(2, 32))
-            a, b = oriented(random_probvec(rng, n), random_probvec(rng, n))
-            idx = _inversion_indices(a, b, eps)
+            a, b, idx = oriented(random_probvec(rng, n), random_probvec(rng, n))
             d = suffix_diffs(a, b)
             assert idx[0] == n + 1 and idx[-1] == 1
             assert all(x > y for x, y in zip(idx, idx[1:]))
@@ -129,56 +105,6 @@ class TestInversionPoints:
                     # the segment could not extend one index further
                     probe = d[lo - 2]
                     assert probe < -eps if odd else probe > eps
-
-
-class TestSplit:
-    def test_no_residuals(self):
-        r = split(0.5, 0.4, [])
-        assert r.diag_part == pytest.approx(0.4, abs=1e-15)
-        assert r.remainder == pytest.approx(0.1, abs=1e-15)
-        assert r.selected == frozenset()
-
-    def test_absorbs_then_tops_up(self):
-        r = split(0.5, 0.6, [0.1])
-        assert r.diag_part == pytest.approx(0.5, abs=1e-15)
-        assert r.remainder == pytest.approx(0.0, abs=1e-15)
-        assert r.selected == frozenset({0})
-
-    def test_zero_target(self):
-        r = split(0.3, 0.0, [0.2, 0.1])
-        assert r.diag_part == 0.0
-        assert r.remainder == pytest.approx(0.3, abs=1e-15)
-        assert r.selected == frozenset()
-
-    def test_postconditions_random(self):
-        rng = np.random.default_rng(22)
-        for _ in range(500):
-            z = float(rng.uniform(0.01, 1.0))
-            residuals = list(rng.uniform(0.0, z, size=rng.integers(0, 8)))
-            x = float(rng.uniform(0.0, z + sum(residuals)))
-            r = split(z, x, residuals)
-            assert -1e-12 <= r.diag_part <= z + 1e-12
-            assert r.remainder >= 0.0
-            assert r.diag_part + r.remainder == pytest.approx(z, abs=1e-12)
-            assert r.diag_part + sum(residuals[i] for i in r.selected) == pytest.approx(
-                x, abs=1e-12
-            )
-            # greedy selection always takes a prefix of the slice
-            assert r.selected == frozenset(range(len(r.selected)))
-
-    @pytest.mark.parametrize(
-        "z,x,residuals",
-        [
-            (0.0, 0.1, []),          # nothing to split
-            (-0.5, 0.1, []),         # negative component
-            (0.5, -0.2, []),         # negative target
-            (0.5, 0.1, [0.6]),       # residual exceeds the component
-            (0.5, 0.9, [0.1]),       # target out of reach
-        ],
-    )
-    def test_preconditions(self, z, x, residuals):
-        with pytest.raises(InfeasibleSplit):
-            split(z, x, residuals)
 
 
 class TestCoupling:
@@ -257,8 +183,7 @@ class TestCoupling:
         eps = DEFAULT_TOL.eps_zero
         for _ in range(300):
             n = int(rng.integers(2, 24))
-            a, b = oriented(random_probvec(rng, n), random_probvec(rng, n))
-            idx = _inversion_indices(a, b, eps)
+            a, b, idx = oriented(random_probvec(rng, n), random_probvec(rng, n))
             z = meet_values(a, b, eps)
             check_meet_segment_identities(a, b, idx, z)
 
@@ -266,9 +191,11 @@ class TestCoupling:
         rng = np.random.default_rng(28)
         for _ in range(200):
             n = int(rng.integers(2, 24))
-            a, b = oriented(random_probvec(rng, n), random_probvec(rng, n))
+            a, b, idx = oriented(random_probvec(rng, n), random_probvec(rng, n))
+            # the trace comes from the reference, whose pieces the kernel matches
             trace = {}
-            _couple_oriented(a, b, DEFAULT_TOL, trace)
+            pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
+            assert _couple_oriented(a, b, idx, DEFAULT_TOL) == pieces
             z = trace["meet"]
             check_boundary_invariants(a, b, z, trace)
             check_piece_partition(z, trace)
@@ -315,22 +242,20 @@ class TestKernelReference:
     def test_pieces_and_trace_match_the_closure_loop(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
-        a, b = oriented(pad_to(p, n), pad_to(q, n))
+        a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
         for flip in (False, True):
-            got_trace, ref_trace = {}, {}
-            got = _couple_oriented(a, b, DEFAULT_TOL, got_trace, flip_writes=flip)
-            ref = reference_couple_oriented(a, b, DEFAULT_TOL, ref_trace, flip_writes=flip)
+            trace = {}
+            got = _couple_oriented(a, b, idx, DEFAULT_TOL, flip_writes=flip)
+            ref = reference_couple_oriented(a, b, DEFAULT_TOL, trace, flip_writes=flip)
             for g, r in zip(got, ref):
                 assert len(g) == len(r)
                 assert np.array_equal(g, r)
-            assert got == _couple_oriented(a, b, DEFAULT_TOL, flip_writes=flip)
-            assert got_trace["indices"] == ref_trace["indices"]
-            assert np.array_equal(got_trace["meet"], ref_trace["meet"])
-            assert got_trace["pieces"] == ref_trace["pieces"]
-            assert len(got_trace["boundaries"]) == len(ref_trace["boundaries"])
-            for g, r in zip(got_trace["boundaries"], ref_trace["boundaries"]):
-                assert (g["segment"], g["odd"], g["lo"]) == (r["segment"], r["odd"], r["lo"])
-                assert np.array_equal(g["matrix"], r["matrix"])
+            assert got == _couple_oriented(a, b, idx, DEFAULT_TOL, flip_writes=flip)
+            # equal pieces, so the reference trace is the kernel's as well
+            assert trace["indices"] == idx
+            check_piece_partition(trace["meet"], trace)
+            if not flip:  # the boundary checks read a's lines as matrix rows
+                check_boundary_invariants(a, b, trace["meet"], trace)
 
 
 class TestInputContract:

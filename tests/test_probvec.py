@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecouple import (
-    BadPartition,
     BadTotal,
     Empty,
     NegativeMass,
@@ -14,17 +13,15 @@ from mecouple import (
     ShrinkRequested,
     Tolerances,
     ValidationError,
-    aggregate,
     entropy,
     entropy_bits,
     glb,
-    half,
     majorizes,
     make_probvec,
     min_entropy_coupling,
     pad_to,
 )
-from util import comparable_pair, random_probvec
+from util import BadPartition, aggregate, comparable_pair, half, random_probvec
 
 H_06_04 = 0.9709505944546686  # recomputed with 50-digit arithmetic
 

@@ -1,4 +1,8 @@
-"""Shared generators and independent oracles used across the test modules."""
+"""Shared generators and independent oracles used across the test modules.
+
+Also home to the operators that only state the paper's proofs (halving,
+aggregation, vertex enumeration); the runtime package does not need them.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +13,23 @@ import sys
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from mecouple import ProbVec, make_probvec, min_entropy_coupling, pad_to
+from mecouple import (
+    InstanceTooLarge,
+    ProbVec,
+    ValidationError,
+    VertexCoupling,
+    inversion_points,
+    make_probvec,
+    min_entropy_coupling,
+    pad_to,
+)
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
+from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
 from mecouple.pairwise import _inversion_indices
 from mecouple.probvec import DEFAULT_TOL, Tolerances
 
@@ -115,6 +130,119 @@ def brute_inversion_sequences(a: np.ndarray, b: np.ndarray, eps: float = 1e-12):
 def flatten_sorted(matrix: np.ndarray) -> ProbVec:
     """All cells of a joint matrix as one sorted distribution."""
     return make_probvec(matrix.ravel())
+
+
+def oriented(p: ProbVec, q: ProbVec):
+    """(a, b, indices) for an equal-length pair, oriented as inversion_points
+    orients it before the greedy kernel runs."""
+    ip = inversion_points(p, q)
+    a, b = p.as_array(), q.as_array()
+    return (b, a, ip.indices) if ip.swapped else (a, b, ip.indices)
+
+
+def half(p: ProbVec) -> ProbVec:
+    """Split every component into two equal halves (length doubles).
+
+    Adds exactly one bit of entropy and preserves sortedness.
+    """
+    return ProbVec(np.repeat(p.values, 2) / 2.0, np.arange(2 * p.n))
+
+
+def half_pow(p: ProbVec, i: int) -> ProbVec:
+    """Apply half() i times; i = 0 returns p unchanged."""
+    if i < 0:
+        raise ValueError(f"exponent must be non-negative, got {i}")
+    out = p
+    for _ in range(i):
+        out = half(out)
+    return out
+
+
+class BadPartition(ValidationError):
+    """Aggregation partition has an overlap, a gap, or an out-of-range index."""
+
+
+def aggregate(
+    p: ProbVec,
+    partition: Sequence[Iterable[int]],
+    tol: Tolerances = DEFAULT_TOL,
+) -> ProbVec:
+    """Sum components over a partition of the index range and re-sort.
+
+    The partition must consist of disjoint, nonempty blocks of sorted
+    positions 0..n-1 that together cover all of them. The result always
+    majorizes p.
+    """
+    blocks = [tuple(block) for block in partition]
+    seen: set[int] = set()
+    for block in blocks:
+        if not block:
+            raise BadPartition("empty block")
+        for i in block:
+            if not isinstance(i, (int, np.integer)):
+                raise BadPartition(f"non-integer index {i!r}")
+            if not 0 <= i < p.n:
+                raise BadPartition(f"index {i} out of range for length {p.n}")
+            if i in seen:
+                raise BadPartition(f"index {i} appears in more than one block")
+            seen.add(int(i))
+    if len(seen) != p.n:
+        missing = sorted(set(range(p.n)) - seen)
+        raise BadPartition(f"indices not covered: {missing}")
+    sums = [float(sum(p.values[i] for i in block)) for block in blocks]
+    return make_probvec(sums, tol)
+
+
+def enumerate_vertices(
+    p: ProbVec,
+    q: ProbVec,
+    tol: Tolerances = DEFAULT_TOL,
+    cap: int = DEFAULT_SIZE_CAP,
+) -> tuple[VertexCoupling, ...]:
+    """Every matrix reachable by greedy fills; a superset of the vertices.
+
+    The same fills exact_min_entropy searches (see mecouple.oracle), here
+    enumerated whole. Matrices are deduplicated after rounding to 12
+    decimal digits, since many cell orders regenerate the same fill.
+    """
+    if p.n + q.n > cap:
+        raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
+    eps = tol.eps_zero
+    n, m = p.n, q.n
+    seen: set[frozenset] = set()
+    found: dict[tuple, np.ndarray] = {}
+
+    def rec(cells: tuple, key: frozenset, res_p: tuple, res_q: tuple) -> None:
+        rows = [i for i in range(n) if res_p[i] > eps]
+        cols = [j for j in range(m) if res_q[j] > eps]
+        if not rows or not cols:
+            final = tuple(sorted(key))
+            if final not in found:
+                mat = np.zeros((n, m))
+                for i, j, v in cells:
+                    mat[i, j] = v
+                found[final] = mat
+            return
+        for i in rows:
+            for j in cols:
+                v = min(res_p[i], res_q[j])
+                nxt_key = key | {(i, j, round(v, _KEY_DIGITS))}
+                if nxt_key in seen:
+                    continue
+                seen.add(nxt_key)
+                rp = list(res_p)
+                rq = list(res_q)
+                rp[i] -= v
+                rq[j] -= v
+                rec(cells + ((i, j, v),), nxt_key, tuple(rp), tuple(rq))
+
+    rec((), frozenset(), tuple(p.values.tolist()), tuple(q.values.tolist()))
+    out = []
+    for key in sorted(found):
+        mat = found[key]
+        mat.flags.writeable = False
+        out.append(VertexCoupling(mat, int((mat > eps).sum())))
+    return tuple(out)
 
 
 def _suffix_table(arr: np.ndarray) -> np.ndarray:
@@ -226,7 +354,7 @@ def reference_couple_oriented(
     """The pairwise greedy loop as first written: one write closure per cell.
 
     Reference for pairwise._couple_oriented, which must return the same
-    pieces in the same order and fill the same trace. Returns the written
+    pieces in the same order; the trace exists only here. Returns the written
     pieces as parallel lists (rows, cols, vals) of 0-based cells whose row
     sums are a and column sums b; with flip_writes the transposed pieces are
     produced directly. When trace is a dict it receives "pieces" (component

@@ -1,0 +1,133 @@
+"""Time the pairwise path as n grows and k_min_entropy_coupling as k grows.
+
+    python3 tools/scale.py                  # this checkout's src/
+    python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
+
+Every row runs in a fresh Python process that imports mecouple from --src;
+the processes run one after another, and each draws its inputs from
+numpy.random.default_rng([SEED, size]) before anything is timed.
+
+- pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each of
+  REPEATS rounds times the two make_probvec calls on the raw arrays, then
+  min_entropy_coupling on their results.
+- k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
+  with make_probvec outside the timed region; REPEATS calls of
+  k_min_entropy_coupling are timed.
+
+One JSON object goes to stdout: per row the best and the median time of
+each timed stage, the process's peak RSS (ru_maxrss, which includes the
+interpreter and numpy) and the output size (nnz or joint entries), plus
+nproc, Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+PAIR_NS = (16, 1024, 65_536, 1_000_000)
+KWAY_N = 64
+KWAY_KS = (8, 32, 128, 512)
+REPEATS = 3
+SEED = 0
+
+
+def pair_row(mc, np, n: int) -> dict:
+    rng = np.random.default_rng([SEED, n])
+    raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
+    validate, couple = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        p = mc.make_probvec(raw_p)
+        q = mc.make_probvec(raw_q)
+        mid = time.perf_counter()
+        cm = mc.min_entropy_coupling(p, q)
+        end = time.perf_counter()
+        validate.append(mid - start)
+        couple.append(end - mid)
+        nnz = cm.nnz
+        del p, q, cm  # so the next round's peak does not include these results
+    return {
+        "n": n,
+        "make_probvec_x2_best_s": min(validate),
+        "make_probvec_x2_median_s": statistics.median(validate),
+        "coupling_best_s": min(couple),
+        "coupling_median_s": statistics.median(couple),
+        "nnz": nnz,
+    }
+
+
+def kway_row(mc, np, k: int) -> dict:
+    rng = np.random.default_rng([SEED, k])
+    ps = [mc.make_probvec(row) for row in rng.dirichlet(np.ones(KWAY_N), size=k)]
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        joint = mc.k_min_entropy_coupling(ps)
+        times.append(time.perf_counter() - start)
+        entries = len(joint.entries)
+        del joint  # so the next call's peak does not include this result
+    return {
+        "k": k,
+        "n": KWAY_N,
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "entries": entries,
+    }
+
+
+ROWS = {"pairwise": (pair_row, PAIR_NS), "kway": (kway_row, KWAY_KS)}
+
+
+def child(src: str, kind: str, size: int) -> dict:
+    sys.path.insert(0, src)
+    import numpy as np
+    import mecouple as mc
+
+    row = ROWS[kind][0](mc, np, size)
+    row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return row
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(DEFAULT_SRC), help="directory holding the mecouple package")
+    parser.add_argument("--child", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        print(json.dumps(child(args.src, args.child[0], int(args.child[1]))))
+        return 0
+    # as in bench/run.py: transparent huge pages make peak RSS vary run to run
+    env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
+    runs: dict[str, list[dict]] = {}
+    for kind, (_, sizes) in ROWS.items():
+        runs[kind] = []
+        for size in sizes:
+            cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, str(size)]
+            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            runs[kind].append(json.loads(out.stdout.splitlines()[-1]))
+    import numpy
+
+    print(json.dumps({
+        "tool": "tools/scale.py",
+        "repeats": REPEATS,
+        "seed": SEED,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        **runs,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
