@@ -168,7 +168,8 @@ def _cmd_couple_k(args, tol) -> dict:
         "k": joint.k,
         "dims": list(joint.dims),
         "entries": [
-            {"value": _sig(v), "indices": list(c)} for v, c in joint.entries
+            {"value": _sig(v), "indices": c}
+            for v, c in zip(joint.values.tolist(), joint.coords.T.tolist())
         ],
         "joint_entropy": _sig(joint.entropy() * u),
         "glb_entropy": _sig(h_meet * u),

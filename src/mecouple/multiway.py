@@ -4,20 +4,19 @@ The marginals sit at the leaves of a balanced binary tree; each internal node
 couples its two children pairwise and keeps only the nonzero cells. A node
 holds two arrays: its cell values, sorted non-increasingly, and a leaf-major
 int32 (leaves x cells) array of the original leaf indices each cell covers,
-built from the children's columns by np.take rather than per-cell
-tuples.
+built from the children's columns by np.take.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
 leaves below it. The merged values are already sorted and their total was
 checked by the pairwise coupling, so they go to the next merge without a
-re-validating make_probvec; the index tuples of SparseJoint are built once,
-at the root.
+re-validating make_probvec; SparseJoint keeps the root's two arrays as they
+are and reads its entropy, marginals and dense tensor from them.
 
 When k is not a power of two, the leaf list is padded with point-mass
 distributions: coupling with a deterministic marginal changes neither the
 entropy nor the other marginals, and the meet with a point mass is the other
-argument, so the additive bound survives. The padded coordinates are dropped
-from the output index tuples.
+argument, so the additive bound survives. The padded coordinate rows are
+dropped from the result.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AxisOutOfRange, InstanceTooLarge, InternalInvariant, TooFewMarginals
-from .pairwise import min_entropy_coupling
+from .pairwise import _Derived, min_entropy_coupling
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -41,34 +40,44 @@ from .probvec import (
 )
 
 DENSE_CELL_CAP = 10**6
-# cells of the root converted to Python tuples at a time, bounding the temporaries
-ENTRY_CHUNK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseJoint:
-    """A k-dimensional joint distribution stored as (value, index tuple) pairs.
+    """A k-dimensional joint distribution stored as its nonzero cells.
 
-    Index tuples use each marginal's original (caller) indexing and are
-    pairwise distinct; values are strictly positive and sum to one.
+    values holds the cell masses, positive and summing to one; coords is an
+    int32 (k x cells) array whose column i is cell i's index in each
+    marginal's original (caller) indexing. Columns are distinct, since every
+    merge of k_min_entropy_coupling refuses a cell written twice, so the
+    constructor checks only the shapes and that each coordinate lies in
+    [0, dims[axis]). entries, the cells as (value, index tuple) pairs, is
+    built only when read; a value passed in (as dataclasses.replace does) is
+    kept as given, unchecked against the arrays.
     """
 
-    entries: tuple[tuple[float, tuple[int, ...]], ...]
+    values: np.ndarray
+    coords: np.ndarray
     k: int
     dims: tuple[int, ...]
+    entries: tuple[tuple[float, tuple[int, ...]], ...] = _Derived(
+        lambda j: tuple(zip(j.values.tolist(), map(tuple, j.coords.T.tolist())))
+    )
 
     def __post_init__(self) -> None:
         if self.k != len(self.dims):
             raise InternalInvariant("dims length must equal k")
-        tuples = [c for _, c in self.entries]
-        if any(len(c) != self.k for c in tuples):
-            raise InternalInvariant("every index tuple must have k coordinates")
-        if len(set(tuples)) != len(tuples):
-            raise InternalInvariant("index tuples must be distinct")
+        if self.values.ndim != 1 or self.coords.shape != (self.k, self.values.size):
+            raise InternalInvariant("coords must have shape (k, cells)")
+        if self.values.size and (
+            (self.coords.min(axis=1) < 0).any()
+            or (self.coords.max(axis=1) >= self.dims).any()
+        ):
+            raise InternalInvariant("a coordinate lies outside its axis")
 
     def entropy(self) -> float:
         """Joint Shannon entropy in bits."""
-        return entropy_bits(v for v, _ in self.entries)
+        return entropy_bits(self.values)
 
     def to_dense(self, cap: int = DENSE_CELL_CAP) -> np.ndarray:
         """Materialize the full tensor; refused beyond cap cells."""
@@ -76,8 +85,7 @@ class SparseJoint:
         if cells > cap:
             raise InstanceTooLarge(f"dense tensor needs {cells} cells, cap is {cap}")
         out = np.zeros(self.dims)
-        for v, c in self.entries:
-            out[c] = v
+        out[tuple(self.coords)] = self.values
         return out
 
 
@@ -94,7 +102,6 @@ class MergeNode:
 
     values: np.ndarray
     coords: np.ndarray
-    level: int
     leaf_lo: int
     leaf_hi: int
 
@@ -104,13 +111,12 @@ def _leaf(p: ProbVec, position: int) -> MergeNode:
     return MergeNode(
         values=p.values[kept],
         coords=p.perm[kept].astype(np.int32).reshape(1, -1),
-        level=0,
         leaf_lo=position,
         leaf_hi=position,
     )
 
 
-def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> MergeNode:
+def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
     cm = min_entropy_coupling(
         ProbVec(left.values, np.arange(left.values.size)),
         ProbVec(right.values, np.arange(right.values.size)),
@@ -125,7 +131,6 @@ def _merge(left: MergeNode, right: MergeNode, level: int, tol: Tolerances) -> Me
             left.coords.take(cm.rows[order], axis=1),
             right.coords.take(cm.cols[order], axis=1),
         )),
-        level=level,
         leaf_lo=left.leaf_lo,
         leaf_hi=right.leaf_hi,
     )
@@ -143,24 +148,11 @@ def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterato
     total = 1 << (k - 1).bit_length()
     current = [_leaf(pad_to(p, n), pos) for pos, p in enumerate(ps)]
     for pos in range(k, total):
-        current.append(MergeNode(np.ones(1), np.zeros((1, 1), dtype=np.int32), 0, pos, pos))
+        current.append(MergeNode(np.ones(1), np.zeros((1, 1), dtype=np.int32), pos, pos))
     yield current
-    level = 0
     while len(current) > 1:
-        level += 1
-        current = [
-            _merge(a, b, level, tol) for a, b in zip(current[::2], current[1::2])
-        ]
+        current = [_merge(a, b, tol) for a, b in zip(current[::2], current[1::2])]
         yield current
-
-
-def _entries(values: np.ndarray, coords: np.ndarray) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    """(value, index tuple) pairs from leaf-major coords, a chunk of cells at a time."""
-    out: list[tuple[float, tuple[int, ...]]] = []
-    for lo in range(0, values.size, ENTRY_CHUNK):
-        hi = lo + ENTRY_CHUNK
-        out.extend(zip(values[lo:hi].tolist(), map(tuple, coords[:, lo:hi].T.tolist())))
-    return tuple(out)
 
 
 def k_min_entropy_coupling(
@@ -171,9 +163,11 @@ def k_min_entropy_coupling(
 
     Reproduces every marginal up to eps_sum and satisfies
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
-    The support holds at most 2**ceil(log2 k) * n entries. As in
-    min_entropy_coupling, each marginal is taken as given: values out of
-    non-increasing order raise ValidationError, a total off 1 raises BadTotal.
+    The support holds at most 2**ceil(log2 k) * n cells. The result keeps the
+    merge tree root's value and coordinate arrays, read-only; its entries
+    tuples are built only if read. As in min_entropy_coupling, each marginal
+    is taken as given: values out of non-increasing order raise
+    ValidationError, a total off 1 raises BadTotal.
     """
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
@@ -193,13 +187,14 @@ def k_min_entropy_coupling(
     total = float(values.sum())
     if not abs(total - 1.0) <= tol.eps_sum:
         raise InternalInvariant(f"joint mass {total!r} deviates from 1 beyond eps_sum")
-    return SparseJoint(entries=_entries(values, coords), k=k, dims=tuple(p.n for p in ps))
+    values.flags.writeable = False
+    coords.flags.writeable = False
+    return SparseJoint(values=values, coords=coords, k=k, dims=tuple(p.n for p in ps))
 
 
 def marginalize(j: int, joint: SparseJoint, tol: Tolerances = DEFAULT_TOL) -> ProbVec:
-    """Sum the entries over all axes except j and sort the result."""
+    """Sum the cells over all axes except j and sort the result."""
     if not 0 <= j < joint.k:
         raise AxisOutOfRange(f"axis {j} out of range for k = {joint.k}")
-    values = np.array([v for v, _ in joint.entries])
-    axis = np.array([c[j] for _, c in joint.entries], dtype=np.intp)
-    return make_probvec(np.bincount(axis, weights=values, minlength=joint.dims[j]), tol)
+    summed = np.bincount(joint.coords[j], weights=joint.values, minlength=joint.dims[j])
+    return make_probvec(summed, tol)

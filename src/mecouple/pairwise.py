@@ -55,28 +55,32 @@ class InversionPoints:
 MATRIX_CELL_CAP = 4096 * 4096
 
 
-class _DenseFromPieces:
-    """Data descriptor behind CouplingMatrix.matrix.
+class _Derived:
+    """Data descriptor for a dataclass field computed from the other fields.
 
-    A value passed to the constructor is kept as given; otherwise the dense
-    matrix is scattered from the pieces on first access and cached. Class
-    access returns None, which dataclasses takes as the field's default.
+    A value passed to the constructor is kept as given; otherwise build(obj)
+    computes it on first read and caches it, an array read-only since every
+    reader shares it. Class access returns None, which dataclasses takes as
+    the field's default.
     """
+
+    def __init__(self, build) -> None:
+        self.build = build
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.slot = f"_{name}"
 
-    def __get__(self, obj: "CouplingMatrix | None", owner: type | None = None):
+    def __get__(self, obj, owner: type | None = None):
         if obj is None:
             return None
-        m = obj.__dict__.get(self.slot)
-        if m is None:
-            m = obj._scatter(obj.rows, obj.cols)
-            m.flags.writeable = False
-            obj.__dict__[self.slot] = m
-        return m
+        value = obj.__dict__.get(self.slot)
+        if value is None:
+            value = obj.__dict__[self.slot] = self.build(obj)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return value
 
-    def __set__(self, obj: "CouplingMatrix", value: np.ndarray | None) -> None:
+    def __set__(self, obj, value) -> None:
         obj.__dict__[self.slot] = value
 
 
@@ -102,7 +106,7 @@ class CouplingMatrix:
     row_perm: np.ndarray
     col_perm: np.ndarray
     nnz: int
-    matrix: np.ndarray = _DenseFromPieces()
+    matrix: np.ndarray = _Derived(lambda cm: cm._scatter(cm.rows, cm.cols))
 
     def __repr__(self) -> str:
         return f"CouplingMatrix(n={self.n}, nnz={self.nnz})"
@@ -360,10 +364,8 @@ def distance_interval(
     width at most 2 and lower + 1 estimates the distance with additive error
     at most 1.
     """
-    h_p = entropy(p)
-    h_q = entropy(q)
-    h_glb = entropy(glb(p, q, tol).meet)
+    rep = bounds(p, q, tol)
     h_m = min_entropy_coupling(p, q, tol).entropy()
-    lower = 2.0 * h_glb - h_p - h_q
-    upper = 2.0 * h_m - h_p - h_q
+    lower = 2.0 * rep.h_glb - rep.h_p - rep.h_q
+    upper = 2.0 * h_m - rep.h_p - rep.h_q
     return DistanceInterval(lower=lower, upper=upper, estimate=lower + 1.0)

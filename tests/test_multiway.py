@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mecouple.cli
 import mecouple.multiway
+import mecouple.pairwise
 from mecouple import (
     AxisOutOfRange,
     BadTotal,
@@ -24,6 +30,7 @@ from mecouple.multiway import _merge_tree
 from mecouple.pairwise import _couple_oriented
 from mecouple.probvec import DEFAULT_TOL
 from util import (
+    assert_distinct_cells,
     check_piece_partition,
     half_pow,
     oriented,
@@ -88,7 +95,8 @@ class TestMarginalize:
 
     def test_grouping_sums(self):
         joint = SparseJoint(
-            entries=((0.5, (0, 0)), (0.3, (1, 0)), (0.2, (1, 1))),
+            values=np.array([0.5, 0.3, 0.2]),
+            coords=np.array([[0, 1, 1], [0, 0, 1]], dtype=np.int32),
             k=2,
             dims=(2, 2),
         )
@@ -96,16 +104,45 @@ class TestMarginalize:
         assert marginalize(1, joint).values == pytest.approx((0.8, 0.2), abs=1e-15)
 
     def test_single_entry(self):
-        joint = SparseJoint(entries=((1.0, (0, 0, 0)),), k=3, dims=(1, 1, 1))
+        joint = SparseJoint(
+            values=np.ones(1), coords=np.zeros((3, 1), dtype=np.int32), k=3, dims=(1, 1, 1)
+        )
         for axis in range(3):
             assert marginalize(axis, joint).values.tolist() == [1.0]
 
     def test_axis_out_of_range(self):
-        joint = SparseJoint(entries=((1.0, (0, 0)),), k=2, dims=(1, 1))
+        joint = SparseJoint(
+            values=np.ones(1), coords=np.zeros((2, 1), dtype=np.int32), k=2, dims=(1, 1)
+        )
         with pytest.raises(AxisOutOfRange):
             marginalize(2, joint)
         with pytest.raises(AxisOutOfRange):
             marginalize(-1, joint)
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "coords, dims",
+        [
+            ([[0], [0]], (1, 1, 1)),  # dims length is not k
+            ([[0], [0], [0]], (1, 1)),  # a coordinate row too many
+            ([[0, 0], [0, 0]], (1, 1)),  # a column without a value
+            ([[0], [5]], (1, 1)),  # past the end of axis 1
+            ([[2], [0]], (2, 3)),  # axis 0's bound, not axis 1's
+            ([[0], [-1]], (1, 1)),  # negative
+        ],
+    )
+    def test_malformed_joint_is_rejected(self, coords, dims):
+        with pytest.raises(InternalInvariant):
+            SparseJoint(
+                values=np.ones(1), coords=np.array(coords, dtype=np.int32), k=2, dims=dims
+            )
+
+    def test_coordinates_checked_per_axis(self):
+        joint = SparseJoint(
+            values=np.ones(1), coords=np.array([[1], [2]], dtype=np.int32), k=2, dims=(2, 3)
+        )
+        assert joint.to_dense()[1, 2] == 1.0
 
 
 class TestGuarantees:
@@ -201,7 +238,9 @@ class TestArrayNativeTree:
                 else:
                     gen = random_probvec if rng.random() < 0.5 else sixty_fourths
                     ps.append(gen(rng, n))
-            assert k_min_entropy_coupling(ps).entries == reference_k_entries(ps)
+            joint = k_min_entropy_coupling(ps)
+            assert_distinct_cells(joint)
+            assert joint.entries == reference_k_entries(ps)
 
     def test_merges_skip_revalidation(self, monkeypatch):
         # merged values are sorted and checked already; every merge must still
@@ -253,3 +292,90 @@ class TestArrayNativeTree:
                 assert node.coords.dtype == np.int32
                 assert node.coords.shape == (node.leaf_hi - node.leaf_lo + 1, node.values.size)
                 assert node.coords.flags.c_contiguous
+
+
+# 1/64 ties (one to nine components), point masses, and arbitrary positive masses
+marginals = st.one_of(
+    st.lists(st.integers(0, 64), max_size=8).map(
+        lambda cuts: np.diff([0, *sorted(cuts), 64]) / 64.0
+    ),
+    st.tuples(st.integers(1, 9), st.integers(0, 8)).map(
+        lambda t: np.eye(t[0])[t[1] % t[0]]
+    ),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=9).map(
+        lambda xs: np.array(xs) / sum(xs)
+    ),
+)
+
+
+class TestDistinctCells:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(marginals, min_size=2, max_size=40))
+    def test_cells_are_distinct(self, raws):
+        assert_distinct_cells(k_min_entropy_coupling([make_probvec(r) for r in raws]))
+
+    def test_a_repeated_cell_is_refused(self, monkeypatch):
+        # distinctness of the k-way cells rests on this check in every merge
+        real = mecouple.pairwise._couple_oriented
+
+        def doubled(*args, **kwargs):
+            rows, cols, vals = real(*args, **kwargs)
+            half = vals[0] / 2
+            return rows + rows[:1], cols + cols[:1], [half, *vals[1:], half]
+
+        monkeypatch.setattr(mecouple.pairwise, "_couple_oriented", doubled)
+        p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
+        with pytest.raises(InternalInvariant, match="written twice"):
+            min_entropy_coupling(p, q)
+        with pytest.raises(InternalInvariant, match="written twice"):
+            k_min_entropy_coupling([p, q])
+
+
+def entries_cache(joint):
+    return vars(joint)["_entries"]
+
+
+class TestLazyEntries:
+    def test_no_consumer_builds_entries(self, monkeypatch, capsys):
+        rng = np.random.default_rng(80)
+        ps = [random_probvec(rng, 4) for _ in range(3)]
+        joint = k_min_entropy_coupling(ps)
+        joint.entropy()
+        for axis in range(3):
+            marginalize(axis, joint)
+        joint.to_dense()
+        assert entries_cache(joint) is None
+        made = []
+
+        def spy(*args):
+            made.append(k_min_entropy_coupling(*args))
+            return made[-1]
+
+        monkeypatch.setattr(mecouple.cli, "k_min_entropy_coupling", spy)
+        for fmt in ("json", "text"):
+            assert mecouple.cli.main(
+                ["--format", fmt, "couple-k", "--dense", "0.5 0.5", "0.25 0.75", "1"]
+            ) == 0
+        capsys.readouterr()
+        assert len(made) == 2 and all(entries_cache(j) is None for j in made)
+        # built on the first read, then cached
+        assert joint.entries is entries_cache(joint) is joint.entries
+
+    def test_replace_keeps_the_given_entries(self):
+        joint = k_min_entropy_coupling([make_probvec([0.5, 0.5]), make_probvec([0.75, 0.25])])
+        moved = ((1.0, (0, 0)),)
+        bad = dataclasses.replace(joint, entries=moved)
+        assert bad.entries is moved
+        assert bad.values is joint.values and bad.coords is joint.coords
+
+    def test_arrays_are_read_only_and_leaf_major(self):
+        rng = np.random.default_rng(81)
+        joint = k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(5)])
+        assert joint.values.dtype == np.float64
+        assert joint.coords.dtype == np.int32
+        assert joint.coords.shape == (5, joint.values.size)
+        assert joint.coords.flags.c_contiguous
+        for arr in (joint.values, joint.coords):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[..., 0] = 0

@@ -445,6 +445,17 @@ def _reference_merge(left, right, tol):
     ]
 
 
+def assert_distinct_cells(joint) -> None:
+    """No two cells of a SparseJoint share an index tuple.
+
+    k_min_entropy_coupling does not re-check this at run time: it holds
+    because every merge refuses a cell written twice and every leaf's perm
+    is a bijection. Reads coords only, so entries stay unbuilt.
+    """
+    cells = np.ascontiguousarray(joint.coords.T)
+    assert np.unique(cells, axis=0).shape[0] == cells.shape[0], "repeated index tuple"
+
+
 def reference_k_entries(ps, tol: Tolerances = DEFAULT_TOL):
     """SparseJoint entries of the k-way merge tree, built cell by cell.
 

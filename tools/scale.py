@@ -16,8 +16,8 @@ numpy.random.default_rng([SEED, size]) before anything is timed.
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage, the process's peak RSS (ru_maxrss, which includes the
-interpreter and numpy) and the output size (nnz or joint entries), plus
-nproc, Python and numpy versions.
+interpreter and numpy) and the output size (nnz, or the joint's cell count
+under "entries"), plus nproc, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def kway_row(mc, np, k: int) -> dict:
         start = time.perf_counter()
         joint = mc.k_min_entropy_coupling(ps)
         times.append(time.perf_counter() - start)
-        entries = len(joint.entries)
+        # values.size, not len(joint.entries), which would build the tuples
+        entries = joint.values.size
         del joint  # so the next call's peak does not include this result
     return {
         "k": k,
