@@ -3,7 +3,9 @@
 Vectors are read from file paths, from stdin (``-``), or inline; the format
 is auto-detected from the first non-space byte: ``[`` means a JSON array of
 numbers, anything else plain whitespace-separated decimals. All probabilities
-are printed with 12 significant digits. Exit codes: 0 success, 1 validation
+are printed with 12 significant digits. A JSON document is encoded in one
+``json.dumps`` call, which uses the C encoder, and written whole, so an
+encoding error leaves nothing on stdout. Exit codes: 0 success, 1 validation
 or internal error (the machine-readable error code goes to stderr), 2 usage
 error.
 """
@@ -11,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Empty, MecoupleError, ValidationError
+from .errors import Empty, InstanceTooLarge, MecoupleError, ValidationError
 from .lattice import glb
 from .multiway import DENSE_CELL_CAP, k_min_entropy_coupling
 from .oracle import DEFAULT_SIZE_CAP, exact_min_entropy
-from .pairwise import bounds, distance_interval, min_entropy_coupling
+from .pairwise import MATRIX_CELL_CAP, bounds, distance_interval, min_entropy_coupling
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy, make_probvec
 
 ENV_TOLERANCE_SUM = "MECOUPLE_TOLERANCE_SUM"
@@ -127,6 +130,9 @@ def _cmd_glb(args, tol) -> dict:
 def _cmd_couple(args, tol) -> dict:
     p, np_raw = _load(args.p, tol)
     q, nq_raw = _load(args.q, tol)
+    cells = np_raw * nq_raw
+    if cells > MATRIX_CELL_CAP:
+        raise InstanceTooLarge(f"coupling matrix needs {cells} cells, cap is {MATRIX_CELL_CAP}")
     u = _scale(args)
     cm = min_entropy_coupling(p, q, tol)
     rows, cols = cm.rows, cm.cols
@@ -177,7 +183,11 @@ def _cmd_couple_k(args, tol) -> dict:
         "unit": args.base,
     }
     if args.dense:
-        doc["dense"] = np.vectorize(_sig)(joint.to_dense(cap=args.dense_cap)).tolist()
+        dense = joint.to_dense(cap=args.dense_cap)
+        # _sig(0.0) is 0.0, so only the nonzero cells need rounding
+        nz = dense.nonzero()
+        dense[nz] = [_sig(v) for v in dense[nz].tolist()]
+        doc["dense"] = dense.tolist()
     return doc
 
 
@@ -251,7 +261,9 @@ def _emit_text(doc: dict, out) -> None:
             out.write(f"{key}: {fmt(value)}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mecouple",
         description="Minimum-entropy couplings, majorization bounds, and an exact oracle.",
@@ -317,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        json.dump(doc, sys.stdout, separators=(",", ":"))
+        sys.stdout.write(json.dumps(doc, separators=(",", ":")))
         sys.stdout.write("\n")
     else:
         _emit_text(doc, sys.stdout)

@@ -9,8 +9,9 @@ Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
 leaves below it. The merged values are already sorted and their total was
 checked by the pairwise coupling, so they go to the next merge without a
-re-validating make_probvec; SparseJoint keeps the root's two arrays as they
-are and reads its entropy, marginals and dense tensor from them.
+re-validating make_probvec; SparseJoint keeps the root's values and the
+real leaves' coordinate rows and reads its entropy, marginals and dense
+tensor from them.
 
 When k is not a power of two, the leaf list is padded with point-mass
 distributions: coupling with a deterministic marginal changes neither the
@@ -164,7 +165,8 @@ def k_min_entropy_coupling(
     Reproduces every marginal up to eps_sum and satisfies
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
     The support holds at most 2**ceil(log2 k) * n cells. The result keeps the
-    merge tree root's value and coordinate arrays, read-only; its entries
+    merge tree root's value array and the coordinate rows of the k real
+    leaves (copied when padding leaves follow them), read-only; its entries
     tuples are built only if read. As in min_entropy_coupling, each marginal
     is taken as given: values out of non-increasing order raise
     ValidationError, a total off 1 raises BadTotal.
@@ -177,7 +179,10 @@ def k_min_entropy_coupling(
     for level in _merge_tree(ps, tol):
         pass  # each finished level is dropped once the next one is built
     (root,) = level
-    values, coords = root.values, root.coords[:k]
+    values, coords = root.values, root.coords
+    if coords.shape[0] > k:
+        # a copy, not a view: a view would keep the padding leaves' rows alive
+        coords = coords[:k].copy()
     # the deviation checks are written so that a NaN fails them
     for axis, p in enumerate(ps):
         got = np.bincount(coords[axis], weights=values, minlength=p.n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mecouple import make_probvec, min_entropy_coupling
-from mecouple.cli import main
+from mecouple.cli import build_parser, main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
 # couple-k stdout, byte for byte, for marginals with exact 1/64 ties, unequal
@@ -39,6 +39,73 @@ COUPLE_K_STDOUT = (
     '"bound":5.32192809489,"unit":"bits"}'
     "\n"
 )
+
+# stdout of the other commands, byte for byte: the golden-13 pair, an
+# unsorted pair, a small dense tensor and the text format
+GOLDEN13_ARGV = (json.dumps(list(P13)), json.dumps(list(Q13)))
+PAIR_ARGV = ("0.1 0.6 0.3", "0.25 0.125 0.5 0.125")
+GOLDEN13_MATRIX = (
+    "[[0.15,0.145,0.055,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.005,0.0,0.09,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.09,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.055,0.035,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.09,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.015,0.075,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.055,0.025,0.0,0.0,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.025,0.03,0.005,0.0,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.025,0.01,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.015,0.0,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.002,0.001,0.0,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0005,0.0005,0.0],"
+    "[0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0005,0.0,0.0005]]"
+)
+GOLDEN13_COUPLE_TAIL = (
+    '"joint_entropy":3.81782245505,"glb_entropy":3.16818818521,'
+    '"gap":0.64963426984,"nnz":25,"unit":"bits"}\n'
+)
+PINNED_STDOUT = {
+    ("glb", *GOLDEN13_ARGV): (
+        '{"glb":[0.15,0.15,0.145,0.145,0.125,0.09,0.08,0.055,0.03,0.025,0.003,'
+        '0.001,0.001],"entropy":3.16818818521,"unit":"bits"}\n'
+    ),
+    ("couple", *GOLDEN13_ARGV): (
+        '{"order":"original","rows":13,"cols":13,"matrix":'
+        + GOLDEN13_MATRIX + "," + GOLDEN13_COUPLE_TAIL
+    ),
+    ("couple", "--sorted", *GOLDEN13_ARGV): (
+        '{"order":"sorted","rows":13,"cols":13,"matrix":'
+        + GOLDEN13_MATRIX + "," + GOLDEN13_COUPLE_TAIL
+    ),
+    ("bounds", *GOLDEN13_ARGV): (
+        '{"h_p":2.94360616269,"h_q":3.09796939556,"h_glb":3.16818818521,'
+        '"mi_upper_improved":2.87338737305,"mi_upper_classic":2.94360616269,'
+        '"joint_lower_classic":3.09796939556,"unit":"bits"}\n'
+    ),
+    ("distance", *GOLDEN13_ARGV): (
+        '{"lower":0.294800812161,"upper":1.59406935184,'
+        '"estimate":1.29480081216,"unit":"bits"}\n'
+    ),
+    ("oracle", *PAIR_ARGV): (
+        '{"opt_entropy":1.93048202372,"order":"original","matrix":'
+        "[[0.0,0.1,0.0,0.0],[0.0,0.0,0.5,0.1],[0.25,0.025,0.0,0.025]],"
+        '"support_size":6,"unit":"bits"}\n'
+    ),
+    ("couple-k", "--dense", PAIR_ARGV[0], "0.375 0.375 0.25", "0.25 0.75"): (
+        '{"k":3,"dims":[3,3,2],"entries":['
+        '{"value":0.375,"indices":[1,0,1]},{"value":0.15,"indices":[2,1,1]},'
+        '{"value":0.15,"indices":[1,1,0]},{"value":0.15,"indices":[2,2,1]},'
+        '{"value":0.1,"indices":[0,2,0]},{"value":0.075,"indices":[1,1,1]}],'
+        '"joint_entropy":2.37473880866,"glb_entropy":1.56127812446,'
+        '"bound":3.56127812446,"unit":"bits","dense":'
+        "[[[0.0,0.0],[0.0,0.0],[0.1,0.0]],[[0.0,0.375],[0.15,0.075],[0.0,0.0]],"
+        "[[0.0,0.0],[0.0,0.15],[0.0,0.15]]]}\n"
+    ),
+    ("--format", "text", "couple", "0.4 0.6", "0.2 0.3 0.5"): (
+        "order: original\nrows: 2\ncols: 3\nmatrix:\n  0.2 0.2 0\n  0 0.1 0.5\n"
+        "joint_entropy: 1.76096404744\nglb_entropy: 1.48547529723\n"
+        "gap: 0.275488750216\nnnz: 4\nunit: bits\n"
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -128,6 +195,22 @@ class TestCouple:
                 expected = [[float(f"{v:.12g}") for v in row] for row in full[:n, :m]]
                 assert doc["matrix"] == expected
 
+    def test_window_above_the_cell_cap_is_refused(self, capsys, tmp_path):
+        p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+        p_path.write_text(json.dumps([1.0 / 4097] * 4097))
+        q_path.write_text(json.dumps([1.0 / 4096] * 4096))
+        code, out, err = run(capsys, "couple", str(p_path), str(q_path))
+        assert code == 1
+        assert err.startswith("InstanceTooLarge")
+        assert out == ""
+
+    def test_cell_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr("mecouple.cli.MATRIX_CELL_CAP", 6)
+        assert run(capsys, "couple", "0.4 0.6", "0.2 0.3 0.5")[0] == 0
+        code, out, err = run(capsys, "couple", "0.4 0.6", "0.2 0.3 0.25 0.25")
+        assert (code, out) == (1, "")
+        assert err.startswith("InstanceTooLarge")
+
     def test_gap_certificate(self, capsys):
         doc = run_json(capsys, "couple", "0.5 0.5", "0.6 0.4")
         assert doc["joint_entropy"] == pytest.approx(1.3609640474436812, abs=1e-9)
@@ -189,6 +272,24 @@ class TestScalarCommands:
 
 
 class TestOutputContract:
+    @pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=lambda a: " ".join(a)[:40])
+    def test_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == PINNED_STDOUT[argv]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_later_output_unchanged(self, capsys):
+        argv = ("couple", "--sorted", *PAIR_ARGV)
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["couple", "--sorted", PAIR_ARGV[0]])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == first
+
     def test_byte_identical_reruns(self, capsys, golden_files):
         _, first, _ = run(capsys, "couple", *golden_files)
         _, second, _ = run(capsys, "couple", *golden_files)
@@ -285,6 +386,19 @@ class TestToleranceOverrides:
         )
         assert code == 1
         assert err.startswith("BadTotal")
+
+    def test_env_change_between_calls_takes_effect(self, capsys, monkeypatch):
+        argv = ("glb", "0.5 0.504", "0.5 0.5")
+        monkeypatch.setenv("MECOUPLE_TOLERANCE_SUM", "1e-2")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("MECOUPLE_TOLERANCE_SUM", "1e-9")
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("BadTotal")
+        monkeypatch.delenv("MECOUPLE_TOLERANCE_SUM")
+        assert run(capsys, *argv)[0] == 1
+        monkeypatch.setenv("MECOUPLE_TOLERANCE_SUM", "1e-2")
+        assert run(capsys, *argv)[0] == 0
 
     def test_bad_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MECOUPLE_TOLERANCE_SUM", "banana")

@@ -379,3 +379,12 @@ class TestLazyEntries:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[..., 0] = 0
+
+    @pytest.mark.parametrize("k", [48, 64, 65])
+    def test_coords_hold_no_padding_rows(self, k):
+        rng = np.random.default_rng(k)
+        joint = k_min_entropy_coupling([random_probvec(rng, 8) for _ in range(k)])
+        coords = joint.coords
+        assert coords.base is None or coords.base.shape[0] == k
+        assert coords.flags.c_contiguous
+        assert not coords.flags.writeable

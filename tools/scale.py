@@ -1,4 +1,4 @@
-"""Time the pairwise path as n grows and k_min_entropy_coupling as k grows.
+"""Time the pairwise path, k_min_entropy_coupling and CLI couple as they grow.
 
     python3 tools/scale.py                  # this checkout's src/
     python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
@@ -13,16 +13,22 @@ numpy.random.default_rng([SEED, size]) before anything is timed.
 - k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
   with make_probvec outside the timed region; REPEATS calls of
   k_min_entropy_coupling are timed.
+- CLI couple, n in CLI_NS: two Dirichlet(1) vectors of length n, passed
+  inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
+  whose stdout goes to os.devnull; REPEATS calls are timed, then one
+  untimed call counts the output bytes.
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage, the process's peak RSS (ru_maxrss, which includes the
 interpreter and numpy) and the output size (nnz, or the joint's cell count
-under "entries"), plus nproc, Python and numpy versions.
+under "entries", or the CLI's stdout bytes under "output_bytes"), plus
+nproc, Python and numpy versions.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -37,6 +43,7 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 KWAY_N = 64
 KWAY_KS = (8, 32, 128, 512)
+CLI_NS = (192, 4096)
 REPEATS = 3
 SEED = 0
 
@@ -86,7 +93,48 @@ def kway_row(mc, np, k: int) -> dict:
     }
 
 
-ROWS = {"pairwise": (pair_row, PAIR_NS), "kway": (kway_row, KWAY_KS)}
+class _ByteCount:
+    """A stdout stand-in that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.count += len(text)
+        return len(text)
+
+
+def cli_row(mc, np, n: int) -> dict:
+    import mecouple.cli
+
+    rng = np.random.default_rng([SEED, n])
+    argv = ["couple", *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
+    times = []
+    with open(os.devnull, "w") as sink:
+        for _ in range(REPEATS):
+            with contextlib.redirect_stdout(sink):
+                start = time.perf_counter()
+                code = mecouple.cli.main(argv)
+                sink.flush()
+                times.append(time.perf_counter() - start)
+            if code != 0:
+                raise RuntimeError(f"mecouple couple exited {code} at n = {n}")
+    counter = _ByteCount()  # JSON output is ASCII, so characters are bytes
+    with contextlib.redirect_stdout(counter):
+        mecouple.cli.main(argv)
+    return {
+        "n": n,
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "output_bytes": counter.count,
+    }
+
+
+ROWS = {
+    "pairwise": (pair_row, PAIR_NS),
+    "kway": (kway_row, KWAY_KS),
+    "cli": (cli_row, CLI_NS),
+}
 
 
 def child(src: str, kind: str, size: int) -> dict:
