@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariant
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, pad_to
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, check_sorted_total, pad_to
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +45,14 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     """The unique largest distribution majorized by both p and q.
 
     Its i-th prefix sum is min(prefix_p[i], prefix_q[i]); unequal lengths are
-    zero-padded first. Runs in O(n) after the prefix sums.
+    zero-padded first. Runs in O(n) after the prefix sums. Inputs are checked
+    as in min_entropy_coupling: ValidationError if unsorted, BadTotal on a bad total.
     """
     n = max(p.n, q.n)
     a = pad_to(p, n).as_array()
     b = pad_to(q, n).as_array()
+    check_sorted_total(a, tol)
+    check_sorted_total(b, tol)
     z = meet_values(a, b, tol.eps_zero)
     prefix_p = np.cumsum(a)
     prefix_q = np.cumsum(b)

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AxisOutOfRange, InstanceTooLarge, InternalInvariant, TooFewMarginals
-from .pairwise import _Derived, min_entropy_coupling
+from .pairwise import _Derived, _check_marginals, min_entropy_coupling
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -183,15 +183,7 @@ def k_min_entropy_coupling(
     if coords.shape[0] > k:
         # a copy, not a view: a view would keep the padding leaves' rows alive
         coords = coords[:k].copy()
-    # the deviation checks are written so that a NaN fails them
-    for axis, p in enumerate(ps):
-        got = np.bincount(coords[axis], weights=values, minlength=p.n)
-        dev = float(np.abs(got - p.in_original_order()).max())
-        if not dev <= tol.eps_sum:
-            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
-    total = float(values.sum())
-    if not abs(total - 1.0) <= tol.eps_sum:
-        raise InternalInvariant(f"joint mass {total!r} deviates from 1 beyond eps_sum")
+    _check_marginals(coords, values, [p.in_original_order() for p in ps], tol)
     values.flags.writeable = False
     coords.flags.writeable = False
     return SparseJoint(values=values, coords=coords, k=k, dims=tuple(p.n for p in ps))

@@ -2,8 +2,9 @@
 
 inversion_points orients the pair, so that the last differing component
 belongs to the first marginal a, and cuts indices n..1 into alternating
-runs ("segments") in which a's or b's suffix sums dominate. The greedy
-kernel, _couple_oriented, then walks the segments downward: each component
+runs ("segments") in which a's or b's suffix sums dominate: a run ends where
+the sign of the suffix differences flips. The greedy kernel,
+_couple_oriented, then walks the segments downward: each component
 z_j of the meet z = p ∧ q becomes a part on the diagonal cell (j, j) plus
 a remainder carried toward the next index, and at a segment boundary the
 carried remainders are flushed one index further. Every output cell is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,63 +156,52 @@ def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[i
 
     Returns the minimal decreasing 1-based sequence n+1 = i_0 > ... > i_k = 1
     such that suffix sums of a dominate b's throughout odd segments and the
-    reverse throughout even segments. A single downward scan with maximal
-    extension yields both the sequence and its minimality.
+    reverse throughout even segments. Read downward from a virtual
+    non-negative sign above index n, a segment ends wherever the sign of the
+    suffix differences beyond eps_zero flips; smaller ones extend any segment.
     """
-    d = np.cumsum((a - b)[::-1])[::-1]
-    n = len(a)
-    out = [n + 1]
-    i = n
-    want_ge = True
-    while True:
-        if want_ge:
-            while i >= 1 and d[i - 1] >= -eps_zero:
-                i -= 1
-        else:
-            while i >= 1 and d[i - 1] <= eps_zero:
-                i -= 1
-        out.append(i + 1)
-        if i == 0:
-            return tuple(out)
-        want_ge = not want_ge
+    d = np.cumsum((a - b)[::-1])  # d[t]: suffix sum of a - b from index n - t
+    t = np.flatnonzero(np.abs(d) > eps_zero)
+    neg = np.zeros(t.size + 1, dtype=bool)  # neg[0]: the virtual sign above n
+    neg[1:] = d[t] < 0.0
+    return (len(a) + 1, *(len(a) + 1 - t[neg[1:] != neg[:-1]]).tolist(), 1)
+
+
+def _orient(a: np.ndarray, b: np.ndarray, differ: np.ndarray, eps: float) -> InversionPoints:
+    """inversion_points of the value arrays a, b, given their |a - b| > eps mask."""
+    last = np.flatnonzero(differ)[-1:]
+    swapped = bool((a[last] < b[last]).any())
+    if swapped:
+        a, b = b, a
+    return InversionPoints(_inversion_indices(a, b, eps), swapped)
 
 
 def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> InversionPoints:
     """Dominance segments of a pair of equal-length distributions.
 
     The pair is oriented first: if the largest index where the components
-    differ has p below q, the roles are exchanged and swapped is set. This
-    is the only place that decides the orientation; min_entropy_coupling
-    takes both it and the segments from here. For componentwise-equal
-    inputs there is a single segment, indices (n+1, 1).
+    differ has p below q, the roles are exchanged and swapped is set.
+    min_entropy_coupling takes the orientation and the segments from the same
+    code. For componentwise-equal inputs there is a single segment, indices
+    (n+1, 1).
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    a = p.as_array()
-    b = q.as_array()
-    diff = np.flatnonzero(np.abs(a - b) > tol.eps_zero)
-    swapped = bool(diff.size) and bool(a[diff[-1]] < b[diff[-1]])
-    if swapped:
-        a, b = b, a
-    return InversionPoints(_inversion_indices(a, b, tol.eps_zero), swapped)
+    a, b = p.as_array(), q.as_array()
+    return _orient(a, b, np.abs(a - b) > tol.eps_zero, tol.eps_zero)
 
 
 def _couple_oriented(
-    a: np.ndarray,
-    b: np.ndarray,
-    idx: tuple[int, ...],
-    tol: Tolerances,
-    flip_writes: bool = False,
+    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances
 ) -> tuple[list[int], list[int], list[float]]:
     """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
 
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the written pieces as parallel lists (rows, cols, vals) of
-    0-based cells whose row sums are a and column sums b; with flip_writes
-    the transposed pieces are produced directly. Pieces are listed in the
-    order they are written: segment by segment, each component's absorbed
-    carried remainders before its diagonal part, and the flush at the
-    segment's end. Every cell is written at most once and every piece
+    0-based cells whose row sums are a and column sums b. Pieces are listed
+    in the order they are written: segment by segment, each component's
+    absorbed carried remainders before its diagonal part, and the flush at
+    the segment's end. Every cell is written at most once and every piece
     exceeds eps_zero. The loop runs on Python floats.
     """
     eps = tol.eps_zero
@@ -227,8 +217,8 @@ def _couple_oriented(
         odd = s % 2 == 1
         marginal = b_l if odd else a_l
         # a split component indexes the row in odd segments and the column in
-        # even ones, its partner the other line; flip_writes swaps the two
-        if odd != flip_writes:
+        # even ones, its partner the other line
+        if odd:
             put_comp, put_partner = rows.append, cols.append
         else:
             put_comp, put_partner = cols.append, rows.append
@@ -268,6 +258,25 @@ def _couple_oriented(
     return rows, cols, vals
 
 
+def _check_marginals(
+    lines: Sequence[np.ndarray], vals: np.ndarray, margins: Sequence[np.ndarray], tol: Tolerances
+) -> None:
+    """Post-condition of both coupling paths: exact marginals and total mass.
+
+    Cell i holds vals[i] at index lines[axis][i] of each axis. Raises
+    InternalInvariant unless each axis's per-index sums match margins[axis]
+    and the values total 1, both within eps_sum; a NaN fails either check.
+    """
+    for axis, (line, margin) in enumerate(zip(lines, margins)):
+        got = np.bincount(line, weights=vals, minlength=margin.size)
+        dev = float(np.abs(got - margin).max())
+        if not dev <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    total = float(vals.sum())
+    if not abs(total - 1.0) <= tol.eps_sum:
+        raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
+
+
 def min_entropy_coupling(
     p: ProbVec,
     q: ProbVec,
@@ -292,31 +301,26 @@ def min_entropy_coupling(
     b = qq.as_array()
     check_sorted_total(a, tol)
     check_sorted_total(b, tol)
-    if not np.any(np.abs(a - b) > tol.eps_zero):
+    differ = np.abs(a - b) > tol.eps_zero
+    if not differ.any():
         # componentwise-equal marginals couple on the diagonal
         rows = cols = np.flatnonzero(a > 0.0)
         vals = a[rows]
     else:
-        ip = inversion_points(pp, qq, tol)
+        ip = _orient(a, b, differ, tol.eps_zero)
         first, second = (b, a) if ip.swapped else (a, b)
-        r, c, v = _couple_oriented(first, second, ip.indices, tol, flip_writes=ip.swapped)
+        r, c, v = _couple_oriented(first, second, ip.indices, tol)
+        if ip.swapped:
+            r, c = c, r
         rows = np.asarray(r, dtype=np.intp)
         cols = np.asarray(c, dtype=np.intp)
-        vals = np.asarray(v, dtype=float)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        key = rows * n + cols
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
             raise InternalInvariant("a cell was written twice")
-    row_dev = float(np.abs(np.bincount(rows, weights=vals, minlength=n) - a).max())
-    col_dev = float(np.abs(np.bincount(cols, weights=vals, minlength=n) - b).max())
-    # the deviation checks are written so that a NaN fails them
-    if not (row_dev <= tol.eps_sum and col_dev <= tol.eps_sum):
-        raise InternalInvariant(
-            f"marginal deviation {max(row_dev, col_dev)!r} exceeds eps_sum"
-        )
-    total = float(vals.sum())
-    if not abs(total - 1.0) <= tol.eps_sum:
-        raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
+        rows, cols, vals = rows[order], cols[order], np.asarray(v, dtype=float)[order]
+    _check_marginals((rows, cols), vals, (a, b), tol)
     if vals.size > 2 * n:
         raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
     for arr in (rows, cols, vals):

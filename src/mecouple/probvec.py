@@ -143,7 +143,7 @@ def check_sorted_total(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Non
     are non-increasing within eps_zero, and BadTotal unless they sum to 1
     within eps_sum.
     """
-    if bool((np.diff(values) > tol.eps_zero).any()):
+    if bool((values[1:] - values[:-1] > tol.eps_zero).any()):
         raise ValidationError("components must be sorted non-increasingly")
     _check_total(values, tol)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mecouple import (
@@ -25,7 +25,7 @@ from mecouple import (
     pad_to,
 )
 from mecouple.lattice import meet_values
-from mecouple.pairwise import MATRIX_CELL_CAP, _couple_oriented
+from mecouple.pairwise import MATRIX_CELL_CAP, _couple_oriented, _inversion_indices
 from mecouple.probvec import DEFAULT_TOL
 from golden13 import (
     COUPLING_CELLS13,
@@ -43,6 +43,7 @@ from util import (
     random_probvec,
     reference_couple_oriented,
     run_python_bounded,
+    scan_inversion_indices,
     suffix_diffs,
     brute_inversion_sequences,
 )
@@ -233,29 +234,64 @@ def generic_floats(draw, max_len=12):
     return [v / total for v in raw]
 
 
+@st.composite
+def tiny_tails(draw, max_len=12):
+    """A distribution followed by components at or below eps_zero, so the
+    tail's suffix differences fall in the segment scan's dead zone."""
+    head = draw(st.one_of(sixty_fourths(max_len), generic_floats(max_len)))
+    eps = DEFAULT_TOL.eps_zero
+    tiny = st.sampled_from([0.0, eps / 4, eps / 2, eps])
+    return head + draw(st.lists(tiny, min_size=1, max_size=max_len))
+
+
+kernel_inputs = st.one_of(sixty_fourths(), point_masses(), generic_floats())
+
+
 class TestKernelReference:
     @settings(max_examples=400, deadline=None)
-    @given(
-        st.one_of(sixty_fourths(), point_masses(), generic_floats()),
-        st.one_of(sixty_fourths(), point_masses(), generic_floats()),
-    )
+    @given(kernel_inputs, kernel_inputs)
     def test_pieces_and_trace_match_the_closure_loop(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
-        for flip in (False, True):
-            trace = {}
-            got = _couple_oriented(a, b, idx, DEFAULT_TOL, flip_writes=flip)
-            ref = reference_couple_oriented(a, b, DEFAULT_TOL, trace, flip_writes=flip)
-            for g, r in zip(got, ref):
-                assert len(g) == len(r)
-                assert np.array_equal(g, r)
-            assert got == _couple_oriented(a, b, idx, DEFAULT_TOL, flip_writes=flip)
-            # equal pieces, so the reference trace is the kernel's as well
-            assert trace["indices"] == idx
-            check_piece_partition(trace["meet"], trace)
-            if not flip:  # the boundary checks read a's lines as matrix rows
-                check_boundary_invariants(a, b, trace["meet"], trace)
+        trace = {}
+        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        ref = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
+        for g, r in zip(got, ref):
+            assert len(g) == len(r)
+            assert np.array_equal(g, r)
+        assert got == _couple_oriented(a, b, idx, DEFAULT_TOL)
+        # equal pieces, so the reference trace is the kernel's as well
+        assert trace["indices"] == idx
+        check_piece_partition(trace["meet"], trace)
+        check_boundary_invariants(a, b, trace["meet"], trace)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(kernel_inputs, tiny_tails()),
+        st.one_of(kernel_inputs, tiny_tails()),
+    )
+    def test_segment_scan_matches_the_scalar_scan(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        n = max(p.n, q.n)
+        a, b = pad_to(p, n).as_array(), pad_to(q, n).as_array()
+        eps = DEFAULT_TOL.eps_zero
+        for x, y in ((a, b), (b, a)):
+            assert _inversion_indices(x, y, eps) == scan_inversion_indices(x, y, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs, kernel_inputs)
+    def test_swapped_inputs_give_the_transposed_pieces(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        n = max(p.n, q.n)
+        a, b = pad_to(p, n).as_array(), pad_to(q, n).as_array()
+        assume(np.any(np.abs(a - b) > DEFAULT_TOL.eps_zero))
+        pq = min_entropy_coupling(p, q)
+        qp = min_entropy_coupling(q, p)
+        order = np.lexsort((pq.rows, pq.cols))
+        assert np.array_equal(qp.rows, pq.cols[order])
+        assert np.array_equal(qp.cols, pq.rows[order])
+        assert np.array_equal(qp.vals, pq.vals[order])
 
 
 class TestInputContract:
@@ -274,6 +310,23 @@ class TestInputContract:
         for p, q in ((short, other), (other, short)):
             with pytest.raises(BadTotal):
                 min_entropy_coupling(p, q)
+
+    @pytest.mark.parametrize("call", [glb, bounds])
+    def test_meet_rejects_unsorted_values(self, call):
+        unsorted = ProbVec((0.2, 0.3, 0.5), (0, 1, 2))
+        other = make_probvec([0.6, 0.4])
+        for p, q in ((unsorted, other), (other, unsorted)):
+            with pytest.raises(ValidationError) as info:
+                call(p, q)
+            assert not isinstance(info.value, BadTotal)
+
+    @pytest.mark.parametrize("call", [glb, bounds])
+    def test_meet_rejects_a_short_total(self, call):
+        short = ProbVec((0.5, 0.3), (0, 1))
+        other = make_probvec([0.6, 0.4])
+        for p, q in ((short, other), (other, short)):
+            with pytest.raises(BadTotal):
+                call(p, q)
 
     def test_order_within_eps_zero_is_accepted(self):
         p = ProbVec((0.5 - 2e-13, 0.5 + 2e-13), (0, 1))

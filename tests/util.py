@@ -30,7 +30,6 @@ from mecouple import (
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
-from mecouple.pairwise import _inversion_indices
 from mecouple.probvec import DEFAULT_TOL, Tolerances
 
 
@@ -344,26 +343,51 @@ def check_segment_strips(m: np.ndarray, idx, z, atol=1e-9):
     assert np.all(m[~covered] == 0.0)
 
 
+def scan_inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
+    """Segment boundaries for an oriented pair, by the scalar downward scan.
+
+    Reference for pairwise._inversion_indices, which must return the same
+    tuple. Scans d = suffix sums of a - b from index n downward with maximal
+    extension: an odd segment runs while d >= -eps_zero, an even one while
+    d <= eps_zero, and each stop opens the next segment.
+    """
+    d = np.cumsum((a - b)[::-1])[::-1]
+    n = len(a)
+    out = [n + 1]
+    i = n
+    want_ge = True
+    while True:
+        if want_ge:
+            while i >= 1 and d[i - 1] >= -eps_zero:
+                i -= 1
+        else:
+            while i >= 1 and d[i - 1] <= eps_zero:
+                i -= 1
+        out.append(i + 1)
+        if i == 0:
+            return tuple(out)
+        want_ge = not want_ge
+
+
 def reference_couple_oriented(
     a: np.ndarray,
     b: np.ndarray,
     tol: Tolerances,
     trace: dict | None = None,
-    flip_writes: bool = False,
 ) -> tuple[list[int], list[int], list[float]]:
     """The pairwise greedy loop as first written: one write closure per cell.
 
     Reference for pairwise._couple_oriented, which must return the same
     pieces in the same order; the trace exists only here. Returns the written
     pieces as parallel lists (rows, cols, vals) of 0-based cells whose row
-    sums are a and column sums b; with flip_writes the transposed pieces are
-    produced directly. When trace is a dict it receives "pieces" (component
-    index, written value) for every cell and "boundaries" (segment number,
-    parity, low index, dense matrix copy) after each segment's flush.
+    sums are a and column sums b. When trace is a dict it receives "pieces"
+    (component index, written value) for every cell and "boundaries"
+    (segment number, parity, low index, dense matrix copy) after each
+    segment's flush. The segments come from scan_inversion_indices.
     """
     n = len(a)
     eps = tol.eps_zero
-    idx = _inversion_indices(a, b, eps)
+    idx = scan_inversion_indices(a, b, eps)
     z = meet_values(a, b, eps)
     rows: list[int] = []
     cols: list[int] = []
@@ -378,8 +402,6 @@ def reference_couple_oriented(
         trace["meet"] = z.copy()
 
     def write(row: int, col: int, value: float, source: int) -> None:
-        if flip_writes:
-            row, col = col, row
         rows.append(row - 1)
         cols.append(col - 1)
         vals.append(value)
