@@ -48,11 +48,11 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     zero-padded first. Runs in O(n) after the prefix sums. Inputs are checked
     as in min_entropy_coupling: ValidationError if unsorted, BadTotal on a bad total.
     """
+    check_sorted_total(p.values, tol)
+    check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
     a = pad_to(p, n).as_array()
     b = pad_to(q, n).as_array()
-    check_sorted_total(a, tol)
-    check_sorted_total(b, tol)
     z = meet_values(a, b, tol.eps_zero)
     prefix_p = np.cumsum(a)
     prefix_q = np.cumsum(b)

@@ -7,6 +7,11 @@ residuals, retire the exhausted index, repeat. (In a vertex's support forest
 some row or column is a leaf, and its single cell carries exactly that
 minimum, so induction over all cell orders reaches every vertex.) Minimizing
 over all greedy fills therefore gives the true optimum.
+
+The search memoises states by their residual marginals, rounded to
+_KEY_DIGITS decimals. A move touches one row and one column residual and
+leaves one of them at exactly 0.0, so each child's key is its parent's with
+two entries replaced, and each distinct residual is rounded once per call.
 """
 
 from __future__ import annotations
@@ -21,6 +26,14 @@ from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy_bits
 
 DEFAULT_SIZE_CAP = 10
 _KEY_DIGITS = 12
+
+
+class _Rounded(dict):
+    """round(x, _KEY_DIGITS) by x, computed on first lookup."""
+
+    def __missing__(self, x: float) -> float:
+        r = self[x] = round(x, _KEY_DIGITS)
+        return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,59 +58,75 @@ def exact_min_entropy(
     Runs a dynamic program over residual-marginal states: the optimal
     completion of a partial greedy fill depends only on the residuals, and
     cell contributions -v log2 v are additive, so states collapse heavily
-    compared to enumerating whole fills.
+    compared to enumerating whole fills. The residuals are one list, rows
+    0..n-1 then columns n..n+m-1, and a state's memo key is the tuple of
+    them rounded to _KEY_DIGITS. A move (i, j) changes two residuals, one of
+    them to exactly 0.0, so a child's key is its parent's with those two
+    entries replaced, and its active lines are the parent's less any line
+    the move retires. The child is looked up before its residuals are
+    copied; cells are tried row-major over the active lines, and the first
+    strictly better move is kept.
     """
     if p.n + q.n > cap:
         raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
     eps = tol.eps_zero
     n, m = p.n, q.n
     memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}
+    rnd = _Rounded()  # local to the call, so no residual outlives it
 
-    def key_of(res_p, res_q):
-        return (
-            tuple(round(v, _KEY_DIGITS) for v in res_p),
-            tuple(round(v, _KEY_DIGITS) for v in res_q),
-        )
-
-    def solve(res_p: tuple, res_q: tuple) -> float:
-        rows = [i for i in range(n) if res_p[i] > eps]
-        cols = [j for j in range(m) if res_q[j] > eps]
-        if not rows or not cols:
-            return 0.0
-        key = key_of(res_p, res_q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
+    def solve(res: list, key: tuple, rows: list, cols: list) -> float:
+        # res and key cover rows then columns; cols holds offsets n + j
         best = math.inf
         choice: tuple[int, int] | None = None
+        cols_left = [[c for c in cols if c != j] for j in cols]
         for i in rows:
-            for j in cols:
-                v = min(res_p[i], res_q[j])
-                rp = list(res_p)
-                rq = list(res_q)
-                rp[i] -= v
-                rq[j] -= v
-                h = -v * math.log2(v) + solve(tuple(rp), tuple(rq))
+            ri = res[i]
+            rows_left = [r for r in rows if r != i]
+            for j, cols_j in zip(cols, cols_left):
+                cj = res[j]
+                v = cj if cj < ri else ri  # min(ri, cj)
+                a = ri - v
+                b = cj - v
+                child_rows = rows if a > eps else rows_left
+                child_cols = cols if b > eps else cols_j
+                if not child_rows or not child_cols:
+                    sub = 0.0
+                else:
+                    child_key = list(key)
+                    child_key[i] = rnd[a]
+                    child_key[j] = rnd[b]
+                    child_key = tuple(child_key)
+                    hit = memo.get(child_key)
+                    if hit is not None:
+                        sub = hit[0]
+                    else:
+                        child = res.copy()
+                        child[i] = a
+                        child[j] = b
+                        sub = solve(child, child_key, child_rows, child_cols)
+                h = -v * math.log2(v) + sub
                 if h < best:
                     best = h
-                    choice = (i, j)
+                    choice = (i, j - n)
         memo[key] = (best, choice)
         return best
 
     # the search runs on Python floats, converted once
-    res_p, res_q = p.values.tolist(), q.values.tolist()
-    opt = solve(tuple(res_p), tuple(res_q))
+    res = p.values.tolist() + q.values.tolist()
+    rows = [i for i in range(n) if res[i] > eps]
+    cols = [j for j in range(n, n + m) if res[j] > eps]
+    opt = solve(res, tuple(map(rnd.__getitem__, res)), rows, cols) if rows and cols else 0.0
 
     # replay the stored choices to materialize one optimal fill
     mat = np.zeros((n, m))
-    while any(v > eps for v in res_p) and any(v > eps for v in res_q):
-        _, choice = memo[key_of(res_p, res_q)]
+    while any(v > eps for v in res[:n]) and any(v > eps for v in res[n:]):
+        _, choice = memo[tuple(map(rnd.__getitem__, res))]
         if choice is None:
             break
         i, j = choice
-        v = min(res_p[i], res_q[j])
+        v = min(res[i], res[n + j])
         mat[i, j] = v
-        res_p[i] -= v
-        res_q[j] -= v
+        res[i] -= v
+        res[n + j] -= v
     mat.flags.writeable = False
     return opt, VertexCoupling(mat, int((mat > eps).sum()))

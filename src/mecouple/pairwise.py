@@ -294,13 +294,13 @@ def min_entropy_coupling(
     out of non-increasing order raise ValidationError, and a total off 1 by
     more than eps_sum raises BadTotal.
     """
+    check_sorted_total(p.values, tol)
+    check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
     pp = pad_to(p, n)
     qq = pad_to(q, n)
     a = pp.as_array()
     b = qq.as_array()
-    check_sorted_total(a, tol)
-    check_sorted_total(b, tol)
     differ = np.abs(a - b) > tol.eps_zero
     if not differ.any():
         # componentwise-equal marginals couple on the diagonal

@@ -101,9 +101,10 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     """Validate a raw vector and sort it non-increasingly.
 
     Ties keep ascending original index (stable sort), values in
-    [-eps_zero, 0) are clamped to zero, and total mass is checked but never
-    rescaled: a bad total is the caller's bug to fix. Arrays, lists and
-    tuples are read in place; other iterables are collected first.
+    [-eps_zero, 0) are clamped to zero, and total mass is checked on the
+    sorted, clamped values but never rescaled: a bad total is the caller's
+    bug to fix. Arrays, lists and tuples are read in place; other iterables
+    are collected first.
     """
     arr = _float_array(raw)
     if arr.ndim != 1:
@@ -116,10 +117,11 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     if bad.size:
         i = int(bad[0])
         raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
-    _check_total(arr, tol)
     arr = np.where(arr < 0.0, 0.0, arr)
     order = np.argsort(-arr, kind="stable")
-    return ProbVec(arr[order], order)
+    values = arr[order]
+    _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
+    return ProbVec(values, order)
 
 
 def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
@@ -130,6 +132,11 @@ def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
 
 
 def _check_total(values: np.ndarray, tol: Tolerances) -> None:
+    if values.size and values[-1] == 0.0:
+        # numpy's pairwise sum depends on the length, so trailing zeros are
+        # cut: a zero-padded copy then has the same total as its source
+        nonzero = np.flatnonzero(values)
+        values = values[: nonzero[-1] + 1 if nonzero.size else 0]
     total = float(values.sum())
     if not abs(total - 1.0) <= tol.eps_sum:  # written so that a NaN total fails
         raise BadTotal(f"total mass {total!r} deviates from 1 beyond eps_sum")
@@ -141,7 +148,8 @@ def check_sorted_total(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Non
     The ProbVec constructor checks neither order nor total, so a hand-built
     one may be unsorted or short. Raises ValidationError unless the values
     are non-increasing within eps_zero, and BadTotal unless they sum to 1
-    within eps_sum.
+    within eps_sum. The sum stops at the last nonzero value, as in
+    make_probvec, so a zero-padded copy passes exactly when its source does.
     """
     if bool((values[1:] - values[:-1] > tol.eps_zero).any()):
         raise ValidationError("components must be sorted non-increasingly")

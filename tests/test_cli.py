@@ -41,7 +41,8 @@ COUPLE_K_STDOUT = (
 )
 
 # stdout of the other commands, byte for byte: the golden-13 pair, an
-# unsorted pair, a small dense tensor and the text format
+# unsorted pair, two tie-heavy oracle pairs, a small dense tensor and the
+# text format
 GOLDEN13_ARGV = (json.dumps(list(P13)), json.dumps(list(Q13)))
 PAIR_ARGV = ("0.1 0.6 0.3", "0.25 0.125 0.5 0.125")
 GOLDEN13_MATRIX = (
@@ -89,6 +90,18 @@ PINNED_STDOUT = {
         '{"opt_entropy":1.93048202372,"order":"original","matrix":'
         "[[0.0,0.1,0.0,0.0],[0.0,0.0,0.5,0.1],[0.25,0.025,0.0,0.025]],"
         '"support_size":6,"unit":"bits"}\n'
+    ),
+    # tie-heavy pairs with several optimal vertices: the stored one pins the
+    # oracle's row-major cell order and its strict comparison
+    ("oracle", "0.25 0.25 0.25 0.25", "0.125 0.25 0.625"): (
+        '{"opt_entropy":2.25,"order":"original","matrix":'
+        "[[0.0,0.0,0.25],[0.0,0.0,0.25],[0.125,0.0,0.125],[0.0,0.25,0.0]],"
+        '"support_size":5,"unit":"bits"}\n'
+    ),
+    ("oracle", "0.625 0.125 0.25", "0.25 0.25 0.5"): (
+        '{"opt_entropy":1.75,"order":"original","matrix":'
+        "[[0.125,0.0,0.5],[0.125,0.0,0.0],[0.0,0.25,0.0]],"
+        '"support_size":4,"unit":"bits"}\n'
     ),
     ("couple-k", "--dense", PAIR_ARGV[0], "0.375 0.375 0.25", "0.25 0.75"): (
         '{"k":3,"dims":[3,3,2],"entries":['

@@ -10,7 +10,12 @@ from mecouple import (
     make_probvec,
     min_entropy_coupling,
 )
-from util import enumerate_vertices, flatten_sorted, random_probvec
+from util import (
+    enumerate_vertices,
+    flatten_sorted,
+    random_probvec,
+    reference_exact_min_entropy,
+)
 
 OPT_2X2 = 1.3609640474436812
 
@@ -102,3 +107,40 @@ class TestExactMinimum:
         rng = np.random.default_rng(66)
         with pytest.raises(InstanceTooLarge):
             exact_min_entropy(random_probvec(rng, 8), random_probvec(rng, 3))
+
+
+def _reference_draws(rng: np.random.Generator):
+    """Raw marginal pairs with n + m <= 8 for the reference comparison."""
+
+    def sizes():
+        n = int(rng.integers(2, 7))
+        return n, int(rng.integers(2, 9 - n))
+
+    def multiples(denominator: int, n: int) -> np.ndarray:
+        cuts = np.sort(rng.integers(0, denominator + 1, size=n - 1))
+        return np.diff(np.concatenate(([0], cuts, [denominator]))) / denominator
+
+    for alpha in (1.0, 0.1):
+        for _ in range(8):
+            n, m = sizes()
+            yield rng.dirichlet(np.full(n, alpha)), rng.dirichlet(np.full(m, alpha))
+    for denominator in (64, 8):
+        for _ in range(8):
+            n, m = sizes()
+            yield multiples(denominator, n), multiples(denominator, m)
+    for n, m in ((4, 4), (3, 4), (2, 6), (5, 2)):
+        yield np.full(n, 1 / n), np.full(m, 1 / m)
+        point = np.zeros(n)
+        point[int(rng.integers(n))] = 1.0
+        yield point, rng.dirichlet(np.ones(m))
+
+
+class TestReference:
+    def test_matches_the_rekeying_dp_bit_for_bit(self):
+        for raw_p, raw_q in _reference_draws(np.random.default_rng(67)):
+            p, q = make_probvec(raw_p), make_probvec(raw_q)
+            opt, vc = exact_min_entropy(p, q)
+            ref_opt, ref_vc = reference_exact_min_entropy(p, q)
+            assert opt == ref_opt, (raw_p, raw_q)
+            assert np.array_equal(vc.matrix, ref_vc.matrix), (raw_p, raw_q)
+            assert vc.support_size == ref_vc.support_size

@@ -26,7 +26,7 @@ from mecouple import (
 )
 from mecouple.lattice import meet_values
 from mecouple.pairwise import MATRIX_CELL_CAP, _couple_oriented, _inversion_indices
-from mecouple.probvec import DEFAULT_TOL
+from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 from golden13 import (
     COUPLING_CELLS13,
     H_COUPLING13,
@@ -327,6 +327,27 @@ class TestInputContract:
         for p, q in ((short, other), (other, short)):
             with pytest.raises(BadTotal):
                 call(p, q)
+
+    def test_accepted_vectors_pass_every_entry_check(self):
+        # at a tolerance near one ulp, the totals only agree if make_probvec
+        # and the entry checks sum the same array the same way, padded or not
+        tight = Tolerances(eps_sum=2e-16, eps_zero=1e-16)
+        point = make_probvec([1.0], tight)
+        rng = np.random.default_rng(79)
+        accepted = 0
+        for t in range(600):
+            n = int(rng.integers(2, 40))
+            try:
+                p = make_probvec(rng.dirichlet(np.full(n, (0.1, 1.0, 10.0)[t % 3])), tight)
+            except BadTotal:
+                continue
+            accepted += 1
+            check_sorted_total(p.values, tight)
+            check_sorted_total(pad_to(p, n + int(rng.integers(1, 9))).values, tight)
+            glb(point, p, tight)
+            glb(p, point, tight)
+            bounds(p, point, tight)
+        assert accepted >= 300
 
     def test_order_within_eps_zero_is_accepted(self):
         p = ProbVec((0.5 - 2e-13, 0.5 + 2e-13), (0, 1))

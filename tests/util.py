@@ -6,6 +6,7 @@ aggregation, vertex enumeration); the runtime package does not need them.
 
 from __future__ import annotations
 
+import math
 import os
 import resource
 import subprocess
@@ -242,6 +243,75 @@ def enumerate_vertices(
         mat.flags.writeable = False
         out.append(VertexCoupling(mat, int((mat > eps).sum())))
     return tuple(out)
+
+
+def reference_exact_min_entropy(
+    p: ProbVec,
+    q: ProbVec,
+    tol: Tolerances = DEFAULT_TOL,
+    cap: int = DEFAULT_SIZE_CAP,
+) -> tuple[float, VertexCoupling]:
+    """exact_min_entropy as first written: every state re-keyed from scratch.
+
+    Reference for mecouple.oracle, whose optimum and matrix must be
+    identical: the same DFS order over (i, j), the same strict comparison
+    and the same float arithmetic, with keys built as a pair of rounded
+    residual tuples (rows, columns) on every call.
+    """
+    if p.n + q.n > cap:
+        raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
+    eps = tol.eps_zero
+    n, m = p.n, q.n
+    memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}
+
+    def key_of(res_p, res_q):
+        return (
+            tuple(round(v, _KEY_DIGITS) for v in res_p),
+            tuple(round(v, _KEY_DIGITS) for v in res_q),
+        )
+
+    def solve(res_p: tuple, res_q: tuple) -> float:
+        rows = [i for i in range(n) if res_p[i] > eps]
+        cols = [j for j in range(m) if res_q[j] > eps]
+        if not rows or not cols:
+            return 0.0
+        key = key_of(res_p, res_q)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        best = math.inf
+        choice: tuple[int, int] | None = None
+        for i in rows:
+            for j in cols:
+                v = min(res_p[i], res_q[j])
+                rp = list(res_p)
+                rq = list(res_q)
+                rp[i] -= v
+                rq[j] -= v
+                h = -v * math.log2(v) + solve(tuple(rp), tuple(rq))
+                if h < best:
+                    best = h
+                    choice = (i, j)
+        memo[key] = (best, choice)
+        return best
+
+    # the search runs on Python floats, converted once
+    res_p, res_q = p.values.tolist(), q.values.tolist()
+    opt = solve(tuple(res_p), tuple(res_q))
+
+    # replay the stored choices to materialize one optimal fill
+    mat = np.zeros((n, m))
+    while any(v > eps for v in res_p) and any(v > eps for v in res_q):
+        _, choice = memo[key_of(res_p, res_q)]
+        if choice is None:
+            break
+        i, j = choice
+        v = min(res_p[i], res_q[j])
+        mat[i, j] = v
+        res_p[i] -= v
+        res_q[j] -= v
+    mat.flags.writeable = False
+    return opt, VertexCoupling(mat, int((mat > eps).sum()))
 
 
 def _suffix_table(arr: np.ndarray) -> np.ndarray:

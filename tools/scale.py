@@ -1,4 +1,4 @@
-"""Time the pairwise path, k_min_entropy_coupling and CLI couple as they grow.
+"""Time the pairwise path, k_min_entropy_coupling, the CLI and the oracle as they grow.
 
     python3 tools/scale.py                  # this checkout's src/
     python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
@@ -17,12 +17,20 @@ numpy.random.default_rng([SEED, size]) before anything is timed.
   inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
   whose stdout goes to os.devnull; REPEATS calls are timed, then one
   untimed call counts the output bytes.
+- oracle, n in ORACLE_NS: two Dirichlet(1) vectors of length n, validated
+  with make_probvec outside the timed region; REPEATS calls of
+  exact_min_entropy on the n x n instance are timed.
+- CLI process, n in PROCESS_NS: wall time of REPEATS whole processes
+  `python -m mecouple.cli oracle P Q` on the oracle row's n x n pair, each
+  after one bare `python -c "import numpy"` process, the floor any mecouple
+  process pays; both take PYTHONPATH=--src. This row's peak RSS is that of
+  the process that times them, not of the CLI.
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage, the process's peak RSS (ru_maxrss, which includes the
 interpreter and numpy) and the output size (nnz, or the joint's cell count
-under "entries", or the CLI's stdout bytes under "output_bytes"), plus
-nproc, Python and numpy versions.
+under "entries", or the CLI's stdout bytes under "output_bytes", or the
+oracle's optimum and support size), plus nproc, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ PAIR_NS = (16, 1024, 65_536, 1_000_000)
 KWAY_N = 64
 KWAY_KS = (8, 32, 128, 512)
 CLI_NS = (192, 4096)
+ORACLE_NS = (4, 5)
+PROCESS_NS = (4,)
 REPEATS = 3
 SEED = 0
 
@@ -130,10 +140,57 @@ def cli_row(mc, np, n: int) -> dict:
     }
 
 
+def _oracle_pair(np, n: int):
+    rng = np.random.default_rng([SEED, n])
+    return rng.dirichlet(np.ones(n), size=2)
+
+
+def oracle_row(mc, np, n: int) -> dict:
+    p, q = (mc.make_probvec(v) for v in _oracle_pair(np, n))
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        opt, vc = mc.exact_min_entropy(p, q)
+        times.append(time.perf_counter() - start)
+    return {
+        "n": n,
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "opt_entropy": opt,
+        "support_size": vc.support_size,
+    }
+
+
+def _wall(cmd: list[str], env: dict) -> float:
+    start = time.perf_counter()
+    subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def process_row(mc, np, n: int) -> dict:
+    src = os.path.dirname(os.path.dirname(mc.__file__))  # the --src directory
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["oracle", *(json.dumps(v.tolist()) for v in _oracle_pair(np, n))]
+    floor, cli = [], []
+    for _ in range(REPEATS):
+        floor.append(_wall([sys.executable, "-c", "import numpy"], env))
+        cli.append(_wall([sys.executable, "-m", "mecouple.cli", *argv], env))
+    return {
+        "n": n,
+        "command": "oracle",
+        "best_s": min(cli),
+        "median_s": statistics.median(cli),
+        "import_numpy_best_s": min(floor),
+        "import_numpy_median_s": statistics.median(floor),
+    }
+
+
 ROWS = {
     "pairwise": (pair_row, PAIR_NS),
     "kway": (kway_row, KWAY_KS),
     "cli": (cli_row, CLI_NS),
+    "oracle": (oracle_row, ORACLE_NS),
+    "cli_process": (process_row, PROCESS_NS),
 }
 
 
