@@ -3,22 +3,24 @@
 Vectors are read from file paths, from stdin (``-``), or inline; the format
 is auto-detected from the first non-space byte: ``[`` means a JSON array of
 numbers, anything else plain whitespace-separated decimals. All probabilities
-are printed with 12 significant digits. A JSON document is encoded in one
-``json.dumps`` call, which uses the C encoder, and written whole, so an
-encoding error leaves nothing on stdout. Exit codes: 0 success, 1 validation
-or internal error (the machine-readable error code goes to stderr), 2 usage
-error.
+are printed with 12 significant digits. A JSON document is encoded one
+top-level value at a time by the C encoder (``json.dumps``), except a
+coupling matrix, which renders itself from its nonzero cells (see
+``_Cells``); the pieces are joined and written whole, so an encoding error
+leaves nothing on stdout. Exit codes: 0 success, 1 validation or internal
+error (the machine-readable error code goes to stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,9 +60,9 @@ def _read_vector(source: str) -> list[float]:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"unparseable JSON vector: {exc}") from exc
-        if not isinstance(data, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in data
-        ):
+        # json.loads yields exact types only, so bool (an int subclass) is
+        # refused along with str, None, list and dict
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
             raise ValidationError("JSON vector must be an array of numbers")
         return [float(v) for v in data]
     try:
@@ -111,8 +113,46 @@ def _scale(args: argparse.Namespace) -> float:
     return 1.0 if args.base == "bits" else math.log(2.0)
 
 
-def _matrix_doc(mat: np.ndarray) -> list[list[float]]:
-    return [[_sig(v) for v in row] for row in mat]
+class _Cells(NamedTuple):
+    """An n_rows x n_cols matrix that is 0.0 except at the listed cells.
+
+    rows, cols and vals are parallel lists in row-major order, vals already
+    rounded by _sig. Each rendering builds one all-zero row string and
+    splices the cells into it, so a matrix costs O(n_rows + cells) string
+    operations rather than a float format per cell.
+    """
+
+    n_rows: int
+    n_cols: int
+    rows: list[int]
+    cols: list[int]
+    vals: list[float]
+
+    def _lines(self, zero: str, sep: str, head: str, tail: str, fmt) -> list[str]:
+        blank = head + sep.join([zero] * self.n_cols) + tail
+        lines = [blank] * self.n_rows
+        # cell j of a row is blank[start:start + len(zero)]
+        starts = [len(head) + (len(zero) + len(sep)) * j for j in self.cols]
+        texts = list(map(fmt, self.vals))
+        k = 0
+        for i, cells in itertools.groupby(self.rows):
+            pieces, pos = [], 0
+            for _ in cells:
+                pieces += (blank[pos:starts[k]], texts[k])
+                pos = starts[k] + len(zero)
+                k += 1
+            pieces.append(blank[pos:])
+            lines[i] = "".join(pieces)
+        return lines
+
+    def json_rows(self) -> list[str]:
+        """Each row as compact JSON."""
+        # repr of a finite float is what the C JSON encoder writes for it
+        return self._lines("0.0", ",", "[", "]", float.__repr__)
+
+    def text(self) -> str:
+        """The rows as --format text prints them: indented, space-separated, %.12g."""
+        return "".join(self._lines("0", " ", "  ", "\n", "{:.12g}".format))
 
 
 def _cmd_glb(args, tol) -> dict:
@@ -135,16 +175,17 @@ def _cmd_couple(args, tol) -> dict:
         raise InstanceTooLarge(f"coupling matrix needs {cells} cells, cap is {MATRIX_CELL_CAP}")
     u = _scale(args)
     cm = min_entropy_coupling(p, q, tol)
-    rows, cols = cm.rows, cm.cols
+    rows, cols, vals = cm.rows, cm.cols, cm.vals
     if not args.sorted:
         rows = cm.row_perm[rows]
         cols = cm.col_perm[cols]
     # trimmed to the caller's window like the dense matrix: padding rows and
     # columns hold at most eps_sum of mass
-    mat = [[0.0] * nq_raw for _ in range(np_raw)]
-    for i, j, v in zip(rows.tolist(), cols.tolist(), cm.vals.tolist()):
-        if i < np_raw and j < nq_raw:
-            mat[i][j] = _sig(v)
+    keep = (rows < np_raw) & (cols < nq_raw)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.argsort(rows * nq_raw + cols)
+    mat = _Cells(np_raw, nq_raw, rows[order].tolist(), cols[order].tolist(),
+                 [_sig(v) for v in vals[order].tolist()])
     h_m = cm.entropy()
     h_z = entropy(glb(p, q, tol).meet)
     return {
@@ -230,13 +271,38 @@ def _cmd_oracle(args, tol) -> dict:
     else:
         mat = np.zeros_like(vc.matrix)
         mat[np.ix_(p.perm, q.perm)] = vc.matrix
+    rows, cols = np.nonzero(mat)  # row-major
+    cells = _Cells(*mat.shape, rows.tolist(), cols.tolist(),
+                   [_sig(v) for v in mat[rows, cols].tolist()])
     return {
         "opt_entropy": _sig(opt * u),
         "order": "sorted" if args.sorted else "original",
-        "matrix": _matrix_doc(mat),
+        "matrix": cells,
         "support_size": vc.support_size,
         "unit": args.base,
     }
+
+
+def _to_json(doc: dict) -> str:
+    """The document as one line of compact JSON, newline included.
+
+    Every top-level value but a matrix goes through the C encoder; a matrix's
+    rows go straight into the one final join, not through a string of their
+    own, which would hold a second copy of the largest part of the output.
+    """
+    pieces = []
+    for key, value in doc.items():
+        pieces += (",", json.dumps(key), ":")
+        if isinstance(value, _Cells):
+            pieces.append("[")
+            for row in value.json_rows():
+                pieces += (row, ",")
+            pieces[-1] = "]"
+        else:
+            pieces.append(json.dumps(value, separators=(",", ":")))
+    pieces[0] = "{"  # in place of the first key's comma
+    pieces.append("}\n")
+    return "".join(pieces)
 
 
 def _emit_text(doc: dict, out) -> None:
@@ -248,8 +314,7 @@ def _emit_text(doc: dict, out) -> None:
             out.write(f"dense: {json.dumps(value)}\n")
         elif key == "matrix":
             out.write("matrix:\n")
-            for row in value:
-                out.write("  " + " ".join(fmt(v) for v in row) + "\n")
+            out.write(value.text())
         elif key == "entries":
             out.write("entries:\n")
             for e in value:
@@ -329,8 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        sys.stdout.write(json.dumps(doc, separators=(",", ":")))
-        sys.stdout.write("\n")
+        sys.stdout.write(_to_json(doc))
     else:
         _emit_text(doc, sys.stdout)
     return 0

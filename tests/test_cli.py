@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mecouple import make_probvec, min_entropy_coupling
-from mecouple.cli import build_parser, main
+from mecouple.cli import _Cells, _emit_text, _sig, _to_json, build_parser, main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
 # couple-k stdout, byte for byte, for marginals with exact 1/64 ties, unequal
@@ -118,7 +120,53 @@ PINNED_STDOUT = {
         "joint_entropy: 1.76096404744\nglb_entropy: 1.48547529723\n"
         "gap: 0.275488750216\nnnz: 4\nunit: bits\n"
     ),
+    # a 5 x 3 window with a zero component: the padded 5 x 5 coupling's
+    # extra columns are cut from the window
+    ("couple", "0.2 0 0.3 0.1 0.4", "0.5 0.25 0.25"): (
+        '{"order":"original","rows":5,"cols":3,"matrix":'
+        "[[0.0,0.05,0.15],[0.0,0.0,0.0],[0.1,0.2,0.0],[0.0,0.0,0.1],[0.4,0.0,0.0]],"
+        '"joint_entropy":2.28418371978,"glb_entropy":1.84643934467,'
+        '"gap":0.437744375108,"nnz":6,"unit":"bits"}\n'
+    ),
+    ("couple", "--sorted", "0.125 0.25 0.125 0.25 0.0625 0.1875",
+     "0.1875 0.1875 0.3125 0.3125"): (
+        '{"order":"sorted","rows":6,"cols":4,"matrix":'
+        "[[0.25,0.0,0.0,0.0],[0.0625,0.1875,0.0,0.0],[0.0,0.125,0.0625,0.0],"
+        "[0.0,0.0,0.0,0.125],[0.0,0.0,0.125,0.0],[0.0,0.0,0.0,0.0625]],"
+        '"joint_entropy":2.82781953111,"glb_entropy":2.45281953111,'
+        '"gap":0.375,"nnz":8,"unit":"bits"}\n'
+    ),
+    ("--format", "text", "couple", PAIR_ARGV[1], PAIR_ARGV[0]): (
+        "order: original\nrows: 4\ncols: 3\nmatrix:\n"
+        "  0 0.1 0.15\n  0.1 0 0.025\n  0 0.5 0\n  0 0 0.125\n"
+        "joint_entropy: 2.08297866047\nglb_entropy: 1.75\n"
+        "gap: 0.332978660475\nnnz: 6\nunit: bits\n"
+    ),
+    ("oracle", "0.25 0.25 0.125 0.375", "0.125 0.375 0.25 0.25"): (
+        '{"opt_entropy":1.90563906223,"order":"original","matrix":'
+        "[[0.0,0.0,0.25,0.0],[0.0,0.0,0.0,0.25],[0.125,0.0,0.0,0.0],[0.0,0.375,0.0,0.0]],"
+        '"support_size":4,"unit":"bits"}\n'
+    ),
 }
+
+# cell values whose repr is as long as the zero cell's "0.0", or longer
+CELL_VALUES = (1e-05, 0.1, 5.551115123126e-17, 1.0)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Nested lists of floats, 1 x 1 to 12 x 12, with 0 to 10 tenths of the cells nonzero."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    tenths = draw(st.sampled_from((0, 1, 5, 10)))
+    value = st.one_of(
+        st.sampled_from(CELL_VALUES),
+        st.floats(1e-300, 1.0).map(_sig),
+    )
+    return [
+        [draw(value) if draw(st.integers(0, 9)) < tenths else 0.0 for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
 
 
 def run(capsys, *argv):
@@ -257,6 +305,27 @@ class TestCoupleK:
         assert "TooFewMarginals" in err
 
 
+class TestMatrixWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    @example([[0.0]])
+    @example([[1.0]])
+    @example([[0.0, 0.0, 0.0], [1e-05, 0.1, 5.551115123126e-17], [0.0, 0.0, 0.0]])
+    @example([[0.1, 0.0, 0.0, 1e-05], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 5.551115123126e-17]])
+    def test_matches_the_nested_lists(self, nested):
+        rows, cols = np.nonzero(np.asarray(nested))
+        cells = _Cells(len(nested), len(nested[0]), rows.tolist(), cols.tolist(),
+                       [nested[i][j] for i, j in zip(rows.tolist(), cols.tolist())])
+        assert _to_json({"matrix": cells}) == (
+            json.dumps({"matrix": nested}, separators=(",", ":")) + "\n"
+        )
+        out = io.StringIO()
+        _emit_text({"matrix": cells}, out)
+        assert out.getvalue() == "matrix:\n" + "".join(
+            "  " + " ".join(f"{v:.12g}" for v in row) + "\n" for row in nested
+        )
+
+
 class TestScalarCommands:
     def test_bounds(self, capsys):
         doc = run_json(capsys, "bounds", "0.5 0.5", "0.6 0.4")
@@ -356,6 +425,17 @@ class TestErrors:
         code, _, err = run(capsys, "glb", "[-0.5, 1.5]", "0.5 0.5")
         assert code == 1
         assert err.startswith("NegativeMass")
+
+    @pytest.mark.parametrize("vector", ["[true, 0.0]", "[null, 1.0]", '["0.5", 0.5]',
+                                        "[[0.5], 0.5]", "[0.5, false]"])
+    def test_json_vector_of_non_numbers(self, capsys, vector):
+        code, out, err = run(capsys, "glb", vector, "0.5 0.5")
+        assert (code, out) == (1, "")
+        assert err == "ValidationError: JSON vector must be an array of numbers\n"
+
+    def test_json_vector_of_integers(self, capsys):
+        doc = run_json(capsys, "glb", "[1, 0]", "[0, 1.0]")
+        assert doc["glb"] == [1.0, 0.0]
 
     def test_unparseable_vector(self, capsys):
         code, _, err = run(capsys, "glb", "zero point five", "0.5 0.5")
