@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariant
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, check_sorted_total, pad_to
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, check_sorted_total
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,32 +31,45 @@ def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
     non-increasing without any re-sort. Micro-negative differences produced
     by floating-point cancellation are clamped to zero.
     """
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
-    z = np.diff(np.minimum(ca, cb), prepend=0.0)
-    tiny = (z < 0.0) & (z >= -eps_zero)
-    z[tiny] = 0.0
-    if np.any(z < 0.0):
-        raise InternalInvariant("meet produced a component below -eps_zero")
+    return _meet_of_prefixes(np.cumsum(a), np.cumsum(b), eps_zero)
+
+
+def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.ndarray:
+    """meet_values from the prefix sums ca, cb, which it only reads: the same
+    floats as np.diff(min(ca, cb), prepend=0.0), without the concatenation."""
+    m = np.minimum(ca, cb)
+    z = np.empty_like(m)
+    z[:1] = m[:1]
+    np.subtract(m[1:], m[:-1], out=z[1:])
+    if (z < 0.0).any():
+        z[(z < 0.0) & (z >= -eps_zero)] = 0.0
+        if (z < 0.0).any():
+            raise InternalInvariant("meet produced a component below -eps_zero")
     return z
+
+
+def _padded_prefix(p: ProbVec, n: int) -> np.ndarray:
+    """Read-only prefix sums of p's values zero-padded to length n: the last
+    sum repeats, as np.cumsum of the padded values gives it."""
+    out = np.empty(n)
+    np.cumsum(p.values, out=out[: p.n])
+    out[p.n :] = out[p.n - 1]
+    out.flags.writeable = False
+    return out
 
 
 def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     """The unique largest distribution majorized by both p and q.
 
     Its i-th prefix sum is min(prefix_p[i], prefix_q[i]); unequal lengths are
-    zero-padded first. Runs in O(n) after the prefix sums. Inputs are checked
-    as in min_entropy_coupling: ValidationError if unsorted, BadTotal on a bad total.
+    zero-padded first. Each input's prefix sums are taken once, padded by
+    repeating the last sum, and both the meet and the returned prefixes are
+    read from them in O(n). Inputs are checked as in min_entropy_coupling:
+    ValidationError if unsorted, BadTotal on a bad total.
     """
     check_sorted_total(p.values, tol)
     check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
-    a = pad_to(p, n).as_array()
-    b = pad_to(q, n).as_array()
-    z = meet_values(a, b, tol.eps_zero)
-    prefix_p = np.cumsum(a)
-    prefix_q = np.cumsum(b)
-    prefix_p.flags.writeable = False
-    prefix_q.flags.writeable = False
+    prefix_p, prefix_q = (_padded_prefix(v, n) for v in (p, q))
+    z = _meet_of_prefixes(prefix_p, prefix_q, tol.eps_zero)
     return GlbResult(meet=ProbVec(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)
-

@@ -16,8 +16,9 @@ tensor from them.
 When k is not a power of two, the leaf list is padded with point-mass
 distributions: coupling with a deterministic marginal changes neither the
 entropy nor the other marginals, and the meet with a point mass is the other
-argument, so the additive bound survives. The padded coordinate rows are
-dropped from the result.
+argument, so the additive bound survives. A subtree of padding leaves only
+is built, not merged: one cell of mass 1.0 at index 0 of each of its leaves.
+The padded coordinate rows are dropped from the result.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .probvec import (
     check_sorted_total,
     entropy_bits,
     make_probvec,
-    pad_to,
+    _padded,
 )
 
 DENSE_CELL_CAP = 10**6
@@ -107,11 +108,11 @@ class MergeNode:
     leaf_hi: int
 
 
-def _leaf(p: ProbVec, position: int) -> MergeNode:
-    kept = p.values > 0.0
+def _leaf(values: np.ndarray, perm: np.ndarray, position: int) -> MergeNode:
+    kept = values > 0.0
     return MergeNode(
-        values=p.values[kept],
-        coords=p.perm[kept].astype(np.int32).reshape(1, -1),
+        values=values[kept],
+        coords=perm[kept].astype(np.int32).reshape(1, -1),
         leaf_lo=position,
         leaf_hi=position,
     )
@@ -137,22 +138,31 @@ def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
     )
 
 
+def _point_mass(leaf_lo: int, leaf_hi: int) -> MergeNode:
+    """A node of padding leaves only: the single cell 1.0 at index 0 of each."""
+    coords = np.zeros((leaf_hi - leaf_lo + 1, 1), dtype=np.int32)
+    return MergeNode(np.ones(1), coords, leaf_lo, leaf_hi)
+
+
 def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
     """The levels of the balanced merge tree, leaves first, root last.
 
     Levels are yielded one at a time, so a caller that keeps only the
     latest holds at most two levels. The leaf list is padded with point
-    masses up to the next power of two.
+    masses up to the next power of two; a node whose leaves are all padding
+    is built whole, as the merge of two point masses returns it.
     """
     k = len(ps)
     n = max(p.n for p in ps)
     total = 1 << (k - 1).bit_length()
-    current = [_leaf(pad_to(p, n), pos) for pos, p in enumerate(ps)]
-    for pos in range(k, total):
-        current.append(MergeNode(np.ones(1), np.zeros((1, 1), dtype=np.int32), pos, pos))
+    current = [_leaf(*_padded(p, n), pos) for pos, p in enumerate(ps)]
+    current += [_point_mass(pos, pos) for pos in range(k, total)]
     yield current
     while len(current) > 1:
-        current = [_merge(a, b, tol) for a, b in zip(current[::2], current[1::2])]
+        current = [
+            _point_mass(a.leaf_lo, b.leaf_hi) if a.leaf_lo >= k else _merge(a, b, tol)
+            for a, b in zip(current[::2], current[1::2])
+        ]
         yield current
 
 

@@ -30,7 +30,7 @@ from .probvec import (
     check_sorted_total,
     entropy,
     entropy_bits,
-    pad_to,
+    _padded,
 )
 
 
@@ -169,8 +169,8 @@ def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[i
 
 def _orient(a: np.ndarray, b: np.ndarray, differ: np.ndarray, eps: float) -> InversionPoints:
     """inversion_points of the value arrays a, b, given their |a - b| > eps mask."""
-    last = np.flatnonzero(differ)[-1:]
-    swapped = bool((a[last] < b[last]).any())
+    last = differ.size - 1 - int(differ[::-1].argmax())  # any index if none differ
+    swapped = bool(differ[last] and a[last] < b[last])
     if swapped:
         a, b = b, a
     return InversionPoints(_inversion_indices(a, b, eps), swapped)
@@ -204,7 +204,7 @@ def _couple_oriented(
     the segment's end. Every cell is written at most once and every piece
     exceeds eps_zero. The loop runs on Python floats.
     """
-    eps = tol.eps_zero
+    eps, neg_sum = tol.eps_zero, -tol.eps_sum
     z = meet_values(a, b, eps)
     a_l, b_l, z_l = a.tolist(), b.tolist(), z.tolist()
     rows: list[int] = []
@@ -227,8 +227,9 @@ def _couple_oriented(
             if zj <= 0.0:
                 continue
             x = marginal[j]
+            x_low = x - eps
             acc = 0.0
-            while carried and acc + carried[0][1] < x - eps:
+            while carried and acc + carried[0][1] < x_low:
                 src, v = carried.popleft()
                 put_comp(src)
                 put_partner(j)
@@ -240,7 +241,7 @@ def _couple_oriented(
                 put_partner(j)
                 put_val(diag)
             rem = zj - diag
-            if rem < -tol.eps_sum:
+            if rem < neg_sum:
                 raise InternalInvariant(
                     f"carried remainder {rem!r} for component {j + 1} below zero"
                 )
@@ -297,10 +298,8 @@ def min_entropy_coupling(
     check_sorted_total(p.values, tol)
     check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
-    pp = pad_to(p, n)
-    qq = pad_to(q, n)
-    a = pp.as_array()
-    b = qq.as_array()
+    a, row_perm = _padded(p, n)
+    b, col_perm = _padded(q, n)
     differ = np.abs(a - b) > tol.eps_zero
     if not differ.any():
         # componentwise-equal marginals couple on the diagonal
@@ -330,8 +329,8 @@ def min_entropy_coupling(
         cols=cols,
         vals=vals,
         n=n,
-        row_perm=pp.perm,
-        col_perm=qq.perm,
+        row_perm=row_perm,
+        col_perm=col_perm,
         nnz=int((vals > tol.eps_zero).sum()),
     )
 

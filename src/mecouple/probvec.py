@@ -160,25 +160,29 @@ def pad_to(p: ProbVec, n: int) -> ProbVec:
     """Append zeros up to length n; fresh original indices for the padding."""
     if n < p.n:
         raise ShrinkRequested(f"cannot pad length-{p.n} vector down to {n}")
-    if n == p.n:
-        return p
-    return ProbVec(
-        np.concatenate((p.values, np.zeros(n - p.n))),
-        np.concatenate((p.perm, np.arange(p.n, n))),
-    )
+    return p if n == p.n else ProbVec(*_padded(p, n))
+
+
+def _padded(p: ProbVec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pad_to(p, n)'s values and read-only perm, without building a ProbVec."""
+    if p.n == n:
+        return p.values, p.perm
+    perm = np.concatenate((p.perm, np.arange(p.n, n)))
+    perm.flags.writeable = False
+    return np.concatenate((p.values, np.zeros(n - p.n))), perm
 
 
 def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> float:
     """Shannon entropy of a collection of probabilities, in bits.
 
     Arrays, lists and tuples are read in place; other iterables (generators)
-    are collected first. Zero components contribute nothing.
+    are collected first. Zero components contribute nothing, and the result
+    is never below 0.
     """
     v = _float_array(values)
     v = v[v > 0.0]
-    if v.size == 0:
-        return 0.0
-    return float(-(v * np.log2(v)).sum())
+    # clamped: a point mass slightly above 1 would read -3e-16, and 1.0 reads -0.0
+    return max(0.0, float(-(v * np.log2(v)).sum()))
 
 
 def entropy(p: ProbVec) -> float:

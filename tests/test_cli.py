@@ -147,6 +147,15 @@ PINNED_STDOUT = {
         "[[0.0,0.0,0.25,0.0],[0.0,0.0,0.0,0.25],[0.125,0.0,0.0,0.0],[0.0,0.375,0.0,0.0]],"
         '"support_size":4,"unit":"bits"}\n'
     ),
+    # point masses: entropies are clamped at zero, never -0.0 or -3e-16
+    ("couple", "[1.0000000000000002]", "[1.0]"): (
+        '{"order":"original","rows":1,"cols":1,"matrix":[[1.0]],"joint_entropy":0.0,'
+        '"glb_entropy":0.0,"gap":0.0,"nnz":1,"unit":"bits"}\n'
+    ),
+    ("couple", "[1.0]", "[1.0]"): (
+        '{"order":"original","rows":1,"cols":1,"matrix":[[1.0]],"joint_entropy":0.0,'
+        '"glb_entropy":0.0,"gap":0.0,"nnz":1,"unit":"bits"}\n'
+    ),
 }
 
 # cell values whose repr is as long as the zero cell's "0.0", or longer

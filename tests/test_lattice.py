@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecouple import (
+    ProbVec,
     entropy,
     glb,
     majorizes,
     make_probvec,
     pad_to,
 )
+from mecouple.errors import InternalInvariant
+from mecouple.lattice import meet_values
 from golden13 import MEET13, P13, Q13
 from util import (
     comparable_pair,
@@ -16,7 +21,59 @@ from util import (
     half,
     half_pow,
     random_probvec,
+    reference_glb,
+    reference_meet_values,
+    unchecked_probvec,
 )
+
+EPS_ZERO = 1e-12
+
+# 1/64 ties and zeros, point masses, and arbitrary positive masses
+masses = st.one_of(
+    st.lists(st.integers(0, 64), max_size=12).map(
+        lambda cuts: np.diff([0, *sorted(cuts), 64]) / 64.0
+    ),
+    st.tuples(st.integers(1, 9), st.integers(0, 8)).map(
+        lambda t: np.eye(t[0])[t[1] % t[0]]
+    ),
+    st.lists(st.floats(0.001, 1.0), min_size=1, max_size=40).map(
+        lambda xs: np.array(xs) / sum(xs)
+    ),
+)
+# components at or below eps_zero, and micro-negatives (within eps_zero or beyond)
+TINY = (EPS_ZERO, EPS_ZERO / 2, EPS_ZERO / 10, 0.0)
+NEGATIVE = (-EPS_ZERO / 10, -EPS_ZERO / 2, -EPS_ZERO, -2 * EPS_ZERO)
+
+
+@st.composite
+def sorted_values(draw, negative: bool = False):
+    """A non-increasing vector summing to 1 within eps_sum, with a tiny tail."""
+    tail = draw(st.lists(st.sampled_from(TINY + NEGATIVE if negative else TINY), max_size=4))
+    return -np.sort(-np.concatenate((draw(masses), tail)))
+
+
+@st.composite
+def equal_length_pairs(draw):
+    """Two sorted_values(negative=True)-like vectors of one common length."""
+    a, b = draw(masses), draw(masses)
+    n = max(a.size, b.size)
+    k = draw(st.integers(0, 4))
+    tails = st.lists(st.sampled_from(TINY + NEGATIVE), min_size=k, max_size=k)
+    return tuple(
+        -np.sort(-np.concatenate((v, np.zeros(n - v.size), draw(tails)))) for v in (a, b)
+    )
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the MecoupleError it raised."""
+    try:
+        return fn(*args)
+    except InternalInvariant as exc:
+        return type(exc)
 
 
 class TestGlb:
@@ -72,6 +129,54 @@ class TestGlb:
             z = glb(p, q).meet
             for vertex in enumerate_vertices(p, q):
                 assert majorizes(z, flatten_sorted(vertex.matrix))
+
+
+class TestMeetBitIdentity:
+    """The meet and glb give exactly the floats of their first formulation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_values(negative=True), sorted_values(negative=True))
+    def test_meet_values(self, a, b):
+        n = max(a.size, b.size)
+        a, b = (np.concatenate((v, np.zeros(n - v.size))) for v in (a, b))
+        got = outcome(meet_values, a, b, EPS_ZERO)
+        want = outcome(reference_meet_values, a, b, EPS_ZERO)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert same_bits(got, want)
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_values(), sorted_values())
+    def test_glb(self, a, b):
+        p, q = (ProbVec(v, np.arange(v.size)) for v in (a, b))
+        g = glb(p, q)
+        z, prefix_p, prefix_q = reference_glb(p, q)
+        assert same_bits(g.meet.values, z)
+        assert same_bits(g.meet.perm, np.arange(z.size))
+        assert same_bits(g.prefix_p, prefix_p) and same_bits(g.prefix_q, prefix_q)
+        assert not g.prefix_p.flags.writeable and not g.prefix_q.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(equal_length_pairs())
+    def test_glb_with_micro_negative_components(self, pair):
+        # equal lengths: a hand-built ProbVec with negatives is never padded
+        p, q = (unchecked_probvec(v, np.arange(v.size)) for v in pair)
+        got = outcome(glb, p, q)
+        want = outcome(reference_glb, p, q)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert same_bits(got.meet.values, want[0])
+            assert same_bits(got.prefix_p, want[1]) and same_bits(got.prefix_q, want[2])
+
+    def test_micro_negative_differences_are_clamped_or_refused(self):
+        a = np.array([0.5, 0.5, -EPS_ZERO / 2])
+        b = np.array([0.5, 0.5, 0.0])
+        assert same_bits(meet_values(a, b, EPS_ZERO), np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(InternalInvariant):
+            meet_values(np.array([0.5, 0.5, -2 * EPS_ZERO]), b, EPS_ZERO)
 
 
 class TestHalf:

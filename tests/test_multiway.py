@@ -224,7 +224,7 @@ def sixty_fourths(rng, n):
 
 
 class TestArrayNativeTree:
-    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 48])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 17, 33, 47, 48, 65])
     def test_entries_equal_the_tuple_reference(self, k):
         rng = np.random.default_rng(60 + k)
         for trial in range(12 if k < 48 else 4):
@@ -261,6 +261,23 @@ class TestArrayNativeTree:
         rng = np.random.default_rng(70)
         k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(8)])
         assert calls == {"make_probvec": 0, "min_entropy_coupling": 7}
+        # k = 48 pads to 64 leaves; the 15 merges inside the padding are not run
+        calls["min_entropy_coupling"] = 0
+        k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(48)])
+        assert calls == {"make_probvec": 0, "min_entropy_coupling": 48}
+
+    def test_padding_nodes_are_point_masses(self):
+        rng = np.random.default_rng(72)
+        k = 48
+        seen = 0
+        for level in _merge_tree([random_probvec(rng, 6) for _ in range(k)]):
+            for node in level:
+                if node.leaf_lo >= k:
+                    assert node.values.tolist() == [1.0]
+                    assert node.coords.shape == (node.leaf_hi - node.leaf_lo + 1, 1)
+                    assert node.coords.dtype == np.int32 and not node.coords.any()
+                    seen += 1
+        assert seen == 16 + 8 + 4 + 2 + 1
 
     def test_unsorted_or_short_input_is_rejected(self):
         good = make_probvec([0.6, 0.4])

@@ -66,6 +66,20 @@ class TestInversionPoints:
         assert ip.k == 1
         assert ip.swapped is False
 
+    def test_no_difference_beyond_eps_zero_never_swaps(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 7, 64):
+            p = random_probvec(rng, n)
+            # q is p with its last component, which orients the pair, raised
+            # by eps_zero / 2; (q, p) sees it lowered
+            shift = np.zeros(n)
+            shift[-1] = 5e-13
+            q = ProbVec(p.values + shift, p.perm)
+            for x, y in ((p, p), (p, q), (q, p)):
+                ip = inversion_points(x, y)
+                assert ip.swapped is False
+                assert ip.indices == (n + 1, 1)
+
     def test_swap_orientation(self):
         ip = inversion_points(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
         assert ip.swapped is True

@@ -31,7 +31,7 @@ from mecouple import (
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
-from mecouple.probvec import DEFAULT_TOL, Tolerances
+from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 
 
 TESTS = Path(__file__).resolve().parent
@@ -312,6 +312,29 @@ def reference_exact_min_entropy(
         res_q[j] -= v
     mat.flags.writeable = False
     return opt, VertexCoupling(mat, int((mat > eps).sum()))
+
+
+def reference_meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
+    """lattice.meet_values as first written: np.diff with a prepended zero and
+    an unconditional clamp. Reference for the production meet, whose floats
+    must be the same."""
+    z = np.diff(np.minimum(np.cumsum(a), np.cumsum(b)), prepend=0.0)
+    tiny = (z < 0.0) & (z >= -eps_zero)
+    z[tiny] = 0.0
+    if np.any(z < 0.0):
+        raise InternalInvariant("meet produced a component below -eps_zero")
+    return z
+
+
+def reference_glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL):
+    """lattice.glb as first written: both inputs padded through pad_to, each
+    cumsum taken twice. Returns (meet values, prefix_p, prefix_q)."""
+    check_sorted_total(p.values, tol)
+    check_sorted_total(q.values, tol)
+    n = max(p.n, q.n)
+    a = pad_to(p, n).as_array()
+    b = pad_to(q, n).as_array()
+    return reference_meet_values(a, b, tol.eps_zero), np.cumsum(a), np.cumsum(b)
 
 
 def _suffix_table(arr: np.ndarray) -> np.ndarray:

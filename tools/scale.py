@@ -5,26 +5,31 @@
 
 Every row runs in a fresh Python process that imports mecouple from --src;
 the processes run one after another, and each draws its inputs from
-numpy.random.default_rng([SEED, size]) before anything is timed.
+numpy.random.default_rng([SEED, size]) before anything is timed. A row
+repeats its timed round until it has run at least REPEATS rounds and
+BUDGET_S seconds: the seconds-long rows run REPEATS rounds, while a
+millisecond row's best and median rest on hundreds of calls, not three.
+Each row reports its round count under "rounds".
 
-- pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each of
-  REPEATS rounds times the two make_probvec calls on the raw arrays, then
+- pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each round
+  times the two make_probvec calls on the raw arrays, then
   min_entropy_coupling on their results.
 - k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
-  with make_probvec outside the timed region; REPEATS calls of
-  k_min_entropy_coupling are timed.
+  with make_probvec outside the timed region; each round times one call of
+  k_min_entropy_coupling. k = 48 is not a power of two: its tree is padded
+  to 64 leaves, so this row shows the cost of the padding.
 - CLI couple, n in CLI_NS: two Dirichlet(1) vectors of length n, passed
   inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
-  whose stdout goes to os.devnull; REPEATS calls are timed, then one
+  whose stdout goes to os.devnull; each round times one call, then one
   untimed call counts the output bytes.
 - oracle, n in ORACLE_NS: two Dirichlet(1) vectors of length n, validated
-  with make_probvec outside the timed region; REPEATS calls of
-  exact_min_entropy on the n x n instance are timed.
-- CLI process, n in PROCESS_NS: wall time of REPEATS whole processes
-  `python -m mecouple.cli oracle P Q` on the oracle row's n x n pair, each
-  after one bare `python -c "import numpy"` process, the floor any mecouple
-  process pays; both take PYTHONPATH=--src. This row's peak RSS is that of
-  the process that times them, not of the CLI.
+  with make_probvec outside the timed region; each round times one call of
+  exact_min_entropy on the n x n instance.
+- CLI process, n in PROCESS_NS: each round takes the wall time of one whole
+  process `python -m mecouple.cli oracle P Q` on the oracle row's n x n
+  pair, after one bare `python -c "import numpy"` process, the floor any
+  mecouple process pays; both take PYTHONPATH=--src. This row's peak RSS
+  is that of the process that times them, not of the CLI.
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage, the process's peak RSS (ru_maxrss, which includes the
@@ -50,19 +55,29 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 KWAY_N = 64
-KWAY_KS = (8, 32, 128, 512)
+KWAY_KS = (8, 32, 48, 128, 512)
 CLI_NS = (192, 4096)
 ORACLE_NS = (4, 5)
 PROCESS_NS = (4,)
 REPEATS = 3
+BUDGET_S = 2.0
 SEED = 0
+
+
+def _rounds():
+    """Count rounds until at least REPEATS have run and BUDGET_S seconds have passed."""
+    start = time.perf_counter()
+    done = 0
+    while done < REPEATS or time.perf_counter() - start < BUDGET_S:
+        yield done
+        done += 1
 
 
 def pair_row(mc, np, n: int) -> dict:
     rng = np.random.default_rng([SEED, n])
     raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
     validate, couple = [], []
-    for _ in range(REPEATS):
+    for _ in _rounds():
         start = time.perf_counter()
         p = mc.make_probvec(raw_p)
         q = mc.make_probvec(raw_q)
@@ -75,6 +90,7 @@ def pair_row(mc, np, n: int) -> dict:
         del p, q, cm  # so the next round's peak does not include these results
     return {
         "n": n,
+        "rounds": len(couple),
         "make_probvec_x2_best_s": min(validate),
         "make_probvec_x2_median_s": statistics.median(validate),
         "coupling_best_s": min(couple),
@@ -87,7 +103,7 @@ def kway_row(mc, np, k: int) -> dict:
     rng = np.random.default_rng([SEED, k])
     ps = [mc.make_probvec(row) for row in rng.dirichlet(np.ones(KWAY_N), size=k)]
     times = []
-    for _ in range(REPEATS):
+    for _ in _rounds():
         start = time.perf_counter()
         joint = mc.k_min_entropy_coupling(ps)
         times.append(time.perf_counter() - start)
@@ -97,6 +113,7 @@ def kway_row(mc, np, k: int) -> dict:
     return {
         "k": k,
         "n": KWAY_N,
+        "rounds": len(times),
         "best_s": min(times),
         "median_s": statistics.median(times),
         "entries": entries,
@@ -121,7 +138,7 @@ def cli_row(mc, np, n: int) -> dict:
     argv = ["couple", *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
     times = []
     with open(os.devnull, "w") as sink:
-        for _ in range(REPEATS):
+        for _ in _rounds():
             with contextlib.redirect_stdout(sink):
                 start = time.perf_counter()
                 code = mecouple.cli.main(argv)
@@ -134,6 +151,7 @@ def cli_row(mc, np, n: int) -> dict:
         mecouple.cli.main(argv)
     return {
         "n": n,
+        "rounds": len(times),
         "best_s": min(times),
         "median_s": statistics.median(times),
         "output_bytes": counter.count,
@@ -148,12 +166,13 @@ def _oracle_pair(np, n: int):
 def oracle_row(mc, np, n: int) -> dict:
     p, q = (mc.make_probvec(v) for v in _oracle_pair(np, n))
     times = []
-    for _ in range(REPEATS):
+    for _ in _rounds():
         start = time.perf_counter()
         opt, vc = mc.exact_min_entropy(p, q)
         times.append(time.perf_counter() - start)
     return {
         "n": n,
+        "rounds": len(times),
         "best_s": min(times),
         "median_s": statistics.median(times),
         "opt_entropy": opt,
@@ -172,12 +191,13 @@ def process_row(mc, np, n: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["oracle", *(json.dumps(v.tolist()) for v in _oracle_pair(np, n))]
     floor, cli = [], []
-    for _ in range(REPEATS):
+    for _ in _rounds():
         floor.append(_wall([sys.executable, "-c", "import numpy"], env))
         cli.append(_wall([sys.executable, "-m", "mecouple.cli", *argv], env))
     return {
         "n": n,
         "command": "oracle",
+        "rounds": len(cli),
         "best_s": min(cli),
         "median_s": statistics.median(cli),
         "import_numpy_best_s": min(floor),
@@ -226,6 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "tool": "tools/scale.py",
         "repeats": REPEATS,
+        "budget_s": BUDGET_S,
         "seed": SEED,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
