@@ -28,15 +28,11 @@ from .errors import Empty, InstanceTooLarge, MecoupleError, ValidationError
 from .lattice import glb
 from .multiway import DENSE_CELL_CAP, k_min_entropy_coupling
 from .oracle import DEFAULT_SIZE_CAP, exact_min_entropy
-from .pairwise import MATRIX_CELL_CAP, bounds, distance_interval, min_entropy_coupling
+from .pairwise import MATRIX_CELL_CAP, _scatter, bounds, distance_interval, min_entropy_coupling
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy, make_probvec
 
 ENV_TOLERANCE_SUM = "MECOUPLE_TOLERANCE_SUM"
 ENV_TOLERANCE_ZERO = "MECOUPLE_TOLERANCE_ZERO"
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _sig(x: float) -> float:
@@ -44,7 +40,8 @@ def _sig(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _read_vector(source: str) -> list[float]:
+def _load(source: str, tol: Tolerances) -> ProbVec:
+    """The distribution read from a file path, "-" for stdin, or inline text."""
     if source == "-":
         text = sys.stdin.read()
     elif os.path.exists(source):
@@ -64,16 +61,13 @@ def _read_vector(source: str) -> list[float]:
         # refused along with str, None, list and dict
         if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
             raise ValidationError("JSON vector must be an array of numbers")
-        return [float(v) for v in data]
-    try:
-        return [float(tok) for tok in stripped.split()]
-    except ValueError as exc:
-        raise ValidationError(f"unparseable numeric token: {exc}") from exc
-
-
-def _load(source: str, tol: Tolerances) -> tuple[ProbVec, int]:
-    raw = _read_vector(source)
-    return make_probvec(raw, tol), len(raw)
+        raw = [float(v) for v in data]
+    else:
+        try:
+            raw = [float(tok) for tok in stripped.split()]
+        except ValueError as exc:
+            raise ValidationError(f"unparseable numeric token: {exc}") from exc
+    return make_probvec(raw, tol)
 
 
 def _tolerance_flag(text: str) -> float:
@@ -94,23 +88,16 @@ def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
         if env is None:
             return default
         try:
-            value = float(env)
-        except ValueError as exc:
-            raise _UsageError(f"{env_name} is not a number: {env!r}") from exc
-        if not 0.0 < value < 1.0:
-            raise _UsageError(f"{env_name} must lie in (0, 1): {env!r}")
-        return value
+            return _tolerance_flag(env)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{env_name}: {exc}") from exc
 
     eps_sum = pick(args.tolerance_sum, ENV_TOLERANCE_SUM, DEFAULT_TOL.eps_sum)
     eps_zero = pick(args.tolerance_zero, ENV_TOLERANCE_ZERO, DEFAULT_TOL.eps_zero)
     try:
         return Tolerances(eps_sum=eps_sum, eps_zero=eps_zero)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _scale(args: argparse.Namespace) -> float:
-    return 1.0 if args.base == "bits" else math.log(2.0)
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 class _Cells(NamedTuple):
@@ -155,10 +142,22 @@ class _Cells(NamedTuple):
         return "".join(self._lines("0", " ", "  ", "\n", "{:.12g}".format))
 
 
-def _cmd_glb(args, tol) -> dict:
-    p, _ = _load(args.p, tol)
-    q, _ = _load(args.q, tol)
-    u = _scale(args)
+def _cells(n_rows: int, n_cols: int, rows, cols, vals, perms) -> _Cells:
+    """The printed n_rows x n_cols window of sorted-order cells, mapped through perms if given."""
+    if perms is not None:
+        rows, cols = perms[0][rows], perms[1][cols]
+    # trimmed to the caller's window like the dense matrix: padding rows and
+    # columns hold at most eps_sum of mass
+    keep = (rows < n_rows) & (cols < n_cols)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.argsort(rows * n_cols + cols)
+    return _Cells(n_rows, n_cols, rows[order].tolist(), cols[order].tolist(),
+                  [_sig(v) for v in vals[order].tolist()])
+
+
+def _cmd_glb(args, tol, u) -> dict:
+    p = _load(args.p, tol)
+    q = _load(args.q, tol)
     z = glb(p, q, tol).meet
     return {
         "glb": [_sig(v) for v in z.values.tolist()],
@@ -167,32 +166,21 @@ def _cmd_glb(args, tol) -> dict:
     }
 
 
-def _cmd_couple(args, tol) -> dict:
-    p, np_raw = _load(args.p, tol)
-    q, nq_raw = _load(args.q, tol)
-    cells = np_raw * nq_raw
+def _cmd_couple(args, tol, u) -> dict:
+    p = _load(args.p, tol)
+    q = _load(args.q, tol)
+    cells = p.n * q.n
     if cells > MATRIX_CELL_CAP:
         raise InstanceTooLarge(f"coupling matrix needs {cells} cells, cap is {MATRIX_CELL_CAP}")
-    u = _scale(args)
     cm = min_entropy_coupling(p, q, tol)
-    rows, cols, vals = cm.rows, cm.cols, cm.vals
-    if not args.sorted:
-        rows = cm.row_perm[rows]
-        cols = cm.col_perm[cols]
-    # trimmed to the caller's window like the dense matrix: padding rows and
-    # columns hold at most eps_sum of mass
-    keep = (rows < np_raw) & (cols < nq_raw)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.argsort(rows * nq_raw + cols)
-    mat = _Cells(np_raw, nq_raw, rows[order].tolist(), cols[order].tolist(),
-                 [_sig(v) for v in vals[order].tolist()])
+    perms = None if args.sorted else (cm.row_perm, cm.col_perm)
     h_m = cm.entropy()
     h_z = entropy(glb(p, q, tol).meet)
     return {
         "order": "sorted" if args.sorted else "original",
-        "rows": np_raw,
-        "cols": nq_raw,
-        "matrix": mat,
+        "rows": p.n,
+        "cols": q.n,
+        "matrix": _cells(p.n, q.n, cm.rows, cm.cols, cm.vals, perms),
         "joint_entropy": _sig(h_m * u),
         "glb_entropy": _sig(h_z * u),
         "gap": _sig((h_m - h_z) * u),
@@ -201,10 +189,8 @@ def _cmd_couple(args, tol) -> dict:
     }
 
 
-def _cmd_couple_k(args, tol) -> dict:
-    loaded = [_load(src, tol) for src in args.marginals]
-    ps = [p for p, _ in loaded]
-    u = _scale(args)
+def _cmd_couple_k(args, tol, u) -> dict:
+    ps = [_load(src, tol) for src in args.marginals]
     joint = k_min_entropy_coupling(ps, tol)
     meet = ps[0]
     for other in ps[1:]:
@@ -224,18 +210,15 @@ def _cmd_couple_k(args, tol) -> dict:
         "unit": args.base,
     }
     if args.dense:
-        dense = joint.to_dense(cap=args.dense_cap)
-        # _sig(0.0) is 0.0, so only the nonzero cells need rounding
-        nz = dense.nonzero()
-        dense[nz] = [_sig(v) for v in dense[nz].tolist()]
-        doc["dense"] = dense.tolist()
+        # every other cell is 0.0, which _sig keeps, so only the values need rounding
+        rounded = np.array([_sig(v) for v in joint.values.tolist()])
+        doc["dense"] = _scatter(joint.dims, tuple(joint.coords), rounded, args.dense_cap).tolist()
     return doc
 
 
-def _cmd_bounds(args, tol) -> dict:
-    p, _ = _load(args.p, tol)
-    q, _ = _load(args.q, tol)
-    u = _scale(args)
+def _cmd_bounds(args, tol, u) -> dict:
+    p = _load(args.p, tol)
+    q = _load(args.q, tol)
     rep = bounds(p, q, tol)
     return {
         "h_p": _sig(rep.h_p * u),
@@ -248,10 +231,9 @@ def _cmd_bounds(args, tol) -> dict:
     }
 
 
-def _cmd_distance(args, tol) -> dict:
-    p, _ = _load(args.p, tol)
-    q, _ = _load(args.q, tol)
-    u = _scale(args)
+def _cmd_distance(args, tol, u) -> dict:
+    p = _load(args.p, tol)
+    q = _load(args.q, tol)
     interval = distance_interval(p, q, tol)
     return {
         "lower": _sig(interval.lower * u),
@@ -261,23 +243,16 @@ def _cmd_distance(args, tol) -> dict:
     }
 
 
-def _cmd_oracle(args, tol) -> dict:
-    p, _ = _load(args.p, tol)
-    q, _ = _load(args.q, tol)
-    u = _scale(args)
+def _cmd_oracle(args, tol, u) -> dict:
+    p = _load(args.p, tol)
+    q = _load(args.q, tol)
     opt, vc = exact_min_entropy(p, q, tol, cap=args.cap)
-    if args.sorted:
-        mat = vc.matrix
-    else:
-        mat = np.zeros_like(vc.matrix)
-        mat[np.ix_(p.perm, q.perm)] = vc.matrix
-    rows, cols = np.nonzero(mat)  # row-major
-    cells = _Cells(*mat.shape, rows.tolist(), cols.tolist(),
-                   [_sig(v) for v in mat[rows, cols].tolist()])
+    rows, cols = np.nonzero(vc.matrix)
+    perms = None if args.sorted else (p.perm, q.perm)
     return {
         "opt_entropy": _sig(opt * u),
         "order": "sorted" if args.sorted else "original",
-        "matrix": cells,
+        "matrix": _cells(*vc.matrix.shape, rows, cols, vc.matrix[rows, cols], perms),
         "support_size": vc.support_size,
         "unit": args.base,
     }
@@ -386,8 +361,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _resolve_tolerances(args)
-        doc = args.fn(args, tol)
-    except _UsageError as exc:
+        doc = args.fn(args, tol, 1.0 if args.base == "bits" else math.log(2.0))
+    except argparse.ArgumentTypeError as exc:  # an env tolerance, or a pair Tolerances refuses
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except MecoupleError as exc:

@@ -23,14 +23,13 @@ The padded coordinate rows are dropped from the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import AxisOutOfRange, InstanceTooLarge, InternalInvariant, TooFewMarginals
-from .pairwise import _Derived, _check_marginals, min_entropy_coupling
+from .errors import AxisOutOfRange, InternalInvariant, TooFewMarginals
+from .pairwise import _Derived, _check_marginals, _scatter, min_entropy_coupling
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -60,15 +59,12 @@ class SparseJoint:
 
     values: np.ndarray
     coords: np.ndarray
-    k: int
     dims: tuple[int, ...]
     entries: tuple[tuple[float, tuple[int, ...]], ...] = _Derived(
         lambda j: tuple(zip(j.values.tolist(), map(tuple, j.coords.T.tolist())))
     )
 
     def __post_init__(self) -> None:
-        if self.k != len(self.dims):
-            raise InternalInvariant("dims length must equal k")
         if self.values.ndim != 1 or self.coords.shape != (self.k, self.values.size):
             raise InternalInvariant("coords must have shape (k, cells)")
         if self.values.size and (
@@ -77,18 +73,17 @@ class SparseJoint:
         ):
             raise InternalInvariant("a coordinate lies outside its axis")
 
+    @property
+    def k(self) -> int:
+        return len(self.dims)
+
     def entropy(self) -> float:
         """Joint Shannon entropy in bits."""
         return entropy_bits(self.values)
 
     def to_dense(self, cap: int = DENSE_CELL_CAP) -> np.ndarray:
         """Materialize the full tensor; refused beyond cap cells."""
-        cells = math.prod(self.dims)
-        if cells > cap:
-            raise InstanceTooLarge(f"dense tensor needs {cells} cells, cap is {cap}")
-        out = np.zeros(self.dims)
-        out[tuple(self.coords)] = self.values
-        return out
+        return _scatter(self.dims, tuple(self.coords), self.values, cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +100,10 @@ class MergeNode:
     values: np.ndarray
     coords: np.ndarray
     leaf_lo: int
-    leaf_hi: int
+
+    @property
+    def leaf_hi(self) -> int:
+        return self.leaf_lo + self.coords.shape[0] - 1
 
 
 def _leaf(values: np.ndarray, perm: np.ndarray, position: int) -> MergeNode:
@@ -114,7 +112,6 @@ def _leaf(values: np.ndarray, perm: np.ndarray, position: int) -> MergeNode:
         values=values[kept],
         coords=perm[kept].astype(np.int32).reshape(1, -1),
         leaf_lo=position,
-        leaf_hi=position,
     )
 
 
@@ -134,14 +131,13 @@ def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
             right.coords.take(cm.cols[order], axis=1),
         )),
         leaf_lo=left.leaf_lo,
-        leaf_hi=right.leaf_hi,
     )
 
 
 def _point_mass(leaf_lo: int, leaf_hi: int) -> MergeNode:
     """A node of padding leaves only: the single cell 1.0 at index 0 of each."""
     coords = np.zeros((leaf_hi - leaf_lo + 1, 1), dtype=np.int32)
-    return MergeNode(np.ones(1), coords, leaf_lo, leaf_hi)
+    return MergeNode(np.ones(1), coords, leaf_lo)
 
 
 def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
@@ -184,7 +180,7 @@ def k_min_entropy_coupling(
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
     for p in ps:
-        check_sorted_total(p.as_array(), tol)
+        check_sorted_total(p.values, tol)
     k = len(ps)
     for level in _merge_tree(ps, tol):
         pass  # each finished level is dropped once the next one is built
@@ -196,7 +192,7 @@ def k_min_entropy_coupling(
     _check_marginals(coords, values, [p.in_original_order() for p in ps], tol)
     values.flags.writeable = False
     coords.flags.writeable = False
-    return SparseJoint(values=values, coords=coords, k=k, dims=tuple(p.n for p in ps))
+    return SparseJoint(values=values, coords=coords, dims=tuple(p.n for p in ps))
 
 
 def marginalize(j: int, joint: SparseJoint, tol: Tolerances = DEFAULT_TOL) -> ProbVec:

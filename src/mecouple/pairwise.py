@@ -15,6 +15,7 @@ lower-bounds every coupling's entropy.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -54,6 +55,16 @@ class InversionPoints:
 
 
 MATRIX_CELL_CAP = 4096 * 4096
+
+
+def _scatter(shape: tuple, index: tuple, values: np.ndarray, cap: int) -> np.ndarray:
+    """Values at index in zeros of shape; InstanceTooLarge above cap cells, before allocating."""
+    cells = math.prod(shape)
+    if cells > cap:
+        raise InstanceTooLarge(f"dense array needs {cells} cells, cap is {cap}")
+    out = np.zeros(shape)
+    out[index] = values
+    return out
 
 
 class _Derived:
@@ -103,11 +114,16 @@ class CouplingMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    n: int
     row_perm: np.ndarray
     col_perm: np.ndarray
     nnz: int
-    matrix: np.ndarray = _Derived(lambda cm: cm._scatter(cm.rows, cm.cols))
+    matrix: np.ndarray = _Derived(
+        lambda cm: _scatter((cm.n, cm.n), (cm.rows, cm.cols), cm.vals, MATRIX_CELL_CAP)
+    )
+
+    @property
+    def n(self) -> int:
+        return self.row_perm.size
 
     def __repr__(self) -> str:
         return f"CouplingMatrix(n={self.n}, nnz={self.nnz})"
@@ -118,18 +134,8 @@ class CouplingMatrix:
 
     def in_original_order(self) -> np.ndarray:
         """The dense matrix rearranged back to the callers' indexing."""
-        return self._scatter(self.row_perm[self.rows], self.col_perm[self.cols])
-
-    def _scatter(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense n x n matrix holding vals at (rows, cols), zero elsewhere."""
-        cells = self.n * self.n
-        if cells > MATRIX_CELL_CAP:
-            raise InstanceTooLarge(
-                f"dense coupling needs {cells} cells, cap is {MATRIX_CELL_CAP}"
-            )
-        out = np.zeros((self.n, self.n))
-        out[rows, cols] = self.vals
-        return out
+        index = (self.row_perm[self.rows], self.col_perm[self.cols])
+        return _scatter((self.n, self.n), index, self.vals, MATRIX_CELL_CAP)
 
 
 class BoundsReport(NamedTuple):
@@ -167,10 +173,13 @@ def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[i
     return (len(a) + 1, *(len(a) + 1 - t[neg[1:] != neg[:-1]]).tolist(), 1)
 
 
-def _orient(a: np.ndarray, b: np.ndarray, differ: np.ndarray, eps: float) -> InversionPoints:
-    """inversion_points of the value arrays a, b, given their |a - b| > eps mask."""
-    last = differ.size - 1 - int(differ[::-1].argmax())  # any index if none differ
-    swapped = bool(differ[last] and a[last] < b[last])
+def _orient(a: np.ndarray, b: np.ndarray, eps: float) -> InversionPoints | None:
+    """inversion_points of the value arrays a, b; None if no component differs beyond eps."""
+    differ = np.abs(a - b) > eps
+    if not differ.any():
+        return None
+    last = differ.size - 1 - int(differ[::-1].argmax())
+    swapped = bool(a[last] < b[last])
     if swapped:
         a, b = b, a
     return InversionPoints(_inversion_indices(a, b, eps), swapped)
@@ -182,13 +191,13 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     The pair is oriented first: if the largest index where the components
     differ has p below q, the roles are exchanged and swapped is set.
     min_entropy_coupling takes the orientation and the segments from the same
-    code. For componentwise-equal inputs there is a single segment, indices
-    (n+1, 1).
+    code. Inputs with no component differing beyond eps_zero are equal, as
+    min_entropy_coupling's diagonal shortcut judges them: a single segment,
+    indices (n+1, 1), not swapped.
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    a, b = p.as_array(), q.as_array()
-    return _orient(a, b, np.abs(a - b) > tol.eps_zero, tol.eps_zero)
+    return _orient(p.values, q.values, tol.eps_zero) or InversionPoints((p.n + 1, 1), False)
 
 
 def _couple_oriented(
@@ -300,13 +309,12 @@ def min_entropy_coupling(
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
-    differ = np.abs(a - b) > tol.eps_zero
-    if not differ.any():
+    ip = _orient(a, b, tol.eps_zero)
+    if ip is None:
         # componentwise-equal marginals couple on the diagonal
         rows = cols = np.flatnonzero(a > 0.0)
         vals = a[rows]
     else:
-        ip = _orient(a, b, differ, tol.eps_zero)
         first, second = (b, a) if ip.swapped else (a, b)
         r, c, v = _couple_oriented(first, second, ip.indices, tol)
         if ip.swapped:
@@ -328,7 +336,6 @@ def min_entropy_coupling(
         rows=rows,
         cols=cols,
         vals=vals,
-        n=n,
         row_perm=row_perm,
         col_perm=col_perm,
         nnz=int((vals > tol.eps_zero).sum()),

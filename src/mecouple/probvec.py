@@ -86,10 +86,6 @@ class ProbVec:
     def n(self) -> int:
         return self.values.size
 
-    def as_array(self) -> np.ndarray:
-        """The sorted values themselves (read-only, not a copy)."""
-        return self.values
-
     def in_original_order(self) -> np.ndarray:
         """The components rearranged back to the caller's indexing."""
         out = np.empty(self.n)

@@ -74,8 +74,8 @@ def bulk_pairs():
         q = make_probvec(rng.dirichlet(np.ones(n)))
         cm = min_entropy_coupling(p, q)
         dev = max(
-            float(np.abs(cm.matrix.sum(axis=1) - p.as_array()).max()),
-            float(np.abs(cm.matrix.sum(axis=0) - q.as_array()).max()),
+            float(np.abs(cm.matrix.sum(axis=1) - p.values).max()),
+            float(np.abs(cm.matrix.sum(axis=0) - q.values).max()),
         )
         worst_dev = max(worst_dev, dev)
         gap = cm.entropy() - entropy(glb(p, q).meet)
@@ -110,7 +110,7 @@ def test_criterion_1_golden_instance():
     z = glb(p, q).meet
     z_ok = bool(np.allclose(z.values, MEET13, atol=1e-12))
 
-    a, b = p.as_array(), q.as_array()
+    a, b = p.values, q.values
     idx = _inversion_indices(a, b, DEFAULT_TOL.eps_zero)
     idx_ok = idx == INVERSIONS13
 
@@ -262,7 +262,7 @@ def test_criterion_8_meet_identity_suite():
         z = np.asarray(g.meet.values)
         assert np.all(np.diff(z) <= 1e-12)
         assert np.allclose(np.cumsum(z), np.minimum(g.prefix_p, g.prefix_q), atol=1e-12)
-        a, b = p.as_array(), q.as_array()
+        a, b = p.values, q.values
         if np.any(np.abs(a - b) > eps):
             last = int(np.flatnonzero(np.abs(a - b) > eps)[-1])
             if a[last] < b[last]:

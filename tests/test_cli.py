@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecouple import make_probvec, min_entropy_coupling
+from mecouple import exact_min_entropy, make_probvec, min_entropy_coupling
 from mecouple.cli import _Cells, _emit_text, _sig, _to_json, build_parser, main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
@@ -355,6 +355,22 @@ class TestScalarCommands:
         assert np.allclose(mat.sum(axis=1), [0.5, 0.5], atol=1e-9)
         assert np.allclose(mat.sum(axis=0), [0.6, 0.4], atol=1e-9)
 
+    def test_oracle_matrix_is_the_vertex_coupling_mapped_through_the_perms(self, capsys):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            n, m = (int(x) for x in rng.choice(np.arange(2, 6), size=2, replace=False))
+            # exact 1/8 ties, zeros included, in unsorted caller order
+            raw_p = rng.multinomial(8, np.full(n, 1.0 / n)) / 8.0
+            raw_q = rng.multinomial(8, np.full(m, 1.0 / m)) / 8.0
+            p, q = make_probvec(raw_p), make_probvec(raw_q)
+            _, vc = exact_min_entropy(p, q)
+            original = np.zeros((n, m))
+            original[np.ix_(p.perm, q.perm)] = vc.matrix
+            for flags, full in (([], original), (["--sorted"], vc.matrix)):
+                doc = run_json(capsys, "oracle", *flags,
+                               json.dumps(raw_p.tolist()), json.dumps(raw_q.tolist()))
+                assert doc["matrix"] == [[_sig(v) for v in row] for row in full.tolist()]
+
     def test_oracle_cap(self, capsys):
         big = "0.2 " + " ".join(["0.1"] * 8)
         code, _, err = run(capsys, "oracle", big, "0.5 0.5")
@@ -507,3 +523,19 @@ class TestToleranceOverrides:
         code, _, err = run(capsys, "glb", "0.5 0.5", "0.5 0.5")
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("value, reason", [
+        ("banana", "not a number: 'banana'"),
+        ("7", "tolerance must lie in (0, 1): '7'"),
+        ("0", "tolerance must lie in (0, 1): '0'"),
+        ("nan", "tolerance must lie in (0, 1): 'nan'"),
+    ])
+    def test_env_and_flag_refuse_the_same_values(self, capsys, monkeypatch, value, reason):
+        argv = ("glb", "0.5 0.5", "0.5 0.5")
+        monkeypatch.setenv("MECOUPLE_TOLERANCE_ZERO", value)
+        assert run(capsys, *argv) == (2, "", f"usage error: MECOUPLE_TOLERANCE_ZERO: {reason}\n")
+        monkeypatch.delenv("MECOUPLE_TOLERANCE_ZERO")
+        with pytest.raises(SystemExit) as exc:
+            main(["--tolerance-zero", value, *argv])
+        assert exc.value.code == 2
+        assert f"argument --tolerance-zero: {reason}" in capsys.readouterr().err

@@ -37,6 +37,7 @@ from util import (
     random_probvec,
     reference_couple_oriented,
     reference_k_entries,
+    spy_on_zeros,
     unchecked_probvec,
 )
 
@@ -97,7 +98,6 @@ class TestMarginalize:
         joint = SparseJoint(
             values=np.array([0.5, 0.3, 0.2]),
             coords=np.array([[0, 1, 1], [0, 0, 1]], dtype=np.int32),
-            k=2,
             dims=(2, 2),
         )
         assert marginalize(0, joint).values == pytest.approx((0.5, 0.5), abs=1e-15)
@@ -105,14 +105,14 @@ class TestMarginalize:
 
     def test_single_entry(self):
         joint = SparseJoint(
-            values=np.ones(1), coords=np.zeros((3, 1), dtype=np.int32), k=3, dims=(1, 1, 1)
+            values=np.ones(1), coords=np.zeros((3, 1), dtype=np.int32), dims=(1, 1, 1)
         )
         for axis in range(3):
             assert marginalize(axis, joint).values.tolist() == [1.0]
 
     def test_axis_out_of_range(self):
         joint = SparseJoint(
-            values=np.ones(1), coords=np.zeros((2, 1), dtype=np.int32), k=2, dims=(1, 1)
+            values=np.ones(1), coords=np.zeros((2, 1), dtype=np.int32), dims=(1, 1)
         )
         with pytest.raises(AxisOutOfRange):
             marginalize(2, joint)
@@ -124,7 +124,7 @@ class TestConstructorChecks:
     @pytest.mark.parametrize(
         "coords, dims",
         [
-            ([[0], [0]], (1, 1, 1)),  # dims length is not k
+            ([[0], [0]], (1, 1, 1)),  # a coordinate row too few
             ([[0], [0], [0]], (1, 1)),  # a coordinate row too many
             ([[0, 0], [0, 0]], (1, 1)),  # a column without a value
             ([[0], [5]], (1, 1)),  # past the end of axis 1
@@ -135,14 +135,23 @@ class TestConstructorChecks:
     def test_malformed_joint_is_rejected(self, coords, dims):
         with pytest.raises(InternalInvariant):
             SparseJoint(
-                values=np.ones(1), coords=np.array(coords, dtype=np.int32), k=2, dims=dims
+                values=np.ones(1), coords=np.array(coords, dtype=np.int32), dims=dims
             )
 
     def test_coordinates_checked_per_axis(self):
         joint = SparseJoint(
-            values=np.ones(1), coords=np.array([[1], [2]], dtype=np.int32), k=2, dims=(2, 3)
+            values=np.ones(1), coords=np.array([[1], [2]], dtype=np.int32), dims=(2, 3)
         )
         assert joint.to_dense()[1, 2] == 1.0
+
+    def test_dense_tensor_refused_one_cell_above_the_cap_before_allocating(self, monkeypatch):
+        joint = k_min_entropy_coupling([make_probvec([0.5, 0.5]), make_probvec([0.6, 0.3, 0.1])])
+        allocated = spy_on_zeros(monkeypatch)
+        with pytest.raises(InstanceTooLarge):
+            joint.to_dense(cap=5)
+        assert allocated == []
+        assert joint.to_dense(cap=6).sum() == pytest.approx(1.0, abs=1e-12)
+        assert allocated == [(2, 3)]
 
 
 class TestGuarantees:

@@ -47,8 +47,8 @@ class TestEnumerate:
             q = random_probvec(rng, m)
             z = glb(p, q).meet
             for v in enumerate_vertices(p, q):
-                assert np.abs(v.matrix.sum(axis=1) - p.as_array()).max() <= 1e-9
-                assert np.abs(v.matrix.sum(axis=0) - q.as_array()).max() <= 1e-9
+                assert np.abs(v.matrix.sum(axis=1) - p.values).max() <= 1e-9
+                assert np.abs(v.matrix.sum(axis=0) - q.values).max() <= 1e-9
                 assert v.support_size <= n + m - 1
                 flat = flatten_sorted(v.matrix)
                 assert majorizes(p, flat)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mecouple import (
     BadTotal,
     InstanceTooLarge,
+    InversionPoints,
     LengthMismatch,
     MecoupleError,
     ProbVec,
@@ -44,6 +45,7 @@ from util import (
     reference_couple_oriented,
     run_python_bounded,
     scan_inversion_indices,
+    spy_on_zeros,
     suffix_diffs,
     brute_inversion_sequences,
 )
@@ -79,6 +81,21 @@ class TestInversionPoints:
                 ip = inversion_points(x, y)
                 assert ip.swapped is False
                 assert ip.indices == (n + 1, 1)
+
+    def test_equal_within_eps_zero_agrees_with_the_coupling(self):
+        # every component moved by at most eps_zero / 2, the order kept: the
+        # suffix sums of the moves can pass eps_zero, but the pair is equal as
+        # min_entropy_coupling judges it, which couples it on the diagonal
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = np.sort(rng.dirichlet(np.ones(64)))[::-1]
+            b = a + rng.uniform(-5e-13, 5e-13, 64)
+            assert (np.diff(b) <= 0.0).all()
+            p, q = ProbVec(a, np.arange(64)), ProbVec(b, np.arange(64))
+            cm = min_entropy_coupling(p, q)
+            assert np.array_equal(cm.rows, cm.cols)
+            for x, y in ((p, q), (q, p)):
+                assert inversion_points(x, y) == InversionPoints((65, 1), False)
 
     def test_swap_orientation(self):
         ip = inversion_points(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
@@ -141,7 +158,7 @@ class TestCoupling:
         for _ in range(50):
             p = random_probvec(rng, int(rng.integers(1, 12)))
             cm = min_entropy_coupling(p, p)
-            assert np.array_equal(cm.matrix, np.diag(p.as_array()))
+            assert np.array_equal(cm.matrix, np.diag(p.values))
             assert cm.entropy() == pytest.approx(entropy(p), abs=1e-12)
 
     def test_marginals_sandwich_support_random(self):
@@ -154,8 +171,8 @@ class TestCoupling:
             cm = min_entropy_coupling(p, q)
             side = max(n, m)
             assert cm.matrix.shape == (side, side)
-            assert np.abs(cm.matrix.sum(axis=1) - pad_to(p, side).as_array()).max() <= 1e-9
-            assert np.abs(cm.matrix.sum(axis=0) - pad_to(q, side).as_array()).max() <= 1e-9
+            assert np.abs(cm.matrix.sum(axis=1) - pad_to(p, side).values).max() <= 1e-9
+            assert np.abs(cm.matrix.sum(axis=0) - pad_to(q, side).values).max() <= 1e-9
             gap = cm.entropy() - entropy(glb(p, q).meet)
             assert -1e-12 <= gap <= 1.0 + 1e-12
             assert cm.nnz == int(np.count_nonzero(cm.matrix > 1e-12))
@@ -288,7 +305,7 @@ class TestKernelReference:
     def test_segment_scan_matches_the_scalar_scan(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
-        a, b = pad_to(p, n).as_array(), pad_to(q, n).as_array()
+        a, b = pad_to(p, n).values, pad_to(q, n).values
         eps = DEFAULT_TOL.eps_zero
         for x, y in ((a, b), (b, a)):
             assert _inversion_indices(x, y, eps) == scan_inversion_indices(x, y, eps)
@@ -298,7 +315,7 @@ class TestKernelReference:
     def test_swapped_inputs_give_the_transposed_pieces(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
-        a, b = pad_to(p, n).as_array(), pad_to(q, n).as_array()
+        a, b = pad_to(p, n).values, pad_to(q, n).values
         assume(np.any(np.abs(a - b) > DEFAULT_TOL.eps_zero))
         pq = min_entropy_coupling(p, q)
         qp = min_entropy_coupling(q, p)
@@ -461,6 +478,19 @@ class TestSparseCore:
         with pytest.raises(InstanceTooLarge):
             cm.in_original_order()
 
+    def test_dense_forms_refused_one_cell_above_the_cap_before_allocating(self, monkeypatch):
+        cm = min_entropy_coupling(make_probvec([0.5, 0.3, 0.2]), make_probvec([0.6, 0.4]))
+        allocated = spy_on_zeros(monkeypatch)
+        monkeypatch.setattr("mecouple.pairwise.MATRIX_CELL_CAP", 8)
+        with pytest.raises(InstanceTooLarge):
+            cm.matrix
+        with pytest.raises(InstanceTooLarge):
+            cm.in_original_order()
+        assert allocated == []
+        monkeypatch.setattr("mecouple.pairwise.MATRIX_CELL_CAP", 9)
+        assert cm.matrix.shape == cm.in_original_order().shape == (3, 3)
+        assert allocated == [(3, 3), (3, 3)]
+
     def test_matrix_is_built_once_and_can_be_replaced(self):
         cm = min_entropy_coupling(make_probvec([0.5, 0.5]), make_probvec([0.6, 0.4]))
         assert cm.matrix is cm.matrix
@@ -484,7 +514,7 @@ class TestSparseCore:
                 continue
             assert abs(cm.vals.sum() - 1.0) <= tol.eps_sum
             assert np.abs(np.bincount(cm.rows, weights=cm.vals, minlength=cm.n)
-                          - a.as_array()).max() <= tol.eps_sum
+                          - a.values).max() <= tol.eps_sum
         try:
             joint = k_min_entropy_coupling([p, q, q])
         except MecoupleError:

@@ -74,6 +74,19 @@ def run_python_bounded(script: str, timeout: float = 30.0, mem_bytes: int = 2 <<
     return proc.stdout.strip()
 
 
+def spy_on_zeros(monkeypatch) -> list:
+    """Record the shape of every np.zeros call until monkeypatch undoes it."""
+    allocated = []
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        allocated.append(shape)
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    return allocated
+
+
 def random_probvec(rng: np.random.Generator, n: int) -> ProbVec:
     return make_probvec(rng.dirichlet(np.ones(n)))
 
@@ -136,7 +149,7 @@ def oriented(p: ProbVec, q: ProbVec):
     """(a, b, indices) for an equal-length pair, oriented as inversion_points
     orients it before the greedy kernel runs."""
     ip = inversion_points(p, q)
-    a, b = p.as_array(), q.as_array()
+    a, b = p.values, q.values
     return (b, a, ip.indices) if ip.swapped else (a, b, ip.indices)
 
 
@@ -332,8 +345,8 @@ def reference_glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL):
     check_sorted_total(p.values, tol)
     check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
-    a = pad_to(p, n).as_array()
-    b = pad_to(q, n).as_array()
+    a = pad_to(p, n).values
+    b = pad_to(q, n).values
     return reference_meet_values(a, b, tol.eps_zero), np.cumsum(a), np.cumsum(b)
 
 
