@@ -80,6 +80,16 @@ def _tolerance_flag(text: str) -> float:
     return value
 
 
+def _cap_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be non-negative: {text!r}")
+    return value
+
+
 def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
     def pick(flag_value, env_name, default):
         if flag_value is not None:
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("couple-k", help="k-marginal coupling within ceil(log2 k) bits")
     sp.add_argument("marginals", nargs="+", help="two or more vectors")
     sp.add_argument("--dense", action="store_true", help="also emit the dense tensor")
-    sp.add_argument("--dense-cap", type=int, default=DENSE_CELL_CAP,
+    sp.add_argument("--dense-cap", type=_cap_flag, default=DENSE_CELL_CAP,
                     help="max dense tensor cells")
     sp.set_defaults(fn=_cmd_couple_k)
 
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact minimum-entropy coupling (small instances)")
     vec_args(sp)
-    sp.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
+    sp.add_argument("--cap", type=_cap_flag, default=DEFAULT_SIZE_CAP,
                     help="max n+m accepted by the exhaustive search")
     sp.add_argument("--sorted", action="store_true")
     sp.set_defaults(fn=_cmd_oracle)

@@ -72,4 +72,5 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     n = max(p.n, q.n)
     prefix_p, prefix_q = (_padded_prefix(v, n) for v in (p, q))
     z = _meet_of_prefixes(prefix_p, prefix_q, tol.eps_zero)
-    return GlbResult(meet=ProbVec(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)
+    # z: fresh, >= 0 after the clamp-or-raise, finite as both totals passed
+    return GlbResult(meet=ProbVec._adopt(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)

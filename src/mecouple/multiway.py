@@ -7,11 +7,12 @@ int32 (leaves x cells) array of the original leaf indices each cell covers,
 built from the children's columns by np.take.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
-leaves below it. The merged values are already sorted and their total was
-checked by the pairwise coupling, so they go to the next merge without a
-re-validating make_probvec; SparseJoint keeps the root's values and the
-real leaves' coordinate rows and reads its entropy, marginals and dense
-tensor from them.
+leaves below it. The merged values are fresh positive pieces, already sorted,
+whose marginals and total the pairwise coupling checked, so they go to the
+next merge as ProbVec._adopt wrappers, neither copied nor re-validated;
+the pairwise entry check still reads their order and total. SparseJoint
+keeps the root's values and the real leaves' coordinate rows and reads its
+entropy, marginals and dense tensor from them.
 
 When k is not a power of two, the leaf list is padded with point-mass
 distributions: coupling with a deterministic marginal changes neither the
@@ -116,9 +117,10 @@ def _leaf(values: np.ndarray, perm: np.ndarray, position: int) -> MergeNode:
 
 
 def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
+    # node values are fresh positive pieces or np.ones(1), owned by the node
     cm = min_entropy_coupling(
-        ProbVec(left.values, np.arange(left.values.size)),
-        ProbVec(right.values, np.arange(right.values.size)),
+        ProbVec._adopt(left.values, np.arange(left.values.size)),
+        ProbVec._adopt(right.values, np.arange(right.values.size)),
         tol,
     )
     # pieces come row-major; a stable sort by -value keeps that order among ties

@@ -4,6 +4,12 @@ Every distribution in this package is kept in non-increasing order together
 with the permutation back to the caller's original indexing, so downstream
 results can be reported either way. Both are read-only numpy arrays, so the
 numeric layers read them in place.
+
+A vector is validated once, where it enters or is made. The public ProbVec
+constructor copies and checks whatever a caller passes; the vectors the
+package builds itself (make_probvec's result, glb's meet, pad_to's result
+and the k-way merge inputs) are made from arrays that are valid by
+construction, and ProbVec._adopt takes those arrays as they are.
 """
 
 from __future__ import annotations
@@ -82,6 +88,22 @@ class ProbVec:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "perm", perm)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, perm: np.ndarray) -> ProbVec:
+        """A ProbVec over fresh arrays the package has just made valid.
+
+        No copy and no check: the caller guarantees what __post_init__ would
+        check (1-D float64 values, finite and non-negative; an intp perm that
+        is a bijection on range(n)) and hands the arrays over, so no one else
+        writes to them. Both are made read-only here.
+        """
+        values.flags.writeable = False
+        perm.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "perm", perm)
+        return self
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -117,7 +139,8 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     order = np.argsort(-arr, kind="stable")
     values = arr[order]
     _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
-    return ProbVec(values, order)
+    # values: a fresh gather of finite entries clamped at 0; order: an argsort
+    return ProbVec._adopt(values, order)
 
 
 def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
@@ -156,7 +179,8 @@ def pad_to(p: ProbVec, n: int) -> ProbVec:
     """Append zeros up to length n; fresh original indices for the padding."""
     if n < p.n:
         raise ShrinkRequested(f"cannot pad length-{p.n} vector down to {n}")
-    return p if n == p.n else ProbVec(*_padded(p, n))
+    # _padded of a valid p: its values and perm extended by zeros and fresh indices
+    return p if n == p.n else ProbVec._adopt(*_padded(p, n))
 
 
 def _padded(p: ProbVec, n: int) -> tuple[np.ndarray, np.ndarray]:

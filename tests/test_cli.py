@@ -477,6 +477,19 @@ class TestErrors:
             main(["--tolerance-sum", "7", "glb", "0.5 0.5", "0.5 0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--cap", "-5", "0.5 0.5", "0.6 0.4"],
+        ["couple-k", "--dense", "--dense-cap", "-1", "0.5 0.5", "0.6 0.4"],
+    ], ids=["oracle-cap", "couple-k-dense-cap"])
+    def test_usage_error_negative_cap(self, capsys, argv):
+        flag, value = argv[-4], argv[-3]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: cap must be non-negative: '{value}'" in captured.err
+
     def test_usage_error_inconsistent_tolerances(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mecouple.multiway
 from mecouple import (
     BadTotal,
     Empty,
@@ -13,14 +16,18 @@ from mecouple import (
     ShrinkRequested,
     Tolerances,
     ValidationError,
+    bounds,
+    distance_interval,
     entropy,
     entropy_bits,
     glb,
+    k_min_entropy_coupling,
     majorizes,
     make_probvec,
     min_entropy_coupling,
     pad_to,
 )
+from mecouple.probvec import DEFAULT_TOL
 from util import BadPartition, aggregate, comparable_pair, half, random_probvec
 
 H_06_04 = 0.9709505944546686  # recomputed with 50-digit arithmetic
@@ -164,6 +171,92 @@ class TestArrayContract:
         q = make_probvec([0.5, 0.25, 0.25])
         cm = min_entropy_coupling(p, q)
         assert cm.row_perm is p.perm and cm.col_perm is q.perm
+
+
+@st.composite
+def raw_vectors(draw) -> np.ndarray:
+    """A raw vector of length 1..80 that make_probvec accepts: Dirichlet(1),
+    exact 1/64 ties, a point mass, or a Dirichlet support padded by 0.0,
+    -0.0 and components in [-eps_zero, 0)."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(("dirichlet", "ties64", "point", "zeros")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(n))
+    if kind == "ties64":
+        return rng.multinomial(64, np.full(n, 1.0 / n)) / 64.0
+    v = np.zeros(n)
+    if kind == "point":
+        v[rng.integers(n)] = 1.0
+        return v
+    support = rng.random(n) < 0.5
+    support[rng.integers(n)] = True
+    v[support] = rng.dirichlet(np.ones(int(support.sum())))
+    rest = np.flatnonzero(~support)
+    v[rest] = rng.choice([0.0, -0.0, -1e-13, -DEFAULT_TOL.eps_zero], size=rest.size)
+    return v
+
+
+def assert_passes_public_constructor(v: ProbVec) -> None:
+    assert v.values.dtype == np.float64 and v.values.ndim == 1
+    assert v.perm.dtype == np.intp
+    assert not v.values.flags.writeable and not v.perm.flags.writeable
+    assert np.array_equal(np.sort(v.perm), np.arange(v.n))
+    again = ProbVec(v.values, v.perm)
+    assert again.values.tobytes() == v.values.tobytes()  # bit-equal, -0.0 included
+    assert np.array_equal(again.perm, v.perm)
+
+
+class TestValidatedOnce:
+    """The vectors the package builds itself skip the constructor's copy and
+    checks; each must still be one the public constructor accepts."""
+
+    @given(raw_vectors(), raw_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_package_built_vectors_pass_the_public_constructor(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        assert not np.shares_memory(p.values, raw_p)
+        n = max(p.n, q.n)
+        merge_inputs = []
+        real = mecouple.multiway.min_entropy_coupling
+
+        def spy(a, b, tol=DEFAULT_TOL):
+            merge_inputs.extend((a, b))
+            return real(a, b, tol)
+
+        with mock.patch.object(mecouple.multiway, "min_entropy_coupling", spy):
+            k_min_entropy_coupling([p, q, q, p, q])
+        assert merge_inputs
+        built = [p, q, glb(p, q).meet, pad_to(p, n), pad_to(q, n + 3), *merge_inputs]
+        for v in built:
+            assert_passes_public_constructor(v)
+
+    def test_no_internal_vector_is_rechecked(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        raw = [rng.dirichlet(np.ones(int(rng.integers(8, 65)))) for _ in range(48)]
+        ps = [make_probvec(v) for v in raw]
+        checks = []
+        real = ProbVec.__post_init__
+
+        def counting(self):
+            checks.append(self)
+            real(self)
+
+        monkeypatch.setattr(ProbVec, "__post_init__", counting)
+        p, q = ps[0], ps[1]
+        make_probvec(raw[0])
+        pad_to(p, p.n + 4)
+        glb(p, q)
+        bounds(p, q)
+        min_entropy_coupling(p, q)
+        distance_interval(p, q)
+        k_min_entropy_coupling(ps[:8])
+        k_min_entropy_coupling(ps)
+        assert checks == []
+        ProbVec([0.6, 0.4], [1, 0])
+        assert len(checks) == 1
+        dataclasses.replace(p, values=p.values[::-1])
+        assert len(checks) == 2
 
 
 class TestPadTo:

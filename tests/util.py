@@ -41,10 +41,7 @@ SRC = TESTS.parent / "src"
 def unchecked_probvec(values, perm) -> ProbVec:
     """A ProbVec built around the constructor's checks, for testing the
     checks that sit behind it."""
-    p = object.__new__(ProbVec)
-    object.__setattr__(p, "values", np.asarray(values, dtype=float))
-    object.__setattr__(p, "perm", np.asarray(perm, dtype=np.intp))
-    return p
+    return ProbVec._adopt(np.array(values, dtype=float), np.array(perm, dtype=np.intp))
 
 
 def run_python_bounded(script: str, timeout: float = 30.0, mem_bytes: int = 2 << 30) -> str:

@@ -14,6 +14,18 @@ Each row reports its round count under "rounds".
 - pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each round
   times the two make_probvec calls on the raw arrays, then
   min_entropy_coupling on their results.
+- stages, n in STAGE_NS: the pairwise path taken apart, on two Dirichlet(1)
+  vectors of length n. Each stage is timed on its own, with its own rounds,
+  on inputs built outside the timed region: make_probvec of a raw vector;
+  the public ProbVec(values, perm) constructor over a validated vector's
+  arrays; check_sorted_total; _orient, which finds the orientation and the
+  segments; meet_values of the oriented pair; the greedy kernel
+  _couple_oriented (its own meet_values and tolist calls included); the
+  conversion of its piece lists to arrays; the piece sort with the
+  written-twice check; _check_marginals; entropy_bits of the pieces; and
+  glb. The last entry times the whole min_entropy_coupling for comparison.
+  The conversion and the sort are written out here as min_entropy_coupling
+  runs them, since they are not functions of their own.
 - k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
   with make_probvec outside the timed region; each round times one call of
   k_min_entropy_coupling. k = 48 is not a power of two: its tree is padded
@@ -32,7 +44,8 @@ Each row reports its round count under "rounds".
   is that of the process that times them, not of the CLI.
 
 One JSON object goes to stdout: per row the best and the median time of
-each timed stage, the process's peak RSS (ru_maxrss, which includes the
+each timed stage (under "stages" for the stage rows, one entry per stage
+with its own round count), the process's peak RSS (ru_maxrss, which includes the
 interpreter and numpy) and the output size (nnz, or the joint's cell count
 under "entries", or the CLI's stdout bytes under "output_bytes", or the
 oracle's optimum and support size), plus nproc, Python and numpy versions.
@@ -54,6 +67,7 @@ from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
+STAGE_NS = (36, 1_000_000)
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512)
 CLI_NS = (192, 4096)
@@ -96,6 +110,69 @@ def pair_row(mc, np, n: int) -> dict:
         "coupling_best_s": min(couple),
         "coupling_median_s": statistics.median(couple),
         "nnz": nnz,
+    }
+
+
+def _timed(call) -> dict:
+    """Rounds, best and median seconds of call() over _rounds()."""
+    times = []
+    for _ in _rounds():
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return {"rounds": len(times), "best_s": min(times), "median_s": statistics.median(times)}
+
+
+def stage_row(mc, np, n: int) -> dict:
+    from mecouple.lattice import meet_values
+    from mecouple.pairwise import _check_marginals, _couple_oriented, _orient
+    from mecouple.probvec import check_sorted_total
+
+    tol = mc.DEFAULT_TOL
+    eps = tol.eps_zero
+    rng = np.random.default_rng([SEED, n])
+    raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
+    p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
+    a, b = p.values, q.values
+    ip = _orient(a, b, eps)
+    first, second = (b, a) if ip.swapped else (a, b)
+    r, c, v = _couple_oriented(first, second, ip.indices, tol)
+    if ip.swapped:
+        r, c = c, r
+
+    def to_arrays():
+        return np.asarray(r, dtype=np.intp), np.asarray(c, dtype=np.intp), np.asarray(v, dtype=float)
+
+    rows, cols, vals = to_arrays()
+
+    def piece_sort():
+        key = rows * n + cols
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise RuntimeError("a cell was written twice")
+        return rows[order], cols[order], vals[order]
+
+    pieces = piece_sort()
+    stages = {
+        "make_probvec": lambda: mc.make_probvec(raw_p),
+        "ProbVec": lambda: mc.ProbVec(a, p.perm),
+        "check_sorted_total": lambda: check_sorted_total(a, tol),
+        "orient": lambda: _orient(a, b, eps),
+        "meet_values": lambda: meet_values(first, second, eps),
+        "kernel": lambda: _couple_oriented(first, second, ip.indices, tol),
+        "to_arrays": to_arrays,
+        "piece_sort": piece_sort,
+        "check_marginals": lambda: _check_marginals(pieces[:2], pieces[2], (a, b), tol),
+        "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
+        "glb": lambda: mc.glb(p, q, tol),
+        "min_entropy_coupling": lambda: mc.min_entropy_coupling(p, q, tol),
+    }
+    return {
+        "n": n,
+        "segments": ip.k,
+        "pieces": len(v),
+        "stages": {name: _timed(call) for name, call in stages.items()},
     }
 
 
@@ -207,6 +284,7 @@ def process_row(mc, np, n: int) -> dict:
 
 ROWS = {
     "pairwise": (pair_row, PAIR_NS),
+    "stages": (stage_row, STAGE_NS),
     "kway": (kway_row, KWAY_KS),
     "cli": (cli_row, CLI_NS),
     "oracle": (oracle_row, ORACLE_NS),
