@@ -45,9 +45,9 @@ class InstanceTooLarge(ValidationError):
     """A dense form or exhaustive enumeration refused; instance exceeds the cap."""
 
 
+class LengthMismatch(ValidationError):
+    """Vectors that must share a length (after padding) do not."""
+
+
 class InternalInvariant(MecoupleError):
     """A guaranteed internal identity failed; indicates a bug, not bad input."""
-
-
-class LengthMismatch(InternalInvariant):
-    """Vectors that must share a length (after padding) do not."""

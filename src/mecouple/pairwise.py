@@ -311,8 +311,10 @@ def min_entropy_coupling(
     b, col_perm = _padded(q, n)
     ip = _orient(a, b, tol.eps_zero)
     if ip is None:
-        # componentwise-equal marginals couple on the diagonal
-        rows = cols = np.flatnonzero(a > 0.0)
+        # componentwise-equal marginals couple on the diagonal, in lines where
+        # both are positive: a mass at or below eps_zero opposite a zero stays
+        # out of that zero's line
+        rows = cols = np.flatnonzero((a > 0.0) & (b > 0.0))
         vals = a[rows]
     else:
         first, second = (b, a) if ip.swapped else (a, b)

@@ -308,6 +308,12 @@ class TestCoupleK:
         assert code == 0
         assert out == COUPLE_K_STDOUT
 
+    def test_tiny_mass_beside_a_shorter_marginal(self, capsys):
+        for pre in ((), ("--tolerance-sum", "1e-6", "--tolerance-zero", "1e-10")):
+            doc = run_json(capsys, *pre, "couple-k", "[6.666197322778975e-21, 0.9999999999999999]", "[1.0]")
+            assert doc["dims"] == [2, 1]
+            assert [e["indices"] for e in doc["entries"]] == [[1, 0]]
+
     def test_single_marginal_rejected(self, capsys):
         code, _, err = run(capsys, "couple-k", "[1.0]")
         assert code == 1

@@ -87,6 +87,28 @@ class TestExamples:
             k_min_entropy_coupling([make_probvec([1.0])])
 
 
+class TestTailsAtOrBelowEpsZero:
+    """Marginals equal within eps_zero couple on the diagonal; a tail mass
+    opposite a zero must not land in that zero's line."""
+
+    def test_tiny_mass_beside_a_shorter_marginal(self):
+        p, q = make_probvec([6.666197322778975e-21, 0.9999999999999999]), make_probvec([1.0])
+        cm = min_entropy_coupling(p, q)
+        assert cm.cols.tolist() == [0] and cm.vals.tolist() == [0.9999999999999999]
+        joint = k_min_entropy_coupling([p, q])
+        assert joint.dims == (2, 1)
+        assert joint.coords.tolist() == [[1], [0]]
+        assert joint.values.tolist() == [0.9999999999999999]
+
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    @pytest.mark.parametrize("tails", [(1e-12,), (5e-13, 2.5e-13), (6.666197322778975e-21,)])
+    def test_equal_marginals(self, k, tails):
+        p = make_probvec([1.0 - sum(tails), *tails])
+        joint = k_min_entropy_coupling([p] * k)
+        assert joint.coords.tolist() == [[0]] * k
+        assert joint.values.tolist() == [p.values[0]]
+
+
 class TestMarginalize:
     def test_diagonal_joint(self):
         p = make_probvec([0.5, 0.3, 0.2])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mecouple import (
     BadTotal,
     InstanceTooLarge,
+    InternalInvariant,
     InversionPoints,
     LengthMismatch,
     MecoupleError,
@@ -104,8 +105,11 @@ class TestInversionPoints:
         assert ip.k == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="lengths differ: 1 vs 2; pad first") as info:
             inversion_points(make_probvec([1.0]), make_probvec([0.5, 0.5]))
+        # caller vectors of unequal length are bad input, not a bug
+        assert isinstance(info.value, ValidationError)
+        assert not isinstance(info.value, InternalInvariant)
 
     def test_agrees_with_exhaustive_scan(self):
         rng = np.random.default_rng(20)
