@@ -4,22 +4,22 @@ The marginals sit at the leaves of a balanced binary tree; each internal node
 couples its two children pairwise and keeps only the nonzero cells. A node
 holds two arrays: its cell values, sorted non-increasingly, and a leaf-major
 int32 (leaves x cells) array of the original leaf indices each cell covers,
-built from the children's columns by np.take.
+built from the children's columns by np.take. Node i of level l covers
+leaves i * 2**l up to (i + 1) * 2**l - 1, or up to the last leaf.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
 leaves below it. The merged values are fresh positive pieces, already sorted,
 whose marginals and total the pairwise coupling checked, so they go to the
 next merge as ProbVec._adopt wrappers, neither copied nor re-validated;
 the pairwise entry check still reads their order and total. SparseJoint
-keeps the root's values and the real leaves' coordinate rows and reads its
-entropy, marginals and dense tensor from them.
+keeps the root's arrays and reads its entropy, marginals and dense tensor
+from them.
 
-When k is not a power of two, the leaf list is padded with point-mass
-distributions: coupling with a deterministic marginal changes neither the
-entropy nor the other marginals, and the meet with a point mass is the other
-argument, so the additive bound survives. A subtree of padding leaves only
-is built, not merged: one cell of mass 1.0 at index 0 of each of its leaves.
-The padded coordinate rows are dropped from the result.
+When k is not a power of two, the paper pads the leaves with point masses,
+which change neither the entropy, the other marginals nor the meet. Only the
+k real leaves are built: a padding-only subtree is a point mass, and a real
+node meets one exactly when its level has odd length, so that level's last
+node is merged with the point mass [1.0], a node with no coordinate rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .probvec import (
     check_sorted_total,
     entropy_bits,
     make_probvec,
-    _padded,
 )
 
 DENSE_CELL_CAP = 10**6
@@ -92,27 +91,21 @@ class MergeNode:
     """One node of the merge tree, as two arrays over its cells.
 
     values holds the cell masses, sorted non-increasingly. coords is a
-    leaf-major int32 array with one row per covered leaf (leaf_lo..leaf_hi)
-    and one column per cell: column i gives, in each leaf's original
-    indexing, the component whose mass values[i] was drawn from. Each leaf's
-    row is contiguous, so the root's per-axis checks read it in one pass.
+    leaf-major int32 array with one row per real leaf the node covers and
+    one column per cell: column i gives, in each leaf's original indexing,
+    the component whose mass values[i] was drawn from. Each leaf's row is
+    contiguous, so the root's per-axis checks read it in one pass.
     """
 
     values: np.ndarray
     coords: np.ndarray
-    leaf_lo: int
-
-    @property
-    def leaf_hi(self) -> int:
-        return self.leaf_lo + self.coords.shape[0] - 1
 
 
-def _leaf(values: np.ndarray, perm: np.ndarray, position: int) -> MergeNode:
-    kept = values > 0.0
+def _leaf(p: ProbVec) -> MergeNode:
+    kept = p.values > 0.0
     return MergeNode(
-        values=values[kept],
-        coords=perm[kept].astype(np.int32).reshape(1, -1),
-        leaf_lo=position,
+        values=p.values[kept],
+        coords=p.perm[kept].astype(np.int32).reshape(1, -1),
     )
 
 
@@ -132,35 +125,23 @@ def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
             left.coords.take(cm.rows[order], axis=1),
             right.coords.take(cm.cols[order], axis=1),
         )),
-        leaf_lo=left.leaf_lo,
     )
 
 
-def _point_mass(leaf_lo: int, leaf_hi: int) -> MergeNode:
-    """A node of padding leaves only: the single cell 1.0 at index 0 of each."""
-    coords = np.zeros((leaf_hi - leaf_lo + 1, 1), dtype=np.int32)
-    return MergeNode(np.ones(1), coords, leaf_lo)
-
-
 def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
-    """The levels of the balanced merge tree, leaves first, root last.
+    """The levels of the merge tree over the k real leaves, leaves first, root last.
 
     Levels are yielded one at a time, so a caller that keeps only the
-    latest holds at most two levels. The leaf list is padded with point
-    masses up to the next power of two; a node whose leaves are all padding
-    is built whole, as the merge of two point masses returns it.
+    latest holds at most two levels. A level of odd length merges its last
+    node with the point mass [1.0], which has no coordinate rows; the tree
+    has ceil(log2 k) levels above the leaves.
     """
-    k = len(ps)
-    n = max(p.n for p in ps)
-    total = 1 << (k - 1).bit_length()
-    current = [_leaf(*_padded(p, n), pos) for pos, p in enumerate(ps)]
-    current += [_point_mass(pos, pos) for pos in range(k, total)]
+    current = [_leaf(p) for p in ps]
     yield current
     while len(current) > 1:
-        current = [
-            _point_mass(a.leaf_lo, b.leaf_hi) if a.leaf_lo >= k else _merge(a, b, tol)
-            for a, b in zip(current[::2], current[1::2])
-        ]
+        if len(current) % 2:
+            current = [*current, MergeNode(np.ones(1), np.empty((0, 1), dtype=np.int32))]
+        current = [_merge(a, b, tol) for a, b in zip(current[::2], current[1::2])]
         yield current
 
 
@@ -173,8 +154,7 @@ def k_min_entropy_coupling(
     Reproduces every marginal up to eps_sum and satisfies
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
     The support holds at most 2**ceil(log2 k) * n cells. The result keeps the
-    merge tree root's value array and the coordinate rows of the k real
-    leaves (copied when padding leaves follow them), read-only; its entries
+    merge tree root's value and coordinate arrays, read-only; its entries
     tuples are built only if read. As in min_entropy_coupling, each marginal
     is taken as given: values out of non-increasing order raise
     ValidationError, a total off 1 raises BadTotal.
@@ -183,14 +163,10 @@ def k_min_entropy_coupling(
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
     for p in ps:
         check_sorted_total(p.values, tol)
-    k = len(ps)
     for level in _merge_tree(ps, tol):
         pass  # each finished level is dropped once the next one is built
     (root,) = level
     values, coords = root.values, root.coords
-    if coords.shape[0] > k:
-        # a copy, not a view: a view would keep the padding leaves' rows alive
-        coords = coords[:k].copy()
     _check_marginals(coords, values, [p.in_original_order() for p in ps], tol)
     values.flags.writeable = False
     coords.flags.writeable = False

@@ -225,8 +225,8 @@ def test_criterion_6_merge_tree_chain(eight_way_instances):
         n = max(p.n for p in ps)
         padded = [pad_to(p, n) for p in ps]
         for level in range(1, len(levels)):
-            for node in levels[level]:
-                leaf_meet = meet_of(padded[node.leaf_lo : node.leaf_hi + 1])
+            for i, node in enumerate(levels[level]):
+                leaf_meet = meet_of(padded[i << level : (i + 1) << level])
                 node_vec = make_probvec(node.values)
                 assert majorizes(node_vec, half_pow(leaf_meet, level))
     report(6, "merge-tree majorization chain", True)

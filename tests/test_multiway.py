@@ -224,8 +224,8 @@ class TestGuarantees:
                 n = max(p.n for p in ps)
                 padded = [pad_to(p, n) for p in ps]
                 for level, nodes in enumerate(_merge_tree(ps)):
-                    for node in nodes:
-                        leaf_meet = meet_of(padded[node.leaf_lo : node.leaf_hi + 1])
+                    for i, node in enumerate(nodes):
+                        leaf_meet = meet_of(padded[i << level : (i + 1) << level])
                         vec = make_probvec(node.values)
                         assert majorizes(vec, half_pow(leaf_meet, level))
 
@@ -292,23 +292,20 @@ class TestArrayNativeTree:
         rng = np.random.default_rng(70)
         k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(8)])
         assert calls == {"make_probvec": 0, "min_entropy_coupling": 7}
-        # k = 48 pads to 64 leaves; the 15 merges inside the padding are not run
+        # 24 + 12 + 6 + 3 + 2 + 1: the last node of the 3-node level meets a point mass
         calls["min_entropy_coupling"] = 0
         k_min_entropy_coupling([random_probvec(rng, 6) for _ in range(48)])
         assert calls == {"make_probvec": 0, "min_entropy_coupling": 48}
 
-    def test_padding_nodes_are_point_masses(self):
+    def test_tree_holds_the_real_leaves_only(self):
         rng = np.random.default_rng(72)
         k = 48
-        seen = 0
-        for level in _merge_tree([random_probvec(rng, 6) for _ in range(k)]):
-            for node in level:
-                if node.leaf_lo >= k:
-                    assert node.values.tolist() == [1.0]
-                    assert node.coords.shape == (node.leaf_hi - node.leaf_lo + 1, 1)
-                    assert node.coords.dtype == np.int32 and not node.coords.any()
-                    seen += 1
-        assert seen == 16 + 8 + 4 + 2 + 1
+        levels = list(_merge_tree([random_probvec(rng, 6) for _ in range(k)]))
+        assert [len(nodes) for nodes in levels] == [48, 24, 12, 6, 3, 2, 1]
+        for level, nodes in enumerate(levels):
+            for i, node in enumerate(nodes):
+                leaves = range(k)[i << level : (i + 1) << level]
+                assert node.coords.shape == (len(leaves), node.values.size)
 
     def test_unsorted_or_short_input_is_rejected(self):
         good = make_probvec([0.6, 0.4])
@@ -335,10 +332,10 @@ class TestArrayNativeTree:
     def test_coords_are_leaf_major(self):
         rng = np.random.default_rng(71)
         ps = [random_probvec(rng, 5) for _ in range(6)]
-        for level in _merge_tree(ps):
-            for node in level:
+        for level, nodes in enumerate(_merge_tree(ps)):
+            for i, node in enumerate(nodes):
                 assert node.coords.dtype == np.int32
-                assert node.coords.shape == (node.leaf_hi - node.leaf_lo + 1, node.values.size)
+                assert node.coords.shape == (len(ps[i << level : (i + 1) << level]), node.values.size)
                 assert node.coords.flags.c_contiguous
 
 

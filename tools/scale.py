@@ -28,8 +28,9 @@ Each row reports its round count under "rounds".
   runs them, since they are not functions of their own.
 - k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
   with make_probvec outside the timed region; each round times one call of
-  k_min_entropy_coupling. k = 48 is not a power of two: its tree is padded
-  to 64 leaves, so this row shows the cost of the padding.
+  k_min_entropy_coupling. k = 48 and 513 are not powers of two, so a level
+  of odd length merges its last node with a point mass; 513 is just past
+  512, where a tree padded to 1024 leaves would carry the most padding.
 - CLI couple, n in CLI_NS: two Dirichlet(1) vectors of length n, passed
   inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
   whose stdout goes to os.devnull; each round times one call, then one
@@ -69,7 +70,7 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 STAGE_NS = (36, 1_000_000)
 KWAY_N = 64
-KWAY_KS = (8, 32, 48, 128, 512)
+KWAY_KS = (8, 32, 48, 128, 512, 513)
 CLI_NS = (192, 4096)
 ORACLE_NS = (4, 5)
 PROCESS_NS = (4,)
