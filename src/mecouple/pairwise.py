@@ -10,7 +10,10 @@ a remainder carried toward the next index, and at a segment boundary the
 carried remainders are flushed one index further. Every output cell is
 therefore one of at most two pieces of some z_j, which caps the joint
 entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
-lower-bounds every coupling's entropy.
+lower-bounds every coupling's entropy. The kernel records the pieces per
+component, not per cell in the order they are written: each z_j's diagonal
+part and the line that receives its remainder, from which numpy builds the
+piece arrays that min_entropy_coupling sorts row-major.
 """
 
 from __future__ import annotations
@@ -202,35 +205,39 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
 
 def _couple_oriented(
     a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances
-) -> tuple[list[int], list[int], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
 
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
-    Returns the written pieces as parallel lists (rows, cols, vals) of
-    0-based cells whose row sums are a and column sums b. Pieces are listed
-    in the order they are written: segment by segment, each component's
-    absorbed carried remainders before its diagonal part, and the flush at
-    the segment's end. Every cell is written at most once and every piece
-    exceeds eps_zero. The loop runs on Python floats.
+    Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
+    cells whose row sums are a and column sums b, in no particular order.
+    The loop runs on Python floats and records each meet component z_j
+    once: its diagonal part diag_j, and the line that receives its carried
+    remainder z_j - diag_j. That line is below j and no lower than the
+    segment's lo - 1. numpy then builds the pieces from these records:
+    diag_j on (j, j), and the remainder on (j, line) in odd segments and on
+    (line, j) in even ones, each only if above eps_zero. A remainder still
+    carried after the last segment is left out, and the loop checks that
+    those total at most eps_sum. Every cell is written at most once.
     """
     eps, neg_sum = tol.eps_zero, -tol.eps_sum
+    n = len(a)
     z = meet_values(a, b, eps)
     a_l, b_l, z_l = a.tolist(), b.tolist(), z.tolist()
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    put_val = vals.append
-    carried: deque[tuple[int, float]] = deque()
+    diag_l = [0.0] * n
+    # the carried remainders, pushed in descending component order; each pop
+    # or flush appends the receiving line to lines, so lines[i] receives the
+    # i-th remainder pushed
+    carried: deque[float] = deque()
+    push, pop = carried.append, carried.popleft
+    lines: list[int] = []
+    put_line = lines.append
     for s in range(1, len(idx)):
-        lo, hi = idx[s] - 1, idx[s - 1] - 1  # 0-based: components lo..hi-1
-        odd = s % 2 == 1
-        marginal = b_l if odd else a_l
-        # a split component indexes the row in odd segments and the column in
-        # even ones, its partner the other line
-        if odd:
-            put_comp, put_partner = rows.append, cols.append
-        else:
-            put_comp, put_partner = cols.append, rows.append
+        # even segments index the lists from the end, as j - n for component
+        # j, so each line they record is negative and carries the parity
+        shift = 0 if s % 2 == 1 else n
+        marginal = b_l if s % 2 == 1 else a_l
+        lo, hi = idx[s] - 1 - shift, idx[s - 1] - 1 - shift  # components lo..hi-1
         for j in range(hi - 1, lo - 1, -1):
             zj = z_l[j]
             if zj <= 0.0:
@@ -238,34 +245,34 @@ def _couple_oriented(
             x = marginal[j]
             x_low = x - eps
             acc = 0.0
-            while carried and acc + carried[0][1] < x_low:
-                src, v = carried.popleft()
-                put_comp(src)
-                put_partner(j)
-                put_val(v)
-                acc += v
-            diag = x - acc
-            if diag > eps:
-                put_comp(j)
-                put_partner(j)
-                put_val(diag)
+            while carried and acc + carried[0] < x_low:
+                acc += pop()
+                put_line(j)
+            diag = diag_l[j] = x - acc
             rem = zj - diag
             if rem < neg_sum:
                 raise InternalInvariant(
-                    f"carried remainder {rem!r} for component {j + 1} below zero"
+                    f"carried remainder {rem!r} for component {j % n + 1} below zero"
                 )
             if rem > eps:
-                carried.append((j, rem))
-        if lo != 0:
-            while carried:
-                src, v = carried.popleft()
-                put_comp(src)
-                put_partner(lo - 1)
-                put_val(v)
-    leftover = sum(v for _, v in carried)
+                push(rem)
+        if lo + shift != 0:
+            lines += [lo - 1] * len(carried)
+            carried.clear()
+    leftover = sum(carried)
     if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
-    return rows, cols, vals
+    diag = np.fromiter(diag_l, float, n)
+    rem = z - diag  # the loop's subtraction, so the same floats
+    # the pushed components in push order, the unplaced ones last
+    comp = (rem > eps).nonzero()[0][::-1][: len(lines)]
+    line = np.fromiter(lines, np.intp, len(lines))
+    even = line < 0
+    line %= n
+    on_diag = (diag > eps).nonzero()[0]
+    rows = np.concatenate((on_diag, np.where(even, line, comp)))
+    cols = np.concatenate((on_diag, np.where(even, comp, line)))
+    return rows, cols, np.concatenate((diag[on_diag], rem[comp]))
 
 
 def _check_marginals(
@@ -318,17 +325,15 @@ def min_entropy_coupling(
         vals = a[rows]
     else:
         first, second = (b, a) if ip.swapped else (a, b)
-        r, c, v = _couple_oriented(first, second, ip.indices, tol)
+        rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
         if ip.swapped:
-            r, c = c, r
-        rows = np.asarray(r, dtype=np.intp)
-        cols = np.asarray(c, dtype=np.intp)
+            rows, cols = cols, rows
         key = rows * n + cols
         order = np.argsort(key)
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise InternalInvariant("a cell was written twice")
-        rows, cols, vals = rows[order], cols[order], np.asarray(v, dtype=float)[order]
+        rows, cols, vals = rows[order], cols[order], vals[order]
     _check_marginals((rows, cols), vals, (a, b), tol)
     if vals.size > 2 * n:
         raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")

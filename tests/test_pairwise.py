@@ -38,6 +38,7 @@ from golden13 import (
     coupling_matrix13,
 )
 from util import (
+    assert_same_pieces,
     check_boundary_invariants,
     check_meet_segment_identities,
     check_piece_partition,
@@ -231,7 +232,7 @@ class TestCoupling:
             # the trace comes from the reference, whose pieces the kernel matches
             trace = {}
             pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
-            assert _couple_oriented(a, b, idx, DEFAULT_TOL) == pieces
+            assert_same_pieces(_couple_oriented(a, b, idx, DEFAULT_TOL), pieces)
             z = trace["meet"]
             check_boundary_invariants(a, b, z, trace)
             check_piece_partition(z, trace)
@@ -292,10 +293,10 @@ class TestKernelReference:
         trace = {}
         got = _couple_oriented(a, b, idx, DEFAULT_TOL)
         ref = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
-        for g, r in zip(got, ref):
-            assert len(g) == len(r)
-            assert np.array_equal(g, r)
-        assert got == _couple_oriented(a, b, idx, DEFAULT_TOL)
+        assert_same_pieces(got, ref)
+        again = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        for g, r in zip(got, again):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
         # equal pieces, so the reference trace is the kernel's as well
         assert trace["indices"] == idx
         check_piece_partition(trace["meet"], trace)
@@ -327,6 +328,82 @@ class TestKernelReference:
         assert np.array_equal(qp.rows, pq.cols[order])
         assert np.array_equal(qp.cols, pq.rows[order])
         assert np.array_equal(qp.vals, pq.vals[order])
+
+
+def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL):
+    """The kernel's pieces split each meet component z_j as the paper does.
+
+    For each j: at most one diagonal piece (j, j) and at most one remainder,
+    a piece off the diagonal whose larger line is j. The remainder's other
+    line is strictly below j and no lower than its segment's lo - 1; it sits
+    at (j, line) in odd segments and (line, j) in even ones. diag_j is
+    rebuilt by the kernel's recurrence, x_j minus the remainders that line j
+    absorbed within its segment, summed in push order; the diagonal piece is
+    diag_j exactly, present iff diag_j > eps_zero, and the remainder is
+    z_j - diag_j exactly, present iff above eps_zero, unless it is still
+    carried after the last segment. Those unplaced remainders total at most
+    eps_sum.
+    """
+    eps = tol.eps_zero
+    n, k = len(a), len(idx) - 1
+    z = meet_values(a, b, eps)
+    seg = np.empty(n, dtype=int)
+    seg_lo = np.empty(n, dtype=int)
+    for s in range(1, k + 1):
+        seg[idx[s] - 1 : idx[s - 1] - 1] = s
+        seg_lo[idx[s] - 1 : idx[s - 1] - 1] = idx[s] - 1
+    diag, rem = {}, {}
+    for r, c, v in zip(*(np.asarray(x).tolist() for x in pieces)):
+        if r == c:
+            assert r not in diag, ("second diagonal piece", r)
+            diag[r] = v
+        else:
+            j, line = max(r, c), min(r, c)
+            assert j not in rem, ("second remainder", j)
+            assert seg_lo[j] - 1 <= line < j, (j, line, seg_lo[j])
+            assert (r == j) == (seg[j] % 2 == 1), ("orientation", j, seg[j])
+            rem[j] = (line, v)
+    absorbed: dict[int, list[tuple[int, float]]] = {}
+    for j, (line, v) in rem.items():
+        if seg[line] == seg[j]:  # a pop; a flush lands in the next segment
+            absorbed.setdefault(line, []).append((j, v))
+    unplaced = []
+    for j in range(n):
+        zj = float(z[j])
+        if zj <= 0.0:
+            assert j not in diag and j not in rem and j not in absorbed, j
+            continue
+        acc = 0.0
+        for _, v in sorted(absorbed.get(j, ()), reverse=True):
+            acc += v
+        d = float((b if seg[j] % 2 == 1 else a)[j]) - acc
+        if d > eps:
+            assert diag.pop(j).hex() == d.hex(), j
+        assert j not in diag, j
+        remainder = zj - d
+        if j in rem:
+            assert remainder > eps and rem[j][1].hex() == remainder.hex(), j
+        elif remainder > eps:
+            assert seg[j] == k, ("remainder left out before the last segment", j)
+            unplaced.append(remainder)
+    assert sum(unplaced) <= tol.eps_sum
+
+
+class TestPerComponentKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(kernel_inputs, tiny_tails()),
+        st.one_of(kernel_inputs, tiny_tails()),
+    )
+    def test_each_component_is_one_diagonal_part_and_one_remainder(self, raw_p, raw_q):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        n = max(p.n, q.n)
+        a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
+        check_per_component_pieces(a, b, idx, _couple_oriented(a, b, idx, DEFAULT_TOL))
+
+    def test_golden_13(self):
+        a, b, idx = oriented(make_probvec(P13), make_probvec(Q13))
+        check_per_component_pieces(a, b, idx, _couple_oriented(a, b, idx, DEFAULT_TOL))
 
 
 class TestInputContract:

@@ -20,12 +20,20 @@ Each row reports its round count under "rounds".
   the public ProbVec(values, perm) constructor over a validated vector's
   arrays; check_sorted_total; _orient, which finds the orientation and the
   segments; meet_values of the oriented pair; the greedy kernel
-  _couple_oriented (its own meet_values and tolist calls included); the
-  conversion of its piece lists to arrays; the piece sort with the
+  _couple_oriented (its own meet_values and tolist calls, and the numpy
+  assembly of its piece arrays, included); the piece sort with the
   written-twice check; _check_marginals; entropy_bits of the pieces; and
   glb. The last entry times the whole min_entropy_coupling for comparison.
-  The conversion and the sort are written out here as min_entropy_coupling
-  runs them, since they are not functions of their own.
+  The sort is written out here as min_entropy_coupling runs it, since it is
+  not a function of its own. There is no list-to-array stage: the kernel
+  returns arrays.
+- CLI stages, n in CLI_STAGE_NS: the serialisation of a `couple` taken
+  apart, on the CLI row's pair. Each stage is timed on its own, on inputs
+  built outside the timed region: cli._cells, the printed window of the
+  coupling's cells in the callers' order; cli._to_json of the finished
+  document; and, for comparison, the whole cli._cmd_couple (the two _load
+  calls, the coupling, both entropies and _cells) and the whole in-process
+  mecouple.cli.main, stdout to os.devnull.
 - k-way, k in KWAY_KS: k Dirichlet(1) marginals of length KWAY_N, validated
   with make_probvec outside the timed region; each round times one call of
   k_min_entropy_coupling. k = 48 and 513 are not powers of two, so a level
@@ -72,6 +80,7 @@ STAGE_NS = (36, 1_000_000)
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513)
 CLI_NS = (192, 4096)
+CLI_STAGE_NS = (192,)
 ORACLE_NS = (4, 5)
 PROCESS_NS = (4,)
 REPEATS = 3
@@ -137,14 +146,9 @@ def stage_row(mc, np, n: int) -> dict:
     a, b = p.values, q.values
     ip = _orient(a, b, eps)
     first, second = (b, a) if ip.swapped else (a, b)
-    r, c, v = _couple_oriented(first, second, ip.indices, tol)
+    rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
     if ip.swapped:
-        r, c = c, r
-
-    def to_arrays():
-        return np.asarray(r, dtype=np.intp), np.asarray(c, dtype=np.intp), np.asarray(v, dtype=float)
-
-    rows, cols, vals = to_arrays()
+        rows, cols = cols, rows
 
     def piece_sort():
         key = rows * n + cols
@@ -162,7 +166,6 @@ def stage_row(mc, np, n: int) -> dict:
         "orient": lambda: _orient(a, b, eps),
         "meet_values": lambda: meet_values(first, second, eps),
         "kernel": lambda: _couple_oriented(first, second, ip.indices, tol),
-        "to_arrays": to_arrays,
         "piece_sort": piece_sort,
         "check_marginals": lambda: _check_marginals(pieces[:2], pieces[2], (a, b), tol),
         "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
@@ -172,7 +175,7 @@ def stage_row(mc, np, n: int) -> dict:
     return {
         "n": n,
         "segments": ip.k,
-        "pieces": len(v),
+        "pieces": vals.size,
         "stages": {name: _timed(call) for name, call in stages.items()},
     }
 
@@ -236,6 +239,28 @@ def cli_row(mc, np, n: int) -> dict:
     }
 
 
+def cli_stage_row(mc, np, n: int) -> dict:
+    import mecouple.cli as cli
+
+    rng = np.random.default_rng([SEED, n])
+    argv = ["couple", *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
+    args = cli.build_parser().parse_args(argv)
+    tol = mc.DEFAULT_TOL
+    p, q = cli._load(args.p, tol), cli._load(args.q, tol)
+    cm = mc.min_entropy_coupling(p, q, tol)
+    perms = (cm.row_perm, cm.col_perm)
+    doc = cli._cmd_couple(args, tol, 1.0)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        stages = {
+            "cells": lambda: cli._cells(p.n, q.n, cm.rows, cm.cols, cm.vals, perms),
+            "to_json": lambda: cli._to_json(doc),
+            "cmd_couple": lambda: cli._cmd_couple(args, tol, 1.0),
+            "main": lambda: cli.main(argv),
+        }
+        timed = {name: _timed(call) for name, call in stages.items()}
+    return {"n": n, "nnz": cm.nnz, "output_bytes": len(cli._to_json(doc)), "stages": timed}
+
+
 def _oracle_pair(np, n: int):
     rng = np.random.default_rng([SEED, n])
     return rng.dirichlet(np.ones(n), size=2)
@@ -288,6 +313,7 @@ ROWS = {
     "stages": (stage_row, STAGE_NS),
     "kway": (kway_row, KWAY_KS),
     "cli": (cli_row, CLI_NS),
+    "cli_stages": (cli_stage_row, CLI_STAGE_NS),
     "oracle": (oracle_row, ORACLE_NS),
     "cli_process": (process_row, PROCESS_NS),
 }
