@@ -203,31 +203,20 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     return _orient(p.values, q.values, tol.eps_zero) or InversionPoints((p.n + 1, 1), False)
 
 
-def _couple_oriented(
-    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
+def _greedy_fill(
+    a_l: list[float], b_l: list[float], z_l: list[float], idx: tuple[int, ...], tol: Tolerances
+) -> tuple[list[float], list[int]]:
+    """The greedy loop of _couple_oriented, on Python floats.
 
-    idx holds the pair's segment boundaries, as in InversionPoints.indices.
-    Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
-    cells whose row sums are a and column sums b, in no particular order.
-    The loop runs on Python floats and records each meet component z_j
-    once: its diagonal part diag_j, and the line that receives its carried
-    remainder z_j - diag_j. That line is below j and no lower than the
-    segment's lo - 1. numpy then builds the pieces from these records:
-    diag_j on (j, j), and the remainder on (j, line) in odd segments and on
-    (line, j) in even ones, each only if above eps_zero. A remainder still
-    carried after the last segment is left out, and the loop checks that
-    those total at most eps_sum. Every cell is written at most once.
+    Returns diag_l, each component's diagonal part (0.0 where the meet
+    component is not positive, so nothing is written), and lines, the line
+    that receives each carried remainder, in push order: remainders are
+    pushed in descending component order and the FIFO places them in that
+    order. Lines recorded in even segments are stored as line - n.
     """
     eps, neg_sum = tol.eps_zero, -tol.eps_sum
-    n = len(a)
-    z = meet_values(a, b, eps)
-    a_l, b_l, z_l = a.tolist(), b.tolist(), z.tolist()
+    n = len(z_l)
     diag_l = [0.0] * n
-    # the carried remainders, pushed in descending component order; each pop
-    # or flush appends the receiving line to lines, so lines[i] receives the
-    # i-th remainder pushed
     carried: deque[float] = deque()
     push, pop = carried.append, carried.popleft
     lines: list[int] = []
@@ -262,11 +251,38 @@ def _couple_oriented(
     leftover = sum(carried)
     if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
+    return diag_l, lines
+
+
+def _couple_oriented(
+    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
+
+    idx holds the pair's segment boundaries, as in InversionPoints.indices.
+    Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
+    cells whose row sums are a and column sums b, in no particular order.
+    The loop, _greedy_fill, records each meet component z_j once: its
+    diagonal part diag_j, and the line that receives its carried remainder
+    z_j - diag_j. That line is below j and no lower than the segment's
+    lo - 1. numpy then builds the pieces from these records: diag_j on
+    (j, j), and the remainder on (j, line) in odd segments and on (line, j)
+    in even ones, each only if above eps_zero. A remainder still carried
+    after the last segment is left out; the loop checks that those total at
+    most eps_sum. Every cell is written at most once.
+    """
+    eps, n = tol.eps_zero, len(a)
+    z = meet_values(a, b, eps)
+    # the loop's lists of a, b and z are freed when it returns, and each
+    # record list once read, so the arrays below do not add to their peak
+    diag_l, lines = _greedy_fill(a.tolist(), b.tolist(), z.tolist(), idx, tol)
     diag = np.fromiter(diag_l, float, n)
+    del diag_l
+    line = np.fromiter(lines, np.intp, len(lines))
+    del lines
     rem = z - diag  # the loop's subtraction, so the same floats
     # the pushed components in push order, the unplaced ones last
-    comp = (rem > eps).nonzero()[0][::-1][: len(lines)]
-    line = np.fromiter(lines, np.intp, len(lines))
+    comp = (rem > eps).nonzero()[0][::-1][: line.size]
     even = line < 0
     line %= n
     on_diag = (diag > eps).nonzero()[0]
