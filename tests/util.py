@@ -481,14 +481,14 @@ def reference_couple_oriented(
     """The pairwise greedy loop as first written: one write closure per cell.
 
     Reference for pairwise._couple_oriented, which must return the same
-    pieces, the same cells with the same value bytes, in any order (compare
-    them with assert_same_pieces); the trace exists only here. Returns the
+    pieces: the same cells with the same value bytes, in any order (compare
+    them with assert_same_pieces). The trace exists only here. Returns the
     written pieces, in write order, as parallel lists (rows, cols, vals) of
     0-based cells whose row sums are a and column sums b. When trace is a
-    dict it receives "pieces"
-    (component index, written value) for every cell and "boundaries"
-    (segment number, parity, low index, dense matrix copy) after each
-    segment's flush. The segments come from scan_inversion_indices.
+    dict it receives "pieces" (component index, written value) for every
+    cell and "boundaries" (segment number, parity, low index, dense matrix
+    copy) after each segment's flush. The segments come from
+    scan_inversion_indices.
     """
     n = len(a)
     eps = tol.eps_zero
@@ -558,18 +558,16 @@ def reference_couple_oriented(
     return rows, cols, vals
 
 
-def pieces_by_cell(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parallel (rows, cols, vals) pieces as intp, intp and float64 arrays,
-    sorted row-major by cell."""
-    rows, cols, vals = pieces
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.asarray(vals, dtype=float)[order]
-
-
 def assert_same_pieces(got, ref) -> None:
-    """got and ref hold the same cells, each with the same value bytes."""
-    got, ref = pieces_by_cell(got), pieces_by_cell(ref)
+    """Parallel (rows, cols, vals) pieces got and ref hold the same cells,
+    each with the same value bytes, in whatever order each lists them."""
+
+    def by_cell(pieces):
+        rows, cols, vals = (np.asarray(x) for x in pieces)
+        order = np.lexsort((cols, rows))
+        return rows[order].astype(np.intp), cols[order].astype(np.intp), vals[order].astype(float)
+
+    got, ref = by_cell(got), by_cell(ref)
     assert got[0].size == ref[0].size, (got[0].size, ref[0].size)
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     assert got[2].tobytes() == ref[2].tobytes()
