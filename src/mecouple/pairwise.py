@@ -11,9 +11,12 @@ carried remainders are flushed one index further. Every output cell is
 therefore one of at most two pieces of some z_j, which caps the joint
 entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
 lower-bounds every coupling's entropy. The kernel records the pieces per
-component, not per cell in the order they are written: each z_j's diagonal
-part and the line that receives its remainder, from which numpy builds the
-piece arrays that min_entropy_coupling sorts row-major.
+component, not per cell in the order they are written: it writes each
+z_j's diagonal part back into the one marginal list it reads, and notes the
+line that receives its remainder. numpy builds the piece arrays from these
+records, and min_entropy_coupling sorts them row-major with a stable sort
+that merges their two runs: the diagonal keys ascend, the remainders'
+descend.
 """
 
 from __future__ import annotations
@@ -204,19 +207,20 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
 
 
 def _greedy_fill(
-    a_l: list[float], b_l: list[float], z_l: list[float], idx: tuple[int, ...], tol: Tolerances
-) -> tuple[list[float], list[int]]:
+    m_l: list[float], z_l: list[float], idx: tuple[int, ...], tol: Tolerances
+) -> list[int]:
     """The greedy loop of _couple_oriented, on Python floats.
 
-    Returns diag_l, each component's diagonal part (0.0 where the meet
-    component is not positive, so nothing is written), and lines, the line
-    that receives each carried remainder, in push order: remainders are
-    pushed in descending component order and the FIFO places them in that
-    order. Lines recorded in even segments are stored as line - n.
+    m_l holds the marginal each component reads: b_j in odd segments, a_j
+    in even ones. The loop overwrites m_l[j] with z_j's diagonal part (0.0
+    where the meet component is not positive, so nothing is written), and
+    returns lines, the line that receives each carried remainder, in push
+    order: remainders are pushed in descending component order and the FIFO
+    places them in that order. Lines recorded in even segments are stored
+    as line - n.
     """
     eps, neg_sum = tol.eps_zero, -tol.eps_sum
     n = len(z_l)
-    diag_l = [0.0] * n
     carried: deque[float] = deque()
     push, pop = carried.append, carried.popleft
     lines: list[int] = []
@@ -225,33 +229,38 @@ def _greedy_fill(
         # even segments index the lists from the end, as j - n for component
         # j, so each line they record is negative and carries the parity
         shift = 0 if s % 2 == 1 else n
-        marginal = b_l if s % 2 == 1 else a_l
         lo, hi = idx[s] - 1 - shift, idx[s - 1] - 1 - shift  # components lo..hi-1
         for j in range(hi - 1, lo - 1, -1):
             zj = z_l[j]
             if zj <= 0.0:
+                m_l[j] = 0.0
                 continue
-            x = marginal[j]
-            x_low = x - eps
-            acc = 0.0
-            while carried and acc + carried[0] < x_low:
-                acc += pop()
+            x = m_l[j]
+            # every carried value is above eps, so the first test needs no
+            # 0.0 + and the first pop starts the sum; without a pop, the
+            # diagonal part x - 0.0 is x bit for bit and stays in place
+            if carried and carried[0] < x - eps:
+                acc = pop()
                 put_line(j)
-            diag = diag_l[j] = x - acc
-            rem = zj - diag
-            if rem < neg_sum:
+                x_low = x - eps
+                while carried and acc + carried[0] < x_low:
+                    acc += pop()
+                    put_line(j)
+                x = m_l[j] = x - acc
+            rem = zj - x
+            if rem > eps:
+                push(rem)
+            elif rem < neg_sum:
                 raise InternalInvariant(
                     f"carried remainder {rem!r} for component {j % n + 1} below zero"
                 )
-            if rem > eps:
-                push(rem)
         if lo + shift != 0:
             lines += [lo - 1] * len(carried)
             carried.clear()
     leftover = sum(carried)
     if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
-    return diag_l, lines
+    return lines
 
 
 def _couple_oriented(
@@ -262,22 +271,29 @@ def _couple_oriented(
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
     cells whose row sums are a and column sums b, in no particular order.
-    The loop, _greedy_fill, records each meet component z_j once: its
-    diagonal part diag_j, and the line that receives its carried remainder
-    z_j - diag_j. That line is below j and no lower than the segment's
-    lo - 1. numpy then builds the pieces from these records: diag_j on
-    (j, j), and the remainder on (j, line) in odd segments and on (line, j)
-    in even ones, each only if above eps_zero. A remainder still carried
-    after the last segment is left out; the loop checks that those total at
-    most eps_sum. Every cell is written at most once.
+    The loop, _greedy_fill, reads one merged marginal list, b's entries in
+    odd segments and a's in even ones, and records each meet component z_j
+    once: it writes z_j's diagonal part diag_j back into that list, and
+    notes the line that receives its carried remainder z_j - diag_j. That
+    line is below j and no lower than the segment's lo - 1. numpy then
+    builds the pieces from these records: diag_j on (j, j), and the
+    remainder on (j, line) in odd segments and on (line, j) in even ones,
+    each only if above eps_zero. A remainder still carried after the last
+    segment is left out; the loop checks that those total at most eps_sum.
+    Every cell is written at most once.
     """
     eps, n = tol.eps_zero, len(a)
     z = meet_values(a, b, eps)
-    # the loop's lists of a, b and z are freed when it returns, and each
-    # record list once read, so the arrays below do not add to their peak
-    diag_l, lines = _greedy_fill(a.tolist(), b.tolist(), z.tolist(), idx, tol)
-    diag = np.fromiter(diag_l, float, n)
-    del diag_l
+    m = b.copy()
+    for s in range(2, len(idx), 2):
+        m[idx[s] - 1 : idx[s - 1] - 1] = a[idx[s] - 1 : idx[s - 1] - 1]
+    # the loop's two lists are freed once read, and lines once converted, so
+    # the arrays below do not add to their peak
+    m_l = m.tolist()
+    del m
+    lines = _greedy_fill(m_l, z.tolist(), idx, tol)
+    diag = np.fromiter(m_l, float, n)
+    del m_l
     line = np.fromiter(lines, np.intp, len(lines))
     del lines
     rem = z - diag  # the loop's subtraction, so the same floats
@@ -319,13 +335,12 @@ def min_entropy_coupling(
 
     The coupling has side n = max(p.n, q.n) (inputs are zero-padded to a
     common length), exact marginals and total mass up to eps_sum, at most
-    2n nonzero cells, and H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. It is built
-    and checked as its pieces in O(n) time and memory (plus an O(n log n)
-    sort of the pieces); the dense .matrix is built only when read, and is
-    refused above MATRIX_CELL_CAP cells. Identical inputs always produce
-    identical couplings. Inputs are taken as given, not re-sorted: values
-    out of non-increasing order raise ValidationError, and a total off 1 by
-    more than eps_sum raises BadTotal.
+    2n nonzero cells, and H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. It is built,
+    sorted and checked as its pieces in O(n) time and memory; the dense
+    .matrix is built only when read, and is refused above MATRIX_CELL_CAP
+    cells. Identical inputs always produce identical couplings. Inputs are
+    taken as given, not re-sorted: values out of non-increasing order raise
+    ValidationError, and a total off 1 by more than eps_sum raises BadTotal.
     """
     check_sorted_total(p.values, tol)
     check_sorted_total(q.values, tol)
@@ -344,8 +359,10 @@ def min_entropy_coupling(
         rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
         if ip.swapped:
             rows, cols = cols, rows
+        # the diagonal pieces' keys ascend and the remainders' descend, so
+        # the stable sort (timsort) merges two runs in linear time
         key = rows * n + cols
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise InternalInvariant("a cell was written twice")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from mecouple import (
     pad_to,
 )
 from mecouple.lattice import meet_values
-from mecouple.pairwise import MATRIX_CELL_CAP, _couple_oriented, _inversion_indices
+from mecouple.pairwise import (
+    MATRIX_CELL_CAP,
+    _couple_oriented,
+    _greedy_fill,
+    _inversion_indices,
+)
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 from golden13 import (
     COUPLING_CELLS13,
@@ -280,7 +286,16 @@ def tiny_tails(draw, max_len=12):
     return head + draw(st.lists(tiny, min_size=1, max_size=max_len))
 
 
-kernel_inputs = st.one_of(sixty_fourths(), point_masses(), generic_floats())
+@st.composite
+def signed_zeros(draw, max_len=12):
+    """sixty_fourths plus a few zeros, some of the zeros written as -0.0,
+    which make_probvec keeps: the kernel reads x = -0.0, and z_j = 0."""
+    values = draw(sixty_fourths(max_len)) + [0.0] * draw(st.integers(0, 3))
+    flips = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return [-0.0 if v == 0.0 and flip else v for v, flip in zip(values, flips)]
+
+
+kernel_inputs = st.one_of(sixty_fourths(), point_masses(), generic_floats(), signed_zeros())
 
 
 class TestKernelReference:
@@ -330,7 +345,7 @@ class TestKernelReference:
         assert np.array_equal(qp.vals, pq.vals[order])
 
 
-def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL):
+def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL, loop_parts=None):
     """The kernel's pieces split each meet component z_j as the paper does.
 
     For each j: at most one diagonal piece (j, j) and at most one remainder,
@@ -342,7 +357,8 @@ def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL):
     diag_j exactly, present iff diag_j > eps_zero, and the remainder is
     z_j - diag_j exactly, present iff above eps_zero, unless it is still
     carried after the last segment. Those unplaced remainders total at most
-    eps_sum.
+    eps_sum. loop_parts, when given, is the loop's marginal list after the
+    loop: it must hold diag_j bit for bit, and 0.0 where z_j <= 0.
     """
     eps = tol.eps_zero
     n, k = len(a), len(idx) - 1
@@ -372,11 +388,15 @@ def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL):
         zj = float(z[j])
         if zj <= 0.0:
             assert j not in diag and j not in rem and j not in absorbed, j
+            if loop_parts is not None:
+                assert loop_parts[j].hex() == (0.0).hex(), (j, loop_parts[j])
             continue
         acc = 0.0
         for _, v in sorted(absorbed.get(j, ()), reverse=True):
             acc += v
         d = float((b if seg[j] % 2 == 1 else a)[j]) - acc
+        if loop_parts is not None:
+            assert loop_parts[j].hex() == d.hex(), (j, loop_parts[j], d)
         got = diag.pop(j, None)
         if d > eps:
             assert got is not None and got.hex() == d.hex(), j
@@ -403,6 +423,36 @@ class TestPerComponentKernel:
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
         check_per_component_pieces(a, b, idx, _couple_oriented(a, b, idx, DEFAULT_TOL))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(kernel_inputs, tiny_tails()),
+        st.one_of(kernel_inputs, tiny_tails()),
+    )
+    @example(list(P13), list(Q13))
+    @example([0.5, 0.5, 0.0], [0.75, 0.25, -0.0])
+    def test_the_loop_leaves_each_diagonal_part_in_the_marginal_list(self, raw_p, raw_q):
+        # a component with z_j = 0 reads a marginal of at most eps_zero, so
+        # its diagonal slot never shows in the pieces; read the list itself
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        n = max(p.n, q.n)
+        a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
+        odd = np.zeros(n, dtype=bool)
+        for s in range(1, len(idx), 2):
+            odd[idx[s] - 1 : idx[s - 1] - 1] = True
+        loop_parts = np.where(odd, b, a).tolist()
+        z = meet_values(a, b, DEFAULT_TOL.eps_zero)
+        _greedy_fill(loop_parts, z.tolist(), idx, DEFAULT_TOL)
+        pieces = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        check_per_component_pieces(a, b, idx, pieces, loop_parts=loop_parts)
+        # diagonal pieces first, then the remainders: the piece sort's keys,
+        # in either orientation, are one ascending and one descending run
+        rows, cols, _ = pieces
+        on_diag = int((rows == cols).sum())
+        assert np.all(rows[:on_diag] == cols[:on_diag])
+        for key in (rows * n + cols, cols * n + rows):
+            assert np.all(np.diff(key[:on_diag]) > 0)
+            assert np.all(np.diff(key[on_diag:]) < 0)
 
 
 class TestInputContract:
@@ -543,6 +593,25 @@ class TestSparseCore:
         assert np.abs(np.bincount(cols, weights=cm.vals, minlength=n) - raw_q).max() <= 1e-9
         h_z = entropy(glb(p, q).meet)
         assert h_z - 1e-12 <= cm.entropy() <= h_z + 1.0 + 1e-12
+
+    def test_traced_peak_at_most_three_times_the_pieces(self):
+        # the kernel's Python lists dominate the peak: one merged marginal
+        # list and the meet's, not lists of both marginals beside the meet's
+        rng = np.random.default_rng(34)
+        p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(10_000), size=2))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cm = min_entropy_coupling(p, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        pieces = cm.rows.nbytes + cm.cols.nbytes + cm.vals.nbytes
+        assert peak <= 3.0 * pieces, (peak, pieces, peak / pieces)
 
     def test_dense_forms_refused_above_the_cap(self):
         side = int(np.sqrt(MATRIX_CELL_CAP)) + 1
