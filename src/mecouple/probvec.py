@@ -201,8 +201,13 @@ def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> floa
     """
     v = _float_array(values)
     v = v[v > 0.0]
+    # the products overwrite the log2 buffer, as numpy's temporary elision
+    # did for v * np.log2(v) without promising to: the same floats, summed
+    # the same way, in two n-sized buffers
+    t = np.log2(v)
+    np.multiply(v, t, out=t)
     # clamped: a point mass slightly above 1 would read -3e-16, and 1.0 reads -0.0
-    return max(0.0, float(-(v * np.log2(v)).sum()))
+    return max(0.0, float(-t.sum()))
 
 
 def entropy(p: ProbVec) -> float:

@@ -28,7 +28,14 @@ from mecouple import (
     pad_to,
 )
 from mecouple.probvec import DEFAULT_TOL
-from util import BadPartition, aggregate, comparable_pair, half, random_probvec
+from util import (
+    BadPartition,
+    aggregate,
+    comparable_pair,
+    half,
+    random_probvec,
+    reference_entropy_bits,
+)
 
 H_06_04 = 0.9709505944546686  # recomputed with 50-digit arithmetic
 
@@ -278,6 +285,28 @@ class TestPadTo:
             pad_to(make_probvec([0.6, 0.4]), 1)
 
 
+@st.composite
+def dirichlet_draws(draw):
+    n = draw(st.integers(1, 4096))
+    alpha = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.dirichlet(np.full(n, alpha)).tolist()
+
+
+# multiples of 1/8 and zeros, some of the zeros written as -0.0
+signed_zero_cells = st.lists(st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5]), max_size=16)
+
+
+# a point mass at or just above 1.0, before or after a few zeros
+point_mass_cells = st.builds(
+    lambda mass, zeros, first: [mass] + [0.0] * zeros if first else [0.0] * zeros + [mass],
+    st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), 1.0 + 4 * np.finfo(float).eps]),
+    st.integers(0, 4),
+    st.booleans(),
+)
+entropy_inputs = st.one_of(dirichlet_draws(), signed_zero_cells, point_mass_cells)
+
+
 class TestEntropy:
     def test_fair_coin(self):
         assert entropy(make_probvec([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
@@ -304,6 +333,18 @@ class TestEntropy:
         assert entropy_bits(tuple(cells)) == entropy_bits(arr)
         assert entropy_bits(v for v in cells) == entropy_bits(arr)
         assert entropy_bits(np.zeros(3)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(entropy_inputs, st.sampled_from(["array", "list", "tuple", "generator"]))
+    def test_entropy_bits_matches_the_original_expression(self, values, form):
+        def build():
+            if form == "array":
+                return np.array(values)
+            if form == "generator":
+                return (v for v in values)
+            return {"list": list, "tuple": tuple}[form](values)
+
+        assert entropy_bits(build()).hex() == reference_entropy_bits(build()).hex()
 
 
 class TestMajorizes:

@@ -324,6 +324,18 @@ def reference_exact_min_entropy(
     return opt, VertexCoupling(mat, int((mat > eps).sum()))
 
 
+def reference_entropy_bits(values) -> float:
+    """probvec.entropy_bits as first written, as one expression.
+
+    Reference for entropy_bits, which must return the same float.
+    """
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    v = np.asarray(values, dtype=float)
+    v = v[v > 0.0]
+    return max(0.0, float(-(v * np.log2(v)).sum()))
+
+
 def reference_meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
     """lattice.meet_values as first written: np.diff with a prepended zero and
     an unconditional clamp. Reference for the production meet, whose floats
