@@ -13,16 +13,20 @@ Each row reports its round count under "rounds".
 
 - pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each round
   times the two make_probvec calls on the raw arrays, then
-  min_entropy_coupling on their results.
+  min_entropy_coupling on their results. After the timed rounds, one
+  untimed min_entropy_coupling runs under tracemalloc, and the row reports
+  its traced peak (the result included) as traced_peak_mb, in MiB. The
+  row's peak RSS is read before that call, since tracemalloc's own
+  bookkeeping inflates it.
 - stages, n in STAGE_NS: the pairwise path taken apart, on two Dirichlet(1)
   vectors of length n. Each stage is timed on its own, with its own rounds,
   on inputs built outside the timed region: make_probvec of a raw vector;
   the public ProbVec(values, perm) constructor over a validated vector's
   arrays; check_sorted_total; _orient, which finds the orientation and the
   segments; meet_values of the oriented pair; the greedy kernel
-  _couple_oriented (its own meet_values and tolist calls, and the numpy
-  assembly of its piece arrays, included); the piece sort with the
-  written-twice check; _check_marginals; entropy_bits of the pieces; and
+  _couple_oriented (its own meet_values, the merged marginal list and the
+  two tolist calls of it and of the meet, and the numpy assembly of its
+  piece arrays, included); the piece sort with the written-twice check; _check_marginals; entropy_bits of the pieces; and
   glb. The last entry times the whole min_entropy_coupling for comparison.
   The sort is written out here as min_entropy_coupling runs it, since it is
   not a function of its own. There is no list-to-array stage: the kernel
@@ -54,7 +58,7 @@ Each row reports its round count under "rounds".
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage (under "stages" for the stage rows, one entry per stage
-with its own round count), the process's peak RSS (ru_maxrss, which includes the
+with its own round count), the pairwise rows' traced peak, the process's peak RSS (ru_maxrss, which includes the
 interpreter and numpy) and the output size (nnz, or the joint's cell count
 under "entries", or the CLI's stdout bytes under "output_bytes", or the
 oracle's optimum and support size), plus nproc, Python and numpy versions.
@@ -72,6 +76,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -112,6 +117,13 @@ def pair_row(mc, np, n: int) -> dict:
         couple.append(end - mid)
         nnz = cm.nnz
         del p, q, cm  # so the next round's peak does not include these results
+    # read before tracing, whose bookkeeping of every allocation would inflate it
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
+    tracemalloc.start()
+    mc.min_entropy_coupling(p, q)
+    traced_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "n": n,
         "rounds": len(couple),
@@ -120,6 +132,8 @@ def pair_row(mc, np, n: int) -> dict:
         "coupling_best_s": min(couple),
         "coupling_median_s": statistics.median(couple),
         "nnz": nnz,
+        "traced_peak_mb": traced_peak / 2**20,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
@@ -152,7 +166,7 @@ def stage_row(mc, np, n: int) -> dict:
 
     def piece_sort():
         key = rows * n + cols
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise RuntimeError("a cell was written twice")
@@ -325,7 +339,7 @@ def child(src: str, kind: str, size: int) -> dict:
     import mecouple as mc
 
     row = ROWS[kind][0](mc, np, size)
-    row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    row.setdefault("peak_rss_mb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     return row
 
 
