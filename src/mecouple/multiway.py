@@ -2,24 +2,24 @@
 
 The marginals sit at the leaves of a balanced binary tree; each internal node
 couples its two children pairwise and keeps only the nonzero cells. A node
-holds two arrays: its cell values, sorted non-increasingly, and a leaf-major
-int32 (leaves x cells) array of the original leaf indices each cell covers,
-built from the children's columns by np.take. Node i of level l covers
-leaves i * 2**l up to (i + 1) * 2**l - 1, or up to the last leaf.
+holds its cell values, sorted non-increasingly, and for each child the
+child's cell that each of its cells was drawn from; a leaf holds the original
+index of each positive component. Node i of level l covers leaves i * 2**l
+up to (i + 1) * 2**l - 1, or up to the last leaf.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
 leaves below it. The merged values are fresh positive pieces, already sorted,
 whose marginals and total the pairwise coupling checked, so they go to the
 next merge as ProbVec._adopt wrappers, neither copied nor re-validated;
-the pairwise entry check still reads their order and total. SparseJoint
-keeps the root's arrays and reads its entropy, marginals and dense tensor
-from them.
+the pairwise entry check still reads their order and total. These indices
+compose down the tree, so the root's leaf-major int32 (k x cells) coords are
+written once, by one walk down it; SparseJoint keeps them and the root's values.
 
 When k is not a power of two, the paper pads the leaves with point masses,
 which change neither the entropy, the other marginals nor the meet. Only the
 k real leaves are built: a padding-only subtree is a point mass, and a real
 node meets one exactly when its level has odd length, so that level's last
-node is merged with the point mass [1.0], a node with no coordinate rows.
+node is merged with the point mass [1.0], a node with no leaves below it.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class SparseJoint:
     int32 (k x cells) array whose column i is cell i's index in each
     marginal's original (caller) indexing. Columns are distinct, since every
     merge of k_min_entropy_coupling refuses a cell written twice, so the
-    constructor checks only the shapes and that each coordinate lies in
-    [0, dims[axis]). entries, the cells as (value, index tuple) pairs, is
-    built only when read; a value passed in (as dataclasses.replace does) is
-    kept as given, unchecked against the arrays.
+    constructor checks only the shapes, that coords holds integers and that
+    each coordinate lies in [0, dims[axis]). entries, the cells as (value,
+    index tuple) pairs, is built only when read; a value passed in (as
+    dataclasses.replace does) is kept as given, unchecked against the arrays.
     """
 
     values: np.ndarray
@@ -67,6 +67,8 @@ class SparseJoint:
     def __post_init__(self) -> None:
         if self.values.ndim != 1 or self.coords.shape != (self.k, self.values.size):
             raise InternalInvariant("coords must have shape (k, cells)")
+        if self.coords.dtype.kind not in "iu":
+            raise InternalInvariant("coords must hold integers")
         if self.values.size and (
             (self.coords.min(axis=1) < 0).any()
             or (self.coords.max(axis=1) >= self.dims).any()
@@ -88,25 +90,21 @@ class SparseJoint:
 
 @dataclass(frozen=True, eq=False)
 class MergeNode:
-    """One node of the merge tree, as two arrays over its cells.
+    """One node of the merge tree: its cell values and where each came from.
 
-    values holds the cell masses, sorted non-increasingly. coords is a
-    leaf-major int32 array with one row per real leaf the node covers and
-    one column per cell: column i gives, in each leaf's original indexing,
-    the component whose mass values[i] was drawn from. Each leaf's row is
-    contiguous, so the root's per-axis checks read it in one pass.
+    values holds the cell masses, sorted non-increasingly. parts holds one
+    (pick, child) pair per child: cell i was drawn from cell pick[i] of
+    child. A leaf's one part picks each positive component's original index,
+    with child None; the point mass [1.0] has no parts.
     """
 
     values: np.ndarray
-    coords: np.ndarray
+    parts: tuple[tuple[np.ndarray, MergeNode | None], ...]
 
 
 def _leaf(p: ProbVec) -> MergeNode:
     kept = p.values > 0.0
-    return MergeNode(
-        values=p.values[kept],
-        coords=p.perm[kept].astype(np.int32).reshape(1, -1),
-    )
+    return MergeNode(values=p.values[kept], parts=((p.perm[kept], None),))
 
 
 def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
@@ -118,29 +116,30 @@ def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
     )
     # pieces come row-major; a stable sort by -value keeps that order among ties
     order = np.argsort(-cm.vals, kind="stable")
-    # take, unlike [:, idx], returns C order, so each leaf's row stays contiguous
-    return MergeNode(
-        values=cm.vals[order],
-        coords=np.vstack((
-            left.coords.take(cm.rows[order], axis=1),
-            right.coords.take(cm.cols[order], axis=1),
-        )),
-    )
+    return MergeNode(cm.vals[order], ((cm.rows[order], left), (cm.cols[order], right)))
+
+
+def _gather(node: MergeNode, cells: np.ndarray) -> Iterator[np.ndarray]:
+    """Each real leaf's original indices of the given cells of node, in leaf order."""
+    for pick, child in node.parts:
+        if child is None:
+            yield pick.take(cells)
+        else:
+            yield from _gather(child, pick.take(cells))
 
 
 def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
     """The levels of the merge tree over the k real leaves, leaves first, root last.
 
-    Levels are yielded one at a time, so a caller that keeps only the
-    latest holds at most two levels. A level of odd length merges its last
-    node with the point mass [1.0], which has no coordinate rows; the tree
-    has ceil(log2 k) levels above the leaves.
+    Levels are yielded as they are built; every node keeps its children, so
+    the root holds the whole tree. A level of odd length merges its last node
+    with the point mass [1.0]; the tree has ceil(log2 k) levels above the leaves.
     """
     current = [_leaf(p) for p in ps]
     yield current
     while len(current) > 1:
         if len(current) % 2:
-            current = [*current, MergeNode(np.ones(1), np.empty((0, 1), dtype=np.int32))]
+            current = [*current, MergeNode(np.ones(1), ())]
         current = [_merge(a, b, tol) for a, b in zip(current[::2], current[1::2])]
         yield current
 
@@ -154,8 +153,8 @@ def k_min_entropy_coupling(
     Reproduces every marginal up to eps_sum and satisfies
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
     The support holds at most 2**ceil(log2 k) * n cells. The result keeps the
-    merge tree root's value and coordinate arrays, read-only; its entries
-    tuples are built only if read. As in min_entropy_coupling, each marginal
+    merge tree root's values and the coordinates gathered for its cells,
+    read-only; its entries tuples are built only if read. As in min_entropy_coupling, each marginal
     is taken as given: values out of non-increasing order raise
     ValidationError, a total off 1 raises BadTotal.
     """
@@ -163,10 +162,11 @@ def k_min_entropy_coupling(
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
     for p in ps:
         check_sorted_total(p.values, tol)
-    for level in _merge_tree(ps, tol):
-        pass  # each finished level is dropped once the next one is built
-    (root,) = level
-    values, coords = root.values, root.coords
+    *_, (root,) = _merge_tree(ps, tol)
+    values = root.values
+    coords = np.empty((len(ps), values.size), dtype=np.int32)
+    for row, line in zip(coords, _gather(root, np.arange(values.size)), strict=True):
+        row[...] = line
     _check_marginals(coords, values, [p.in_original_order() for p in ps], tol)
     values.flags.writeable = False
     coords.flags.writeable = False

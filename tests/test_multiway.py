@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from mecouple import (
     min_entropy_coupling,
     pad_to,
 )
-from mecouple.multiway import _merge_tree
+from mecouple.multiway import _gather, _merge_tree
 from mecouple.pairwise import _couple_oriented
 from mecouple.probvec import DEFAULT_TOL
 from util import (
@@ -38,9 +40,20 @@ from util import (
     random_probvec,
     reference_couple_oriented,
     reference_k_entries,
+    reference_node_coords,
     spy_on_zeros,
     unchecked_probvec,
 )
+
+
+def assert_gathered_coords(levels, k):
+    """Every node's gathered coordinates: one row per real leaf it covers,
+    equal to the composition of the merges below it."""
+    for level, nodes in enumerate(levels):
+        for i, node in enumerate(nodes):
+            got = np.array(list(_gather(node, np.arange(node.values.size))))
+            assert got.shape == (len(range(k)[i << level : (i + 1) << level]), node.values.size)
+            assert np.array_equal(got, reference_node_coords(node))
 
 
 def meet_of(ps):
@@ -153,13 +166,14 @@ class TestConstructorChecks:
             ([[0], [5]], (1, 1)),  # past the end of axis 1
             ([[2], [0]], (2, 3)),  # axis 0's bound, not axis 1's
             ([[0], [-1]], (1, 1)),  # negative
+            (np.zeros((2, 1)), (1, 1)),  # in range, but float64
         ],
     )
     def test_malformed_joint_is_rejected(self, coords, dims):
+        # the dtype rides in the coords column: int32 unless the case is an array
+        dtype = coords.dtype if isinstance(coords, np.ndarray) else np.int32
         with pytest.raises(InternalInvariant):
-            SparseJoint(
-                values=np.ones(1), coords=np.array(coords, dtype=np.int32), dims=dims
-            )
+            SparseJoint(values=np.ones(1), coords=np.array(coords, dtype=dtype), dims=dims)
 
     def test_coordinates_checked_per_axis(self):
         joint = SparseJoint(
@@ -303,10 +317,7 @@ class TestArrayNativeTree:
         k = 48
         levels = list(_merge_tree([random_probvec(rng, 6) for _ in range(k)]))
         assert [len(nodes) for nodes in levels] == [48, 24, 12, 6, 3, 2, 1]
-        for level, nodes in enumerate(levels):
-            for i, node in enumerate(nodes):
-                leaves = range(k)[i << level : (i + 1) << level]
-                assert node.coords.shape == (len(leaves), node.values.size)
+        assert_gathered_coords(levels, k)
 
     def test_unsorted_or_short_input_is_rejected(self):
         good = make_probvec([0.6, 0.4])
@@ -331,13 +342,37 @@ class TestArrayNativeTree:
             k_min_entropy_coupling([p, make_probvec([0.5, 0.5])])
 
     def test_coords_are_leaf_major(self):
+        # dtype and C order are checked on the joint's coords, the one array
+        # written (test_arrays_are_read_only_and_leaf_major)
         rng = np.random.default_rng(71)
-        ps = [random_probvec(rng, 5) for _ in range(6)]
-        for level, nodes in enumerate(_merge_tree(ps)):
-            for i, node in enumerate(nodes):
-                assert node.coords.dtype == np.int32
-                assert node.coords.shape == (len(ps[i << level : (i + 1) << level]), node.values.size)
-                assert node.coords.flags.c_contiguous
+        for k in (2, 3, 5, 6, 48, 65):
+            ps = [random_probvec(rng, 5) for _ in range(k)]
+            levels = list(_merge_tree(ps))
+            assert_gathered_coords(levels, k)
+            (root,) = levels[-1]
+            assert np.array_equal(reference_node_coords(root), k_min_entropy_coupling(ps).coords)
+
+    def test_traced_peak_at_most_twice_the_result(self):
+        # the tree keeps merge indices, not coordinates, and the joint keeps no node
+        rng = np.random.default_rng(73)
+        ps = [make_probvec(v) for v in rng.dirichlet(np.ones(64), size=129)]
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            joint = k_min_entropy_coupling(ps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        result = joint.values.nbytes + joint.coords.nbytes
+        assert peak <= 2.0 * result, (peak, result, peak / result)
+        assert kept <= 1.05 * result, (kept, result, kept / result)
 
 
 # 1/64 ties (one to nine components), point masses, and arbitrary positive masses

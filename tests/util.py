@@ -599,6 +599,23 @@ def _reference_merge(left, right, tol):
     ]
 
 
+def reference_node_coords(node) -> np.ndarray:
+    """A merge-tree node's leaf-major int32 (leaves x cells) coordinates,
+    composed merge by merge as the tree first built them.
+
+    A leaf's one row is its pick; the point mass [1.0] has no rows; a merge
+    stacks each child's coordinates taken at that child's pick. Reference
+    for multiway._gather, whose rows must be equal.
+    """
+    if not node.parts:
+        return np.empty((0, node.values.size), dtype=np.int32)
+    return np.vstack([
+        pick.astype(np.int32).reshape(1, -1) if child is None
+        else reference_node_coords(child).take(pick, axis=1)
+        for pick, child in node.parts
+    ])
+
+
 def assert_distinct_cells(joint) -> None:
     """No two cells of a SparseJoint share an index tuple.
 

@@ -43,6 +43,10 @@ Each row reports its round count under "rounds".
   k_min_entropy_coupling. k = 48 and 513 are not powers of two, so a level
   of odd length merges its last node with a point mass; 513 is just past
   512, where a tree padded to 1024 leaves would carry the most padding.
+  As in the pairwise rows, one untimed call after the timed rounds runs
+  under tracemalloc and its traced peak (the result included) is reported
+  as traced_peak_mb, in MiB, beside coords_mb, the result's coords bytes;
+  the row's peak RSS is read before that call.
 - CLI couple, n in CLI_NS: two Dirichlet(1) vectors of length n, passed
   inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
   whose stdout goes to os.devnull; each round times one call, then one
@@ -58,10 +62,11 @@ Each row reports its round count under "rounds".
 
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage (under "stages" for the stage rows, one entry per stage
-with its own round count), the pairwise rows' traced peak, the process's peak RSS (ru_maxrss, which includes the
-interpreter and numpy) and the output size (nnz, or the joint's cell count
-under "entries", or the CLI's stdout bytes under "output_bytes", or the
-oracle's optimum and support size), plus nproc, Python and numpy versions.
+with its own round count), the pairwise and k-way rows' traced peak, the
+process's peak RSS (ru_maxrss, which includes the interpreter and numpy)
+and the output size (nnz, or the joint's cell count under "entries", or
+the CLI's stdout bytes under "output_bytes", or the oracle's optimum and
+support size), plus nproc, Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 STAGE_NS = (36, 1_000_000)
 KWAY_N = 64
-KWAY_KS = (8, 32, 48, 128, 512, 513)
+KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
 CLI_STAGE_NS = (192,)
 ORACLE_NS = (4, 5)
@@ -205,6 +210,12 @@ def kway_row(mc, np, k: int) -> dict:
         # values.size, not len(joint.entries), which would build the tuples
         entries = joint.values.size
         del joint  # so the next call's peak does not include this result
+    # read before tracing, whose bookkeeping of every allocation would inflate it
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    joint = mc.k_min_entropy_coupling(ps)
+    traced_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "k": k,
         "n": KWAY_N,
@@ -212,6 +223,9 @@ def kway_row(mc, np, k: int) -> dict:
         "best_s": min(times),
         "median_s": statistics.median(times),
         "entries": entries,
+        "coords_mb": joint.coords.nbytes / 2**20,
+        "traced_peak_mb": traced_peak / 2**20,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
