@@ -154,9 +154,9 @@ def k_min_entropy_coupling(
     H(meet of all marginals) <= H(result) <= H(meet) + ceil(log2 k) bits.
     The support holds at most 2**ceil(log2 k) * n cells. The result keeps the
     merge tree root's values and the coordinates gathered for its cells,
-    read-only; its entries tuples are built only if read. As in min_entropy_coupling, each marginal
-    is taken as given: values out of non-increasing order raise
-    ValidationError, a total off 1 raises BadTotal.
+    read-only; its entries tuples are built only if read. As in
+    min_entropy_coupling, each marginal is taken as given: values out of
+    non-increasing order raise ValidationError, a total off 1 raises BadTotal.
     """
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
