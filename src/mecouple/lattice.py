@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariant
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, check_sorted_total
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _checked_under, check_sorted_total
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +31,7 @@ def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
     non-increasing without any re-sort. Micro-negative differences produced
     by floating-point cancellation are clamped to zero.
     """
-    return _meet_of_prefixes(np.cumsum(a), np.cumsum(b), eps_zero)
+    return _meet_of_prefixes(a.cumsum(), b.cumsum(), eps_zero)
 
 
 def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.ndarray:
@@ -41,9 +41,10 @@ def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.nda
     z = np.empty_like(m)
     z[:1] = m[:1]
     np.subtract(m[1:], m[:-1], out=z[1:])
-    if (z < 0.0).any():
-        z[(z < 0.0) & (z >= -eps_zero)] = 0.0
-        if (z < 0.0).any():
+    neg = z < 0.0
+    if np.count_nonzero(neg):
+        z[neg & (z >= -eps_zero)] = 0.0
+        if np.count_nonzero(z < 0.0):
             raise InternalInvariant("meet produced a component below -eps_zero")
     return z
 
@@ -52,7 +53,7 @@ def _padded_prefix(p: ProbVec, n: int) -> np.ndarray:
     """Read-only prefix sums of p's values zero-padded to length n: the last
     sum repeats, as np.cumsum of the padded values gives it."""
     out = np.empty(n)
-    np.cumsum(p.values, out=out[: p.n])
+    p.values.cumsum(out=out[: p.n])
     out[p.n :] = out[p.n - 1]
     out.flags.writeable = False
     return out
@@ -65,10 +66,13 @@ def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     zero-padded first. Each input's prefix sums are taken once, padded by
     repeating the last sum, and both the meet and the returned prefixes are
     read from them in O(n). Inputs are checked as in min_entropy_coupling:
-    ValidationError if unsorted, BadTotal on a bad total.
+    ValidationError if unsorted, BadTotal on a bad total; the check is
+    skipped for an input that make_probvec validated under an eps_sum no
+    wider than tol's, which passes it.
     """
-    check_sorted_total(p.values, tol)
-    check_sorted_total(q.values, tol)
+    for v in (p, q):
+        if not _checked_under(v, tol):
+            check_sorted_total(v.values, tol)
     n = max(p.n, q.n)
     prefix_p, prefix_q = (_padded_prefix(v, n) for v in (p, q))
     z = _meet_of_prefixes(prefix_p, prefix_q, tol.eps_zero)

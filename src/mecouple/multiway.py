@@ -35,6 +35,7 @@ from .probvec import (
     DEFAULT_TOL,
     ProbVec,
     Tolerances,
+    _checked_under,
     check_sorted_total,
     entropy_bits,
     make_probvec,
@@ -70,8 +71,8 @@ class SparseJoint:
         if self.coords.dtype.kind not in "iu":
             raise InternalInvariant("coords must hold integers")
         if self.values.size and (
-            (self.coords.min(axis=1) < 0).any()
-            or (self.coords.max(axis=1) >= self.dims).any()
+            np.count_nonzero(np.minimum.reduce(self.coords, axis=1) < 0)
+            or np.count_nonzero(np.maximum.reduce(self.coords, axis=1) >= self.dims)
         ):
             raise InternalInvariant("a coordinate lies outside its axis")
 
@@ -115,7 +116,7 @@ def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
         tol,
     )
     # pieces come row-major; a stable sort by -value keeps that order among ties
-    order = np.argsort(-cm.vals, kind="stable")
+    order = (-cm.vals).argsort(kind="stable")
     return MergeNode(cm.vals[order], ((cm.rows[order], left), (cm.cols[order], right)))
 
 
@@ -156,12 +157,15 @@ def k_min_entropy_coupling(
     merge tree root's values and the coordinates gathered for its cells,
     read-only; its entries tuples are built only if read. As in
     min_entropy_coupling, each marginal is taken as given: values out of
-    non-increasing order raise ValidationError, a total off 1 raises BadTotal.
+    non-increasing order raise ValidationError, a total off 1 raises BadTotal,
+    and the check is skipped for a marginal that make_probvec validated
+    under an eps_sum no wider than tol's.
     """
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
     for p in ps:
-        check_sorted_total(p.values, tol)
+        if not _checked_under(p, tol):
+            check_sorted_total(p.values, tol)
     *_, (root,) = _merge_tree(ps, tol)
     values = root.values
     coords = np.empty((len(ps), values.size), dtype=np.int32)

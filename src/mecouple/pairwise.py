@@ -34,6 +34,7 @@ from .probvec import (
     DEFAULT_TOL,
     ProbVec,
     Tolerances,
+    _checked_under,
     check_sorted_total,
     entropy,
     entropy_bits,
@@ -172,8 +173,8 @@ def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[i
     non-negative sign above index n, a segment ends wherever the sign of the
     suffix differences beyond eps_zero flips; smaller ones extend any segment.
     """
-    d = np.cumsum((a - b)[::-1])  # d[t]: suffix sum of a - b from index n - t
-    t = np.flatnonzero(np.abs(d) > eps_zero)
+    d = (a - b)[::-1].cumsum()  # d[t]: suffix sum of a - b from index n - t
+    t = (np.abs(d) > eps_zero).nonzero()[0]
     neg = np.zeros(t.size + 1, dtype=bool)  # neg[0]: the virtual sign above n
     neg[1:] = d[t] < 0.0
     return (len(a) + 1, *(len(a) + 1 - t[neg[1:] != neg[:-1]]).tolist(), 1)
@@ -182,7 +183,7 @@ def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[i
 def _orient(a: np.ndarray, b: np.ndarray, eps: float) -> InversionPoints | None:
     """inversion_points of the value arrays a, b; None if no component differs beyond eps."""
     differ = np.abs(a - b) > eps
-    if not differ.any():
+    if not np.count_nonzero(differ):
         return None
     last = differ.size - 1 - int(differ[::-1].argmax())
     swapped = bool(a[last] < b[last])
@@ -318,10 +319,10 @@ def _check_marginals(
     """
     for axis, (line, margin) in enumerate(zip(lines, margins)):
         got = np.bincount(line, weights=vals, minlength=margin.size)
-        dev = float(np.abs(got - margin).max())
+        dev = float(np.maximum.reduce(np.abs(got - margin)))
         if not dev <= tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
-    total = float(vals.sum())
+    total = float(np.add.reduce(vals))
     if not abs(total - 1.0) <= tol.eps_sum:
         raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
 
@@ -341,9 +342,12 @@ def min_entropy_coupling(
     cells. Identical inputs always produce identical couplings. Inputs are
     taken as given, not re-sorted: values out of non-increasing order raise
     ValidationError, and a total off 1 by more than eps_sum raises BadTotal.
+    That entry check is skipped for an input that make_probvec validated
+    under an eps_sum no wider than tol's, which passes it.
     """
-    check_sorted_total(p.values, tol)
-    check_sorted_total(q.values, tol)
+    for v in (p, q):
+        if not _checked_under(v, tol):
+            check_sorted_total(v.values, tol)
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
@@ -352,7 +356,7 @@ def min_entropy_coupling(
         # componentwise-equal marginals couple on the diagonal, in lines where
         # both are positive: a mass at or below eps_zero opposite a zero stays
         # out of that zero's line
-        rows = cols = np.flatnonzero((a > 0.0) & (b > 0.0))
+        rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
         vals = a[rows]
     else:
         first, second = (b, a) if ip.swapped else (a, b)
@@ -362,9 +366,9 @@ def min_entropy_coupling(
         # the diagonal pieces' keys ascend and the remainders' descend, so
         # the stable sort (timsort) merges two runs in linear time
         key = rows * n + cols
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        if np.count_nonzero(key[1:] == key[:-1]):
             raise InternalInvariant("a cell was written twice")
         rows, cols, vals = rows[order], cols[order], vals[order]
     _check_marginals((rows, cols), vals, (a, b), tol)
@@ -378,7 +382,7 @@ def min_entropy_coupling(
         vals=vals,
         row_perm=row_perm,
         col_perm=col_perm,
-        nnz=int((vals > tol.eps_zero).sum()),
+        nnz=int(np.count_nonzero(vals > tol.eps_zero)),
     )
 
 

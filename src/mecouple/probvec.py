@@ -10,6 +10,16 @@ constructor copies and checks whatever a caller passes; the vectors the
 package builds itself (make_probvec's result, glb's meet, pad_to's result
 and the k-way merge inputs) are made from arrays that are valid by
 construction, and ProbVec._adopt takes those arrays as they are.
+
+The algorithms that take a ProbVec as given (min_entropy_coupling, glb and
+k_min_entropy_coupling) start with check_sorted_total on its values, since
+a hand-built vector may be unsorted or short. make_probvec's result has
+passed that very check: its values are a stable sort's gather, exactly
+non-increasing, and its total was summed as check_sorted_total sums it. It
+records the eps_sum it passed under, and an entry check under any eps_sum at
+least as wide is skipped (_checked_under). Every other vector, including a
+dataclasses.replace copy, glb's meet, pad_to's result and the merge inputs,
+carries no record and is checked.
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ class ProbVec:
 
     values: np.ndarray
     perm: np.ndarray
+    # the eps_sum under which make_probvec checked order and total; set on
+    # its results only (see _checked_under), a class default everywhere else
+    _checked_eps_sum = float("inf")
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -129,18 +142,24 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
         raise ValidationError("input must be a flat sequence of numbers")
     if arr.size == 0:
         raise Empty("a distribution needs at least one component")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValidationError("input contains non-finite entries")
-    bad = np.flatnonzero(arr < -tol.eps_zero)
-    if bad.size:
-        i = int(bad[0])
-        raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    order = np.argsort(-arr, kind="stable")
+    neg = arr < 0.0
+    if np.count_nonzero(neg):
+        bad = (arr < -tol.eps_zero).nonzero()[0]
+        if bad.size:
+            i = int(bad[0])
+            raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
+        arr = np.where(neg, 0.0, arr)
+    order = (-arr).argsort(kind="stable")
     values = arr[order]
     _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
     # values: a fresh gather of finite entries clamped at 0; order: an argsort
-    return ProbVec._adopt(values, order)
+    p = ProbVec._adopt(values, order)
+    # a stable sort's gather is exactly non-increasing, so with the total
+    # checked above, check_sorted_total(values, tol) passes
+    object.__setattr__(p, "_checked_eps_sum", tol.eps_sum)
+    return p
 
 
 def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
@@ -154,9 +173,9 @@ def _check_total(values: np.ndarray, tol: Tolerances) -> None:
     if values.size and values[-1] == 0.0:
         # numpy's pairwise sum depends on the length, so trailing zeros are
         # cut: a zero-padded copy then has the same total as its source
-        nonzero = np.flatnonzero(values)
+        nonzero = values.nonzero()[0]
         values = values[: nonzero[-1] + 1 if nonzero.size else 0]
-    total = float(values.sum())
+    total = float(np.add.reduce(values))
     if not abs(total - 1.0) <= tol.eps_sum:  # written so that a NaN total fails
         raise BadTotal(f"total mass {total!r} deviates from 1 beyond eps_sum")
 
@@ -169,10 +188,18 @@ def check_sorted_total(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Non
     are non-increasing within eps_zero, and BadTotal unless they sum to 1
     within eps_sum. The sum stops at the last nonzero value, as in
     make_probvec, so a zero-padded copy passes exactly when its source does.
+    The algorithms that call it skip it for a vector that make_probvec
+    checked under an eps_sum no wider than tol's (_checked_under).
     """
-    if bool((values[1:] - values[:-1] > tol.eps_zero).any()):
+    if np.count_nonzero(values[1:] - values[:-1] > tol.eps_zero):
         raise ValidationError("components must be sorted non-increasingly")
     _check_total(values, tol)
+
+
+def _checked_under(p: ProbVec, tol: Tolerances) -> bool:
+    """True if make_probvec made p under an eps_sum at most tol.eps_sum, so
+    that check_sorted_total(p.values, tol) is known to pass."""
+    return p._checked_eps_sum <= tol.eps_sum
 
 
 def pad_to(p: ProbVec, n: int) -> ProbVec:
@@ -199,15 +226,19 @@ def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> floa
     are collected first. Zero components contribute nothing, and the result
     is never below 0.
     """
-    v = _float_array(values)
-    v = v[v > 0.0]
+    # flat, and copied only to drop the zeros: the positive values go to
+    # log2 and the sum in the same order either way, so the floats match
+    v = _float_array(values).ravel()
+    positive = v > 0.0
+    if np.count_nonzero(positive) != v.size:
+        v = v[positive]
     # the products overwrite the log2 buffer, as numpy's temporary elision
     # did for v * np.log2(v) without promising to: the same floats, summed
-    # the same way, in two n-sized buffers
+    # the same way
     t = np.log2(v)
     np.multiply(v, t, out=t)
     # clamped: a point mass slightly above 1 would read -3e-16, and 1.0 reads -0.0
-    return max(0.0, float(-t.sum()))
+    return max(0.0, float(-np.add.reduce(t)))
 
 
 def entropy(p: ProbVec) -> float:

@@ -516,6 +516,67 @@ class TestInputContract:
         assert abs(cm.vals.sum() - 1.0) <= DEFAULT_TOL.eps_sum
 
 
+class TestEntryCheckedOnce:
+    # make_probvec's result records the eps_sum its total passed under, and
+    # the entry checks skip it only under an eps_sum at least as wide
+    CALLS = (min_entropy_coupling, glb, bounds)
+
+    def test_a_vector_made_under_a_wider_eps_sum_is_checked(self):
+        loose = Tolerances(1e-6, 1e-10)
+        off = make_probvec([0.5 + 1e-7, 0.3, 0.2], loose)
+        other = make_probvec([0.6, 0.4])
+        for call in self.CALLS:
+            for p, q in ((off, other), (other, off)):
+                with pytest.raises(BadTotal):
+                    call(p, q, DEFAULT_TOL)
+            call(off, other, loose)
+        with pytest.raises(BadTotal):
+            k_min_entropy_coupling([other, off], DEFAULT_TOL)
+
+    def test_hand_built_and_replaced_vectors_are_checked(self):
+        other = make_probvec([0.6, 0.4])
+        made = make_probvec([0.2, 0.3, 0.5])
+        unsorted = ProbVec((0.2, 0.3, 0.5), (0, 1, 2))
+        reversed_copy = dataclasses.replace(made, values=made.values[::-1])
+        short_copy = dataclasses.replace(made, values=made.values * 0.9)
+        for call in (*self.CALLS, lambda p, q: k_min_entropy_coupling([p, q])):
+            for bad in (unsorted, reversed_copy):
+                with pytest.raises(ValidationError) as info:
+                    call(bad, other)
+                assert not isinstance(info.value, BadTotal)
+            with pytest.raises(BadTotal):
+                call(other, short_copy)
+
+    def test_make_probvec_inputs_skip_the_entry_check(self, monkeypatch):
+        import mecouple.lattice
+        import mecouple.multiway
+        import mecouple.pairwise
+
+        seen = []
+
+        def spy(values, tol=DEFAULT_TOL):
+            seen.append(values)
+            check_sorted_total(values, tol)
+
+        for module in (mecouple.pairwise, mecouple.lattice, mecouple.multiway):
+            monkeypatch.setattr(module, "check_sorted_total", spy)
+        rng = np.random.default_rng(83)
+        p = make_probvec(rng.dirichlet(np.ones(20)))
+        q = make_probvec(np.r_[np.full(32, 1 / 64), 0.5, np.zeros(3)])
+        wider = Tolerances(1e-6, DEFAULT_TOL.eps_zero)
+        for tol in (DEFAULT_TOL, wider):
+            for call in self.CALLS:
+                call(p, q, tol)
+        assert seen == []
+        k_min_entropy_coupling([p, q, p])
+        # none for the marginals; two for each of the three merges, whose
+        # inputs are node values, not make_probvec's
+        assert len(seen) == 6
+        seen.clear()
+        min_entropy_coupling(p, q, Tolerances(1e-10, DEFAULT_TOL.eps_zero))
+        assert len(seen) == 2
+
+
 class TestNonFiniteMass:
     # A NaN mass once hung min_entropy_coupling (NaN suffix sums stop both
     # scans of _inversion_indices while its output list grows), made

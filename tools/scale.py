@@ -26,8 +26,11 @@ Each row reports its round count under "rounds".
   segments; meet_values of the oriented pair; the greedy kernel
   _couple_oriented (its own meet_values, the merged marginal list and the
   two tolist calls of it and of the meet, and the numpy assembly of its
-  piece arrays, included); the piece sort with the written-twice check; _check_marginals; entropy_bits of the pieces; and
-  glb. The last entry times the whole min_entropy_coupling for comparison.
+  piece arrays, included); the piece sort with the written-twice check;
+  _check_marginals; entropy_bits of the pieces; glb; and bounds, which
+  takes both entropies and glb's meet's. The last entry times the whole
+  min_entropy_coupling for comparison. glb, bounds and the coupling take
+  make_probvec's results, as a caller's pairwise call does.
   The sort is written out here as min_entropy_coupling runs it, since it is
   not a function of its own. There is no list-to-array stage: the kernel
   returns arrays.
@@ -171,9 +174,9 @@ def stage_row(mc, np, n: int) -> dict:
 
     def piece_sort():
         key = rows * n + cols
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        if np.count_nonzero(key[1:] == key[:-1]):
             raise RuntimeError("a cell was written twice")
         return rows[order], cols[order], vals[order]
 
@@ -189,6 +192,7 @@ def stage_row(mc, np, n: int) -> dict:
         "check_marginals": lambda: _check_marginals(pieces[:2], pieces[2], (a, b), tol),
         "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
         "glb": lambda: mc.glb(p, q, tol),
+        "bounds": lambda: mc.bounds(p, q, tol),
         "min_entropy_coupling": lambda: mc.min_entropy_coupling(p, q, tol),
     }
     return {
