@@ -226,8 +226,8 @@ def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> floa
     are collected first. Zero components contribute nothing, and the result
     is never below 0.
     """
-    # flat, and copied only to drop the zeros: the positive values go to
-    # log2 and the sum in the same order either way, so the floats match
+    # flat, and copied only to drop values that are not positive: the
+    # positive values reach log2 and the sum in the same order either way
     v = _float_array(values).ravel()
     positive = v > 0.0
     if np.count_nonzero(positive) != v.size:
