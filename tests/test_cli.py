@@ -47,6 +47,7 @@ COUPLE_K_STDOUT = (
 # text format
 GOLDEN13_ARGV = (json.dumps(list(P13)), json.dumps(list(Q13)))
 PAIR_ARGV = ("0.1 0.6 0.3", "0.25 0.125 0.5 0.125")
+SUBNORMAL_ARGV = ("[0.5, 0.5, 1.2345678901234e-315]",) * 2
 GOLDEN13_MATRIX = (
     "[[0.15,0.145,0.055,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
     "[0.0,0.005,0.0,0.09,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0],"
@@ -155,6 +156,18 @@ PINNED_STDOUT = {
     ("couple", "[1.0]", "[1.0]"): (
         '{"order":"original","rows":1,"cols":1,"matrix":[[1.0]],"joint_entropy":0.0,'
         '"glb_entropy":0.0,"gap":0.0,"nnz":1,"unit":"bits"}\n'
+    ),
+    # a subnormal cell: JSON prints the shortest repr of the 12-digit value,
+    # text its 12 digits
+    ("--tolerance-zero", "1e-320", "couple", *SUBNORMAL_ARGV): (
+        '{"order":"original","rows":3,"cols":3,"matrix":'
+        "[[0.5,0.0,0.0],[0.0,0.5,0.0],[0.0,0.0,1.23456789e-315]],"
+        '"joint_entropy":1.0,"glb_entropy":1.0,"gap":0.0,"nnz":3,"unit":"bits"}\n'
+    ),
+    ("--format", "text", "--tolerance-zero", "1e-320", "couple", *SUBNORMAL_ARGV): (
+        "order: original\nrows: 3\ncols: 3\nmatrix:\n"
+        "  0.5 0 0\n  0 0.5 0\n  0 0 1.234567891e-315\n"
+        "joint_entropy: 1\nglb_entropy: 1\ngap: 0\nnnz: 3\nunit: bits\n"
     ),
 }
 

@@ -76,10 +76,10 @@ def _text(rng, v: np.ndarray) -> str:
     return " ".join(repr(x) for x in v.tolist())
 
 
-def cli_calls(rng) -> list[tuple[list[str], dict]]:
-    """(argv, environment overrides) for CLI_CALLS calls."""
+def cli_calls(rng, count: int = CLI_CALLS) -> list[tuple[list[str], dict]]:
+    """(argv, environment overrides) for count calls."""
     calls = []
-    for i in range(CLI_CALLS):
+    for i in range(count):
         cmd = COMMANDS[i % len(COMMANDS)]
         kind = KINDS[int(rng.integers(len(KINDS)))]
         if cmd[0] == "couple-k":
