@@ -5,9 +5,9 @@ is auto-detected from the first non-space byte: ``[`` means a JSON array of
 numbers, anything else plain whitespace-separated decimals. All probabilities
 are printed with 12 significant digits. A JSON document is encoded one
 top-level value at a time by the C encoder (``json.dumps``), except a
-coupling matrix, which renders itself from its nonzero cells (see
-``_Cells``); the pieces are joined and written whole, so an encoding error
-leaves nothing on stdout. Exit codes: 0 success, 1 validation or internal
+coupling matrix, which renders itself from its nonzero cells, each formatted
+once (see ``_Cells``); the pieces are joined and written whole, so an
+encoding error leaves nothing on stdout. Exit codes: 0 success, 1 validation or internal
 error (the machine-readable error code goes to stderr), 2 usage error.
 """
 
@@ -55,13 +55,18 @@ def _load(source: str, tol: Tolerances) -> ProbVec:
     if stripped[0] == "[":
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
             raise ValidationError(f"unparseable JSON vector: {exc}") from exc
+        except RecursionError as exc:
+            raise ValidationError("JSON vector is nested too deeply") from exc
         # json.loads yields exact types only, so bool (an int subclass) is
         # refused along with str, None, list and dict
-        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        if not isinstance(data, list) or not (kinds := set(map(type, data))) <= {int, float}:
             raise ValidationError("JSON vector must be an array of numbers")
-        raw = [float(v) for v in data]
+        try:
+            raw = data if kinds <= {float} else [float(v) for v in data]
+        except OverflowError as exc:
+            raise ValidationError(f"JSON vector holds an integer too large for a float: {exc}") from exc
     else:
         try:
             raw = [float(tok) for tok in stripped.split()]
@@ -110,33 +115,54 @@ def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _json_number(text: str) -> str:
+    """What the C JSON encoder writes for float(text), text being a .12g format.
+
+    A 12-digit text is the shortest repr of the float it parses to, so it is
+    that repr as it stands, with ".0" added to an integer's digits. repr
+    differs in two ranges: it is shorter for a subnormal (5e-324, not
+    4.94065645841e-324) and positional in [1e12, 1e16) (1500000000000.0,
+    not 1.5e+12); those, and any text not recognised here, take repr itself.
+    """
+    _, e, exponent = text.partition("e")
+    if not e:
+        if "." in text:
+            return text
+        if text.isdigit():
+            return text + ".0"
+    elif exponent[0] == "-" and (len(exponent) == 3 or exponent < "-308"):
+        return text  # a negative exponent above the subnormal range
+    return repr(float(text))
+
+
 class _Cells(NamedTuple):
     """An n_rows x n_cols matrix that is 0.0 except at the listed cells.
 
-    rows, cols and vals are parallel lists in row-major order, vals already
-    rounded by _sig. Each rendering builds one all-zero row string and
-    splices the cells into it, so a matrix costs O(n_rows + cells) string
-    operations rather than a float format per cell.
+    rows, cols and texts are parallel lists in row-major order; texts holds
+    each cell's value formatted once, to 12 significant digits (.12g), which
+    the text form prints as it stands and the JSON form nearly so (see
+    _json_number). Each rendering builds one all-zero row string and splices
+    the cells into it, so a matrix costs O(n_rows + cells) string operations.
     """
 
     n_rows: int
     n_cols: int
     rows: list[int]
     cols: list[int]
-    vals: list[float]
+    texts: list[str]
 
-    def _lines(self, zero: str, sep: str, head: str, tail: str, fmt) -> list[str]:
+    def _lines(self, zero: str, sep: str, head: str, tail: str, texts: list[str]) -> list[str]:
         blank = head + sep.join([zero] * self.n_cols) + tail
         lines = [blank] * self.n_rows
-        # cell j of a row is blank[start:start + len(zero)]
-        starts = [len(head) + (len(zero) + len(sep)) * j for j in self.cols]
-        texts = list(map(fmt, self.vals))
+        width, stride, offset = len(zero), len(zero) + len(sep), len(head)
+        # cell j of a row is blank[start:start + width]
+        starts = [offset + stride * j for j in self.cols]
         k = 0
         for i, cells in itertools.groupby(self.rows):
             pieces, pos = [], 0
             for _ in cells:
                 pieces += (blank[pos:starts[k]], texts[k])
-                pos = starts[k] + len(zero)
+                pos = starts[k] + width
                 k += 1
             pieces.append(blank[pos:])
             lines[i] = "".join(pieces)
@@ -144,12 +170,13 @@ class _Cells(NamedTuple):
 
     def json_rows(self) -> list[str]:
         """Each row as compact JSON."""
-        # repr of a finite float is what the C JSON encoder writes for it
-        return self._lines("0.0", ",", "[", "]", float.__repr__)
+        # a positional text with a point is its own JSON number
+        texts = [t if "e" not in t and "." in t else _json_number(t) for t in self.texts]
+        return self._lines("0.0", ",", "[", "]", texts)
 
     def text(self) -> str:
         """The rows as --format text prints them: indented, space-separated, %.12g."""
-        return "".join(self._lines("0", " ", "  ", "\n", "{:.12g}".format))
+        return "".join(self._lines("0", " ", "  ", "\n", self.texts))
 
 
 def _cells(n_rows: int, n_cols: int, rows, cols, vals, perms) -> _Cells:
@@ -162,7 +189,7 @@ def _cells(n_rows: int, n_cols: int, rows, cols, vals, perms) -> _Cells:
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     order = np.argsort(rows * n_cols + cols)
     return _Cells(n_rows, n_cols, rows[order].tolist(), cols[order].tolist(),
-                  [_sig(v) for v in vals[order].tolist()])
+                  [format(v, ".12g") for v in vals[order].tolist()])
 
 
 def _cmd_glb(args, tol, u) -> dict:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecouple import exact_min_entropy, make_probvec, min_entropy_coupling
-from mecouple.cli import _Cells, _emit_text, _sig, _to_json, build_parser, main
+from mecouple.cli import _Cells, _cells, _emit_text, _sig, _to_json, build_parser, main
 from golden13 import H_COUPLING13, H_MEET13, MEET13, P13, Q13, coupling_matrix13
 
 # couple-k stdout, byte for byte, for marginals with exact 1/64 ties, unequal
@@ -171,8 +171,9 @@ PINNED_STDOUT = {
     ),
 }
 
-# cell values whose repr is as long as the zero cell's "0.0", or longer
-CELL_VALUES = (1e-05, 0.1, 5.551115123126e-17, 1.0)
+# cell values whose repr is as long as the zero cell's "0.0", or longer; each is a
+# 12-digit value, as every cell _cells hands _Cells is
+CELL_VALUES = (1e-05, 0.1, 5.55111512313e-17, 1.0)
 
 
 @st.composite
@@ -338,12 +339,12 @@ class TestMatrixWriter:
     @given(sparse_matrices())
     @example([[0.0]])
     @example([[1.0]])
-    @example([[0.0, 0.0, 0.0], [1e-05, 0.1, 5.551115123126e-17], [0.0, 0.0, 0.0]])
-    @example([[0.1, 0.0, 0.0, 1e-05], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 5.551115123126e-17]])
+    @example([[0.0, 0.0, 0.0], [1e-05, 0.1, 5.55111512313e-17], [0.0, 0.0, 0.0]])
+    @example([[0.1, 0.0, 0.0, 1e-05], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 5.55111512313e-17]])
     def test_matches_the_nested_lists(self, nested):
         rows, cols = np.nonzero(np.asarray(nested))
         cells = _Cells(len(nested), len(nested[0]), rows.tolist(), cols.tolist(),
-                       [nested[i][j] for i, j in zip(rows.tolist(), cols.tolist())])
+                       [f"{nested[i][j]:.12g}" for i, j in zip(rows.tolist(), cols.tolist())])
         assert _to_json({"matrix": cells}) == (
             json.dumps({"matrix": nested}, separators=(",", ":")) + "\n"
         )
@@ -352,6 +353,30 @@ class TestMatrixWriter:
         assert out.getvalue() == "matrix:\n" + "".join(
             "  " + " ".join(f"{v:.12g}" for v in row) + "\n" for row in nested
         )
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=2.3e-308, exclude_min=True),
+        st.floats(min_value=9.99e11, max_value=1.01e16),
+    ))
+    @example(5e-324)
+    @example(2.225073858507e-308)
+    @example(2.2250738585072014e-308)
+    @example(999999999999.5)
+    @example(1.5e12)
+    @example(9.9999999999999e15)
+    @example(1e16)
+    @example(1.0)
+    @example(100.0)
+    @example(1e-05)
+    @example(5.551115123126e-17)
+    def test_one_format_per_cell(self, v):
+        """The stored 12-digit text prints as the rounded float's repr and its %.12g."""
+        cells = _cells(1, 1, np.array([0]), np.array([0]), np.array([v]), None)
+        assert cells.json_rows() == [f"[{_sig(v)!r}]"]
+        assert cells.text() == f"  {_sig(v):.12g}\n"
 
 
 class TestScalarCommands:
@@ -480,6 +505,17 @@ class TestErrors:
     def test_json_vector_of_integers(self, capsys):
         doc = run_json(capsys, "glb", "[1, 0]", "[0, 1.0]")
         assert doc["glb"] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_json_integer_too_large_for_a_float(self, capsys, digits):
+        code, out, err = run(capsys, "couple", "[1" + "0" * (digits - 1) + ", 0]", "[1.0]")
+        assert (code, out) == (1, "")
+        assert err.startswith("ValidationError: ")
+
+    def test_json_vector_nested_too_deeply(self, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out, err = run(capsys, "couple", deep, "[1.0]")
+        assert (code, out, err) == (1, "", "ValidationError: JSON vector is nested too deeply\n")
 
     def test_unparseable_vector(self, capsys):
         code, _, err = run(capsys, "glb", "zero point five", "0.5 0.5")

@@ -34,10 +34,11 @@ Each row reports its round count under "rounds".
   The sort is written out here as min_entropy_coupling runs it, since it is
   not a function of its own. There is no list-to-array stage: the kernel
   returns arrays.
-- CLI stages, n in CLI_STAGE_NS: the serialisation of a `couple` taken
-  apart, on the CLI row's pair. Each stage is timed on its own, on inputs
-  built outside the timed region: cli._cells, the printed window of the
-  coupling's cells in the callers' order; cli._to_json of the finished
+- CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
+  `couple` taken apart, on the CLI row's pair. Each stage is timed on its
+  own, on inputs built outside the timed region: cli._load of one inline
+  JSON vector (parse and make_probvec); cli._cells, the printed window of
+  the coupling's cells in the callers' order; cli._to_json of the finished
   document; and, for comparison, the whole cli._cmd_couple (the two _load
   calls, the coupling, both entropies and _cells) and the whole in-process
   mecouple.cli.main, stdout to os.devnull.
@@ -54,6 +55,9 @@ Each row reports its round count under "rounds".
   inline as JSON arrays to an in-process mecouple.cli.main(["couple", P, Q])
   whose stdout goes to os.devnull; each round times one call, then one
   untimed call counts the output bytes.
+- CLI bounds, n in CLI_BOUNDS_NS: the same for mecouple.cli.main(["bounds",
+  P, Q]), the command and size of the bench cli workload's bounds block,
+  whose output is a few scalars, so its time is input and the library call.
 - oracle, n in ORACLE_NS: two Dirichlet(1) vectors of length n, validated
   with make_probvec outside the timed region; each round times one call of
   exact_min_entropy on the n x n instance.
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import platform
@@ -94,6 +99,7 @@ KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
 CLI_STAGE_NS = (192,)
+CLI_BOUNDS_NS = (1024,)
 ORACLE_NS = (4, 5)
 PROCESS_NS = (4,)
 REPEATS = 3
@@ -244,11 +250,11 @@ class _ByteCount:
         return len(text)
 
 
-def cli_row(mc, np, n: int) -> dict:
+def cli_row(mc, np, n: int, command: str = "couple") -> dict:
     import mecouple.cli
 
     rng = np.random.default_rng([SEED, n])
-    argv = ["couple", *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
+    argv = [command, *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
     times = []
     with open(os.devnull, "w") as sink:
         for _ in _rounds():
@@ -258,7 +264,7 @@ def cli_row(mc, np, n: int) -> dict:
                 sink.flush()
                 times.append(time.perf_counter() - start)
             if code != 0:
-                raise RuntimeError(f"mecouple couple exited {code} at n = {n}")
+                raise RuntimeError(f"mecouple {command} exited {code} at n = {n}")
     counter = _ByteCount()  # JSON output is ASCII, so characters are bytes
     with contextlib.redirect_stdout(counter):
         mecouple.cli.main(argv)
@@ -284,6 +290,7 @@ def cli_stage_row(mc, np, n: int) -> dict:
     doc = cli._cmd_couple(args, tol, 1.0)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         stages = {
+            "load": lambda: cli._load(args.p, tol),
             "cells": lambda: cli._cells(p.n, q.n, cm.rows, cm.cols, cm.vals, perms),
             "to_json": lambda: cli._to_json(doc),
             "cmd_couple": lambda: cli._cmd_couple(args, tol, 1.0),
@@ -346,6 +353,7 @@ ROWS = {
     "kway": (kway_row, KWAY_KS),
     "cli": (cli_row, CLI_NS),
     "cli_stages": (cli_stage_row, CLI_STAGE_NS),
+    "cli_bounds": (functools.partial(cli_row, command="bounds"), CLI_BOUNDS_NS),
     "oracle": (oracle_row, ORACLE_NS),
     "cli_process": (process_row, PROCESS_NS),
 }
