@@ -7,8 +7,9 @@ are printed with 12 significant digits. A JSON document is encoded one
 top-level value at a time by the C encoder (``json.dumps``), except a
 coupling matrix, which renders itself from its nonzero cells, each formatted
 once (see ``_Cells``); the pieces are joined and written whole, so an
-encoding error leaves nothing on stdout. Exit codes: 0 success, 1 validation or internal
-error (the machine-readable error code goes to stderr), 2 usage error.
+encoding error leaves nothing on stdout. Exit codes: 0 success, 1 validation
+or internal error (the machine-readable error code goes to stderr), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _load(source: str, tol: Tolerances) -> ProbVec:
         try:
             raw = data if kinds <= {float} else [float(v) for v in data]
         except OverflowError as exc:
-            raise ValidationError(f"JSON vector holds an integer too large for a float: {exc}") from exc
+            raise ValidationError(f"JSON integer too large for a float: {exc}") from exc
     else:
         try:
             raw = [float(tok) for tok in stripped.split()]
@@ -116,7 +117,7 @@ def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def _json_number(text: str) -> str:
-    """What the C JSON encoder writes for float(text), text being a .12g format.
+    """What the C JSON encoder writes for float(text), text a .12g format.
 
     A 12-digit text is the shortest repr of the float it parses to, so it is
     that repr as it stands, with ".0" added to an integer's digits. repr
@@ -170,7 +171,8 @@ class _Cells(NamedTuple):
 
     def json_rows(self) -> list[str]:
         """Each row as compact JSON."""
-        # a positional text with a point is its own JSON number
+        # the common case, a positional text with a point, is its own JSON
+        # number; testing it inline saves a call per cell
         texts = [t if "e" not in t and "." in t else _json_number(t) for t in self.texts]
         return self._lines("0.0", ",", "[", "]", texts)
 
