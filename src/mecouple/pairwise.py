@@ -219,11 +219,16 @@ def _greedy_fill(
     order: remainders are pushed in descending component order and the FIFO
     places them in that order. Lines recorded in even segments are stored
     as line - n.
+
+    The FIFO is head, the oldest carried remainder (None when nothing is
+    carried), and the deque rest of the later ones, so that the tests on the
+    oldest remainder read a local.
     """
     eps, neg_sum = tol.eps_zero, -tol.eps_sum
     n = len(z_l)
-    carried: deque[float] = deque()
-    push, pop = carried.append, carried.popleft
+    head: float | None = None
+    rest: deque[float] = deque()
+    push, pop = rest.append, rest.popleft
     lines: list[int] = []
     put_line = lines.append
     for s in range(1, len(idx)):
@@ -237,28 +242,35 @@ def _greedy_fill(
                 m_l[j] = 0.0
                 continue
             x = m_l[j]
+            x_low = x - eps
             # every carried value is above eps, so the first test needs no
             # 0.0 + and the first pop starts the sum; without a pop, the
             # diagonal part x - 0.0 is x bit for bit and stays in place
-            if carried and carried[0] < x - eps:
-                acc = pop()
+            if head is not None and head < x_low:
+                acc = head
+                head = pop() if rest else None
                 put_line(j)
-                x_low = x - eps
-                while carried and acc + carried[0] < x_low:
-                    acc += pop()
+                while head is not None and acc + head < x_low:
+                    acc += head
+                    head = pop() if rest else None
                     put_line(j)
                 x = m_l[j] = x - acc
             rem = zj - x
             if rem > eps:
-                push(rem)
+                if head is None:
+                    head = rem
+                else:
+                    push(rem)
             elif rem < neg_sum:
                 raise InternalInvariant(
                     f"carried remainder {rem!r} for component {j % n + 1} below zero"
                 )
-        if lo + shift != 0:
-            lines += [lo - 1] * len(carried)
-            carried.clear()
-    leftover = sum(carried)
+        if lo + shift != 0 and head is not None:
+            lines += [lo - 1] * (1 + len(rest))
+            head = None
+            rest.clear()
+    # the same float as a sum from 0: 0 + head == head for head > 0
+    leftover = 0 if head is None else sum(rest, head)
     if not leftover <= tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
     return lines

@@ -14,8 +14,9 @@ construction, and ProbVec._adopt takes those arrays as they are.
 The algorithms that take a ProbVec as given (min_entropy_coupling, glb and
 k_min_entropy_coupling) start with check_sorted_total on its values, since
 a hand-built vector may be unsorted or short. make_probvec's result has
-passed that very check: its values are a stable sort's gather, exactly
-non-increasing, and its total was summed as check_sorted_total sums it. It
+passed that very check: its values are a gather in the order of a sort by
+-value, ties by ascending original index, so exactly non-increasing, and its
+total was summed as check_sorted_total sums it. It
 records the eps_sum it passed under, and an entry check under any eps_sum at
 least as wide is skipped (_checked_under). Every other vector, including a
 dataclasses.replace copy, glb's meet, pad_to's result and the merge inputs,
@@ -131,11 +132,16 @@ class ProbVec:
 def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAULT_TOL) -> ProbVec:
     """Validate a raw vector and sort it non-increasingly.
 
-    Ties keep ascending original index (stable sort), values in
-    [-eps_zero, 0) are clamped to zero, and total mass is checked on the
-    sorted, clamped values but never rescaled: a bad total is the caller's
-    bug to fix. Arrays, lists and tuples are read in place; other iterables
-    are collected first.
+    Ties keep ascending original index, as a stable sort would (0.0 and
+    -0.0 tie), values in [-eps_zero, 0) are clamped to zero, and total mass
+    is checked on the sorted, clamped values but never rescaled: a bad total
+    is the caller's bug to fix. Arrays, lists and tuples are read in place;
+    other iterables are collected first.
+
+    The sort is numpy's default argsort, which is not stable, and the perm is
+    then unique wherever the values are distinct. Only when two sorted values
+    are equal are the runs of equal values put back in ascending original
+    index, by sorting the keys run * n + index.
     """
     arr = _float_array(raw)
     if arr.ndim != 1:
@@ -151,12 +157,25 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
             i = int(bad[0])
             raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
         arr = np.where(neg, 0.0, arr)
-    order = (-arr).argsort(kind="stable")
+    order = (-arr).argsort()
     values = arr[order]
+    step = values[1:] != values[:-1]
+    if np.count_nonzero(step) != step.size:
+        # run r of equal values has keys in [r * n, (r + 1) * n), below
+        # n**2 < 2**63, so one sort of the keys orders each run by index;
+        # add.accumulate is step.cumsum() without its method's call overhead
+        n = arr.size
+        run = np.zeros(n, np.intp)
+        np.add.accumulate(step, dtype=np.intp, out=run[1:])
+        run *= n
+        key = run + order
+        key.sort()
+        order = np.subtract(key, run, out=key)
+        values = arr[order]  # again: a -0.0 in a run of zeros moves with its index
     _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
-    # values: a fresh gather of finite entries clamped at 0; order: an argsort
+    # values: a fresh gather of finite entries clamped at 0; order: a perm of range(n)
     p = ProbVec._adopt(values, order)
-    # a stable sort's gather is exactly non-increasing, so with the total
+    # a gather in sorted order is exactly non-increasing, so with the total
     # checked above, check_sorted_total(values, tol) passes
     object.__setattr__(p, "_checked_eps_sum", tol.eps_sum)
     return p

@@ -457,6 +457,22 @@ class TestPerComponentKernel:
             assert np.all(np.diff(key[:on_diag]) > 0)
             assert np.all(np.diff(key[on_diag:]) < 0)
 
+    def test_remainders_still_carried_at_the_end_are_counted(self):
+        # one odd segment ending at component 1, so nothing is flushed: the
+        # two 2e-10 remainders stay carried, the first as the FIFO's head and
+        # the second in the deque behind it
+        m_l = [1e-10, 0.0, 0.0]
+        assert _greedy_fill(m_l, [1e-10, 2e-10, 2e-10], (4, 1), DEFAULT_TOL) == []
+        assert m_l == [1e-10, 0.0, 0.0]
+        tight = Tolerances(eps_sum=3e-10, eps_zero=1e-12)
+        with pytest.raises(InternalInvariant, match=r"^bookkeeping left 4e-10 mass unplaced$"):
+            _greedy_fill([1e-10, 0.0, 0.0], [1e-10, 2e-10, 2e-10], (4, 1), tight)
+
+    def test_carried_remainders_beyond_eps_sum_raise(self):
+        m_l = [1e-10, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(InternalInvariant, match=r"^bookkeeping left 1\.2e-09 mass unplaced$"):
+            _greedy_fill(m_l, [1e-10] + [3e-10] * 4, (6, 1), DEFAULT_TOL)
+
 
 class TestInputContract:
     # ProbVec's constructor checks neither order nor total, so the coupling does
@@ -729,6 +745,17 @@ class TestSparseCore:
         except MecoupleError:
             return
         assert abs(sum(v for v, _ in joint.entries) - 1.0) <= tol.eps_sum
+
+
+class TestHeavyTails:
+    @pytest.mark.xfail(strict=True, raises=InternalInvariant, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dirichlet_tenth_pairs_couple_at_n_1e5(self, seed):
+        # about a sixth of each vector's components are at or below eps_zero,
+        # and the kernel drops the pieces there
+        rng = np.random.default_rng(seed)
+        p, q = (make_probvec(v) for v in rng.dirichlet(np.full(100_000, 0.1), size=2))
+        assert min_entropy_coupling(p, q).nnz <= 2 * 100_000
 
 
 class TestBounds:

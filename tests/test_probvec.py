@@ -182,16 +182,27 @@ class TestArrayContract:
 
 @st.composite
 def raw_vectors(draw) -> np.ndarray:
-    """A raw vector of length 1..80 that make_probvec accepts: Dirichlet(1),
-    exact 1/64 ties, a point mass, or a Dirichlet support padded by 0.0,
-    -0.0 and components in [-eps_zero, 0)."""
+    """A raw vector of length 1..80 that make_probvec accepts (raw_vector)."""
     n = draw(st.integers(1, 80))
-    kind = draw(st.sampled_from(("dirichlet", "ties64", "point", "zeros")))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("dirichlet", "ties64", "levels64", "uniform", "point", "zeros")))
+    return raw_vector(kind, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def raw_vector(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Dirichlet(1), exact 1/64 ties (multiples of 1/64, mostly zeros once
+    n passes 64), 64 levels in shuffled positions (each component one of
+    1..64 over their sum, so about n/64 ties per level), the uniform vector,
+    a point mass, or a Dirichlet support padded by 0.0, -0.0 and components
+    in [-eps_zero, 0)."""
     if kind == "dirichlet":
         return rng.dirichlet(np.ones(n))
     if kind == "ties64":
         return rng.multinomial(64, np.full(n, 1.0 / n)) / 64.0
+    if kind == "levels64":
+        levels = rng.integers(1, 65, size=n)
+        return levels / levels.sum()
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
     v = np.zeros(n)
     if kind == "point":
         v[rng.integers(n)] = 1.0
@@ -202,6 +213,15 @@ def raw_vectors(draw) -> np.ndarray:
     rest = np.flatnonzero(~support)
     v[rest] = rng.choice([0.0, -0.0, -1e-13, -DEFAULT_TOL.eps_zero], size=rest.size)
     return v
+
+
+def assert_sorted_as_stable_sort(raw: np.ndarray, v: ProbVec) -> None:
+    """v's perm, and its values bit for bit, are the stable sort's of raw
+    clamped at zero: ties, 0.0 and -0.0 included, in ascending index."""
+    arr = np.where(raw < 0.0, 0.0, raw)  # -0.0 is not below 0.0, so it stays
+    order = (-arr).argsort(kind="stable")
+    assert np.array_equal(v.perm, order)
+    assert v.values.tobytes() == arr[order].tobytes()
 
 
 def assert_passes_public_constructor(v: ProbVec) -> None:
@@ -223,6 +243,8 @@ class TestValidatedOnce:
     def test_package_built_vectors_pass_the_public_constructor(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         assert not np.shares_memory(p.values, raw_p)
+        assert_sorted_as_stable_sort(raw_p, p)
+        assert_sorted_as_stable_sort(raw_q, q)
         n = max(p.n, q.n)
         merge_inputs = []
         real = mecouple.multiway.min_entropy_coupling
@@ -237,6 +259,12 @@ class TestValidatedOnce:
         built = [p, q, glb(p, q).meet, pad_to(p, n), pad_to(q, n + 3), *merge_inputs]
         for v in built:
             assert_passes_public_constructor(v)
+
+    @pytest.mark.parametrize("n", [2048, 70_000])
+    @pytest.mark.parametrize("kind", ["dirichlet", "ties64", "levels64", "uniform", "zeros"])
+    def test_large_vectors_sort_as_a_stable_sort(self, kind, n):
+        raw = raw_vector(kind, n, np.random.default_rng([22, n]))
+        assert_sorted_as_stable_sort(raw, make_probvec(raw))
 
     def test_no_internal_vector_is_rechecked(self, monkeypatch):
         rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@
 
     python3 tools/scale.py                  # this checkout's src/
     python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
+    python3 tools/scale.py --rows make_probvec stages  # only these row kinds
 
 Every row runs in a fresh Python process that imports mecouple from --src;
 the processes run one after another, and each draws its inputs from
@@ -18,6 +19,13 @@ Each row reports its round count under "rounds".
   its traced peak (the result included) as traced_peak_mb, in MiB. The
   row's peak RSS is read before that call, since tracemalloc's own
   bookkeeping inflates it.
+- make_probvec, n in PROBVEC_NS: make_probvec alone on three raw vectors of
+  length n, each timed with its own rounds: Dirichlet(1); shuffled 1/64
+  ties, each component one of 64 levels k = 1..64 drawn uniformly and
+  scaled by the levels' sum, so about n/64 exact ties per level; and the
+  uniform vector, one run of n ties. The sort orders ties by original
+  index only when the sorted vector has equal neighbours, so the row
+  reports their count beside each kind's times.
 - stages, n in STAGE_NS: the pairwise path taken apart, on two Dirichlet(1)
   vectors of length n. Each stage is timed on its own, with its own rounds,
   on inputs built outside the timed region: make_probvec of a raw vector;
@@ -68,12 +76,13 @@ Each row reports its round count under "rounds".
   is that of the process that times them, not of the CLI.
 
 One JSON object goes to stdout: per row the best and the median time of
-each timed stage (under "stages" for the stage rows, one entry per stage
-with its own round count), the pairwise and k-way rows' traced peak, the
-process's peak RSS (ru_maxrss, which includes the interpreter and numpy)
-and the output size (nnz, or the joint's cell count under "entries", or
-the CLI's stdout bytes under "output_bytes", or the oracle's optimum and
-support size), plus nproc, Python and numpy versions.
+each timed stage (under "stages" for the stage rows and "kinds" for the
+make_probvec rows, one entry each with its own round count), the pairwise
+and k-way rows' traced peak, the process's peak RSS (ru_maxrss, which
+includes the interpreter and numpy) and the output size (nnz, or the
+joint's cell count under "entries", or the CLI's stdout bytes under
+"output_bytes", or the oracle's optimum and support size), plus nproc,
+Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -94,6 +103,7 @@ from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
+PROBVEC_NS = (2048, 1_000_000)
 STAGE_NS = (36, 1_000_000)
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
@@ -159,6 +169,24 @@ def _timed(call) -> dict:
         call()
         times.append(time.perf_counter() - start)
     return {"rounds": len(times), "best_s": min(times), "median_s": statistics.median(times)}
+
+
+def probvec_row(mc, np, n: int) -> dict:
+    rng = np.random.default_rng([SEED, n])
+    levels = rng.integers(1, 65, size=n)
+    raws = {
+        "dirichlet": rng.dirichlet(np.ones(n)),
+        "ties64": levels / levels.sum(),
+        "uniform": np.full(n, 1.0 / n),
+    }
+    kinds = {}
+    for kind, raw in raws.items():
+        values = mc.make_probvec(raw).values
+        kinds[kind] = {
+            "equal_neighbours": int(np.count_nonzero(values[1:] == values[:-1])),
+            **_timed(lambda raw=raw: mc.make_probvec(raw)),
+        }
+    return {"n": n, "kinds": kinds}
 
 
 def stage_row(mc, np, n: int) -> dict:
@@ -349,6 +377,7 @@ def process_row(mc, np, n: int) -> dict:
 
 ROWS = {
     "pairwise": (pair_row, PAIR_NS),
+    "make_probvec": (probvec_row, PROBVEC_NS),
     "stages": (stage_row, STAGE_NS),
     "kway": (kway_row, KWAY_KS),
     "cli": (cli_row, CLI_NS),
@@ -372,6 +401,9 @@ def child(src: str, kind: str, size: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(DEFAULT_SRC), help="directory holding the mecouple package")
+    parser.add_argument(
+        "--rows", nargs="+", choices=ROWS, default=list(ROWS), help="row kinds to run (default: all)"
+    )
     parser.add_argument("--child", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -380,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     # as in bench/run.py: transparent huge pages make peak RSS vary run to run
     env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
     runs: dict[str, list[dict]] = {}
-    for kind, (_, sizes) in ROWS.items():
+    for kind in args.rows:
+        sizes = ROWS[kind][1]
         runs[kind] = []
         for size in sizes:
             cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, str(size)]
