@@ -162,15 +162,16 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     step = values[1:] != values[:-1]
     if np.count_nonzero(step) != step.size:
         # run r of equal values has keys in [r * n, (r + 1) * n), below
-        # n**2 < 2**63, so one sort of the keys orders each run by index;
-        # add.accumulate is step.cumsum() without its method's call overhead
+        # n**2 < 2**63 in int64 whatever intp's width, so one sort of the
+        # keys orders each run by index; add.accumulate is step.cumsum()
+        # without its method's call overhead
         n = arr.size
-        run = np.zeros(n, np.intp)
-        np.add.accumulate(step, dtype=np.intp, out=run[1:])
+        run = np.zeros(n, np.int64)
+        np.add.accumulate(step, dtype=np.int64, out=run[1:])
         run *= n
         key = run + order
         key.sort()
-        order = np.subtract(key, run, out=key)
+        order = np.subtract(key, run, out=key).astype(np.intp, copy=False)
         values = arr[order]  # again: a -0.0 in a run of zeros moves with its index
     _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
     # values: a fresh gather of finite entries clamped at 0; order: a perm of range(n)

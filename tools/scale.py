@@ -2,7 +2,6 @@
 
     python3 tools/scale.py                  # this checkout's src/
     python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
-    python3 tools/scale.py --rows make_probvec stages  # only these row kinds
 
 Every row runs in a fresh Python process that imports mecouple from --src;
 the processes run one after another, and each draws its inputs from
@@ -401,9 +400,6 @@ def child(src: str, kind: str, size: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(DEFAULT_SRC), help="directory holding the mecouple package")
-    parser.add_argument(
-        "--rows", nargs="+", choices=ROWS, default=list(ROWS), help="row kinds to run (default: all)"
-    )
     parser.add_argument("--child", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -412,8 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     # as in bench/run.py: transparent huge pages make peak RSS vary run to run
     env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
     runs: dict[str, list[dict]] = {}
-    for kind in args.rows:
-        sizes = ROWS[kind][1]
+    for kind, (_, sizes) in ROWS.items():
         runs[kind] = []
         for size in sizes:
             cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, str(size)]
