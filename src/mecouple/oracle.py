@@ -9,9 +9,13 @@ minimum, so induction over all cell orders reaches every vertex.) Minimizing
 over all greedy fills therefore gives the true optimum.
 
 The search memoises states by their residual marginals, rounded to
-_KEY_DIGITS decimals. A move touches one row and one column residual and
-leaves one of them at exactly 0.0, so each child's key is its parent's with
-two entries replaced, and each distinct residual is rounded once per call.
+_KEY_DIGITS decimals. Each distinct rounded residual gets a small integer id,
+0 for zero, once per call, and a state's key is the tuple of its residuals'
+ids: two keys are equal exactly when the rounded tuples are, and small ints
+hash faster than floats. A move touches one row and one column residual and
+retires one of the two lines, leaving its residual at exactly 0.0, so each
+child's key is its parent's with two entries replaced. A child's active
+lines are built only when the child is solved, not when the memo holds it.
 """
 
 from __future__ import annotations
@@ -28,11 +32,16 @@ DEFAULT_SIZE_CAP = 10
 _KEY_DIGITS = 12
 
 
-class _Rounded(dict):
-    """round(x, _KEY_DIGITS) by x, computed on first lookup."""
+class _KeyIds(dict):
+    """An int id by residual x, one per distinct round(x, _KEY_DIGITS), 0 for zero."""
 
-    def __missing__(self, x: float) -> float:
-        r = self[x] = round(x, _KEY_DIGITS)
+    def __init__(self) -> None:
+        super().__init__()
+        self._by_rounded = {0.0: 0}  # -0.0 == 0.0, so it takes id 0 too
+
+    def __missing__(self, x: float) -> int:
+        by_rounded = self._by_rounded
+        r = self[x] = by_rounded.setdefault(round(x, _KEY_DIGITS), len(by_rounded))
         return r
 
 
@@ -60,11 +69,15 @@ def exact_min_entropy(
     cell contributions -v log2 v are additive, so states collapse heavily
     compared to enumerating whole fills. The residuals are one list, rows
     0..n-1 then columns n..n+m-1, and a state's memo key is the tuple of
-    them rounded to _KEY_DIGITS. A move (i, j) changes two residuals, one of
-    them to exactly 0.0, so a child's key is its parent's with those two
-    entries replaced, and its active lines are the parent's less any line
-    the move retires. The child is looked up before its residuals are
-    copied; cells are tried row-major over the active lines, and the first
+    their ids, one per value rounded to _KEY_DIGITS. A move (i, j) fills
+    v = min(r_i, c_j) and retires column j when c_j < r_i, row i otherwise
+    (a tie retires the row), leaving that residual at exactly 0.0; so a
+    child's key is its parent's with those two entries replaced, and its
+    active lines are the parent's less the retired line, and less the other
+    one if its residual falls to eps_zero or below. Each line's -v log2 v
+    is computed once per state. The child is looked up before anything else
+    is built: its residuals and active lines are built only when it is
+    solved. Cells are tried row-major over the active lines, and the first
     strictly better move is kept.
     """
     if p.n + q.n > cap:
@@ -72,39 +85,58 @@ def exact_min_entropy(
     eps = tol.eps_zero
     n, m = p.n, q.n
     memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}
-    rnd = _Rounded()  # local to the call, so no residual outlives it
+    ids = _KeyIds()  # local to the call, so no residual outlives it
+    log2 = math.log2
 
     def solve(res: list, key: tuple, rows: list, cols: list) -> float:
         # res and key cover rows then columns; cols holds offsets n + j
         best = math.inf
         choice: tuple[int, int] | None = None
-        cols_left = [[c for c in cols if c != j] for j in cols]
+        last_row = len(rows) == 1
+        last_col = len(cols) == 1
+        col_terms = [(j, res[j], -res[j] * log2(res[j])) for j in cols]
         for i in rows:
             ri = res[i]
-            rows_left = [r for r in rows if r != i]
-            for j, cols_j in zip(cols, cols_left):
-                cj = res[j]
-                v = cj if cj < ri else ri  # min(ri, cj)
-                a = ri - v
-                b = cj - v
-                child_rows = rows if a > eps else rows_left
-                child_cols = cols if b > eps else cols_j
-                if not child_rows or not child_cols:
-                    sub = 0.0
-                else:
-                    child_key = list(key)
-                    child_key[i] = rnd[a]
-                    child_key[j] = rnd[b]
-                    child_key = tuple(child_key)
-                    hit = memo.get(child_key)
-                    if hit is not None:
-                        sub = hit[0]
+            h_row = -ri * log2(ri)
+            for j, cj, h_col in col_terms:
+                if cj < ri:  # v = cj retires column j
+                    a = ri - cj
+                    if last_col or (a <= eps and last_row):
+                        h = h_col + 0.0  # the fill is done; + 0.0 turns -0.0 into 0.0
                     else:
-                        child = res.copy()
-                        child[i] = a
-                        child[j] = b
-                        sub = solve(child, child_key, child_rows, child_cols)
-                h = -v * math.log2(v) + sub
+                        child_key = list(key)
+                        child_key[i] = ids[a]
+                        child_key[j] = 0
+                        child_key = tuple(child_key)
+                        hit = memo.get(child_key)
+                        if hit is None:
+                            child = res.copy()
+                            child[i] = a
+                            child[j] = 0.0
+                            child_rows = rows if a > eps else [r for r in rows if r != i]
+                            sub = solve(child, child_key, child_rows, [c for c in cols if c != j])
+                        else:
+                            sub = hit[0]
+                        h = h_col + sub
+                else:  # v = ri retires row i
+                    b = cj - ri
+                    if last_row or (b <= eps and last_col):
+                        h = h_row + 0.0
+                    else:
+                        child_key = list(key)
+                        child_key[i] = 0
+                        child_key[j] = ids[b]
+                        child_key = tuple(child_key)
+                        hit = memo.get(child_key)
+                        if hit is None:
+                            child = res.copy()
+                            child[i] = 0.0
+                            child[j] = b
+                            child_cols = cols if b > eps else [c for c in cols if c != j]
+                            sub = solve(child, child_key, [r for r in rows if r != i], child_cols)
+                        else:
+                            sub = hit[0]
+                        h = h_row + sub
                 if h < best:
                     best = h
                     choice = (i, j - n)
@@ -115,12 +147,12 @@ def exact_min_entropy(
     res = p.values.tolist() + q.values.tolist()
     rows = [i for i in range(n) if res[i] > eps]
     cols = [j for j in range(n, n + m) if res[j] > eps]
-    opt = solve(res, tuple(map(rnd.__getitem__, res)), rows, cols) if rows and cols else 0.0
+    opt = solve(res, tuple(map(ids.__getitem__, res)), rows, cols) if rows and cols else 0.0
 
     # replay the stored choices to materialize one optimal fill
     mat = np.zeros((n, m))
     while any(v > eps for v in res[:n]) and any(v > eps for v in res[n:]):
-        _, choice = memo[tuple(map(rnd.__getitem__, res))]
+        _, choice = memo[tuple(map(ids.__getitem__, res))]
         if choice is None:
             break
         i, j = choice

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mecouple import (
     InstanceTooLarge,
+    Tolerances,
     entropy,
     exact_min_entropy,
     glb,
@@ -110,7 +113,12 @@ class TestExactMinimum:
 
 
 def _reference_draws(rng: np.random.Generator):
-    """Raw marginal pairs with n + m <= 8 for the reference comparison."""
+    """Raw marginal pairs with n + m <= 8 for the reference comparison.
+
+    The last ones reach each way a search can end: a line of length 1 on
+    either side, a point mass on either side or just over 1 opposite 1.0,
+    and a move whose residual falls to eps_zero or below, on either side.
+    """
 
     def sizes():
         n = int(rng.integers(2, 7))
@@ -133,6 +141,17 @@ def _reference_draws(rng: np.random.Generator):
         point = np.zeros(n)
         point[int(rng.integers(n))] = 1.0
         yield point, rng.dirichlet(np.ones(m))
+    single = rng.dirichlet(np.ones(5))
+    yield np.ones(1), single
+    yield single, np.ones(1)
+    point = np.zeros(4)
+    point[int(rng.integers(4))] = 1.0
+    yield rng.dirichlet(np.ones(3)), point
+    near = np.array([0.5 + 4e-13, 0.5 - 4e-13])
+    yield np.full(2, 0.5), near
+    yield near, np.full(2, 0.5)
+    yield np.ones(1), np.ones(1)
+    yield np.array([1.0 + 2.0**-52]), np.ones(1)
 
 
 class TestReference:
@@ -141,6 +160,20 @@ class TestReference:
             p, q = make_probvec(raw_p), make_probvec(raw_q)
             opt, vc = exact_min_entropy(p, q)
             ref_opt, ref_vc = reference_exact_min_entropy(p, q)
-            assert opt == ref_opt, (raw_p, raw_q)
-            assert np.array_equal(vc.matrix, ref_vc.matrix), (raw_p, raw_q)
+            # bytes, so that a -0.0 optimum or cell differs from 0.0
+            assert struct.pack("<d", opt) == struct.pack("<d", ref_opt), (raw_p, raw_q)
+            assert vc.matrix.tobytes() == ref_vc.matrix.tobytes(), (raw_p, raw_q)
             assert vc.support_size == ref_vc.support_size
+
+    def test_a_residual_of_exactly_eps_zero_retires_its_line(self):
+        # 0.921875 - 0.90625 is exactly eps_zero, and the optimal fill takes
+        # that move: it retires the column and, with it, the row left at
+        # eps_zero (then the same with rows and columns swapped)
+        tol = Tolerances(eps_sum=0.5, eps_zero=2.0**-6)
+        two = make_probvec([0.921875, 0.078125])
+        three = make_probvec([0.90625, 0.0625, 0.03125])
+        for p, q in ((two, three), (three, two)):
+            opt, vc = exact_min_entropy(p, q, tol)
+            ref_opt, ref_vc = reference_exact_min_entropy(p, q, tol)
+            assert struct.pack("<d", opt) == struct.pack("<d", ref_opt)
+            assert vc.matrix.tobytes() == ref_vc.matrix.tobytes()

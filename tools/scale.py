@@ -65,12 +65,15 @@ Each row reports its round count under "rounds".
 - CLI bounds, n in CLI_BOUNDS_NS: the same for mecouple.cli.main(["bounds",
   P, Q]), the command and size of the bench cli workload's bounds block,
   whose output is a few scalars, so its time is input and the library call.
-- oracle, n in ORACLE_NS: two Dirichlet(1) vectors of length n, validated
-  with make_probvec outside the timed region; each round times one call of
-  exact_min_entropy on the n x n instance.
-- CLI process, n in PROCESS_NS: each round takes the wall time of one whole
-  process `python -m mecouple.cli oracle P Q` on the oracle row's n x n
-  pair, after one bare `python -c "import numpy"` process, the floor any
+- oracle, (n, m) in ORACLE_SHAPES: Dirichlet(1) vectors of lengths n and
+  m, validated with make_probvec outside the timed region; each round times
+  one call of exact_min_entropy on the n x m instance. 5 x 5 and 6 x 4 are
+  the largest shapes the default cap (n + m <= 10) admits; 6 x 4 has more
+  rows than columns. An n x n pair is the one the oracle rows drew before
+  they took shapes.
+- CLI process, (n, m) in PROCESS_SHAPES: each round takes the wall time of
+  one whole process `python -m mecouple.cli oracle P Q` on the oracle row's
+  n x m pair, after one bare `python -c "import numpy"` process, the floor any
   mecouple process pays; both take PYTHONPATH=--src. This row's peak RSS
   is that of the process that times them, not of the CLI.
 
@@ -109,8 +112,8 @@ KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
 CLI_STAGE_NS = (192,)
 CLI_BOUNDS_NS = (1024,)
-ORACLE_NS = (4, 5)
-PROCESS_NS = (4,)
+ORACLE_SHAPES = ((4, 4), (5, 5), (6, 4))
+PROCESS_SHAPES = ((4, 4),)
 REPEATS = 3
 BUDGET_S = 2.0
 SEED = 0
@@ -327,13 +330,15 @@ def cli_stage_row(mc, np, n: int) -> dict:
     return {"n": n, "nnz": cm.nnz, "output_bytes": len(cli._to_json(doc)), "stages": timed}
 
 
-def _oracle_pair(np, n: int):
+def _oracle_pair(np, shape):
+    n, m = shape
     rng = np.random.default_rng([SEED, n])
-    return rng.dirichlet(np.ones(n), size=2)
+    return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
 
 
-def oracle_row(mc, np, n: int) -> dict:
-    p, q = (mc.make_probvec(v) for v in _oracle_pair(np, n))
+def oracle_row(mc, np, shape) -> dict:
+    n, m = shape
+    p, q = (mc.make_probvec(v) for v in _oracle_pair(np, shape))
     times = []
     for _ in _rounds():
         start = time.perf_counter()
@@ -341,6 +346,7 @@ def oracle_row(mc, np, n: int) -> dict:
         times.append(time.perf_counter() - start)
     return {
         "n": n,
+        "m": m,
         "rounds": len(times),
         "best_s": min(times),
         "median_s": statistics.median(times),
@@ -355,16 +361,18 @@ def _wall(cmd: list[str], env: dict) -> float:
     return time.perf_counter() - start
 
 
-def process_row(mc, np, n: int) -> dict:
+def process_row(mc, np, shape) -> dict:
+    n, m = shape
     src = os.path.dirname(os.path.dirname(mc.__file__))  # the --src directory
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["oracle", *(json.dumps(v.tolist()) for v in _oracle_pair(np, n))]
+    argv = ["oracle", *(json.dumps(v.tolist()) for v in _oracle_pair(np, shape))]
     floor, cli = [], []
     for _ in _rounds():
         floor.append(_wall([sys.executable, "-c", "import numpy"], env))
         cli.append(_wall([sys.executable, "-m", "mecouple.cli", *argv], env))
     return {
         "n": n,
+        "m": m,
         "command": "oracle",
         "rounds": len(cli),
         "best_s": min(cli),
@@ -382,12 +390,12 @@ ROWS = {
     "cli": (cli_row, CLI_NS),
     "cli_stages": (cli_stage_row, CLI_STAGE_NS),
     "cli_bounds": (functools.partial(cli_row, command="bounds"), CLI_BOUNDS_NS),
-    "oracle": (oracle_row, ORACLE_NS),
-    "cli_process": (process_row, PROCESS_NS),
+    "oracle": (oracle_row, ORACLE_SHAPES),
+    "cli_process": (process_row, PROCESS_SHAPES),
 }
 
 
-def child(src: str, kind: str, size: int) -> dict:
+def child(src: str, kind: str, size) -> dict:
     sys.path.insert(0, src)
     import numpy as np
     import mecouple as mc
@@ -403,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--child", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(child(args.src, args.child[0], int(args.child[1]))))
+        print(json.dumps(child(args.src, args.child[0], json.loads(args.child[1]))))
         return 0
     # as in bench/run.py: transparent huge pages make peak RSS vary run to run
     env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
@@ -411,7 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     for kind, (_, sizes) in ROWS.items():
         runs[kind] = []
         for size in sizes:
-            cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, str(size)]
+            # a size or an (n, m) shape, passed as JSON
+            cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, json.dumps(size)]
             out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
             runs[kind].append(json.loads(out.stdout.splitlines()[-1]))
     import numpy
