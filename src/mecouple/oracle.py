@@ -86,7 +86,6 @@ def exact_min_entropy(
     n, m = p.n, q.n
     memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}
     ids = _KeyIds()  # local to the call, so no residual outlives it
-    log2 = math.log2
 
     def solve(res: list, key: tuple, rows: list, cols: list) -> float:
         # res and key cover rows then columns; cols holds offsets n + j
@@ -94,10 +93,10 @@ def exact_min_entropy(
         choice: tuple[int, int] | None = None
         last_row = len(rows) == 1
         last_col = len(cols) == 1
-        col_terms = [(j, res[j], -res[j] * log2(res[j])) for j in cols]
+        col_terms = [(j, res[j], -res[j] * math.log2(res[j])) for j in cols]
         for i in rows:
             ri = res[i]
-            h_row = -ri * log2(ri)
+            h_row = -ri * math.log2(ri)
             for j, cj, h_col in col_terms:
                 if cj < ri:  # v = cj retires column j
                     a = ri - cj
