@@ -67,10 +67,9 @@ Each row reports its round count under "rounds".
   whose output is a few scalars, so its time is input and the library call.
 - oracle, (n, m) in ORACLE_SHAPES: Dirichlet(1) vectors of lengths n and
   m, validated with make_probvec outside the timed region; each round times
-  one call of exact_min_entropy on the n x m instance. 5 x 5 and 6 x 4 are
-  the largest shapes the default cap (n + m <= 10) admits; 6 x 4 has more
-  rows than columns. An n x n pair is the one the oracle rows drew before
-  they took shapes.
+  one call of exact_min_entropy on the n x m instance. 5 x 5 and 6 x 4 fill
+  the default cap (n + m <= 10); 6 x 4 has more rows than columns. An
+  n x n pair is drawn as in earlier BENCH files, so their rows compare.
 - CLI process, (n, m) in PROCESS_SHAPES: each round takes the wall time of
   one whole process `python -m mecouple.cli oracle P Q` on the oracle row's
   n x m pair, after one bare `python -c "import numpy"` process, the floor any
