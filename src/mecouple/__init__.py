@@ -40,7 +40,6 @@ from .probvec import (
     Tolerances,
     entropy,
     entropy_bits,
-    majorizes,
     make_probvec,
     pad_to,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "glb",
     "inversion_points",
     "k_min_entropy_coupling",
-    "majorizes",
     "make_probvec",
     "marginalize",
     "min_entropy_coupling",

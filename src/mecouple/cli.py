@@ -43,13 +43,16 @@ def _sig(x: float) -> float:
 
 def _load(source: str, tol: Tolerances) -> ProbVec:
     """The distribution read from a file path, "-" for stdin, or inline text."""
-    if source == "-":
-        text = sys.stdin.read()
-    elif os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif os.path.exists(source):
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, bytes not UTF-8
+        raise ValidationError(f"cannot read {source!r}: {exc}") from exc
     stripped = text.strip()
     if not stripped:
         raise Empty("empty vector input")

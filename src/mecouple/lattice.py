@@ -7,20 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariant
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _checked_under, check_sorted_total
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _check_entry
 
 
 @dataclass(frozen=True, eq=False)
 class GlbResult:
-    """Greatest lower bound of two distributions, plus their cached prefix sums.
-
-    prefix_p and prefix_q are read-only float64 arrays of the zero-padded
-    inputs' prefix sums; the meet carries the identity perm.
-    """
+    """Greatest lower bound of two distributions; the meet carries the identity perm."""
 
     meet: ProbVec
-    prefix_p: np.ndarray
-    prefix_q: np.ndarray
 
 
 def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
@@ -50,31 +44,25 @@ def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.nda
 
 
 def _padded_prefix(p: ProbVec, n: int) -> np.ndarray:
-    """Read-only prefix sums of p's values zero-padded to length n: the last
-    sum repeats, as np.cumsum of the padded values gives it."""
+    """Prefix sums of p's values zero-padded to length n: the last sum
+    repeats, as np.cumsum of the padded values gives it."""
     out = np.empty(n)
     p.values.cumsum(out=out[: p.n])
     out[p.n :] = out[p.n - 1]
-    out.flags.writeable = False
     return out
 
 
 def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     """The unique largest distribution majorized by both p and q.
 
-    Its i-th prefix sum is min(prefix_p[i], prefix_q[i]); unequal lengths are
-    zero-padded first. Each input's prefix sums are taken once, padded by
-    repeating the last sum, and both the meet and the returned prefixes are
-    read from them in O(n). Inputs are checked as in min_entropy_coupling:
-    ValidationError if unsorted, BadTotal on a bad total; the check is
-    skipped for an input that make_probvec validated under an eps_sum no
-    wider than tol's, which passes it.
+    Its i-th prefix sum is the smaller of p's and q's i-th prefix sums;
+    unequal lengths are zero-padded first. Each input's prefix sums are
+    taken once, padded by repeating the last sum, and the meet is read from
+    them in O(n). Inputs are checked as in min_entropy_coupling
+    (_check_entry): ValidationError if unsorted, BadTotal on a bad total.
     """
-    for v in (p, q):
-        if not _checked_under(v, tol):
-            check_sorted_total(v.values, tol)
+    _check_entry((p, q), tol)
     n = max(p.n, q.n)
-    prefix_p, prefix_q = (_padded_prefix(v, n) for v in (p, q))
-    z = _meet_of_prefixes(prefix_p, prefix_q, tol.eps_zero)
+    z = _meet_of_prefixes(_padded_prefix(p, n), _padded_prefix(q, n), tol.eps_zero)
     # z: fresh, >= 0 after the clamp-or-raise, finite as both totals passed
-    return GlbResult(meet=ProbVec._adopt(z, np.arange(n)), prefix_p=prefix_p, prefix_q=prefix_q)
+    return GlbResult(meet=ProbVec._adopt(z, np.arange(n)))

@@ -35,8 +35,7 @@ from .probvec import (
     DEFAULT_TOL,
     ProbVec,
     Tolerances,
-    _checked_under,
-    check_sorted_total,
+    _check_entry,
     entropy_bits,
     make_probvec,
 )
@@ -64,6 +63,9 @@ class SparseJoint:
     entries: tuple[tuple[float, tuple[int, ...]], ...] = _Derived(
         lambda j: tuple(zip(j.values.tolist(), map(tuple, j.coords.T.tolist())))
     )
+
+    def __repr__(self) -> str:
+        return f"SparseJoint(k={self.k}, cells={self.values.size})"
 
     def __post_init__(self) -> None:
         if self.values.ndim != 1 or self.coords.shape != (self.k, self.values.size):
@@ -163,9 +165,7 @@ def k_min_entropy_coupling(
     """
     if len(ps) < 2:
         raise TooFewMarginals(f"need at least 2 marginals, got {len(ps)}")
-    for p in ps:
-        if not _checked_under(p, tol):
-            check_sorted_total(p.values, tol)
+    _check_entry(ps, tol)
     *_, (root,) = _merge_tree(ps, tol)
     values = root.values
     coords = np.empty((len(ps), values.size), dtype=np.int32)

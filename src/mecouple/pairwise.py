@@ -34,8 +34,7 @@ from .probvec import (
     DEFAULT_TOL,
     ProbVec,
     Tolerances,
-    _checked_under,
-    check_sorted_total,
+    _check_entry,
     entropy,
     entropy_bits,
     _padded,
@@ -339,6 +338,22 @@ def _check_marginals(
         raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
 
 
+def _sort_pieces(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces sorted row-major; InternalInvariant if a cell was written twice.
+
+    The kernel's diagonal pieces' keys ascend and its remainders' descend,
+    so the stable sort (timsort) merges two runs in linear time.
+    """
+    key = rows * n + cols
+    order = key.argsort(kind="stable")
+    key = key[order]
+    if np.count_nonzero(key[1:] == key[:-1]):
+        raise InternalInvariant("a cell was written twice")
+    return rows[order], cols[order], vals[order]
+
+
 def min_entropy_coupling(
     p: ProbVec,
     q: ProbVec,
@@ -357,9 +372,7 @@ def min_entropy_coupling(
     That entry check is skipped for an input that make_probvec validated
     under an eps_sum no wider than tol's, which passes it.
     """
-    for v in (p, q):
-        if not _checked_under(v, tol):
-            check_sorted_total(v.values, tol)
+    _check_entry((p, q), tol)
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
@@ -375,14 +388,7 @@ def min_entropy_coupling(
         rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
         if ip.swapped:
             rows, cols = cols, rows
-        # the diagonal pieces' keys ascend and the remainders' descend, so
-        # the stable sort (timsort) merges two runs in linear time
-        key = rows * n + cols
-        order = key.argsort(kind="stable")
-        key = key[order]
-        if np.count_nonzero(key[1:] == key[:-1]):
-            raise InternalInvariant("a cell was written twice")
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        rows, cols, vals = _sort_pieces(rows, cols, vals, n)
     _check_marginals((rows, cols), vals, (a, b), tol)
     if vals.size > 2 * n:
         raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")

@@ -1,4 +1,4 @@
-"""Validated probability vectors, Shannon entropy, and the majorization order.
+"""Validated probability vectors and Shannon entropy.
 
 Every distribution in this package is kept in non-increasing order together
 with the permutation back to the caller's original indexing, so downstream
@@ -12,15 +12,15 @@ and the k-way merge inputs) are made from arrays that are valid by
 construction, and ProbVec._adopt takes those arrays as they are.
 
 The algorithms that take a ProbVec as given (min_entropy_coupling, glb and
-k_min_entropy_coupling) start with check_sorted_total on its values, since
-a hand-built vector may be unsorted or short. make_probvec's result has
-passed that very check: its values are a gather in the order of a sort by
--value, ties by ascending original index, so exactly non-increasing, and its
-total was summed as check_sorted_total sums it. It
-records the eps_sum it passed under, and an entry check under any eps_sum at
-least as wide is skipped (_checked_under). Every other vector, including a
-dataclasses.replace copy, glb's meet, pad_to's result and the merge inputs,
-carries no record and is checked.
+k_min_entropy_coupling) start with _check_entry, which runs
+check_sorted_total on each input's values, since a hand-built vector may be
+unsorted or short. make_probvec's result has passed that very check: its
+values are a gather in the order of a sort by -value, ties by ascending
+original index, so exactly non-increasing, and its total was summed as
+check_sorted_total sums it. It records the eps_sum it passed under, and
+_check_entry skips it under any eps_sum at least as wide. Every other
+vector, including a dataclasses.replace copy, glb's meet, pad_to's result
+and the merge inputs, carries no record and is checked.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ProbVec:
     values: np.ndarray
     perm: np.ndarray
     # the eps_sum under which make_probvec checked order and total; set on
-    # its results only (see _checked_under), a class default everywhere else
+    # its results only (see _check_entry), a class default everywhere else
     _checked_eps_sum = float("inf")
 
     def __post_init__(self) -> None:
@@ -208,18 +208,18 @@ def check_sorted_total(values: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Non
     are non-increasing within eps_zero, and BadTotal unless they sum to 1
     within eps_sum. The sum stops at the last nonzero value, as in
     make_probvec, so a zero-padded copy passes exactly when its source does.
-    The algorithms that call it skip it for a vector that make_probvec
-    checked under an eps_sum no wider than tol's (_checked_under).
     """
     if np.count_nonzero(values[1:] - values[:-1] > tol.eps_zero):
         raise ValidationError("components must be sorted non-increasingly")
     _check_total(values, tol)
 
 
-def _checked_under(p: ProbVec, tol: Tolerances) -> bool:
-    """True if make_probvec made p under an eps_sum at most tol.eps_sum, so
-    that check_sorted_total(p.values, tol) is known to pass."""
-    return p._checked_eps_sum <= tol.eps_sum
+def _check_entry(vectors: Iterable[ProbVec], tol: Tolerances) -> None:
+    """check_sorted_total on each vector's values, skipped for one that
+    make_probvec checked under an eps_sum no wider than tol's, which passes it."""
+    for p in vectors:
+        if p._checked_eps_sum > tol.eps_sum:
+            check_sorted_total(p.values, tol)
 
 
 def pad_to(p: ProbVec, n: int) -> ProbVec:
@@ -264,17 +264,4 @@ def entropy_bits(values: np.ndarray | Sequence[float] | Iterable[float]) -> floa
 def entropy(p: ProbVec) -> float:
     """Shannon entropy of a distribution, in bits."""
     return entropy_bits(p.values)
-
-
-def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff a majorizes b: every prefix sum of a dominates b's.
-
-    Unequal lengths are compared after zero-padding the shorter vector.
-    Comparisons carry eps_zero slack so analytically equal vectors never
-    flip on rounding.
-    """
-    n = max(a.n, b.n)
-    pa = np.cumsum(pad_to(a, n).values)
-    pb = np.cumsum(pad_to(b, n).values)
-    return bool(np.all(pa >= pb - tol.eps_zero))
 

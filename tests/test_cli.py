@@ -522,6 +522,16 @@ class TestErrors:
         assert code == 1
         assert "ValidationError" in err
 
+    @pytest.mark.parametrize("content", [None, b"0.5 \xff0.5\n"], ids=["directory", "not-utf8"])
+    def test_unreadable_path(self, capsys, tmp_path, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "p.txt"
+            path.write_bytes(content)
+        code, out, err = run(capsys, "couple", str(path), "0.5 0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith("ValidationError: ") and err.count("\n") == 1
+
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

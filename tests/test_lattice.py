@@ -7,7 +7,6 @@ from mecouple import (
     ProbVec,
     entropy,
     glb,
-    majorizes,
     make_probvec,
     pad_to,
 )
@@ -20,6 +19,7 @@ from util import (
     flatten_sorted,
     half,
     half_pow,
+    majorizes,
     random_probvec,
     reference_glb,
     reference_meet_values,
@@ -100,7 +100,7 @@ class TestGlb:
             z = np.asarray(g.meet.values)
             assert np.allclose(
                 np.cumsum(z),
-                np.minimum(g.prefix_p, g.prefix_q),
+                np.minimum(np.cumsum(p.values), np.cumsum(q.values)),
                 atol=1e-12,
             )
             # non-increasing without any re-sort
@@ -152,11 +152,9 @@ class TestMeetBitIdentity:
     def test_glb(self, a, b):
         p, q = (ProbVec(v, np.arange(v.size)) for v in (a, b))
         g = glb(p, q)
-        z, prefix_p, prefix_q = reference_glb(p, q)
+        z = reference_glb(p, q)
         assert same_bits(g.meet.values, z)
         assert same_bits(g.meet.perm, np.arange(z.size))
-        assert same_bits(g.prefix_p, prefix_p) and same_bits(g.prefix_q, prefix_q)
-        assert not g.prefix_p.flags.writeable and not g.prefix_q.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(equal_length_pairs())
@@ -168,8 +166,7 @@ class TestMeetBitIdentity:
         if isinstance(want, type):
             assert got is want
         else:
-            assert same_bits(got.meet.values, want[0])
-            assert same_bits(got.prefix_p, want[1]) and same_bits(got.prefix_q, want[2])
+            assert same_bits(got.meet.values, want)
 
     def test_micro_negative_differences_are_clamped_or_refused(self):
         a = np.array([0.5, 0.5, -EPS_ZERO / 2])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mecouple.cli
 import mecouple.multiway
 import mecouple.pairwise
+import mecouple.probvec
 from mecouple import (
     AxisOutOfRange,
     BadTotal,
@@ -22,7 +23,6 @@ from mecouple import (
     entropy,
     glb,
     k_min_entropy_coupling,
-    majorizes,
     make_probvec,
     marginalize,
     min_entropy_coupling,
@@ -36,6 +36,7 @@ from util import (
     assert_same_pieces,
     check_piece_partition,
     half_pow,
+    majorizes,
     oriented,
     random_probvec,
     reference_couple_oriented,
@@ -336,7 +337,7 @@ class TestArrayNativeTree:
     def test_root_check_fails_on_a_nan_marginal(self, monkeypatch):
         # behind the entry check: the leaf drops the NaN, so the tree builds a
         # joint whose axis-0 marginal is (0, 1); only the root check sees it
-        monkeypatch.setattr(mecouple.multiway, "check_sorted_total", lambda *args: None)
+        monkeypatch.setattr(mecouple.probvec, "check_sorted_total", lambda *args: None)
         p = unchecked_probvec((float("nan"), 1.0), (0, 1))
         with pytest.raises(InternalInvariant):
             k_min_entropy_coupling([p, make_probvec([0.5, 0.5])])
@@ -445,6 +446,13 @@ class TestLazyEntries:
         assert len(made) == 2 and all(entries_cache(j) is None for j in made)
         # built on the first read, then cached
         assert joint.entries is entries_cache(joint) is joint.entries
+
+    def test_repr_leaves_entries_unbuilt(self):
+        rng = np.random.default_rng(82)
+        joint = k_min_entropy_coupling([random_probvec(rng, 64) for _ in range(48)])
+        text = repr(joint)
+        assert text == f"SparseJoint(k=48, cells={joint.values.size})"
+        assert entries_cache(joint) is None
 
     def test_replace_keeps_the_given_entries(self):
         joint = k_min_entropy_coupling([make_probvec([0.5, 0.5]), make_probvec([0.75, 0.25])])

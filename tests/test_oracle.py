@@ -9,13 +9,13 @@ from mecouple import (
     entropy,
     exact_min_entropy,
     glb,
-    majorizes,
     make_probvec,
     min_entropy_coupling,
 )
 from util import (
     enumerate_vertices,
     flatten_sorted,
+    majorizes,
     random_probvec,
     reference_exact_min_entropy,
 )

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import mecouple.lattice
-import mecouple.multiway
-import mecouple.pairwise
+import mecouple.probvec
 from mecouple import (
     BadTotal,
     InstanceTooLarge,
@@ -573,8 +571,7 @@ class TestEntryCheckedOnce:
             seen.append(values)
             check_sorted_total(values, tol)
 
-        for module in (mecouple.pairwise, mecouple.lattice, mecouple.multiway):
-            monkeypatch.setattr(module, "check_sorted_total", spy)
+        monkeypatch.setattr(mecouple.probvec, "check_sorted_total", spy)
         rng = np.random.default_rng(83)
         p = make_probvec(rng.dirichlet(np.ones(20)))
         q = make_probvec(np.r_[np.full(32, 1 / 64), 0.5, np.zeros(3)])

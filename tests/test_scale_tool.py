@@ -1,0 +1,53 @@
+"""tools/scale.py imports private names from src/ (the kernel, the piece
+sort, the checks, the CLI's loader and writers), so a rename there breaks
+the tool without failing anything else. Each in-process row runs here once,
+at a small size; process_row is left out, since it spawns processes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mecouple
+
+_spec = importlib.util.spec_from_file_location(
+    "scale", Path(__file__).resolve().parent.parent / "tools" / "scale.py")
+scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale)
+
+TIMES = {"rounds", "best_s", "median_s"}
+ROWS = [
+    ("pair_row", 16, {"n", "rounds", "make_probvec_x2_best_s", "make_probvec_x2_median_s",
+                      "coupling_best_s", "coupling_median_s", "nnz", "traced_peak_mb",
+                      "peak_rss_mb"}),
+    ("probvec_row", 64, {"n", "kinds"}),
+    ("stage_row", 36, {"n", "segments", "pieces", "stages"}),
+    ("kway_row", 5, {"k", "n", "entries", "coords_mb", "traced_peak_mb", "peak_rss_mb"} | TIMES),
+    ("cli_row", 16, {"n", "output_bytes"} | TIMES),
+    ("cli_stage_row", 16, {"n", "nnz", "output_bytes", "stages"}),
+    ("oracle_row", (3, 3), {"n", "m", "opt_entropy", "support_size"} | TIMES),
+]
+NESTED = {
+    "probvec_row": ("kinds", {"dirichlet", "ties64", "uniform"}, {"equal_neighbours"} | TIMES),
+    "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "orient",
+                             "meet_values", "kernel", "piece_sort", "check_marginals",
+                             "entropy_bits", "glb", "bounds", "min_entropy_coupling"}, TIMES),
+    "cli_stage_row": ("stages", {"load", "cells", "to_json", "cmd_couple", "main"}, TIMES),
+}
+
+
+@pytest.mark.parametrize("name, size, keys", ROWS, ids=[row[0] for row in ROWS])
+def test_row_runs_once_with_its_keys(monkeypatch, name, size, keys):
+    monkeypatch.setattr(scale, "REPEATS", 1)
+    monkeypatch.setattr(scale, "BUDGET_S", 0.0)
+    row = getattr(scale, name)(mecouple, np, size)
+    assert set(row) == keys
+    if "rounds" in row:
+        assert row["rounds"] == 1
+    if name in NESTED:
+        field, parts, part_keys = NESTED[name]
+        assert set(row[field]) == parts
+        for part in row[field].values():
+            assert set(part) == part_keys and part["rounds"] == 1

@@ -1,7 +1,8 @@
 """Shared generators and independent oracles used across the test modules.
 
-Also home to the operators that only state the paper's proofs (halving,
-aggregation, vertex enumeration); the runtime package does not need them.
+Also home to the operators that only state the paper's proofs (the
+majorization order, halving, aggregation, vertex enumeration); the runtime
+package does not need them.
 """
 
 from __future__ import annotations
@@ -148,6 +149,19 @@ def oriented(p: ProbVec, q: ProbVec):
     ip = inversion_points(p, q)
     a, b = p.values, q.values
     return (b, a, ip.indices) if ip.swapped else (a, b, ip.indices)
+
+
+def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff a majorizes b: every prefix sum of a dominates b's.
+
+    Unequal lengths are compared after zero-padding the shorter vector.
+    Comparisons carry eps_zero slack so analytically equal vectors never
+    flip on rounding.
+    """
+    n = max(a.n, b.n)
+    pa = np.cumsum(pad_to(a, n).values)
+    pb = np.cumsum(pad_to(b, n).values)
+    return bool(np.all(pa >= pb - tol.eps_zero))
 
 
 def half(p: ProbVec) -> ProbVec:
@@ -349,14 +363,14 @@ def reference_meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.n
 
 
 def reference_glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL):
-    """lattice.glb as first written: both inputs padded through pad_to, each
-    cumsum taken twice. Returns (meet values, prefix_p, prefix_q)."""
+    """lattice.glb's meet values as first written: both inputs padded
+    through pad_to, then reference_meet_values."""
     check_sorted_total(p.values, tol)
     check_sorted_total(q.values, tol)
     n = max(p.n, q.n)
     a = pad_to(p, n).values
     b = pad_to(q, n).values
-    return reference_meet_values(a, b, tol.eps_zero), np.cumsum(a), np.cumsum(b)
+    return reference_meet_values(a, b, tol.eps_zero)
 
 
 def _suffix_table(arr: np.ndarray) -> np.ndarray:

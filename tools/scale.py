@@ -33,14 +33,12 @@ Each row reports its round count under "rounds".
   segments; meet_values of the oriented pair; the greedy kernel
   _couple_oriented (its own meet_values, the merged marginal list and the
   two tolist calls of it and of the meet, and the numpy assembly of its
-  piece arrays, included); the piece sort with the written-twice check;
-  _check_marginals; entropy_bits of the pieces; glb; and bounds, which
-  takes both entropies and glb's meet's. The last entry times the whole
-  min_entropy_coupling for comparison. glb, bounds and the coupling take
-  make_probvec's results, as a caller's pairwise call does.
-  The sort is written out here as min_entropy_coupling runs it, since it is
-  not a function of its own. There is no list-to-array stage: the kernel
-  returns arrays.
+  piece arrays, included); _sort_pieces, the piece sort with the
+  written-twice check; _check_marginals; entropy_bits of the pieces; glb;
+  and bounds, which takes both entropies and glb's meet's. The last entry
+  times the whole min_entropy_coupling for comparison. glb, bounds and the
+  coupling take make_probvec's results, as a caller's pairwise call does.
+  There is no list-to-array stage: the kernel returns arrays.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
   own, on inputs built outside the timed region: cli._load of one inline
@@ -192,7 +190,7 @@ def probvec_row(mc, np, n: int) -> dict:
 
 def stage_row(mc, np, n: int) -> dict:
     from mecouple.lattice import meet_values
-    from mecouple.pairwise import _check_marginals, _couple_oriented, _orient
+    from mecouple.pairwise import _check_marginals, _couple_oriented, _orient, _sort_pieces
     from mecouple.probvec import check_sorted_total
 
     tol = mc.DEFAULT_TOL
@@ -206,16 +204,7 @@ def stage_row(mc, np, n: int) -> dict:
     rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
     if ip.swapped:
         rows, cols = cols, rows
-
-    def piece_sort():
-        key = rows * n + cols
-        order = key.argsort(kind="stable")
-        key = key[order]
-        if np.count_nonzero(key[1:] == key[:-1]):
-            raise RuntimeError("a cell was written twice")
-        return rows[order], cols[order], vals[order]
-
-    pieces = piece_sort()
+    pieces = _sort_pieces(rows, cols, vals, n)
     stages = {
         "make_probvec": lambda: mc.make_probvec(raw_p),
         "ProbVec": lambda: mc.ProbVec(a, p.perm),
@@ -223,7 +212,7 @@ def stage_row(mc, np, n: int) -> dict:
         "orient": lambda: _orient(a, b, eps),
         "meet_values": lambda: meet_values(first, second, eps),
         "kernel": lambda: _couple_oriented(first, second, ip.indices, tol),
-        "piece_sort": piece_sort,
+        "piece_sort": lambda: _sort_pieces(rows, cols, vals, n),
         "check_marginals": lambda: _check_marginals(pieces[:2], pieces[2], (a, b), tol),
         "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
         "glb": lambda: mc.glb(p, q, tol),
