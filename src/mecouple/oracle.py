@@ -14,8 +14,11 @@ _KEY_DIGITS decimals. Each distinct rounded residual gets a small integer id,
 ids: two keys are equal exactly when the rounded tuples are, and small ints
 hash faster than floats. A move touches one row and one column residual and
 retires one of the two lines, leaving its residual at exactly 0.0, so each
-child's key is its parent's with two entries replaced. A child's active
-lines are built only when the child is solved, not when the memo holds it.
+child's key is its parent's with two entries replaced. Its active lines,
+each held with its residual and its -v log2 v term, are a copy of its
+parent's with the retired line deleted and the other line's entry replaced
+(or deleted too, at eps_zero or below). Nothing of a child is built when
+the memo already holds it, and the memo is freed when the call returns.
 """
 
 from __future__ import annotations
@@ -67,94 +70,104 @@ def exact_min_entropy(
     Runs a dynamic program over residual-marginal states: the optimal
     completion of a partial greedy fill depends only on the residuals, and
     cell contributions -v log2 v are additive, so states collapse heavily
-    compared to enumerating whole fills. The residuals are one list, rows
-    0..n-1 then columns n..n+m-1, and a state's memo key is the tuple of
-    their ids, one per value rounded to _KEY_DIGITS. A move (i, j) fills
-    v = min(r_i, c_j) and retires column j when c_j < r_i, row i otherwise
-    (a tie retires the row), leaving that residual at exactly 0.0; so a
-    child's key is its parent's with those two entries replaced, and its
-    active lines are the parent's less the retired line, and less the other
-    one if its residual falls to eps_zero or below. Each line's -v log2 v
-    is computed once per state. The child is looked up before anything else
-    is built: its residuals and active lines are built only when it is
-    solved. Cells are tried row-major over the active lines, and the first
-    strictly better move is kept.
+    compared to enumerating whole fills. A state is its memo key, the tuple
+    of the ids of its residuals (rows 0..n-1 then columns n..n+m-1, one id
+    per value rounded to _KEY_DIGITS), and its active rows and columns, each
+    as (line, residual, -residual log2 residual) in index order. A move
+    (i, j) fills v = min(r_i, c_j) and retires column j when c_j < r_i, row
+    i otherwise (a tie retires the row), leaving that residual at exactly
+    0.0. Each state builds one key list; a move sets that list's two
+    entries, takes the child's key as a tuple and restores them, and the
+    child is looked up before anything else is built. A child that is
+    solved inherits copies of its parent's line lists: the retired line is
+    deleted at its known position, and the other line's entry is replaced,
+    with its term computed once, or deleted if its residual falls to
+    eps_zero or below. Best values and first moves are kept in two dicts,
+    so a memo hit is one lookup that returns the value. Cells are tried
+    row-major over the active lines, and the first strictly better move is
+    kept. The search function is deleted once it has run, which breaks its
+    reference to itself, so the memo is freed by reference counting when
+    the call returns rather than left for the cyclic garbage collector.
     """
     if p.n + q.n > cap:
         raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
     eps = tol.eps_zero
     n, m = p.n, q.n
-    memo: dict[tuple, tuple[float, tuple[int, int] | None]] = {}
+    values: dict[tuple, float] = {}  # a solved state's optimal completion
+    choices: dict[tuple, tuple[int, int]] = {}  # and its first move
     ids = _KeyIds()  # local to the call, so no residual outlives it
 
-    def solve(res: list, key: tuple, rows: list, cols: list) -> float:
-        # res and key cover rows then columns; cols holds offsets n + j
+    def solve(key: tuple, rows: list, cols: list) -> float:
+        # rows and cols hold (line, residual, -residual*log2(residual)) per
+        # active line; key covers rows then columns, and columns are n + j
         best = math.inf
-        choice: tuple[int, int] | None = None
+        choice = None
         last_row = len(rows) == 1
         last_col = len(cols) == 1
-        col_terms = [(j, res[j], -res[j] * math.log2(res[j])) for j in cols]
-        for i in rows:
-            ri = res[i]
-            h_row = -ri * math.log2(ri)
-            for j, cj, h_col in col_terms:
+        child_key = list(key)
+        for pos_i, (i, ri, h_row) in enumerate(rows):
+            key_i = key[i]
+            for pos_j, (j, cj, h_col) in enumerate(cols):
                 if cj < ri:  # v = cj retires column j
                     a = ri - cj
                     if last_col or (a <= eps and last_row):
                         h = h_col + 0.0  # the fill is done; + 0.0 turns -0.0 into 0.0
                     else:
-                        child_key = list(key)
                         child_key[i] = ids[a]
                         child_key[j] = 0
-                        child_key = tuple(child_key)
-                        hit = memo.get(child_key)
-                        if hit is None:
-                            child = res.copy()
-                            child[i] = a
-                            child[j] = 0.0
-                            child_rows = rows if a > eps else [r for r in rows if r != i]
-                            sub = solve(child, child_key, child_rows, [c for c in cols if c != j])
-                        else:
-                            sub = hit[0]
+                        hit_key = tuple(child_key)
+                        child_key[i] = key_i
+                        child_key[j] = key[j]
+                        sub = values.get(hit_key)
+                        if sub is None:
+                            child_rows = rows.copy()
+                            child_cols = cols.copy()
+                            if a > eps:
+                                child_rows[pos_i] = (i, a, -a * math.log2(a))
+                            else:
+                                del child_rows[pos_i]
+                            del child_cols[pos_j]
+                            sub = solve(hit_key, child_rows, child_cols)
                         h = h_col + sub
                 else:  # v = ri retires row i
                     b = cj - ri
                     if last_row or (b <= eps and last_col):
                         h = h_row + 0.0
                     else:
-                        child_key = list(key)
                         child_key[i] = 0
                         child_key[j] = ids[b]
-                        child_key = tuple(child_key)
-                        hit = memo.get(child_key)
-                        if hit is None:
-                            child = res.copy()
-                            child[i] = 0.0
-                            child[j] = b
-                            child_cols = cols if b > eps else [c for c in cols if c != j]
-                            sub = solve(child, child_key, [r for r in rows if r != i], child_cols)
-                        else:
-                            sub = hit[0]
+                        hit_key = tuple(child_key)
+                        child_key[i] = key_i
+                        child_key[j] = key[j]
+                        sub = values.get(hit_key)
+                        if sub is None:
+                            child_rows = rows.copy()
+                            child_cols = cols.copy()
+                            if b > eps:
+                                child_cols[pos_j] = (j, b, -b * math.log2(b))
+                            else:
+                                del child_cols[pos_j]
+                            del child_rows[pos_i]
+                            sub = solve(hit_key, child_rows, child_cols)
                         h = h_row + sub
                 if h < best:
                     best = h
                     choice = (i, j - n)
-        memo[key] = (best, choice)
+        values[key] = best
+        choices[key] = choice
         return best
 
     # the search runs on Python floats, converted once
     res = p.values.tolist() + q.values.tolist()
-    rows = [i for i in range(n) if res[i] > eps]
-    cols = [j for j in range(n, n + m) if res[j] > eps]
-    opt = solve(res, tuple(map(ids.__getitem__, res)), rows, cols) if rows and cols else 0.0
+    rows = [(i, v, -v * math.log2(v)) for i, v in enumerate(res[:n]) if v > eps]
+    cols = [(j, v, -v * math.log2(v)) for j, v in enumerate(res[n:], n) if v > eps]
+    opt = solve(tuple(map(ids.__getitem__, res)), rows, cols) if rows and cols else 0.0
+    del solve  # clears the closure cell through which solve holds itself and the memo
 
     # replay the stored choices to materialize one optimal fill
     mat = np.zeros((n, m))
     while any(v > eps for v in res[:n]) and any(v > eps for v in res[n:]):
-        _, choice = memo[tuple(map(ids.__getitem__, res))]
-        if choice is None:
-            break
-        i, j = choice
+        i, j = choices[tuple(map(ids.__getitem__, res))]
         v = min(res[i], res[n + j])
         mat[i, j] = v
         res[i] -= v

@@ -1,0 +1,46 @@
+"""tools/ab.py loads two trees under their own module names and reaches
+private names through them (tools/scale.py's stage calls), so a rename in
+src/ or in either tool breaks it without failing anything else. Each run
+here compares this checkout's src/ with itself, once, at a small size.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+RUNS = [
+    ["--call", "exact_min_entropy", "--shape", "3", "3", "--count", "3", "--rounds", "2"],
+    ["--call", "kernel", "--shape", "12", "9", "--count", "2", "--rounds", "1"],
+    ["--call", "k_min_entropy_coupling", "--shape", "5", "4", "3", "--count", "2", "--rounds", "1"],
+    ["--call", "cli.main", "--pool", "cli", "--command", "bounds", "--rounds", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[run[1] for run in RUNS])
+def test_a_tree_against_itself(capsys, argv):
+    assert ab.main(["--base", SRC, "--change", SRC, *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["outputs_identical"] and out["differing_instances"] == []
+    assert out["ratio_q1"] <= out["ratio_median"] <= out["ratio_q3"]
+    assert out["cyclic_garbage_per_call"] == {"base": 0.0, "change": 0.0}
+    assert out["instances"] == (20 if "--pool" in argv else int(argv[argv.index("--count") + 1]))
+
+
+def test_the_byte_comparison_tells_signed_zeros_and_exceptions_apart():
+    def encoded(x) -> bytes:
+        out = []
+        ab.encode(x, out)
+        return b"".join(out)
+
+    assert encoded(0.0) != encoded(-0.0)
+    assert encoded((1.0, 2)) != encoded([1.0, 2])
+    assert encoded(ValueError()) != encoded(KeyError())

@@ -7,20 +7,32 @@ library calls them for the same results through the C entry points
 (np.count_nonzero, x.cumsum(), np.add.reduce, ...). These tests run one call
 of each public pairwise and k-way entry point under sys.setprofile and fail
 on any frame from those two numpy files; the CLI is not covered.
+
+Every public call, the CLI included, must also free what it builds by
+reference counting alone: an object cycle left behind waits for the cyclic
+garbage collector, and a memo that waits there piles up across calls.
 """
 
+import contextlib
+import gc
+import io
+import json
 import os
 import sys
 
 import numpy as np
 
 import mecouple
+import mecouple.cli
 from mecouple import (
     bounds,
+    distance_interval,
     entropy_bits,
+    exact_min_entropy,
     glb,
     k_min_entropy_coupling,
     make_probvec,
+    marginalize,
     min_entropy_coupling,
 )
 
@@ -82,3 +94,60 @@ def test_no_numpy_python_wrapper_on_the_per_call_path():
         frames = python_frames(call)
         assert any(file.startswith(MECOUPLE_DIR) for file, _ in frames), name  # the hook ran
         assert wrapper_frames(frames) == [], name
+
+
+def cyclic_garbage(call) -> int:
+    """Objects that only the cyclic collector frees, left by one call of call()."""
+    call()  # warm-up: caches and lazy imports are built once, not left behind
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _cli(*argv: str):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return mecouple.cli.main(list(argv))
+    return call
+
+
+def test_the_garbage_probe_sees_a_cycle():
+    def cycle():
+        loop = []
+        loop.append(loop)
+    assert cyclic_garbage(cycle) > 0
+
+
+def test_no_public_call_leaves_cyclic_garbage():
+    rng = np.random.default_rng(90)
+    raw = rng.dirichlet(np.ones(12))
+    p = make_probvec(raw)
+    q = make_probvec(rng.dirichlet(np.ones(9)))
+    ps = [make_probvec(rng.dirichlet(np.ones(int(n)))) for n in rng.integers(4, 12, size=5)]
+    joint = k_min_entropy_coupling(ps)
+    p5 = make_probvec(rng.dirichlet(np.ones(5)))
+    q4 = make_probvec(rng.dirichlet(np.ones(4)))
+    small = [json.dumps(rng.dirichlet(np.ones(4)).tolist()) for _ in range(3)]
+    calls = {
+        "make_probvec": lambda: make_probvec(raw),
+        "min_entropy_coupling": lambda: min_entropy_coupling(p, q),
+        "glb": lambda: glb(p, q),
+        "bounds": lambda: bounds(p, q),
+        "distance_interval": lambda: distance_interval(p, q),
+        "k_min_entropy_coupling": lambda: k_min_entropy_coupling(ps),
+        "marginalize": lambda: marginalize(2, joint),
+        "exact_min_entropy, 5 x 4": lambda: exact_min_entropy(p5, q4),
+        "cli couple-k": _cli("couple-k", *small),
+        "cli exit 1": _cli("couple", "[0.5, 0.6]", small[0]),
+    }
+    for command in ("glb", "couple", "bounds", "distance", "oracle"):
+        calls[f"cli {command}"] = _cli(command, *small[:2])
+    assert calls["cli exit 1"]() == 1
+    for name, call in calls.items():
+        assert cyclic_garbage(call) == 0, name

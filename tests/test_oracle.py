@@ -113,11 +113,13 @@ class TestExactMinimum:
 
 
 def _reference_draws(rng: np.random.Generator):
-    """Raw marginal pairs with n + m <= 8 for the reference comparison.
+    """Raw marginal pairs for the reference comparison, n + m <= 8 but three.
 
-    The last ones reach each way a search can end: a line of length 1 on
-    either side, a point mass on either side or just over 1 opposite 1.0,
-    and a move whose residual falls to eps_zero or below, on either side.
+    The draws after the size-drawn ones reach each way a search can end: a
+    line of length 1 on either side, a point mass on either side or just
+    over 1 opposite 1.0, and a move whose residual falls to eps_zero or
+    below, on either side. The three last, Dirichlet(1) at 5 x 4, 6 x 3 and
+    7 x 2, give the search longer line lists to cut.
     """
 
     def sizes():
@@ -152,6 +154,8 @@ def _reference_draws(rng: np.random.Generator):
     yield near, np.full(2, 0.5)
     yield np.ones(1), np.ones(1)
     yield np.array([1.0 + 2.0**-52]), np.ones(1)
+    for n, m in ((5, 4), (6, 3), (7, 2)):
+        yield rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
 
 
 class TestReference:

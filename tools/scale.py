@@ -38,7 +38,8 @@ Each row reports its round count under "rounds".
   and bounds, which takes both entropies and glb's meet's. The last entry
   times the whole min_entropy_coupling for comparison. glb, bounds and the
   coupling take make_probvec's results, as a caller's pairwise call does.
-  There is no list-to-array stage: the kernel returns arrays.
+  There is no list-to-array stage: the kernel returns arrays. stage_calls
+  builds these calls for any pair; tools/ab.py times them across two trees.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
   own, on inputs built outside the timed region: cli._load of one inline
@@ -89,6 +90,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import os
 import platform
@@ -188,41 +190,54 @@ def probvec_row(mc, np, n: int) -> dict:
     return {"n": n, "kinds": kinds}
 
 
-def stage_row(mc, np, n: int) -> dict:
-    from mecouple.lattice import meet_values
-    from mecouple.pairwise import _check_marginals, _couple_oriented, _orient, _sort_pieces
-    from mecouple.probvec import check_sorted_total
+def stage_calls(mc, np, raw_p, raw_q) -> dict:
+    """The pairwise path's stages as calls, each on inputs built here, untimed.
+
+    mc may be any tree's package, under any module name (tools/ab.py loads
+    two at once), so the private names are looked up under mc.__name__. The
+    pair is padded to a common length, as min_entropy_coupling pads it.
+    """
+    pairwise = importlib.import_module(f"{mc.__name__}.pairwise")
+    meet_values = importlib.import_module(f"{mc.__name__}.lattice").meet_values
+    check_sorted_total = importlib.import_module(f"{mc.__name__}.probvec").check_sorted_total
 
     tol = mc.DEFAULT_TOL
     eps = tol.eps_zero
-    rng = np.random.default_rng([SEED, n])
-    raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
     p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
-    a, b = p.values, q.values
-    ip = _orient(a, b, eps)
+    n = max(p.n, q.n)
+    a, b = (np.concatenate((v.values, np.zeros(n - v.n))) for v in (p, q))
+    ip = pairwise._orient(a, b, eps)
     first, second = (b, a) if ip.swapped else (a, b)
-    rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
+    rows, cols, vals = pairwise._couple_oriented(first, second, ip.indices, tol)
     if ip.swapped:
         rows, cols = cols, rows
-    pieces = _sort_pieces(rows, cols, vals, n)
-    stages = {
+    pieces = pairwise._sort_pieces(rows, cols, vals, n)
+    return {
         "make_probvec": lambda: mc.make_probvec(raw_p),
-        "ProbVec": lambda: mc.ProbVec(a, p.perm),
-        "check_sorted_total": lambda: check_sorted_total(a, tol),
-        "orient": lambda: _orient(a, b, eps),
+        "ProbVec": lambda: mc.ProbVec(p.values, p.perm),
+        "check_sorted_total": lambda: check_sorted_total(p.values, tol),
+        "orient": lambda: pairwise._orient(a, b, eps),
         "meet_values": lambda: meet_values(first, second, eps),
-        "kernel": lambda: _couple_oriented(first, second, ip.indices, tol),
-        "piece_sort": lambda: _sort_pieces(rows, cols, vals, n),
-        "check_marginals": lambda: _check_marginals(pieces[:2], pieces[2], (a, b), tol),
+        "kernel": lambda: pairwise._couple_oriented(first, second, ip.indices, tol),
+        "piece_sort": lambda: pairwise._sort_pieces(rows, cols, vals, n),
+        "check_marginals": lambda: pairwise._check_marginals(pieces[:2], pieces[2], (a, b), tol),
         "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
         "glb": lambda: mc.glb(p, q, tol),
         "bounds": lambda: mc.bounds(p, q, tol),
         "min_entropy_coupling": lambda: mc.min_entropy_coupling(p, q, tol),
     }
+
+
+def stage_row(mc, np, n: int) -> dict:
+    rng = np.random.default_rng([SEED, n])
+    raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
+    p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
+    ip = mc.inversion_points(p, q)
+    stages = stage_calls(mc, np, raw_p, raw_q)
     return {
         "n": n,
         "segments": ip.k,
-        "pieces": vals.size,
+        "pieces": stages["kernel"]()[2].size,
         "stages": {name: _timed(call) for name, call in stages.items()},
     }
 
