@@ -11,18 +11,24 @@ carried remainders are flushed one index further. Every output cell is
 therefore one of at most two pieces of some z_j, which caps the joint
 entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
 lower-bounds every coupling's entropy. The kernel records the pieces per
-component, not per cell in the order they are written: it writes each
-z_j's diagonal part back into the one marginal list it reads, and notes the
-line that receives its remainder. numpy builds the piece arrays from these
-records, and min_entropy_coupling sorts them row-major with a stable sort
-that merges their two runs: the diagonal keys ascend, the remainders'
-descend.
+component, not per cell in the order they are written: its loop, compiled
+from _fill.c, writes each z_j's diagonal part back into the one marginal
+array it reads, and notes the line that receives its remainder. numpy
+builds the piece arrays from these records, and min_entropy_coupling sorts
+them row-major with a stable sort that merges their two runs: the diagonal
+keys ascend, the remainders' descend.
+
+The loop is built from _fill.c with the C compiler Python was built with
+(sysconfig's CC) on the first import, and cached; see _load_fill.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from collections import deque
+import os
+import platform
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -39,6 +45,76 @@ from .probvec import (
     entropy_bits,
     _padded,
 )
+
+try:  # the builtin module: hashlib loads OpenSSL, a fifth of this package's import time
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+# -ffp-contract=off: GCC fuses a + b*c into an FMA by default, which would change floats
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _load_fill() -> ctypes.CDLL:
+    """The library built from _fill.c, compiled on first use and cached in __pycache__.
+
+    The file's name holds a key hashing the source, _CFLAGS and the machine,
+    so an edited source gets its own build, and a process that finds the
+    file only loads it. A build writes a temporary file and renames it into
+    place. Where __pycache__ cannot be made or written, the library is built
+    in a private temporary directory, removed once loaded, so each process
+    builds it anew.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_fill.c")
+    with open(source, "rb") as f:
+        parts = (f.read(), " ".join(_CFLAGS).encode(), platform.machine().encode())
+    key = sha256(b"\0".join(parts))
+    cache = os.path.join(here, "__pycache__")
+    path = os.path.join(cache, f"_fill.{key.hexdigest()[:16]}.so")
+    if os.path.exists(path):
+        return ctypes.CDLL(path)
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", dir=cache)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="mecouple-") as private:
+            path = os.path.join(private, "_fill.so")
+            _compile(source, path)
+            return ctypes.CDLL(path)
+    os.close(fd)
+    try:
+        _compile(source, tmp)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+    return ctypes.CDLL(path)
+
+
+def _compile(source: str, out: str) -> None:
+    """Build source into the shared library out; ImportError, naming the command, if that fails."""
+    import shlex
+    import subprocess
+    import sysconfig
+
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS, "-o", out, source]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, text=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        raise ImportError(
+            f"mecouple needs a C compiler: `{shlex.join(cmd)}` failed: {detail}"
+        ) from None
+
+
+_DOUBLES, _INTS = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+_DP, _IP = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+_BAD = ctypes.c_double * 2  # once: each c_double * 2 makes a new type, cyclic garbage
+_FILL = _load_fill().fill
+_FILL.argtypes = (_DP, _DP, ctypes.c_int64, _IP, ctypes.c_int64, ctypes.c_double,
+                  ctypes.c_double, _DP, _IP, _DP)  # as fill() in _fill.c
+_FILL.restype = ctypes.c_int64
 
 
 @dataclass(frozen=True)
@@ -206,73 +282,35 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     return _orient(p.values, q.values, tol.eps_zero) or InversionPoints((p.n + 1, 1), False)
 
 
-def _greedy_fill(
-    m_l: list[float], z_l: list[float], idx: tuple[int, ...], tol: Tolerances
-) -> list[int]:
-    """The greedy loop of _couple_oriented, on Python floats.
+def _fill(m: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances) -> np.ndarray:
+    """The greedy loop of _couple_oriented: _fill.c's fill(), on float64 arrays.
 
-    m_l holds the marginal each component reads: b_j in odd segments, a_j
-    in even ones. The loop overwrites m_l[j] with z_j's diagonal part (0.0
-    where the meet component is not positive, so nothing is written), and
+    m holds the marginal each component reads: b_j in odd segments, a_j in
+    even ones. The loop overwrites m[j] with z_j's diagonal part (0.0 where
+    the meet component is not positive, so nothing is written), and
     returns lines, the line that receives each carried remainder, in push
     order: remainders are pushed in descending component order and the FIFO
     places them in that order. Lines recorded in even segments are stored
-    as line - n.
-
-    The FIFO is head, the oldest carried remainder (None when nothing is
-    carried), and the deque rest of the later ones, so that the tests on the
-    oldest remainder read a local.
+    as line - n. m and z must be writable and C-contiguous.
     """
-    eps, neg_sum = tol.eps_zero, -tol.eps_sum
-    n = len(z_l)
-    head: float | None = None
-    rest: deque[float] = deque()
-    push, pop = rest.append, rest.popleft
-    lines: list[int] = []
-    put_line = lines.append
-    for s in range(1, len(idx)):
-        # even segments index the lists from the end, as j - n for component
-        # j, so each line they record is negative and carries the parity
-        shift = 0 if s % 2 == 1 else n
-        lo, hi = idx[s] - 1 - shift, idx[s - 1] - 1 - shift  # components lo..hi-1
-        for j in range(hi - 1, lo - 1, -1):
-            zj = z_l[j]
-            if zj <= 0.0:
-                m_l[j] = 0.0
-                continue
-            x = m_l[j]
-            x_low = x - eps
-            # every carried value is above eps, so the first test needs no
-            # 0.0 + and the first pop starts the sum; without a pop, the
-            # diagonal part x - 0.0 is x bit for bit and stays in place
-            if head is not None and head < x_low:
-                acc = head
-                head = pop() if rest else None
-                put_line(j)
-                while head is not None and acc + head < x_low:
-                    acc += head
-                    head = pop() if rest else None
-                    put_line(j)
-                x = m_l[j] = x - acc
-            rem = zj - x
-            if rem > eps:
-                if head is None:
-                    head = rem
-                else:
-                    push(rem)
-            elif rem < neg_sum:
-                raise InternalInvariant(
-                    f"carried remainder {rem!r} for component {j % n + 1} below zero"
-                )
-        if lo + shift != 0 and head is not None:
-            lines += [lo - 1] * (1 + len(rest))
-            head = None
-            rest.clear()
-    # the same float as a sum from 0: 0 + head == head for head > 0
-    leftover = 0 if head is None else sum(rest, head)
-    if not leftover <= tol.eps_sum:
-        raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
-    return lines
+    n = m.size
+    if not (m.dtype == z.dtype == np.float64 and z.size == n):
+        raise TypeError("the greedy fill takes two float64 arrays of one length")
+    lines = np.empty(n, np.int64)
+    bad = _BAD()
+    count = _FILL(
+        _DOUBLES(m), _DOUBLES(z), n, _INTS(np.array(idx, np.int64)), len(idx) - 1,
+        tol.eps_zero, tol.eps_sum, _DOUBLES(np.empty(n)), _INTS(lines), bad,
+    )
+    if count == -1:
+        raise InternalInvariant(
+            f"carried remainder {bad[0]!r} for component {int(bad[1]) + 1} below zero"
+        )
+    if count == -2:
+        raise InternalInvariant(f"bookkeeping left {bad[0]!r} mass unplaced")
+    if count == -3:
+        raise InternalInvariant(f"segment boundaries {idx} do not cut 1..{n}")
+    return lines[:count]
 
 
 def _couple_oriented(
@@ -283,9 +321,9 @@ def _couple_oriented(
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
     cells whose row sums are a and column sums b, in no particular order.
-    The loop, _greedy_fill, reads one merged marginal list, b's entries in
-    odd segments and a's in even ones, and records each meet component z_j
-    once: it writes z_j's diagonal part diag_j back into that list, and
+    The loop, _fill, reads one merged marginal array, b's entries in odd
+    segments and a's in even ones, and records each meet component z_j
+    once: it writes z_j's diagonal part diag_j back into that array, and
     notes the line that receives its carried remainder z_j - diag_j. That
     line is below j and no lower than the segment's lo - 1. numpy then
     builds the pieces from these records: diag_j on (j, j), and the
@@ -296,18 +334,10 @@ def _couple_oriented(
     """
     eps, n = tol.eps_zero, len(a)
     z = meet_values(a, b, eps)
-    m = b.copy()
+    diag = b.copy()  # the merged marginal, until the loop overwrites it
     for s in range(2, len(idx), 2):
-        m[idx[s] - 1 : idx[s - 1] - 1] = a[idx[s] - 1 : idx[s - 1] - 1]
-    # the loop's two lists are freed once read, and lines once converted, so
-    # the arrays below do not add to their peak
-    m_l = m.tolist()
-    del m
-    lines = _greedy_fill(m_l, z.tolist(), idx, tol)
-    diag = np.fromiter(m_l, float, n)
-    del m_l
-    line = np.fromiter(lines, np.intp, len(lines))
-    del lines
+        diag[idx[s] - 1 : idx[s - 1] - 1] = a[idx[s] - 1 : idx[s - 1] - 1]
+    line = _fill(diag, z, idx, tol).astype(np.intp, copy=False)
     rem = z - diag  # the loop's subtraction, so the same floats
     # the pushed components in push order, the unplaced ones last
     comp = (rem > eps).nonzero()[0][::-1][: line.size]

@@ -32,7 +32,7 @@ from mecouple.lattice import meet_values
 from mecouple.pairwise import (
     MATRIX_CELL_CAP,
     _couple_oriented,
-    _greedy_fill,
+    _fill,
     _inversion_indices,
 )
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
@@ -318,6 +318,17 @@ class TestKernelReference:
         check_piece_partition(trace["meet"], trace)
         check_boundary_invariants(a, b, trace["meet"], trace)
 
+    def test_a_deep_fifo_matches_the_closure_loop(self):
+        # 4,095 remainders pass through the compiled loop's FIFO, whose write
+        # index only grows, so its reads and writes reach deep into its
+        # buffers; no trace, whose n x n copies would not fit
+        rng = np.random.default_rng(4096)
+        p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(4096), size=2))
+        a, b, idx = oriented(p, q)
+        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
+        assert np.count_nonzero(got[0] != got[1]) == 4095
+
     @settings(max_examples=400, deadline=None)
     @given(
         st.one_of(kernel_inputs, tiny_tails()),
@@ -441,11 +452,11 @@ class TestPerComponentKernel:
         odd = np.zeros(n, dtype=bool)
         for s in range(1, len(idx), 2):
             odd[idx[s] - 1 : idx[s - 1] - 1] = True
-        loop_parts = np.where(odd, b, a).tolist()
+        loop_parts = np.where(odd, b, a)
         z = meet_values(a, b, DEFAULT_TOL.eps_zero)
-        _greedy_fill(loop_parts, z.tolist(), idx, DEFAULT_TOL)
+        _fill(loop_parts, z, idx, DEFAULT_TOL)
         pieces = _couple_oriented(a, b, idx, DEFAULT_TOL)
-        check_per_component_pieces(a, b, idx, pieces, loop_parts=loop_parts)
+        check_per_component_pieces(a, b, idx, pieces, loop_parts=loop_parts.tolist())
         # diagonal pieces first, then the remainders: the piece sort's keys,
         # in either orientation, are one ascending and one descending run
         rows, cols, _ = pieces
@@ -457,19 +468,62 @@ class TestPerComponentKernel:
 
     def test_remainders_still_carried_at_the_end_are_counted(self):
         # one odd segment ending at component 1, so nothing is flushed: the
-        # two 2e-10 remainders stay carried, the first as the FIFO's head and
-        # the second in the deque behind it
-        m_l = [1e-10, 0.0, 0.0]
-        assert _greedy_fill(m_l, [1e-10, 2e-10, 2e-10], (4, 1), DEFAULT_TOL) == []
-        assert m_l == [1e-10, 0.0, 0.0]
+        # two 2e-10 remainders stay carried in the FIFO, the first at its
+        # read index and the second behind it
+        m = np.array([1e-10, 0.0, 0.0])
+        z = np.array([1e-10, 2e-10, 2e-10])
+        assert _fill(m, z, (4, 1), DEFAULT_TOL).tolist() == []
+        assert m.tolist() == [1e-10, 0.0, 0.0]
         tight = Tolerances(eps_sum=3e-10, eps_zero=1e-12)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 4e-10 mass unplaced$"):
-            _greedy_fill([1e-10, 0.0, 0.0], [1e-10, 2e-10, 2e-10], (4, 1), tight)
+            _fill(np.array([1e-10, 0.0, 0.0]), z, (4, 1), tight)
 
     def test_carried_remainders_beyond_eps_sum_raise(self):
-        m_l = [1e-10, 0.0, 0.0, 0.0, 0.0]
+        m = np.array([1e-10, 0.0, 0.0, 0.0, 0.0])
+        z = np.array([1e-10] + [3e-10] * 4)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 1\.2e-09 mass unplaced$"):
-            _greedy_fill(m_l, [1e-10] + [3e-10] * 4, (6, 1), DEFAULT_TOL)
+            _fill(m, z, (6, 1), DEFAULT_TOL)
+
+    def test_a_negative_remainder_raises_with_its_component(self):
+        # component 3 is one odd segment, components 1..2 an even one; the
+        # marginal 0.5 read at component 2 exceeds its meet component 0.25
+        m = np.array([0.5, 0.5, 0.0])
+        z = np.array([0.5, 0.25, 0.0])
+        with pytest.raises(
+            InternalInvariant, match=r"^carried remainder -0\.25 for component 2 below zero$"
+        ):
+            _fill(m, z, (4, 3, 1), DEFAULT_TOL)
+
+    def test_ties_at_eps_zero_neither_pop_nor_carry(self):
+        # with eps_zero = 2**-40 every sum below is exact, so each test
+        # meets its bound with equality: a carried value equal to x -
+        # eps_zero, or a run of pops reaching it, is not popped, and a
+        # remainder equal to eps_zero is not carried
+        tol = Tolerances(eps_sum=1e-9, eps_zero=2**-40)
+        x = 0.25 + 2**-40
+        m = np.array([0.0, x, 0.25])
+        assert _fill(m, np.array([0.0, x, 0.5]), (4, 2, 1), tol).tolist() == [0]
+        assert m.tolist() == [0.0, x, 0.25]
+        m = np.array([0.0, x, 0.125, 0.125])
+        z = np.array([0.0, 0.125 + 2**-40, 0.25, 0.25])
+        assert _fill(m, z, (5, 2, 1), tol).tolist() == [1, 0]
+        assert m.tolist() == [0.0, 0.125 + 2**-40, 0.125, 0.125]
+        m = np.array([0.5, 0.25])
+        assert _fill(m, np.array([0.5, x]), (3, 1), tol).tolist() == []
+        assert m.tolist() == [0.5, 0.25]
+
+    def test_arrays_the_loop_cannot_read_are_refused(self):
+        z = np.array([0.5, 0.5])
+        with pytest.raises(TypeError, match="float64"):
+            _fill(np.array([0.5, 0.5], np.float32), z, (3, 1), DEFAULT_TOL)
+        with pytest.raises(TypeError, match="one length"):
+            _fill(np.array([0.5, 0.5, 0.0]), z, (3, 1), DEFAULT_TOL)
+        with pytest.raises(TypeError, match="contiguous"):
+            _fill(np.array([0.5, 0.0, 0.5, 0.0])[::2], z, (3, 1), DEFAULT_TOL)
+        for idx in ((4, 1), (3, 0), (3, 2, 3, 1)):
+            m = np.array([0.5, 0.5])
+            with pytest.raises(InternalInvariant, match=r"^segment boundaries .* do not cut 1\.\.2$"):
+                _fill(m, z, idx, DEFAULT_TOL)
 
 
 class TestInputContract:

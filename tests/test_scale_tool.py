@@ -32,7 +32,7 @@ ROWS = [
 NESTED = {
     "probvec_row": ("kinds", {"dirichlet", "ties64", "uniform"}, {"equal_neighbours"} | TIMES),
     "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "orient",
-                             "meet_values", "kernel", "piece_sort", "check_marginals",
+                             "meet_values", "kernel", "fill", "piece_sort", "check_marginals",
                              "entropy_bits", "glb", "bounds", "min_entropy_coupling"}, TIMES),
     "cli_stage_row": ("stages", {"load", "cells", "to_json", "cmd_couple", "main"}, TIMES),
 }

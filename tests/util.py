@@ -578,7 +578,9 @@ def reference_couple_oriented(
             trace["boundaries"].append(
                 {"segment": s, "odd": odd, "lo": lo, "matrix": m.copy()}
             )
-    leftover = sum(v for _, v in carried)
+    leftover = 0.0
+    for _, v in carried:  # in order: from Python 3.12, sum() of floats compensates
+        leftover += v
     if leftover > tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
     return rows, cols, vals

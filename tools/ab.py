@@ -64,7 +64,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "orient", "meet_values", "kernel",
-          "piece_sort", "check_marginals", "entropy_bits", "glb", "bounds",
+          "fill", "piece_sort", "check_marginals", "entropy_bits", "glb", "bounds",
           "min_entropy_coupling")
 CALLS = STAGES + ("k_min_entropy_coupling", "exact_min_entropy", "cli.main")
 
