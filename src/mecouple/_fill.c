@@ -8,17 +8,20 @@
    order as the test reference, tests/util.py's reference_couple_oriented,
    and its pieces are compared with that reference's bit for bit.
 
-   m holds the marginal each component reads: b_j in odd segments, a_j in
-   even ones. The loop overwrites m[j] with z_j's diagonal part (0.0 where
-   z_j is not positive) and writes to lines the line that receives each
-   carried remainder, in push order; a line recorded in an even segment is
-   stored as line - n. idx holds the k + 1 segment boundaries of
-   InversionPoints.indices (1-based, decreasing). fifo is scratch for the
-   carried remainders, at most one per component, so n doubles suffice:
-   fifo[r..w) is carried, the oldest first. Returns the number of lines, or
-   a negative code, which pairwise._fill raises as InternalInvariant: with
-   the offending value in bad[0] (and the 0-based component in bad[1]), or,
-   for a segment outside 0..n, before anything is read or written there. */
+   Component z_j reads b_j in odd segments and a_j in even ones, and gives
+   at most one diagonal part, on (j, j), and at most one push: a remainder
+   carried to a lower line, on (j, line) in odd segments and (line, j) in
+   even ones. So the caller's buffers rows, cols and vals of 2n hold every
+   piece as a 0-based cell: the diagonal parts fill [*first, n) downward
+   from slot n - 1, their keys ascending, and the remainders [n, w) upward
+   in push order. That region is the FIFO: a push writes the value and the
+   component's own line, a pop or a flush only the line that receives it;
+   [n, r) is placed, [r, w) still carried, the oldest first. idx holds the
+   k + 1 segment boundaries of InversionPoints.indices (1-based,
+   decreasing). Returns r, so the pieces are [*first, r), or a negative
+   code, which pairwise._fill raises as InternalInvariant: with the
+   offending value in bad[0] (and the 0-based component in bad[1]), or, for
+   a segment outside 0..n, before anything is read or written there. */
 
 #include <stdint.h>
 
@@ -26,36 +29,43 @@
 #define MASS_UNPLACED (-2)
 #define BAD_SEGMENT (-3)
 
-int64_t fill(double *m, const double *z, int64_t n, const int64_t *idx, int64_t k,
-             double eps, double eps_sum, double *fifo, int64_t *lines, double *bad)
+int64_t fill(const double *a, const double *b, const double *z, int64_t n,
+             const int64_t *idx, int64_t k, double eps, double eps_sum,
+             int64_t *rows, int64_t *cols, double *vals, int64_t *first, double *bad)
 {
-    int64_t r = 0, w = 0, count = 0;
+    int64_t d = n, r = n, w = n;
     for (int64_t s = 1; s <= k; s++) {
-        int64_t shift = s % 2 == 1 ? 0 : n;
+        int odd = s % 2 == 1;
+        const double *m = odd ? b : a;
+        int64_t *own = odd ? rows : cols, *line = odd ? cols : rows;
         int64_t lo = idx[s] - 1, hi = idx[s - 1] - 1; /* components lo..hi-1 */
         if (lo < 0 || lo > hi || hi > n)
             return BAD_SEGMENT;
         for (int64_t j = hi - 1; j >= lo; j--) {
             double zj = z[j];
-            if (zj <= 0.0) {
-                m[j] = 0.0;
+            if (zj <= 0.0)
                 continue;
-            }
             double x = m[j], x_low = x - eps;
             /* every carried value is above eps, so the first pop starts the
-               sum; without a pop, the diagonal part is x and stays in place */
-            if (r < w && fifo[r] < x_low) {
-                double acc = fifo[r++];
-                lines[count++] = j - shift;
-                while (r < w && acc + fifo[r] < x_low) {
-                    acc += fifo[r++];
-                    lines[count++] = j - shift;
+               sum; without a pop, the diagonal part is x */
+            if (r < w && vals[r] < x_low) {
+                double acc = vals[r];
+                line[r++] = j;
+                while (r < w && acc + vals[r] < x_low) {
+                    acc += vals[r];
+                    line[r++] = j;
                 }
-                x = m[j] = x - acc;
+                x -= acc;
+            }
+            if (x > eps) {
+                rows[--d] = j;
+                cols[d] = j;
+                vals[d] = x;
             }
             double rem = zj - x;
             if (rem > eps) {
-                fifo[w++] = rem;
+                own[w] = j;
+                vals[w++] = rem;
             } else if (rem < -eps_sum) {
                 bad[0] = rem;
                 bad[1] = (double)j;
@@ -64,14 +74,15 @@ int64_t fill(double *m, const double *z, int64_t n, const int64_t *idx, int64_t 
         }
         if (lo != 0)
             for (; r < w; r++)
-                lines[count++] = lo - 1 - shift;
+                line[r] = lo - 1;
     }
     double leftover = 0.0;
-    for (; r < w; r++)
-        leftover += fifo[r];
+    for (int64_t i = r; i < w; i++)
+        leftover += vals[i];
     if (!(leftover <= eps_sum)) {
         bad[0] = leftover;
         return MASS_UNPLACED;
     }
-    return count;
+    *first = d;
+    return r;
 }

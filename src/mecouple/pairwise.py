@@ -10,13 +10,11 @@ a remainder carried toward the next index, and at a segment boundary the
 carried remainders are flushed one index further. Every output cell is
 therefore one of at most two pieces of some z_j, which caps the joint
 entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
-lower-bounds every coupling's entropy. The kernel records the pieces per
-component, not per cell in the order they are written: its loop, compiled
-from _fill.c, writes each z_j's diagonal part back into the one marginal
-array it reads, and notes the line that receives its remainder. numpy
-builds the piece arrays from these records, and min_entropy_coupling sorts
-them row-major with a stable sort that merges their two runs: the diagonal
-keys ascend, the remainders' descend.
+lower-bounds every coupling's entropy. The kernel's loop, compiled from
+_fill.c, writes the pieces itself into three buffers of 2n: the diagonal
+parts downward from the middle, so their keys ascend, and the remainders
+upward from it, in push order, so their keys descend. min_entropy_coupling
+sorts them row-major with a stable sort that merges these two runs.
 
 The loop is built from _fill.c with the C compiler Python was built with
 (sysconfig's CC) on the first import, and cached; see _load_fill.
@@ -108,12 +106,14 @@ def _compile(source: str, out: str) -> None:
         ) from None
 
 
+# from_buffer refuses read-only arrays, so a ProbVec's values go in as addresses
+# (arr.ctypes.data: ndpointer and data_as leave cyclic garbage on every call)
 _DOUBLES, _INTS = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
 _DP, _IP = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
 _BAD = ctypes.c_double * 2  # once: each c_double * 2 makes a new type, cyclic garbage
 _FILL = _load_fill().fill
-_FILL.argtypes = (_DP, _DP, ctypes.c_int64, _IP, ctypes.c_int64, ctypes.c_double,
-                  ctypes.c_double, _DP, _IP, _DP)  # as fill() in _fill.c
+_FILL.argtypes = (ctypes.c_void_p, ctypes.c_void_p, _DP, ctypes.c_int64, _IP, ctypes.c_int64,
+                  ctypes.c_double, ctypes.c_double, _IP, _IP, _DP, _IP, _DP)  # as fill() in _fill.c
 _FILL.restype = ctypes.c_int64
 
 
@@ -282,35 +282,38 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     return _orient(p.values, q.values, tol.eps_zero) or InversionPoints((p.n + 1, 1), False)
 
 
-def _fill(m: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances) -> np.ndarray:
+def _fill(
+    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy loop of _couple_oriented: _fill.c's fill(), on float64 arrays.
 
-    m holds the marginal each component reads: b_j in odd segments, a_j in
-    even ones. The loop overwrites m[j] with z_j's diagonal part (0.0 where
-    the meet component is not positive, so nothing is written), and
-    returns lines, the line that receives each carried remainder, in push
-    order: remainders are pushed in descending component order and the FIFO
-    places them in that order. Lines recorded in even segments are stored
-    as line - n. m and z must be writable and C-contiguous.
+    Component z_j reads b_j in odd segments and a_j in even ones. Returns the
+    pieces (rows, cols, vals) that fill() writes, views of three buffers of
+    2n, in two runs: the diagonal parts with their keys ascending, then the
+    remainders in push order. a, b and z must be C-contiguous float64 arrays
+    of one length, and z writable; a and b may be read-only.
     """
-    n = m.size
-    if not (m.dtype == z.dtype == np.float64 and z.size == n):
-        raise TypeError("the greedy fill takes two float64 arrays of one length")
-    lines = np.empty(n, np.int64)
-    bad = _BAD()
-    count = _FILL(
-        _DOUBLES(m), _DOUBLES(z), n, _INTS(np.array(idx, np.int64)), len(idx) - 1,
-        tol.eps_zero, tol.eps_sum, _DOUBLES(np.empty(n)), _INTS(lines), bad,
+    n = a.size
+    for v in (a, b, z):
+        if v.dtype != np.float64 or v.size != n or not v.flags.c_contiguous:
+            raise TypeError("the greedy fill takes C-contiguous float64 arrays of one length")
+    rows, cols, vals = np.empty(2 * n, np.int64), np.empty(2 * n, np.int64), np.empty(2 * n)
+    first, bad = ctypes.c_int64(), _BAD()
+    stop = _FILL(
+        a.ctypes.data, b.ctypes.data, _DOUBLES(z), n, _INTS(np.array(idx, np.int64)),
+        len(idx) - 1, tol.eps_zero, tol.eps_sum, _INTS(rows), _INTS(cols), _DOUBLES(vals),
+        first, bad,
     )
-    if count == -1:
+    if stop == -1:
         raise InternalInvariant(
             f"carried remainder {bad[0]!r} for component {int(bad[1]) + 1} below zero"
         )
-    if count == -2:
+    if stop == -2:
         raise InternalInvariant(f"bookkeeping left {bad[0]!r} mass unplaced")
-    if count == -3:
+    if stop == -3:
         raise InternalInvariant(f"segment boundaries {idx} do not cut 1..{n}")
-    return lines[:count]
+    piece = slice(first.value, stop)
+    return rows[piece], cols[piece], vals[piece]
 
 
 def _couple_oriented(
@@ -320,33 +323,16 @@ def _couple_oriented(
 
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
-    cells whose row sums are a and column sums b, in no particular order.
-    The loop, _fill, reads one merged marginal array, b's entries in odd
-    segments and a's in even ones, and records each meet component z_j
-    once: it writes z_j's diagonal part diag_j back into that array, and
-    notes the line that receives its carried remainder z_j - diag_j. That
-    line is below j and no lower than the segment's lo - 1. numpy then
-    builds the pieces from these records: diag_j on (j, j), and the
-    remainder on (j, line) in odd segments and on (line, j) in even ones,
-    each only if above eps_zero. A remainder still carried after the last
-    segment is left out; the loop checks that those total at most eps_sum.
-    Every cell is written at most once.
+    cells whose row sums are a and column sums b, diagonal parts first (see
+    _fill). Each meet component z_j gives at most two: its diagonal part
+    diag_j on (j, j), and its remainder z_j - diag_j, carried to a line
+    below j and no lower than the segment's lo - 1, on (j, line) in odd
+    segments and (line, j) in even ones; each only if above eps_zero. A
+    remainder still carried after the last segment is left out; the loop
+    checks that those total at most eps_sum. Every cell is written at most
+    once.
     """
-    eps, n = tol.eps_zero, len(a)
-    z = meet_values(a, b, eps)
-    diag = b.copy()  # the merged marginal, until the loop overwrites it
-    for s in range(2, len(idx), 2):
-        diag[idx[s] - 1 : idx[s - 1] - 1] = a[idx[s] - 1 : idx[s - 1] - 1]
-    line = _fill(diag, z, idx, tol).astype(np.intp, copy=False)
-    rem = z - diag  # the loop's subtraction, so the same floats
-    # the pushed components in push order, the unplaced ones last
-    comp = (rem > eps).nonzero()[0][::-1][: line.size]
-    even = line < 0
-    line %= n
-    on_diag = (diag > eps).nonzero()[0]
-    rows = np.concatenate((on_diag, np.where(even, line, comp)))
-    cols = np.concatenate((on_diag, np.where(even, comp, line)))
-    return rows, cols, np.concatenate((diag[on_diag], rem[comp]))
+    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol)
 
 
 def _check_marginals(

@@ -85,3 +85,15 @@ def test_no_compiler_raises_import_error_naming_the_command(package):
     assert "ImportError: mecouple needs a C compiler" in done.stderr
     assert f"`{compiler} -O2 -ffp-contract=off -fPIC -shared -o " in done.stderr
     assert cached(package) == []
+
+
+def test_the_source_compiles_without_warnings(tmp_path):
+    # -Wall -Wextra -Werror catch what a raw-pointer loop invites, such as an
+    # unsequenced write (-Wsequence-point); the package builds without them
+    from mecouple.pairwise import _CFLAGS
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    cmd = [*compiler, *_CFLAGS, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "_fill.so"), str(SRC / "mecouple" / "_fill.c")]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -329,6 +329,17 @@ class TestKernelReference:
         assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
         assert np.count_nonzero(got[0] != got[1]) == 4095
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_full_buffers_match_the_closure_loop(self, n):
+        # 2n - 1 pieces, n diagonal parts and n - 1 remainders: fill()'s
+        # buffers of 2n hold them with one slot to spare
+        rng = np.random.default_rng(n)
+        p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(n), size=2))
+        a, b, idx = oriented(p, q)
+        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        assert got[0].size == 2 * n - 1
+        assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
+
     @settings(max_examples=400, deadline=None)
     @given(
         st.one_of(kernel_inputs, tiny_tails()),
@@ -357,7 +368,7 @@ class TestKernelReference:
         assert np.array_equal(qp.vals, pq.vals[order])
 
 
-def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL, loop_parts=None):
+def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL):
     """The kernel's pieces split each meet component z_j as the paper does.
 
     For each j: at most one diagonal piece (j, j) and at most one remainder,
@@ -369,8 +380,7 @@ def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL, loop_parts=No
     diag_j exactly, present iff diag_j > eps_zero, and the remainder is
     z_j - diag_j exactly, present iff above eps_zero, unless it is still
     carried after the last segment. Those unplaced remainders total at most
-    eps_sum. loop_parts, when given, is the loop's marginal list after the
-    loop: it must hold diag_j bit for bit, and 0.0 where z_j <= 0.
+    eps_sum.
     """
     eps = tol.eps_zero
     n, k = len(a), len(idx) - 1
@@ -400,15 +410,11 @@ def check_per_component_pieces(a, b, idx, pieces, tol=DEFAULT_TOL, loop_parts=No
         zj = float(z[j])
         if zj <= 0.0:
             assert j not in diag and j not in rem and j not in absorbed, j
-            if loop_parts is not None:
-                assert loop_parts[j].hex() == (0.0).hex(), (j, loop_parts[j])
             continue
         acc = 0.0
         for _, v in sorted(absorbed.get(j, ()), reverse=True):
             acc += v
         d = float((b if seg[j] % 2 == 1 else a)[j]) - acc
-        if loop_parts is not None:
-            assert loop_parts[j].hex() == d.hex(), (j, loop_parts[j], d)
         got = diag.pop(j, None)
         if d > eps:
             assert got is not None and got.hex() == d.hex(), j
@@ -442,57 +448,48 @@ class TestPerComponentKernel:
         st.one_of(kernel_inputs, tiny_tails()),
     )
     @example(list(P13), list(Q13))
-    @example([0.5, 0.5, 0.0], [0.75, 0.25, -0.0])
-    def test_the_loop_leaves_each_diagonal_part_in_the_marginal_list(self, raw_p, raw_q):
-        # a component with z_j = 0 reads a marginal of at most eps_zero, so
-        # its diagonal slot never shows in the pieces; read the list itself
+    def test_the_pieces_leave_the_loop_as_two_runs(self, raw_p, raw_q):
+        # diagonal pieces first, then the remainders: the piece sort's keys,
+        # in either orientation, are one ascending and one descending run
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
-        odd = np.zeros(n, dtype=bool)
-        for s in range(1, len(idx), 2):
-            odd[idx[s] - 1 : idx[s - 1] - 1] = True
-        loop_parts = np.where(odd, b, a)
-        z = meet_values(a, b, DEFAULT_TOL.eps_zero)
-        _fill(loop_parts, z, idx, DEFAULT_TOL)
-        pieces = _couple_oriented(a, b, idx, DEFAULT_TOL)
-        check_per_component_pieces(a, b, idx, pieces, loop_parts=loop_parts.tolist())
-        # diagonal pieces first, then the remainders: the piece sort's keys,
-        # in either orientation, are one ascending and one descending run
-        rows, cols, _ = pieces
+        rows, cols, _ = _couple_oriented(a, b, idx, DEFAULT_TOL)
         on_diag = int((rows == cols).sum())
         assert np.all(rows[:on_diag] == cols[:on_diag])
         for key in (rows * n + cols, cols * n + rows):
             assert np.all(np.diff(key[:on_diag]) > 0)
             assert np.all(np.diff(key[on_diag:]) < 0)
 
+    # In the _fill tests below, NaN stands where a segment must not read: b
+    # in even segments, a in odd ones. A NaN read would change the pieces.
+
     def test_remainders_still_carried_at_the_end_are_counted(self):
         # one odd segment ending at component 1, so nothing is flushed: the
         # two 2e-10 remainders stay carried in the FIFO, the first at its
         # read index and the second behind it
-        m = np.array([1e-10, 0.0, 0.0])
+        a, b = np.full(3, np.nan), np.array([1e-10, 0.0, 0.0])
         z = np.array([1e-10, 2e-10, 2e-10])
-        assert _fill(m, z, (4, 1), DEFAULT_TOL).tolist() == []
-        assert m.tolist() == [1e-10, 0.0, 0.0]
+        assert as_lists(_fill(a, b, z, (4, 1), DEFAULT_TOL)) == ([0], [0], [1e-10])
         tight = Tolerances(eps_sum=3e-10, eps_zero=1e-12)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 4e-10 mass unplaced$"):
-            _fill(np.array([1e-10, 0.0, 0.0]), z, (4, 1), tight)
+            _fill(a, b, z, (4, 1), tight)
 
     def test_carried_remainders_beyond_eps_sum_raise(self):
-        m = np.array([1e-10, 0.0, 0.0, 0.0, 0.0])
+        a, b = np.full(5, np.nan), np.array([1e-10, 0.0, 0.0, 0.0, 0.0])
         z = np.array([1e-10] + [3e-10] * 4)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 1\.2e-09 mass unplaced$"):
-            _fill(m, z, (6, 1), DEFAULT_TOL)
+            _fill(a, b, z, (6, 1), DEFAULT_TOL)
 
     def test_a_negative_remainder_raises_with_its_component(self):
         # component 3 is one odd segment, components 1..2 an even one; the
         # marginal 0.5 read at component 2 exceeds its meet component 0.25
-        m = np.array([0.5, 0.5, 0.0])
+        a, b = np.array([0.5, 0.5, np.nan]), np.array([np.nan, np.nan, 0.0])
         z = np.array([0.5, 0.25, 0.0])
         with pytest.raises(
             InternalInvariant, match=r"^carried remainder -0\.25 for component 2 below zero$"
         ):
-            _fill(m, z, (4, 3, 1), DEFAULT_TOL)
+            _fill(a, b, z, (4, 3, 1), DEFAULT_TOL)
 
     def test_ties_at_eps_zero_neither_pop_nor_carry(self):
         # with eps_zero = 2**-40 every sum below is exact, so each test
@@ -501,29 +498,43 @@ class TestPerComponentKernel:
         # remainder equal to eps_zero is not carried
         tol = Tolerances(eps_sum=1e-9, eps_zero=2**-40)
         x = 0.25 + 2**-40
-        m = np.array([0.0, x, 0.25])
-        assert _fill(m, np.array([0.0, x, 0.5]), (4, 2, 1), tol).tolist() == [0]
-        assert m.tolist() == [0.0, x, 0.25]
-        m = np.array([0.0, x, 0.125, 0.125])
+        a, b = np.full(3, np.nan), np.array([np.nan, x, 0.25])
+        got = _fill(a, b, np.array([0.0, x, 0.5]), (4, 2, 1), tol)
+        assert as_lists(got) == ([1, 2, 2], [1, 2, 0], [x, 0.25, 0.25])
+        a, b = np.full(4, np.nan), np.array([np.nan, x, 0.125, 0.125])
         z = np.array([0.0, 0.125 + 2**-40, 0.25, 0.25])
-        assert _fill(m, z, (5, 2, 1), tol).tolist() == [1, 0]
-        assert m.tolist() == [0.0, 0.125 + 2**-40, 0.125, 0.125]
-        m = np.array([0.5, 0.25])
-        assert _fill(m, np.array([0.5, x]), (3, 1), tol).tolist() == []
-        assert m.tolist() == [0.5, 0.25]
+        got = _fill(a, b, z, (5, 2, 1), tol)
+        assert as_lists(got) == ([1, 2, 3, 3, 2], [1, 2, 3, 1, 0],
+                               [0.125 + 2**-40, 0.125, 0.125, 0.125, 0.125])
+        a, b = np.full(2, np.nan), np.array([0.5, 0.25])
+        got = _fill(a, b, np.array([0.5, x]), (3, 1), tol)
+        assert as_lists(got) == ([0, 1], [0, 1], [0.5, 0.25])
 
     def test_arrays_the_loop_cannot_read_are_refused(self):
-        z = np.array([0.5, 0.5])
-        with pytest.raises(TypeError, match="float64"):
-            _fill(np.array([0.5, 0.5], np.float32), z, (3, 1), DEFAULT_TOL)
-        with pytest.raises(TypeError, match="one length"):
-            _fill(np.array([0.5, 0.5, 0.0]), z, (3, 1), DEFAULT_TOL)
-        with pytest.raises(TypeError, match="contiguous"):
-            _fill(np.array([0.5, 0.0, 0.5, 0.0])[::2], z, (3, 1), DEFAULT_TOL)
+        # refused before the call: the loop reads n doubles from each
+        good = np.array([0.5, 0.5])
+        unreadable = {
+            "float64": np.array([0.5, 0.5], np.float32),
+            "one length": np.array([0.5]),
+            "contiguous": np.array([0.5, 0.0, 0.5, 0.0])[::2],
+        }
+        for match, arr in unreadable.items():
+            for args in ((arr, good, good), (good, arr, good), (good, good, arr)):
+                with pytest.raises(TypeError, match=match):
+                    _fill(*args, (3, 1), DEFAULT_TOL)
         for idx in ((4, 1), (3, 0), (3, 2, 3, 1)):
-            m = np.array([0.5, 0.5])
             with pytest.raises(InternalInvariant, match=r"^segment boundaries .* do not cut 1\.\.2$"):
-                _fill(m, z, idx, DEFAULT_TOL)
+                _fill(good, good, good, idx, DEFAULT_TOL)
+        # a ProbVec's values are read-only, and go in as they are
+        a, b, idx = oriented(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
+        assert not (a.flags.writeable or b.flags.writeable)
+        got = _fill(a, b, meet_values(a, b, DEFAULT_TOL.eps_zero), idx, DEFAULT_TOL)
+        assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
+
+
+def as_lists(got) -> tuple[list, list, list]:
+    """_fill's pieces as lists, in the order it returns them."""
+    return tuple(x.tolist() for x in got)
 
 
 class TestInputContract:
@@ -722,8 +733,8 @@ class TestSparseCore:
         assert h_z - 1e-12 <= cm.entropy() <= h_z + 1.0 + 1e-12
 
     def test_traced_peak_at_most_three_times_the_pieces(self):
-        # the kernel's Python lists dominate the peak: one merged marginal
-        # list and the meet's, not lists of both marginals beside the meet's
+        # the kernel's three buffers of 2n and the piece sort's copies set
+        # the peak, not a dense matrix or Python lists of the pieces
         rng = np.random.default_rng(34)
         p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(10_000), size=2))
         started = not tracemalloc.is_tracing()

@@ -31,13 +31,12 @@ Each row reports its round count under "rounds".
   the public ProbVec(values, perm) constructor over a validated vector's
   arrays; check_sorted_total; _orient, which finds the orientation and the
   segments; meet_values of the oriented pair; the greedy kernel
-  _couple_oriented (its own meet_values, the merged marginal array, the
-  compiled loop and the numpy assembly of its piece arrays, included); the
-  compiled loop _fill alone, on a fresh copy of the merged marginal array
-  (on a tree from before it, the Python loop _greedy_fill with the list
-  conversions its kernel made around it); _sort_pieces, the piece sort with
-  the written-twice check; _check_marginals; entropy_bits of the pieces; glb;
-  and bounds, which takes both entropies and glb's meet's. The last entry
+  _couple_oriented (its own meet_values and the compiled loop, which
+  writes the piece arrays); the compiled loop _fill alone, on the oriented
+  pair and its meet (trees from before this signature: compare them with
+  the kernel stage); _sort_pieces, the piece sort with the written-twice
+  check; _check_marginals; entropy_bits of the pieces; glb; and bounds,
+  which takes both entropies and glb's meet's. The last entry
   times the whole min_entropy_coupling for comparison. glb, bounds and the
   coupling take make_probvec's results, as a caller's pairwise call does.
   There is no list-to-array stage: the kernel returns arrays. stage_calls
@@ -216,19 +215,6 @@ def stage_calls(mc, np, raw_p, raw_q) -> dict:
         rows, cols = cols, rows
     pieces = pairwise._sort_pieces(rows, cols, vals, n)
     z = meet_values(first, second, eps)
-    merged = second.copy()  # the kernel's merged marginal: first's entries in even segments
-    for s in range(2, len(idx), 2):
-        merged[idx[s] - 1 : idx[s - 1] - 1] = first[idx[s] - 1 : idx[s - 1] - 1]
-    if hasattr(pairwise, "_fill"):
-        def fill():  # (diagonal parts, lines)
-            m = merged.copy()
-            return m, pairwise._fill(m, z, idx, tol)
-    else:  # a tree from before the compiled loop: its Python loop and the conversions around it
-        def fill():
-            m_l = merged.tolist()
-            lines = pairwise._greedy_fill(m_l, z.tolist(), idx, tol)
-            return np.fromiter(m_l, float, n), np.fromiter(lines, np.int64, len(lines))
-
     return {
         "make_probvec": lambda: mc.make_probvec(raw_p),
         "ProbVec": lambda: mc.ProbVec(p.values, p.perm),
@@ -236,7 +222,7 @@ def stage_calls(mc, np, raw_p, raw_q) -> dict:
         "orient": lambda: pairwise._orient(a, b, eps),
         "meet_values": lambda: meet_values(first, second, eps),
         "kernel": lambda: pairwise._couple_oriented(first, second, idx, tol),
-        "fill": fill,
+        "fill": lambda: pairwise._fill(first, second, z, idx, tol),
         "piece_sort": lambda: pairwise._sort_pieces(rows, cols, vals, n),
         "check_marginals": lambda: pairwise._check_marginals(pieces[:2], pieces[2], (a, b), tol),
         "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
