@@ -1,27 +1,31 @@
 /* The greedy fill of mecouple.pairwise._couple_oriented.
 
    pairwise.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
-   and calls fill() through ctypes. -ffp-contract=off is required: GCC fuses
-   a + b*c into one FMA by default on targets that have one, and the fused
-   result rounds once where the written expression rounds twice, so it would
-   change floats. The loop makes the same double operations in the same
-   order as the test reference, tests/util.py's reference_couple_oriented,
-   and its pieces are compared with that reference's bit for bit.
+   and calls fill() through ctypes. -ffp-contract=off keeps GCC from fusing
+   a + b*c into one FMA, which rounds once where the written expression
+   rounds twice. The loop makes tests/util.py's reference_couple_oriented's
+   double operations in the same order, and matches its pieces bit for bit.
 
    Component z_j reads b_j in odd segments and a_j in even ones, and gives
    at most one diagonal part, on (j, j), and at most one push: a remainder
    carried to a lower line, on (j, line) in odd segments and (line, j) in
-   even ones. So the caller's buffers rows, cols and vals of 2n hold every
-   piece as a 0-based cell: the diagonal parts fill [*first, n) downward
-   from slot n - 1, their keys ascending, and the remainders [n, w) upward
-   in push order. That region is the FIFO: a push writes the value and the
-   component's own line, a pop or a flush only the line that receives it;
-   [n, r) is placed, [r, w) still carried, the oldest first. idx holds the
-   k + 1 segment boundaries of InversionPoints.indices (1-based,
-   decreasing). Returns r, so the pieces are [*first, r), or a negative
-   code, which pairwise._fill raises as InternalInvariant: with the
-   offending value in bad[0] (and the 0-based component in bad[1]), or, for
-   a segment outside 0..n, before anything is read or written there. */
+   even ones, transposed when swapped is set, so every piece is a 0-based
+   cell of the caller's pair. idx holds InversionPoints.indices (1-based).
+
+   Only the m components with z_j > 0 give pieces: the buffers rows, cols
+   and vals hold 2m cells, the FIFO 3m values (frows, fcols, fvals). The
+   diagonal parts fill the buffers downward from slot 2m - 1, so, as j
+   falls, their keys row * n + col ascend from d. A push writes the value
+   and its own line at w, a pop or flush the receiving line at r: [0, r) is
+   placed, [r, w) still carried. Receiving lines fall, so placed keys
+   descend in push order. After the leftover check, one forward merge of
+   the diagonal run and the placed remainders, newest first, writes the
+   pieces row-major to [0, count), in place: the write index is dk - d plus
+   the remainders taken, at most r <= m <= d, so it never passes dk.
+
+   Returns count, or a negative code that pairwise._fill raises as
+   InternalInvariant, with the offending value in bad[0] and the 0-based
+   component in bad[1]; a segment outside 0..n is refused before it is read. */
 
 #include <stdint.h>
 
@@ -29,30 +33,31 @@
 #define MASS_UNPLACED (-2)
 #define BAD_SEGMENT (-3)
 
-int64_t fill(const double *a, const double *b, const double *z, int64_t n,
-             const int64_t *idx, int64_t k, double eps, double eps_sum,
-             int64_t *rows, int64_t *cols, double *vals, int64_t *first, double *bad)
+int64_t fill(const double *a, const double *b, const double *z, int64_t n, const int64_t *idx,
+             int64_t k, double eps, double eps_sum, int swapped, int64_t m, int64_t *rows,
+             int64_t *cols, double *vals, int64_t *fifo, double *bad)
 {
-    int64_t d = n, r = n, w = n;
+    int64_t *frows = fifo, *fcols = fifo + m, d = 2 * m, r = 0, w = 0;
+    double *fvals = (double *)(fifo + 2 * m);
     for (int64_t s = 1; s <= k; s++) {
         int odd = s % 2 == 1;
-        const double *m = odd ? b : a;
-        int64_t *own = odd ? rows : cols, *line = odd ? cols : rows;
+        const double *x_of = odd ? b : a;
+        int64_t *own = odd != swapped ? frows : fcols, *line = odd != swapped ? fcols : frows;
         int64_t lo = idx[s] - 1, hi = idx[s - 1] - 1; /* components lo..hi-1 */
         if (lo < 0 || lo > hi || hi > n)
             return BAD_SEGMENT;
         for (int64_t j = hi - 1; j >= lo; j--) {
             double zj = z[j];
-            if (zj <= 0.0)
+            if (!(zj > 0.0))
                 continue;
-            double x = m[j], x_low = x - eps;
+            double x = x_of[j], x_low = x - eps;
             /* every carried value is above eps, so the first pop starts the
                sum; without a pop, the diagonal part is x */
-            if (r < w && vals[r] < x_low) {
-                double acc = vals[r];
+            if (r < w && fvals[r] < x_low) {
+                double acc = fvals[r];
                 line[r++] = j;
-                while (r < w && acc + vals[r] < x_low) {
-                    acc += vals[r];
+                while (r < w && acc + fvals[r] < x_low) {
+                    acc += fvals[r];
                     line[r++] = j;
                 }
                 x -= acc;
@@ -65,7 +70,7 @@ int64_t fill(const double *a, const double *b, const double *z, int64_t n,
             double rem = zj - x;
             if (rem > eps) {
                 own[w] = j;
-                vals[w++] = rem;
+                fvals[w++] = rem;
             } else if (rem < -eps_sum) {
                 bad[0] = rem;
                 bad[1] = (double)j;
@@ -78,11 +83,22 @@ int64_t fill(const double *a, const double *b, const double *z, int64_t n,
     }
     double leftover = 0.0;
     for (int64_t i = r; i < w; i++)
-        leftover += vals[i];
+        leftover += fvals[i];
     if (!(leftover <= eps_sum)) {
         bad[0] = leftover;
         return MASS_UNPLACED;
     }
-    *first = d;
-    return r;
+    int64_t count = 0, dk = d, rk = r - 1;
+    for (; count < r + 2 * m - d; count++) {
+        if (rk < 0 || (dk < 2 * m && rows[dk] * n + cols[dk] < frows[rk] * n + fcols[rk])) {
+            rows[count] = rows[dk];
+            cols[count] = cols[dk];
+            vals[count] = vals[dk++];
+        } else {
+            rows[count] = frows[rk];
+            cols[count] = fcols[rk];
+            vals[count] = fvals[rk--];
+        }
+    }
+    return count;
 }

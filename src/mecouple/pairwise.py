@@ -11,10 +11,9 @@ carried remainders are flushed one index further. Every output cell is
 therefore one of at most two pieces of some z_j, which caps the joint
 entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
 lower-bounds every coupling's entropy. The kernel's loop, compiled from
-_fill.c, writes the pieces itself into three buffers of 2n: the diagonal
-parts downward from the middle, so their keys ascend, and the remainders
-upward from it, in push order, so their keys descend. min_entropy_coupling
-sorts them row-major with a stable sort that merges these two runs.
+_fill.c, writes the pieces itself in the caller's orientation, and merges
+its ascending diagonal parts with its remainders as it ends, so they leave
+it row-major and no sort follows.
 
 The loop is built from _fill.c with the C compiler Python was built with
 (sysconfig's CC) on the first import, and cached; see _load_fill.
@@ -113,7 +112,8 @@ _DP, _IP = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
 _BAD = ctypes.c_double * 2  # once: each c_double * 2 makes a new type, cyclic garbage
 _FILL = _load_fill().fill
 _FILL.argtypes = (ctypes.c_void_p, ctypes.c_void_p, _DP, ctypes.c_int64, _IP, ctypes.c_int64,
-                  ctypes.c_double, ctypes.c_double, _IP, _IP, _DP, _IP, _DP)  # as fill() in _fill.c
+                  ctypes.c_double, ctypes.c_double, ctypes.c_int, ctypes.c_int64,
+                  _IP, _IP, _DP, _IP, _DP)  # as fill() in _fill.c
 _FILL.restype = ctypes.c_int64
 
 
@@ -183,14 +183,15 @@ class CouplingMatrix:
     """Joint distribution of p and q, stored as its nonzero pieces.
 
     Piece i holds mass vals[i] at cell (rows[i], cols[i]) in sorted
-    (non-increasing marginal) order; pieces are listed row-major and there
-    are at most 2n of them. row_perm/col_perm are the inputs' read-only perm
-    arrays, mapping sorted positions back to the caller's indices. nnz
-    counts pieces above eps_zero. The dense n x n matrix is built from the
-    pieces only when .matrix is read, is cached and read-only, and is
-    refused above MATRIX_CELL_CAP cells. A matrix passed to
-    the constructor (dataclasses.replace passes the current one) is kept as
-    given, unchecked against the pieces.
+    (non-increasing marginal) order; there are at most 2n pieces, listed
+    row-major with each cell once, as min_entropy_coupling checks.
+    row_perm/col_perm are the inputs' read-only perm arrays, mapping sorted
+    positions back to the caller's indices. nnz counts pieces above
+    eps_zero. The dense n x n matrix is built from the pieces only when
+    .matrix is read, is cached and read-only, and is refused above
+    MATRIX_CELL_CAP cells. A matrix passed to the constructor
+    (dataclasses.replace passes the current one) is kept as given,
+    unchecked against the pieces.
     """
 
     rows: np.ndarray
@@ -283,56 +284,54 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
 
 
 def _fill(
-    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances
+    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances,
+    swapped: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy loop of _couple_oriented: _fill.c's fill(), on float64 arrays.
 
-    Component z_j reads b_j in odd segments and a_j in even ones. Returns the
-    pieces (rows, cols, vals) that fill() writes, views of three buffers of
-    2n, in two runs: the diagonal parts with their keys ascending, then the
-    remainders in push order. a, b and z must be C-contiguous float64 arrays
-    of one length, and z writable; a and b may be read-only.
+    Returns the pieces (rows, cols, vals) that fill() writes, row-major and
+    transposed when swapped is set, as views of three buffers of 2m cells
+    for the m components z_j > 0. a, b and z must be C-contiguous float64
+    arrays of one length, and z writable; a and b may be read-only.
     """
     n = a.size
     for v in (a, b, z):
         if v.dtype != np.float64 or v.size != n or not v.flags.c_contiguous:
             raise TypeError("the greedy fill takes C-contiguous float64 arrays of one length")
-    rows, cols, vals = np.empty(2 * n, np.int64), np.empty(2 * n, np.int64), np.empty(2 * n)
-    first, bad = ctypes.c_int64(), _BAD()
-    stop = _FILL(
+    m = np.count_nonzero(z > 0.0)
+    rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
+    fifo, bad = np.empty(3 * m, np.int64), _BAD()
+    count = _FILL(
         a.ctypes.data, b.ctypes.data, _DOUBLES(z), n, _INTS(np.array(idx, np.int64)),
-        len(idx) - 1, tol.eps_zero, tol.eps_sum, _INTS(rows), _INTS(cols), _DOUBLES(vals),
-        first, bad,
+        len(idx) - 1, tol.eps_zero, tol.eps_sum, swapped, m, _INTS(rows), _INTS(cols),
+        _DOUBLES(vals), _INTS(fifo), bad,
     )
-    if stop == -1:
+    if count == -1:
         raise InternalInvariant(
             f"carried remainder {bad[0]!r} for component {int(bad[1]) + 1} below zero"
         )
-    if stop == -2:
+    if count == -2:
         raise InternalInvariant(f"bookkeeping left {bad[0]!r} mass unplaced")
-    if stop == -3:
+    if count == -3:
         raise InternalInvariant(f"segment boundaries {idx} do not cut 1..{n}")
-    piece = slice(first.value, stop)
-    return rows[piece], cols[piece], vals[piece]
+    return rows[:count], cols[:count], vals[:count]
 
 
 def _couple_oriented(
-    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances
+    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances, swapped: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
 
     idx holds the pair's segment boundaries, as in InversionPoints.indices.
     Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
-    cells whose row sums are a and column sums b, diagonal parts first (see
-    _fill). Each meet component z_j gives at most two: its diagonal part
-    diag_j on (j, j), and its remainder z_j - diag_j, carried to a line
-    below j and no lower than the segment's lo - 1, on (j, line) in odd
-    segments and (line, j) in even ones; each only if above eps_zero. A
-    remainder still carried after the last segment is left out; the loop
-    checks that those total at most eps_sum. Every cell is written at most
-    once.
+    cells whose row sums are a and column sums b, row-major; with swapped
+    set, the same cells transposed, row-major too. Each meet component z_j
+    gives at most two, each only if above eps_zero: its diagonal part on
+    (j, j), and its remainder, carried to a line below j and no lower than
+    the segment's lo - 1 (_fill.c gives the cells). Remainders still carried
+    after the last segment, at most eps_sum in total, are left out.
     """
-    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol)
+    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol, swapped)
 
 
 def _check_marginals(
@@ -354,22 +353,6 @@ def _check_marginals(
         raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
 
 
-def _sort_pieces(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pieces sorted row-major; InternalInvariant if a cell was written twice.
-
-    The kernel's diagonal pieces' keys ascend and its remainders' descend,
-    so the stable sort (timsort) merges two runs in linear time.
-    """
-    key = rows * n + cols
-    order = key.argsort(kind="stable")
-    key = key[order]
-    if np.count_nonzero(key[1:] == key[:-1]):
-        raise InternalInvariant("a cell was written twice")
-    return rows[order], cols[order], vals[order]
-
-
 def min_entropy_coupling(
     p: ProbVec,
     q: ProbVec,
@@ -379,8 +362,8 @@ def min_entropy_coupling(
 
     The coupling has side n = max(p.n, q.n) (inputs are zero-padded to a
     common length), exact marginals and total mass up to eps_sum, at most
-    2n nonzero cells, and H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. It is built,
-    sorted and checked as its pieces in O(n) time and memory; the dense
+    2n nonzero cells, and H(p ∧ q) <= H(M) <= H(p ∧ q) + 1 bit. It is built
+    row-major and checked as its pieces in O(n) time and memory; the dense
     .matrix is built only when read, and is refused above MATRIX_CELL_CAP
     cells. Identical inputs always produce identical couplings. Inputs are
     taken as given, not re-sorted: values out of non-increasing order raise
@@ -401,10 +384,10 @@ def min_entropy_coupling(
         vals = a[rows]
     else:
         first, second = (b, a) if ip.swapped else (a, b)
-        rows, cols, vals = _couple_oriented(first, second, ip.indices, tol)
-        if ip.swapped:
-            rows, cols = cols, rows
-        rows, cols, vals = _sort_pieces(rows, cols, vals, n)
+        rows, cols, vals = _couple_oriented(first, second, ip.indices, tol, ip.swapped)
+        key = rows * n + cols
+        if np.count_nonzero(key[1:] <= key[:-1]):
+            raise InternalInvariant("pieces out of row-major order, or a cell written twice")
     _check_marginals((rows, cols), vals, (a, b), tol)
     if vals.size > 2 * n:
         raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")

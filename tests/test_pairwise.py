@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import mecouple.pairwise
 import mecouple.probvec
 from mecouple import (
     BadTotal,
@@ -331,14 +332,32 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_full_buffers_match_the_closure_loop(self, n):
-        # 2n - 1 pieces, n diagonal parts and n - 1 remainders: fill()'s
-        # buffers of 2n hold them with one slot to spare
+        # 2n - 1 pieces, n diagonal parts and n - 1 remainders: with every
+        # meet component positive, fill()'s buffers of 2m = 2n hold them
+        # with one slot to spare, in either orientation
         rng = np.random.default_rng(n)
         p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(n), size=2))
         a, b, idx = oriented(p, q)
-        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
-        assert got[0].size == 2 * n - 1
-        assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
+        ref = reference_couple_oriented(a, b, DEFAULT_TOL)
+        for swapped in (False, True):
+            rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL, swapped)
+            assert vals.size == 2 * n - 1
+            assert all(x.base.size == 2 * n for x in (rows, cols, vals))
+            assert_same_pieces((cols, rows, vals) if swapped else (rows, cols, vals), ref)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_buffers_hold_two_cells_per_positive_meet_component(self, swapped):
+        # zeros at the tail of both marginals are zeros of the meet, which
+        # give no pieces, so the buffers hold 2m < 2n cells
+        rng = np.random.default_rng(36)
+        p, q = (make_probvec(np.r_[v, np.zeros(4)]) for v in rng.dirichlet(np.ones(6), size=2))
+        a, b, idx = oriented(p, q)
+        m = np.count_nonzero(meet_values(a, b, DEFAULT_TOL.eps_zero) > 0.0)
+        assert m == 6 < p.n
+        rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL, swapped)
+        assert all(x.base.size == 2 * m for x in (rows, cols, vals))
+        assert_same_pieces((cols, rows, vals) if swapped else (rows, cols, vals),
+                           reference_couple_oriented(a, b, DEFAULT_TOL))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -448,18 +467,17 @@ class TestPerComponentKernel:
         st.one_of(kernel_inputs, tiny_tails()),
     )
     @example(list(P13), list(Q13))
-    def test_the_pieces_leave_the_loop_as_two_runs(self, raw_p, raw_q):
-        # diagonal pieces first, then the remainders: the piece sort's keys,
-        # in either orientation, are one ascending and one descending run
+    def test_the_pieces_leave_the_loop_row_major(self, raw_p, raw_q):
+        # in either orientation: with swapped set, the same cells transposed,
+        # and still listed row-major
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
-        rows, cols, _ = _couple_oriented(a, b, idx, DEFAULT_TOL)
-        on_diag = int((rows == cols).sum())
-        assert np.all(rows[:on_diag] == cols[:on_diag])
-        for key in (rows * n + cols, cols * n + rows):
-            assert np.all(np.diff(key[:on_diag]) > 0)
-            assert np.all(np.diff(key[on_diag:]) < 0)
+        rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        assert np.all(np.diff(rows * n + cols) > 0)
+        t_rows, t_cols, t_vals = _couple_oriented(a, b, idx, DEFAULT_TOL, True)
+        assert np.all(np.diff(t_rows * n + t_cols) > 0)
+        assert_same_pieces((t_cols, t_rows, t_vals), (rows, cols, vals))
 
     # In the _fill tests below, NaN stands where a segment must not read: b
     # in even segments, a in odd ones. A NaN read would change the pieces.
@@ -500,11 +518,11 @@ class TestPerComponentKernel:
         x = 0.25 + 2**-40
         a, b = np.full(3, np.nan), np.array([np.nan, x, 0.25])
         got = _fill(a, b, np.array([0.0, x, 0.5]), (4, 2, 1), tol)
-        assert as_lists(got) == ([1, 2, 2], [1, 2, 0], [x, 0.25, 0.25])
+        assert as_lists(got) == ([1, 2, 2], [1, 0, 2], [x, 0.25, 0.25])
         a, b = np.full(4, np.nan), np.array([np.nan, x, 0.125, 0.125])
         z = np.array([0.0, 0.125 + 2**-40, 0.25, 0.25])
         got = _fill(a, b, z, (5, 2, 1), tol)
-        assert as_lists(got) == ([1, 2, 3, 3, 2], [1, 2, 3, 1, 0],
+        assert as_lists(got) == ([1, 2, 2, 3, 3], [1, 0, 2, 1, 3],
                                [0.125 + 2**-40, 0.125, 0.125, 0.125, 0.125])
         a, b = np.full(2, np.nan), np.array([0.5, 0.25])
         got = _fill(a, b, np.array([0.5, x]), (3, 1), tol)
@@ -732,9 +750,35 @@ class TestSparseCore:
         h_z = entropy(glb(p, q).meet)
         assert h_z - 1e-12 <= cm.entropy() <= h_z + 1.0 + 1e-12
 
-    def test_traced_peak_at_most_three_times_the_pieces(self):
-        # the kernel's three buffers of 2n and the piece sort's copies set
-        # the peak, not a dense matrix or Python lists of the pieces
+    def test_a_sparse_meet_keeps_small_buffers(self):
+        # two positive meet components at n = 10**5: the result's arrays
+        # view buffers of 2m = 4 cells, not 2n
+        n = 100_000
+        p = make_probvec(np.r_[0.5, 0.5, np.zeros(n - 2)])
+        q = make_probvec(np.r_[0.625, 0.375, np.zeros(n - 2)])
+        cm = min_entropy_coupling(p, q)
+        assert cm.n == n and cm.vals.size == 3
+        assert all(x.base.size == 4 for x in (cm.rows, cm.cols, cm.vals))
+
+    def test_pieces_out_of_row_major_order_are_refused(self, monkeypatch):
+        # two adjacent pieces exchanged keep the marginals exact, so only the
+        # order check sees them; a repeated cell is test_multiway's
+        # TestDistinctCells::test_a_repeated_cell_is_refused
+        real = mecouple.pairwise._couple_oriented
+
+        def exchanged(*args, **kwargs):
+            return tuple(x[[1, 0, *range(2, x.size)]] for x in real(*args, **kwargs))
+
+        p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
+        assert min_entropy_coupling(p, q).vals.size == 3
+        monkeypatch.setattr(mecouple.pairwise, "_couple_oriented", exchanged)
+        with pytest.raises(InternalInvariant, match="row-major"):
+            min_entropy_coupling(p, q)
+
+    def test_traced_peak_at_most_two_and_a_half_times_the_pieces(self):
+        # the kernel's buffers of 2m cells and its FIFO of m, with m <= n
+        # positive meet components, set the peak, about twice the pieces'
+        # bytes: not a dense matrix, Python lists of the pieces or a sort
         rng = np.random.default_rng(34)
         p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(10_000), size=2))
         started = not tracemalloc.is_tracing()
@@ -749,7 +793,7 @@ class TestSparseCore:
             if started:
                 tracemalloc.stop()
         pieces = cm.rows.nbytes + cm.cols.nbytes + cm.vals.nbytes
-        assert peak <= 3.0 * pieces, (peak, pieces, peak / pieces)
+        assert peak <= 2.5 * pieces, (peak, pieces, peak / pieces)
 
     def test_dense_forms_refused_above_the_cap(self):
         side = int(np.sqrt(MATRIX_CELL_CAP)) + 1

@@ -1,7 +1,8 @@
-"""tools/scale.py imports private names from src/ (the kernel, the piece
-sort, the checks, the CLI's loader and writers), so a rename there breaks
-the tool without failing anything else. Each in-process row runs here once,
-at a small size; process_row is left out, since it spawns processes.
+"""tools/scale.py imports private names from src/ (the kernel, the
+compiled loop, the checks, the CLI's loader and writers), so a rename there
+breaks the tool without failing anything else. Each in-process row runs
+here once, at a small size; process_row is left out, since it spawns
+processes.
 """
 
 import importlib.util
@@ -32,7 +33,7 @@ ROWS = [
 NESTED = {
     "probvec_row": ("kinds", {"dirichlet", "ties64", "uniform"}, {"equal_neighbours"} | TIMES),
     "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "orient",
-                             "meet_values", "kernel", "fill", "piece_sort", "check_marginals",
+                             "meet_values", "kernel", "fill", "check_marginals",
                              "entropy_bits", "glb", "bounds", "min_entropy_coupling"}, TIMES),
     "cli_stage_row": ("stages", {"load", "cells", "to_json", "cmd_couple", "main"}, TIMES),
 }
@@ -51,3 +52,16 @@ def test_row_runs_once_with_its_keys(monkeypatch, name, size, keys):
         assert set(row[field]) == parts
         for part in row[field].values():
             assert set(part) == part_keys and part["rounds"] == 1
+
+
+def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
+    # tools/ab.py builds one stage per tree, and one tree may lack a name the
+    # other has; min_entropy_coupling needs the kernel, so the stages left
+    # to build here are those that do not run it
+    rng = np.random.default_rng(5)
+    raw_p, raw_q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(5))
+    monkeypatch.delattr(mecouple.pairwise, "_couple_oriented")
+    with pytest.raises(AttributeError, match="_couple_oriented"):
+        scale.stage_call(mecouple, np, raw_p, raw_q, "kernel")
+    for stage in ("ProbVec", "orient", "meet_values", "fill", "glb", "bounds"):
+        scale.stage_call(mecouple, np, raw_p, raw_q, stage)()

@@ -19,7 +19,8 @@ Dirichlet(--alpha) draws of the marginal lengths --shape from
 numpy.random.default_rng([--seed, *shape]). Each tree validates its own
 inputs with its own make_probvec, outside the timed calls.
 
---call is one of CALLS: the stage names of tools/scale.py's stage rows,
+--call is one of CALLS: the stage names of tools/scale.py's stage rows
+(its STAGES, each built only for the call that names it),
 k_min_entropy_coupling (over every marginal of an instance) and
 exact_min_entropy (on its first two), and cli.main (an instance's argv, or
 --command and the marginals as JSON, stdout captured).
@@ -63,10 +64,6 @@ from types import SimpleNamespace
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "orient", "meet_values", "kernel",
-          "fill", "piece_sort", "check_marginals", "entropy_bits", "glb", "bounds",
-          "min_entropy_coupling")
-CALLS = STAGES + ("k_min_entropy_coupling", "exact_min_entropy", "cli.main")
 
 
 def _load_module(name: str, path: Path):
@@ -77,6 +74,7 @@ def _load_module(name: str, path: Path):
 
 
 scale = _load_module("scale", ROOT / "tools" / "scale.py")
+CALLS = scale.STAGES + ("k_min_entropy_coupling", "exact_min_entropy", "cli.main")
 
 
 def load_tree(directory: str, name: str) -> SimpleNamespace:
@@ -114,8 +112,8 @@ def prepare(tree: SimpleNamespace, call: str, inst, command: str):
     """A thunk running call on inst with tree; its validation is done here."""
     mc = tree.mc
     vectors, argv = inst
-    if call in STAGES:
-        return scale.stage_calls(mc, np, vectors[0], vectors[1])[call]
+    if call in scale.STAGES:
+        return scale.stage_call(mc, np, vectors[0], vectors[1], call)
     if call == "cli.main":
         if argv is None:
             argv = [command, *(json.dumps(v.tolist()) for v in vectors)]

@@ -26,21 +26,17 @@ Each row reports its round count under "rounds".
   index only when the sorted vector has equal neighbours, so the row
   reports their count beside each kind's times.
 - stages, n in STAGE_NS: the pairwise path taken apart, on two Dirichlet(1)
-  vectors of length n. Each stage is timed on its own, with its own rounds,
-  on inputs built outside the timed region: make_probvec of a raw vector;
-  the public ProbVec(values, perm) constructor over a validated vector's
-  arrays; check_sorted_total; _orient, which finds the orientation and the
-  segments; meet_values of the oriented pair; the greedy kernel
-  _couple_oriented (its own meet_values and the compiled loop, which
-  writes the piece arrays); the compiled loop _fill alone, on the oriented
-  pair and its meet (trees from before this signature: compare them with
-  the kernel stage); _sort_pieces, the piece sort with the written-twice
-  check; _check_marginals; entropy_bits of the pieces; glb; and bounds,
-  which takes both entropies and glb's meet's. The last entry
-  times the whole min_entropy_coupling for comparison. glb, bounds and the
-  coupling take make_probvec's results, as a caller's pairwise call does.
-  There is no list-to-array stage: the kernel returns arrays. stage_calls
-  builds these calls for any pair; tools/ab.py times them across two trees.
+  vectors of length n. Each of STAGES is timed on its own, with its own
+  rounds, on inputs built outside the timed region: make_probvec of a raw
+  vector; ProbVec(values, perm) over a validated vector's arrays;
+  check_sorted_total; _orient (orientation and segments); meet_values of
+  the oriented pair; the greedy kernel _couple_oriented (its own meet, then
+  the compiled loop, which writes the pieces row-major); that loop, _fill,
+  alone; _check_marginals and entropy_bits of the coupling's pieces; glb;
+  bounds; and the whole min_entropy_coupling, the stage to compare across
+  kernel signatures. glb, bounds and the coupling take make_probvec's
+  results, as a caller's pairwise call does. stage_call builds one stage's
+  call for any tree; tools/ab.py times it across two trees.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
   own, on inputs built outside the timed region: cli._load of one inline
@@ -107,6 +103,8 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 PROBVEC_NS = (2048, 1_000_000)
 STAGE_NS = (36, 1_000_000)
+STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "orient", "meet_values", "kernel",
+          "fill", "check_marginals", "entropy_bits", "glb", "bounds", "min_entropy_coupling")
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
@@ -191,58 +189,59 @@ def probvec_row(mc, np, n: int) -> dict:
     return {"n": n, "kinds": kinds}
 
 
-def stage_calls(mc, np, raw_p, raw_q) -> dict:
-    """The pairwise path's stages as calls, each on inputs built here, untimed.
+def stage_call(mc, np, raw_p, raw_q, stage: str):
+    """The pairwise path's stage (in STAGES) as a call, on inputs built here, untimed.
 
     mc may be any tree's package, under any module name (tools/ab.py loads
-    two at once), so the private names are looked up under mc.__name__. The
-    pair is padded to a common length, as min_entropy_coupling pads it.
+    two at once), so private names are looked up under mc.__name__, and only
+    the stage's own: a name one tree lacks fails only the stages using it.
+    The pair is padded to a common length, as min_entropy_coupling pads it.
     """
     pairwise = importlib.import_module(f"{mc.__name__}.pairwise")
-    meet_values = importlib.import_module(f"{mc.__name__}.lattice").meet_values
-    check_sorted_total = importlib.import_module(f"{mc.__name__}.probvec").check_sorted_total
-
     tol = mc.DEFAULT_TOL
     eps = tol.eps_zero
     p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
     n = max(p.n, q.n)
     a, b = (np.concatenate((v.values, np.zeros(n - v.n))) for v in (p, q))
+    if stage == "make_probvec":
+        return functools.partial(mc.make_probvec, raw_p)
+    if stage == "ProbVec":
+        return functools.partial(mc.ProbVec, p.values, p.perm)
+    if stage == "check_sorted_total":
+        probvec = importlib.import_module(f"{mc.__name__}.probvec")
+        return functools.partial(probvec.check_sorted_total, p.values, tol)
+    if stage == "orient":
+        return functools.partial(pairwise._orient, a, b, eps)
+    if stage in ("glb", "bounds", "min_entropy_coupling"):
+        return functools.partial(getattr(mc, stage), p, q, tol)
+    if stage == "check_marginals":
+        cm = mc.min_entropy_coupling(p, q, tol)
+        lines = (cm.rows, cm.cols)
+        return functools.partial(pairwise._check_marginals, lines, cm.vals, (a, b), tol)
+    if stage == "entropy_bits":
+        return functools.partial(mc.entropy_bits, mc.min_entropy_coupling(p, q, tol).vals)
+    meet_values = importlib.import_module(f"{mc.__name__}.lattice").meet_values
     ip = pairwise._orient(a, b, eps)
-    idx = ip.indices
-    first, second = (b, a) if ip.swapped else (a, b)
-    rows, cols, vals = pairwise._couple_oriented(first, second, idx, tol)
-    if ip.swapped:
-        rows, cols = cols, rows
-    pieces = pairwise._sort_pieces(rows, cols, vals, n)
-    z = meet_values(first, second, eps)
-    return {
-        "make_probvec": lambda: mc.make_probvec(raw_p),
-        "ProbVec": lambda: mc.ProbVec(p.values, p.perm),
-        "check_sorted_total": lambda: check_sorted_total(p.values, tol),
-        "orient": lambda: pairwise._orient(a, b, eps),
-        "meet_values": lambda: meet_values(first, second, eps),
-        "kernel": lambda: pairwise._couple_oriented(first, second, idx, tol),
-        "fill": lambda: pairwise._fill(first, second, z, idx, tol),
-        "piece_sort": lambda: pairwise._sort_pieces(rows, cols, vals, n),
-        "check_marginals": lambda: pairwise._check_marginals(pieces[:2], pieces[2], (a, b), tol),
-        "entropy_bits": lambda: mc.entropy_bits(pieces[2]),
-        "glb": lambda: mc.glb(p, q, tol),
-        "bounds": lambda: mc.bounds(p, q, tol),
-        "min_entropy_coupling": lambda: mc.min_entropy_coupling(p, q, tol),
-    }
+    pair = (b, a) if ip.swapped else (a, b)
+    if stage == "meet_values":
+        return functools.partial(meet_values, *pair, eps)
+    if stage == "kernel":
+        return functools.partial(pairwise._couple_oriented, *pair, ip.indices, tol, ip.swapped)
+    if stage == "fill":
+        z = meet_values(*pair, eps)
+        return functools.partial(pairwise._fill, *pair, z, ip.indices, tol, ip.swapped)
+    raise ValueError(f"no stage {stage!r}")
 
 
 def stage_row(mc, np, n: int) -> dict:
     rng = np.random.default_rng([SEED, n])
     raw_p, raw_q = rng.dirichlet(np.ones(n), size=2)
     p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
-    ip = mc.inversion_points(p, q)
-    stages = stage_calls(mc, np, raw_p, raw_q)
     return {
         "n": n,
-        "segments": ip.k,
-        "pieces": stages["kernel"]()[2].size,
-        "stages": {name: _timed(call) for name, call in stages.items()},
+        "segments": mc.inversion_points(p, q).k,
+        "pieces": mc.min_entropy_coupling(p, q).vals.size,
+        "stages": {stage: _timed(stage_call(mc, np, raw_p, raw_q, stage)) for stage in STAGES},
     }
 
 
