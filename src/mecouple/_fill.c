@@ -1,18 +1,18 @@
-/* The greedy fill of mecouple.pairwise._couple_oriented.
+/* The greedy fill of mecouple.pairwise.min_entropy_coupling.
 
    pairwise.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
    and calls fill() through ctypes. -ffp-contract=off keeps GCC from fusing
    a + b*c into one FMA, which rounds once where the written expression
-   rounds twice. The loop makes tests/util.py's reference_couple_oriented's
-   double operations in the same order, and matches its pieces bit for bit.
+   rounds twice. The loop makes the double operations of the test reference
+   loop in tests/util.py in the same order, and matches its pieces bit for bit.
 
-   Component z_j reads b_j in odd segments and a_j in even ones, and gives
-   at most one diagonal part, on (j, j), and at most one push: a remainder
-   carried to a lower line, on (j, line) in odd segments and (line, j) in
-   even ones, transposed when swapped is set, so every piece is a 0-based
-   cell of the caller's pair. idx holds InversionPoints.indices (1-based).
+   (a, b) is the caller's pair, swapped set where b holds the last
+   differing component; idx holds InversionPoints.indices (1-based). z_j in
+   segment s gives at most one diagonal part, on (j, j), and at most one
+   push, a remainder carried to a lower line: side = (s odd) != swapped
+   reads b_j and pushes to (j, line), !side reads a_j and pushes to (line, j).
 
-   Only the m components with z_j > 0 give pieces: the buffers rows, cols
+   Only the components z_j > 0, m at most, give pieces: the buffers rows, cols
    and vals hold 2m cells, the FIFO 3m values (frows, fcols, fvals). The
    diagonal parts fill the buffers downward from slot 2m - 1, so, as j
    falls, their keys row * n + col ascend from d. A push writes the value
@@ -40,9 +40,9 @@ int64_t fill(const double *a, const double *b, const double *z, int64_t n, const
     int64_t *frows = fifo, *fcols = fifo + m, d = 2 * m, r = 0, w = 0;
     double *fvals = (double *)(fifo + 2 * m);
     for (int64_t s = 1; s <= k; s++) {
-        int odd = s % 2 == 1;
-        const double *x_of = odd ? b : a;
-        int64_t *own = odd != swapped ? frows : fcols, *line = odd != swapped ? fcols : frows;
+        int side = (s % 2 == 1) != swapped;
+        const double *x_of = side ? b : a;
+        int64_t *own = side ? frows : fcols, *line = side ? fcols : frows;
         int64_t lo = idx[s] - 1, hi = idx[s - 1] - 1; /* components lo..hi-1 */
         if (lo < 0 || lo > hi || hi > n)
             return BAD_SEGMENT;

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariant
-from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _check_entry
+from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _check_entry, _padded
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,20 +18,15 @@ class GlbResult:
 
 
 def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
-    """First differences of the pointwise minimum of two prefix-sum curves.
+    """First differences of the pointwise minimum m of two prefix-sum curves.
 
     Both inputs must be sorted non-increasingly and of equal length. The
     minimum of two concave sequences is concave, so the differences come out
     non-increasing without any re-sort. Micro-negative differences produced
-    by floating-point cancellation are clamped to zero.
+    by floating-point cancellation are clamped to zero. The differences are
+    np.diff(m, prepend=0.0)'s floats, without the concatenation.
     """
-    return _meet_of_prefixes(a.cumsum(), b.cumsum(), eps_zero)
-
-
-def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.ndarray:
-    """meet_values from the prefix sums ca, cb, which it only reads: the same
-    floats as np.diff(min(ca, cb), prepend=0.0), without the concatenation."""
-    m = np.minimum(ca, cb)
+    m = np.minimum(a.cumsum(), b.cumsum())
     z = np.empty_like(m)
     z[:1] = m[:1]
     np.subtract(m[1:], m[:-1], out=z[1:])
@@ -43,26 +38,17 @@ def _meet_of_prefixes(ca: np.ndarray, cb: np.ndarray, eps_zero: float) -> np.nda
     return z
 
 
-def _padded_prefix(p: ProbVec, n: int) -> np.ndarray:
-    """Prefix sums of p's values zero-padded to length n: the last sum
-    repeats, as np.cumsum of the padded values gives it."""
-    out = np.empty(n)
-    p.values.cumsum(out=out[: p.n])
-    out[p.n :] = out[p.n - 1]
-    return out
-
-
 def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:
     """The unique largest distribution majorized by both p and q.
 
     Its i-th prefix sum is the smaller of p's and q's i-th prefix sums;
-    unequal lengths are zero-padded first. Each input's prefix sums are
-    taken once, padded by repeating the last sum, and the meet is read from
-    them in O(n). Inputs are checked as in min_entropy_coupling
+    unequal lengths are zero-padded first, as min_entropy_coupling pads
+    them, and the meet is read by meet_values in O(n), the routine the
+    coupling uses. Inputs are checked as in min_entropy_coupling
     (_check_entry): ValidationError if unsorted, BadTotal on a bad total.
     """
     _check_entry((p, q), tol)
     n = max(p.n, q.n)
-    z = _meet_of_prefixes(_padded_prefix(p, n), _padded_prefix(q, n), tol.eps_zero)
+    z = meet_values(_padded(p, n)[0], _padded(q, n)[0], tol.eps_zero)
     # z: fresh, >= 0 after the clamp-or-raise, finite as both totals passed
     return GlbResult(meet=ProbVec._adopt(z, np.arange(n)))

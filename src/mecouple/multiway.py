@@ -24,6 +24,7 @@ node is merged with the point mass [1.0], a node with no leaves below it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -179,6 +180,10 @@ def k_min_entropy_coupling(
 
 def marginalize(j: int, joint: SparseJoint, tol: Tolerances = DEFAULT_TOL) -> ProbVec:
     """Sum the cells over all axes except j and sort the result."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise AxisOutOfRange(f"axis {j!r} is not an integer") from None
     if not 0 <= j < joint.k:
         raise AxisOutOfRange(f"axis {j} out of range for k = {joint.k}")
     summed = np.bincount(joint.coords[j], weights=joint.values, minlength=joint.dims[j])

@@ -1,19 +1,20 @@
 """Two-marginal coupling with entropy at most one bit above the minimum.
 
-inversion_points orients the pair, so that the last differing component
-belongs to the first marginal a, and cuts indices n..1 into alternating
-runs ("segments") in which a's or b's suffix sums dominate: a run ends where
-the sign of the suffix differences flips. The greedy kernel,
-_couple_oriented, then walks the segments downward: each component
-z_j of the meet z = p ∧ q becomes a part on the diagonal cell (j, j) plus
-a remainder carried toward the next index, and at a segment boundary the
-carried remainders are flushed one index further. Every output cell is
-therefore one of at most two pieces of some z_j, which caps the joint
-entropy at H(z) + 1 bit and the support size at 2n, while H(z) itself
-lower-bounds every coupling's entropy. The kernel's loop, compiled from
-_fill.c, writes the pieces itself in the caller's orientation, and merges
-its ascending diagonal parts with its remainders as it ends, so they leave
-it row-major and no sort follows.
+inversion_points orients the pair by one bit, swapped, set where b
+exceeds a at the last component in which they differ, and cuts indices
+n..1 into alternating runs ("segments"): in odd ones the suffix sums of
+the marginal larger there dominate the other's, in even ones the reverse,
+and a run ends where the sign of the suffix differences flips. The greedy
+kernel, _fill, then walks the segments downward over the caller's pair:
+each component z_j of the meet z = p ∧ q becomes a part on the diagonal
+cell (j, j) plus a remainder carried toward the next index, and at a
+segment boundary the carried remainders are flushed one index further.
+Every output cell is therefore one of at most two pieces of some z_j,
+which caps the joint entropy at H(z) + 1 bit and the support size at 2n,
+while H(z) itself lower-bounds every coupling's entropy. The kernel's
+loop, compiled from _fill.c, merges its ascending diagonal parts with its
+remainders as it ends, so the pieces leave it row-major and no sort
+follows.
 
 The loop is built from _fill.c with the C compiler Python was built with
 (sysconfig's CC) on the first import, and cached; see _load_fill.
@@ -287,18 +288,23 @@ def _fill(
     a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances,
     swapped: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy loop of _couple_oriented: _fill.c's fill(), on float64 arrays.
+    """The greedy kernel: _fill.c's fill() on the caller's sorted pair (a, b).
 
-    Returns the pieces (rows, cols, vals) that fill() writes, row-major and
-    transposed when swapped is set, as views of three buffers of 2m cells
-    for the m components z_j > 0. a, b and z must be C-contiguous float64
-    arrays of one length, and z writable; a and b may be read-only.
+    z is the pair's meet (meet_values); idx and swapped are its
+    InversionPoints. Returns the pieces (rows, cols, vals), 0-based cells
+    whose row sums are a and column sums b, row-major, as views of three
+    buffers of 2m cells, m the number of components z_j > 0 but at least 1.
+    Each z_j gives at most a diagonal part on (j, j) and a remainder carried
+    to a line below j, no lower than its segment's lo - 1, each only if above
+    eps_zero; remainders still carried at the end, at most eps_sum in total,
+    are left out. a, b and z must be C-contiguous float64 arrays of one
+    length, and z writable; a and b may be read-only.
     """
     n = a.size
     for v in (a, b, z):
         if v.dtype != np.float64 or v.size != n or not v.flags.c_contiguous:
             raise TypeError("the greedy fill takes C-contiguous float64 arrays of one length")
-    m = np.count_nonzero(z > 0.0)
+    m = np.count_nonzero(z > 0.0) or 1  # from_buffer refuses an empty buffer
     rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
     fifo, bad = np.empty(3 * m, np.int64), _BAD()
     count = _FILL(
@@ -315,23 +321,6 @@ def _fill(
     if count == -3:
         raise InternalInvariant(f"segment boundaries {idx} do not cut 1..{n}")
     return rows[:count], cols[:count], vals[:count]
-
-
-def _couple_oriented(
-    a: np.ndarray, b: np.ndarray, idx: tuple[int, ...], tol: Tolerances, swapped: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy kernel, for an oriented, equal-length, sorted pair (a, b).
-
-    idx holds the pair's segment boundaries, as in InversionPoints.indices.
-    Returns the pieces as parallel arrays (rows, cols, vals) of 0-based
-    cells whose row sums are a and column sums b, row-major; with swapped
-    set, the same cells transposed, row-major too. Each meet component z_j
-    gives at most two, each only if above eps_zero: its diagonal part on
-    (j, j), and its remainder, carried to a line below j and no lower than
-    the segment's lo - 1 (_fill.c gives the cells). Remainders still carried
-    after the last segment, at most eps_sum in total, are left out.
-    """
-    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol, swapped)
 
 
 def _check_marginals(
@@ -383,8 +372,8 @@ def min_entropy_coupling(
         rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
         vals = a[rows]
     else:
-        first, second = (b, a) if ip.swapped else (a, b)
-        rows, cols, vals = _couple_oriented(first, second, ip.indices, tol, ip.swapped)
+        z = meet_values(a, b, tol.eps_zero)
+        rows, cols, vals = _fill(a, b, z, ip.indices, tol, ip.swapped)
         key = rows * n + cols
         if np.count_nonzero(key[1:] <= key[:-1]):
             raise InternalInvariant("pieces out of row-major order, or a cell written twice")

@@ -183,10 +183,14 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
 
 
 def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
-    """raw as a float array; arrays, lists and tuples are read in place."""
-    if not isinstance(raw, (np.ndarray, list, tuple)):
-        raw = list(raw)
-    return np.asarray(raw, dtype=float)
+    """raw as a float array; arrays, lists and tuples are read in place.
+    ValidationError for entries that are not reals or overflow a float."""
+    try:
+        if not isinstance(raw, (np.ndarray, list, tuple)):
+            raw = list(raw)
+        return np.asarray(raw, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValidationError(f"input is not a vector of real numbers: {exc}") from None
 
 
 def _check_total(values: np.ndarray, tol: Tolerances) -> None:

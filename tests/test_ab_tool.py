@@ -19,7 +19,7 @@ _spec.loader.exec_module(ab)
 
 RUNS = [
     ["--call", "exact_min_entropy", "--shape", "3", "3", "--count", "3", "--rounds", "2"],
-    # q longer than p: the pair is swapped, so the kernel writes transposed cells
+    # q longer than p: the pair is swapped, so the kernel runs on it with swapped set
     ["--call", "kernel", "--shape", "9", "12", "--count", "2", "--rounds", "1"],
     ["--call", "k_min_entropy_coupling", "--shape", "5", "4", "3", "--count", "2", "--rounds", "1"],
     ["--call", "cli.main", "--pool", "cli", "--command", "bounds", "--rounds", "1"],

@@ -301,6 +301,23 @@ class TestCouple:
         assert 0.0 <= doc["gap"] <= 1.0
 
 
+# a mass of 1 - 1e-10 and 100 masses of 1e-12, each at eps_zero, against
+# the point mass [1.0]: the kernel drops the pieces at or below eps_zero, so
+# the coupling's entropy reads 0, below the meet's 4.1e-9 bits
+TINY_TAIL = json.dumps([1.0 - 1e-10] + [1e-12] * 100)
+
+
+class TestTinyTailCertificate:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 1 and 10")
+    def test_couple_gap_is_not_negative(self, capsys):
+        assert run_json(capsys, "couple", TINY_TAIL, "[1.0]")["gap"] >= 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 1 and 10")
+    def test_distance_lower_is_not_above_upper(self, capsys):
+        doc = run_json(capsys, "distance", TINY_TAIL, "[1.0]")
+        assert doc["lower"] <= doc["upper"]
+
+
 class TestCoupleK:
     def test_three_marginals(self, capsys):
         doc = run_json(capsys, "couple-k", "[1.0]", "[1.0]", "[0.5,0.5]")

@@ -29,13 +29,13 @@ from mecouple import (
     pad_to,
 )
 from mecouple.multiway import _gather, _merge_tree
-from mecouple.pairwise import _couple_oriented
 from mecouple.probvec import DEFAULT_TOL
 from util import (
     assert_distinct_cells,
     assert_same_pieces,
     check_piece_partition,
     half_pow,
+    kernel_pieces,
     majorizes,
     oriented,
     random_probvec,
@@ -156,6 +156,12 @@ class TestMarginalize:
         with pytest.raises(AxisOutOfRange):
             marginalize(-1, joint)
 
+    def test_axis_that_is_not_an_integer(self):
+        joint = k_min_entropy_coupling([make_probvec([0.5, 0.5])] * 3)
+        with pytest.raises(AxisOutOfRange, match="not an integer"):
+            marginalize(1.5, joint)
+        assert marginalize(np.int64(1), joint).values.tolist() == [0.5, 0.5]
+
 
 class TestConstructorChecks:
     @pytest.mark.parametrize(
@@ -260,7 +266,7 @@ class TestGuarantees:
                     # the trace comes from the reference, whose pieces the kernel matches
                     trace = {}
                     pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
-                    assert_same_pieces(_couple_oriented(a, b, idx, DEFAULT_TOL), pieces)
+                    assert_same_pieces(kernel_pieces(a, b, idx), pieces)
                     check_piece_partition(trace["meet"], trace)
 
 
@@ -398,7 +404,7 @@ class TestDistinctCells:
 
     def test_a_repeated_cell_is_refused(self, monkeypatch):
         # distinctness of the k-way cells rests on this check in every merge
-        real = mecouple.pairwise._couple_oriented
+        real = mecouple.pairwise._fill
 
         def doubled(*args, **kwargs):
             rows, cols, vals = real(*args, **kwargs)
@@ -409,7 +415,7 @@ class TestDistinctCells:
                 np.concatenate((half, vals[1:], half)),
             )
 
-        monkeypatch.setattr(mecouple.pairwise, "_couple_oriented", doubled)
+        monkeypatch.setattr(mecouple.pairwise, "_fill", doubled)
         p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
         with pytest.raises(InternalInvariant, match="written twice"):
             min_entropy_coupling(p, q)

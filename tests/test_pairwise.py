@@ -32,7 +32,6 @@ from mecouple import (
 from mecouple.lattice import meet_values
 from mecouple.pairwise import (
     MATRIX_CELL_CAP,
-    _couple_oriented,
     _fill,
     _inversion_indices,
 )
@@ -50,6 +49,7 @@ from util import (
     check_boundary_invariants,
     check_meet_segment_identities,
     check_piece_partition,
+    kernel_pieces,
     oriented,
     random_probvec,
     reference_couple_oriented,
@@ -240,7 +240,7 @@ class TestCoupling:
             # the trace comes from the reference, whose pieces the kernel matches
             trace = {}
             pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
-            assert_same_pieces(_couple_oriented(a, b, idx, DEFAULT_TOL), pieces)
+            assert_same_pieces(kernel_pieces(a, b, idx), pieces)
             z = trace["meet"]
             check_boundary_invariants(a, b, z, trace)
             check_piece_partition(z, trace)
@@ -308,10 +308,10 @@ class TestKernelReference:
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
         trace = {}
-        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        got = kernel_pieces(a, b, idx)
         ref = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
         assert_same_pieces(got, ref)
-        again = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        again = kernel_pieces(a, b, idx)
         for g, r in zip(got, again):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
         # equal pieces, so the reference trace is the kernel's as well
@@ -326,7 +326,7 @@ class TestKernelReference:
         rng = np.random.default_rng(4096)
         p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(4096), size=2))
         a, b, idx = oriented(p, q)
-        got = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        got = kernel_pieces(a, b, idx)
         assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
         assert np.count_nonzero(got[0] != got[1]) == 4095
 
@@ -334,13 +334,15 @@ class TestKernelReference:
     def test_full_buffers_match_the_closure_loop(self, n):
         # 2n - 1 pieces, n diagonal parts and n - 1 remainders: with every
         # meet component positive, fill()'s buffers of 2m = 2n hold them
-        # with one slot to spare, in either orientation
+        # with one slot to spare, in either orientation: the pair swapped
+        # gives the same cells transposed
         rng = np.random.default_rng(n)
         p, q = (make_probvec(v) for v in rng.dirichlet(np.ones(n), size=2))
         a, b, idx = oriented(p, q)
         ref = reference_couple_oriented(a, b, DEFAULT_TOL)
         for swapped in (False, True):
-            rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL, swapped)
+            rows, cols, vals = kernel_pieces(*((b, a) if swapped else (a, b)), idx,
+                                             DEFAULT_TOL, swapped)
             assert vals.size == 2 * n - 1
             assert all(x.base.size == 2 * n for x in (rows, cols, vals))
             assert_same_pieces((cols, rows, vals) if swapped else (rows, cols, vals), ref)
@@ -354,7 +356,8 @@ class TestKernelReference:
         a, b, idx = oriented(p, q)
         m = np.count_nonzero(meet_values(a, b, DEFAULT_TOL.eps_zero) > 0.0)
         assert m == 6 < p.n
-        rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL, swapped)
+        rows, cols, vals = kernel_pieces(*((b, a) if swapped else (a, b)), idx,
+                                         DEFAULT_TOL, swapped)
         assert all(x.base.size == 2 * m for x in (rows, cols, vals))
         assert_same_pieces((cols, rows, vals) if swapped else (rows, cols, vals),
                            reference_couple_oriented(a, b, DEFAULT_TOL))
@@ -459,7 +462,7 @@ class TestPerComponentKernel:
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
-        check_per_component_pieces(a, b, idx, _couple_oriented(a, b, idx, DEFAULT_TOL))
+        check_per_component_pieces(a, b, idx, kernel_pieces(a, b, idx))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -468,14 +471,14 @@ class TestPerComponentKernel:
     )
     @example(list(P13), list(Q13))
     def test_the_pieces_leave_the_loop_row_major(self, raw_p, raw_q):
-        # in either orientation: with swapped set, the same cells transposed,
-        # and still listed row-major
+        # in either orientation: the pair swapped, with swapped set, gives
+        # the same cells transposed, and still listed row-major
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
         a, b, idx = oriented(pad_to(p, n), pad_to(q, n))
-        rows, cols, vals = _couple_oriented(a, b, idx, DEFAULT_TOL)
+        rows, cols, vals = kernel_pieces(a, b, idx)
         assert np.all(np.diff(rows * n + cols) > 0)
-        t_rows, t_cols, t_vals = _couple_oriented(a, b, idx, DEFAULT_TOL, True)
+        t_rows, t_cols, t_vals = kernel_pieces(b, a, idx, DEFAULT_TOL, True)
         assert np.all(np.diff(t_rows * n + t_cols) > 0)
         assert_same_pieces((t_cols, t_rows, t_vals), (rows, cols, vals))
 
@@ -527,6 +530,11 @@ class TestPerComponentKernel:
         a, b = np.full(2, np.nan), np.array([0.5, 0.25])
         got = _fill(a, b, np.array([0.5, x]), (3, 1), tol)
         assert as_lists(got) == ([0, 1], [0, 1], [0.5, 0.25])
+
+    def test_a_meet_with_no_positive_component_gives_no_pieces(self):
+        # m = 0: the buffers still hold a cell, as from_buffer needs one
+        a = np.array([0.5, 0.5])
+        assert as_lists(_fill(a, a, np.zeros(2), (3, 1), DEFAULT_TOL)) == ([], [], [])
 
     def test_arrays_the_loop_cannot_read_are_refused(self):
         # refused before the call: the loop reads n doubles from each
@@ -764,14 +772,14 @@ class TestSparseCore:
         # two adjacent pieces exchanged keep the marginals exact, so only the
         # order check sees them; a repeated cell is test_multiway's
         # TestDistinctCells::test_a_repeated_cell_is_refused
-        real = mecouple.pairwise._couple_oriented
+        real = mecouple.pairwise._fill
 
         def exchanged(*args, **kwargs):
             return tuple(x[[1, 0, *range(2, x.size)]] for x in real(*args, **kwargs))
 
         p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
         assert min_entropy_coupling(p, q).vals.size == 3
-        monkeypatch.setattr(mecouple.pairwise, "_couple_oriented", exchanged)
+        monkeypatch.setattr(mecouple.pairwise, "_fill", exchanged)
         with pytest.raises(InternalInvariant, match="row-major"):
             min_entropy_coupling(p, q)
 

@@ -76,6 +76,14 @@ class TestMakeProbvec:
         with pytest.raises(ValidationError):
             make_probvec([[0.5, 0.5]])
 
+    @pytest.mark.parametrize("build", [make_probvec, entropy_bits])
+    @pytest.mark.parametrize("raw", [[10**400], ["a"], [1 + 0j]],
+                             ids=["int-overflows-float", "string", "complex"])
+    def test_entries_that_are_not_reals_are_refused(self, build, raw):
+        # numpy's OverflowError, ValueError and TypeError, raised as one type
+        with pytest.raises(ValidationError, match="not a vector of real numbers"):
+            build(raw)
+
     def test_tiny_negative_clamps_to_zero(self):
         p = make_probvec([1.0, -1e-13])
         assert p.values.tolist() == [1.0, 0.0]

@@ -60,8 +60,9 @@ def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
     # to build here are those that do not run it
     rng = np.random.default_rng(5)
     raw_p, raw_q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(5))
-    monkeypatch.delattr(mecouple.pairwise, "_couple_oriented")
-    with pytest.raises(AttributeError, match="_couple_oriented"):
-        scale.stage_call(mecouple, np, raw_p, raw_q, "kernel")
-    for stage in ("ProbVec", "orient", "meet_values", "fill", "glb", "bounds"):
+    monkeypatch.delattr(mecouple.pairwise, "_fill")
+    for stage in ("kernel", "fill"):
+        with pytest.raises(AttributeError, match="_fill"):
+            scale.stage_call(mecouple, np, raw_p, raw_q, stage)
+    for stage in ("ProbVec", "orient", "meet_values", "glb", "bounds"):
         scale.stage_call(mecouple, np, raw_p, raw_q, stage)()

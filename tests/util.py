@@ -32,6 +32,7 @@ from mecouple import (
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
+from mecouple.pairwise import _fill
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 
 
@@ -149,6 +150,12 @@ def oriented(p: ProbVec, q: ProbVec):
     ip = inversion_points(p, q)
     a, b = p.values, q.values
     return (b, a, ip.indices) if ip.swapped else (a, b, ip.indices)
+
+
+def kernel_pieces(a, b, idx, tol: Tolerances = DEFAULT_TOL, swapped: bool = False):
+    """The greedy kernel's pieces for the caller's pair (a, b), as
+    min_entropy_coupling gets them: the meet, then the compiled fill."""
+    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol, swapped)
 
 
 def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -506,9 +513,10 @@ def reference_couple_oriented(
 ) -> tuple[list[int], list[int], list[float]]:
     """The pairwise greedy loop as first written: one write closure per cell.
 
-    Reference for pairwise._couple_oriented, which must return the same
-    pieces: the same cells with the same value bytes, in any order (compare
-    them with assert_same_pieces). The trace exists only here. Returns the
+    Reference for the greedy kernel, pairwise._fill, which on an oriented
+    pair (kernel_pieces) must return the same pieces: the same cells with
+    the same value bytes, in any order (compare them with
+    assert_same_pieces). The trace exists only here. Returns the
     written pieces, in write order, as parallel lists (rows, cols, vals) of
     0-based cells whose row sums are a and column sums b. When trace is a
     dict it receives "pieces" (component index, written value) for every

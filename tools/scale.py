@@ -30,12 +30,12 @@ Each row reports its round count under "rounds".
   rounds, on inputs built outside the timed region: make_probvec of a raw
   vector; ProbVec(values, perm) over a validated vector's arrays;
   check_sorted_total; _orient (orientation and segments); meet_values of
-  the oriented pair; the greedy kernel _couple_oriented (its own meet, then
-  the compiled loop, which writes the pieces row-major); that loop, _fill,
-  alone; _check_marginals and entropy_bits of the coupling's pieces; glb;
-  bounds; and the whole min_entropy_coupling, the stage to compare across
-  kernel signatures. glb, bounds and the coupling take make_probvec's
-  results, as a caller's pairwise call does. stage_call builds one stage's
+  the caller's pair; the greedy kernel (that meet, then the compiled loop,
+  which writes the pieces row-major); that loop, _fill, alone on the
+  caller's pair and its meet; _check_marginals and entropy_bits of the
+  coupling's pieces; glb; bounds; and the whole min_entropy_coupling, the
+  stage to compare across kernel signatures. glb, bounds and the coupling
+  take make_probvec's results, as a caller's pairwise call does. stage_call builds one stage's
   call for any tree; tools/ab.py times it across two trees.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
@@ -222,14 +222,13 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
         return functools.partial(mc.entropy_bits, mc.min_entropy_coupling(p, q, tol).vals)
     meet_values = importlib.import_module(f"{mc.__name__}.lattice").meet_values
     ip = pairwise._orient(a, b, eps)
-    pair = (b, a) if ip.swapped else (a, b)
     if stage == "meet_values":
-        return functools.partial(meet_values, *pair, eps)
+        return functools.partial(meet_values, a, b, eps)
+    fill = pairwise._fill
     if stage == "kernel":
-        return functools.partial(pairwise._couple_oriented, *pair, ip.indices, tol, ip.swapped)
+        return lambda: fill(a, b, meet_values(a, b, eps), ip.indices, tol, ip.swapped)
     if stage == "fill":
-        z = meet_values(*pair, eps)
-        return functools.partial(pairwise._fill, *pair, z, ip.indices, tol, ip.swapped)
+        return functools.partial(fill, a, b, meet_values(a, b, eps), ip.indices, tol, ip.swapped)
     raise ValueError(f"no stage {stage!r}")
 
 
