@@ -1,37 +1,122 @@
-/* The greedy fill of mecouple.pairwise.min_entropy_coupling.
+/* The compiled stages of mecouple.pairwise.min_entropy_coupling.
 
-   pairwise.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
-   and calls fill() through ctypes. -ffp-contract=off keeps GCC from fusing
-   a + b*c into one FMA, which rounds once where the written expression
-   rounds twice. The loop makes the double operations of the test reference
-   loop in tests/util.py in the same order, and matches its pieces bit for bit.
+   _native.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
+   and calls it through ctypes, three times per coupling: prepare(), fill()
+   and check(). -ffp-contract=off keeps GCC from fusing a + b*c into one
+   FMA, which rounds once where the written expression rounds twice. Every
+   sum runs in the order of the numpy expression or the test reference it
+   replaced, so the floats are theirs bit for bit.
 
-   (a, b) is the caller's pair, swapped set where b holds the last
-   differing component; idx holds InversionPoints.indices (1-based). z_j in
-   segment s gives at most one diagonal part, on (j, j), and at most one
-   push, a remainder carried to a lower line: side = (s odd) != swapped
-   reads b_j and pushes to (j, line), !side reads a_j and pushes to (line, j).
+   prepare() orients the pair and cuts it into segments (segments()), then
+   writes the meet z = a ∧ b (meet()) and returns m, the number of z_j > 0.
+   It writes k and swapped to info; k = 0 means no component differs by
+   more than eps, and then z is not written and idx holds (n + 1, 1). pairwise.inversion_points and
+   lattice.meet_values call segments() and meet() on their own.
 
-   Only the components z_j > 0, m at most, give pieces: the buffers rows, cols
-   and vals hold 2m cells, the FIFO 3m values (frows, fcols, fvals). The
-   diagonal parts fill the buffers downward from slot 2m - 1, so, as j
-   falls, their keys row * n + col ascend from d. A push writes the value
-   and its own line at w, a pop or flush the receiving line at r: [0, r) is
-   placed, [r, w) still carried. Receiving lines fall, so placed keys
-   descend in push order. After the leftover check, one forward merge of
-   the diagonal run and the placed remainders, newest first, writes the
-   pieces row-major to [0, count), in place: the write index is dk - d plus
-   the remainders taken, at most r <= m <= d, so it never passes dk.
+   fill() is the greedy kernel on the caller's pair (a, b), swapped set
+   where b holds the last differing component; idx holds the segment
+   boundaries (1-based). z_j in segment s gives at most one diagonal part,
+   on (j, j), and at most one push, a remainder carried to a lower line:
+   side = (s odd) != swapped reads b_j and pushes to (j, line), !side reads
+   a_j and pushes to (line, j). Only the components z_j > 0, m at most,
+   give pieces: the buffers rows, cols and vals hold 2m cells, the FIFO 3m
+   values (frows, fcols, fvals). The diagonal parts fill the buffers
+   downward from slot 2m - 1, so, as j falls, their keys row * n + col
+   ascend from d. A push writes the value and its own line at w, a pop or
+   flush the receiving line at r: [0, r) is placed, [r, w) still carried.
+   Receiving lines fall, so placed keys descend in push order. After the
+   leftover check, one forward merge of the diagonal run and the placed
+   remainders, newest first, writes the pieces row-major to [0, count), in
+   place: the write index is dk - d plus the remainders taken, at most
+   r <= m <= d, so it never passes dk.
 
-   Returns count, or a negative code that pairwise._fill raises as
-   InternalInvariant, with the offending value in bad[0] and the 0-based
-   component in bad[1]; a segment outside 0..n is refused before it is read. */
+   check() is the post-condition. It shares no code or state with fill()
+   and sees only the pieces handed to it (count cells, whoever wrote them)
+   and the marginals a and b: not z, the segments or the FIFO. It refuses
+   an index outside [0, n) and a key row * n + col that does not strictly
+   ascend, piece by piece. It then sums each axis in piece order, as
+   np.bincount does, and writes each axis's worst deviation from a or b
+   (NaN if any is NaN, as np.maximum.reduce) to out[0] and out[1]. It
+   returns the number of values above eps. The total and the support size
+   are pairwise.py's.
 
+   A negative return is an error code that pairwise.py raises: the
+   offending value goes to bad[0] (fill) or the piece's index to out[2]
+   (check), the 0-based component to bad[1]; a segment outside 0..n is
+   refused before it is read. */
+
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define NEGATIVE_REMAINDER (-1)
 #define MASS_UNPLACED (-2)
 #define BAD_SEGMENT (-3)
+#define NEGATIVE_MEET (-4)
+#define OUT_OF_RANGE (-5)
+#define OUT_OF_ORDER (-6)
+#define NO_MEMORY (-7)
+
+/* The boundaries n + 1 = idx[0] > ... > idx[k] = 1: reading the suffix sums
+   d of a - b downward from a virtual non-negative sign above n, a segment
+   ends wherever the sign of d beyond eps flips (taken for b - a when
+   swapped, which negates every d exactly); smaller ones extend it. k = 0
+   when no component differs beyond eps; idx then holds (n + 1, 1). */
+int64_t segments(const double *a, const double *b, int64_t n, double eps, int64_t *idx,
+                 int64_t *swapped)
+{
+    int64_t last = n - 1, k = 0;
+    while (last >= 0 && !(fabs(a[last] - b[last]) > eps))
+        last--;
+    idx[0] = n + 1;
+    *swapped = last >= 0 && a[last] < b[last];
+    if (last < 0) {
+        idx[1] = 1;
+        return 0;
+    }
+    int neg = 0;
+    double d = 0.0;
+    for (int64_t j = n - 1; j >= 0; j--) {
+        d += a[j] - b[j];
+        if (fabs(d) > eps && (*swapped ? d > 0.0 : d < 0.0) != neg) {
+            neg = !neg;
+            idx[++k] = j + 2;
+        }
+    }
+    idx[++k] = 1;
+    return k;
+}
+
+/* First differences of the smaller prefix sum, sequential sums as cumsum's,
+   the minimum as np.minimum's (a NaN wins); a difference in [-eps, 0) reads
+   0.0, and one below -eps is refused. */
+int64_t meet(const double *a, const double *b, int64_t n, double eps, double *z)
+{
+    double sa = 0.0, sb = 0.0, prev = 0.0;
+    int64_t m = 0;
+    for (int64_t j = 0; j < n; j++) {
+        sa = j ? sa + a[j] : a[j];
+        sb = j ? sb + b[j] : b[j];
+        double low = (sa < sb || sa != sa) ? sa : sb;
+        double zj = j ? low - prev : low;
+        prev = low;
+        if (zj < 0.0) {
+            if (zj < -eps)
+                return NEGATIVE_MEET;
+            zj = 0.0;
+        }
+        z[j] = zj;
+        m += zj > 0.0;
+    }
+    return m;
+}
+
+int64_t prepare(const double *a, const double *b, int64_t n, double eps, double *z,
+                int64_t *idx, int64_t *info)
+{
+    info[0] = segments(a, b, n, eps, idx, info + 1);
+    return info[0] ? meet(a, b, n, eps, z) : 0;
+}
 
 int64_t fill(const double *a, const double *b, const double *z, int64_t n, const int64_t *idx,
              int64_t k, double eps, double eps_sum, int swapped, int64_t m, int64_t *rows,
@@ -101,4 +186,51 @@ int64_t fill(const double *a, const double *b, const double *z, int64_t n, const
         }
     }
     return count;
+}
+
+/* max(dev, |got - want|), where a NaN, once seen, stays */
+static double worse(double dev, double got, double want)
+{
+    double d = fabs(got - want);
+    return (d > dev || d != d) ? d : dev;
+}
+
+int64_t check(const int64_t *rows, const int64_t *cols, const double *vals, int64_t count,
+              const double *a, const double *b, int64_t n, double eps, double *out)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t code = 0;
+        if (rows[i] < 0 || rows[i] >= n || cols[i] < 0 || cols[i] >= n)
+            code = OUT_OF_RANGE;
+        /* both cells lie in [0, n)^2, so neither key overflows */
+        else if (i && rows[i] * n + cols[i] <= rows[i - 1] * n + cols[i - 1])
+            code = OUT_OF_ORDER;
+        if (code) {
+            out[2] = (double)i;
+            return code;
+        }
+    }
+    /* rows ascend, so each row's pieces are one run, summed in order */
+    double dev = 0.0;
+    for (int64_t line = 0, i = 0; line < n; line++) {
+        double got = 0.0;
+        for (; i < count && rows[i] == line; i++)
+            got += vals[i];
+        dev = worse(dev, got, a[line]);
+    }
+    out[0] = dev;
+    double *sums = calloc((size_t)n, sizeof(double));
+    if (!sums)
+        return NO_MEMORY;
+    for (int64_t i = 0; i < count; i++)
+        sums[cols[i]] += vals[i];
+    dev = 0.0;
+    for (int64_t line = 0; line < n; line++)
+        dev = worse(dev, sums[line], b[line]);
+    free(sums);
+    out[1] = dev;
+    int64_t nnz = 0;
+    for (int64_t i = 0; i < count; i++)
+        nnz += vals[i] > eps;
+    return nnz;
 }

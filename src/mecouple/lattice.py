@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import InternalInvariant
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _check_entry, _padded
 
@@ -17,24 +18,23 @@ class GlbResult:
     meet: ProbVec
 
 
-def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
-    """First differences of the pointwise minimum m of two prefix-sum curves.
+NEGATIVE_MEET = "meet produced a component below -eps_zero"
 
-    Both inputs must be sorted non-increasingly and of equal length. The
-    minimum of two concave sequences is concave, so the differences come out
-    non-increasing without any re-sort. Micro-negative differences produced
-    by floating-point cancellation are clamped to zero. The differences are
-    np.diff(m, prepend=0.0)'s floats, without the concatenation.
+
+def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
+    """First differences of the pointwise minimum of two prefix-sum curves.
+
+    Both inputs must be sorted non-increasingly, C-contiguous float64 and of
+    one length. The minimum of two concave sequences is concave, so the
+    differences come out non-increasing without any re-sort. Micro-negative
+    differences produced by floating-point cancellation are clamped to zero.
+    _fill.c's meet() computes them in one pass, with the floats of
+    np.diff(np.minimum(a.cumsum(), b.cumsum()), prepend=0.0).
     """
-    m = np.minimum(a.cumsum(), b.cumsum())
-    z = np.empty_like(m)
-    z[:1] = m[:1]
-    np.subtract(m[1:], m[:-1], out=z[1:])
-    neg = z < 0.0
-    if np.count_nonzero(neg):
-        z[neg & (z >= -eps_zero)] = 0.0
-        if np.count_nonzero(z < 0.0):
-            raise InternalInvariant("meet produced a component below -eps_zero")
+    at, z = _native.addresses(a, b), np.empty(a.size)
+    # from_buffer refuses an empty buffer
+    if a.size and _native.LIB.meet(*at, a.size, eps_zero, _native.DOUBLES(z)) < 0:
+        raise InternalInvariant(NEGATIVE_MEET)
     return z
 
 

@@ -11,29 +11,31 @@ cell (j, j) plus a remainder carried toward the next index, and at a
 segment boundary the carried remainders are flushed one index further.
 Every output cell is therefore one of at most two pieces of some z_j,
 which caps the joint entropy at H(z) + 1 bit and the support size at 2n,
-while H(z) itself lower-bounds every coupling's entropy. The kernel's
-loop, compiled from _fill.c, merges its ascending diagonal parts with its
-remainders as it ends, so the pieces leave it row-major and no sort
-follows.
+while H(z) itself lower-bounds every coupling's entropy. The kernel merges
+its ascending diagonal parts with its remainders as it ends, so the
+pieces leave it row-major and no sort follows.
 
-The loop is built from _fill.c with the C compiler Python was built with
-(sysconfig's CC) on the first import, and cached; see _load_fill.
+min_entropy_coupling makes three calls into _fill.c (see _native):
+prepare() orients the pair, writes the segments and the meet, and counts
+m, its components z_j > 0, which size _fill's buffers; fill() writes the
+pieces; check() sees only the pieces _fill returned and the marginals,
+not z or the segments: it refuses a cell outside the n x n square or out
+of row-major order (or written twice), and sums each axis in piece order,
+as np.bincount does. inversion_points and lattice.meet_values call its
+segments() and meet().
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import platform
-import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import InstanceTooLarge, InternalInvariant, LengthMismatch
-from .lattice import glb, meet_values
+from .lattice import NEGATIVE_MEET, glb
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -43,79 +45,6 @@ from .probvec import (
     entropy_bits,
     _padded,
 )
-
-try:  # the builtin module: hashlib loads OpenSSL, a fifth of this package's import time
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
-
-# -ffp-contract=off: GCC fuses a + b*c into an FMA by default, which would change floats
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-def _load_fill() -> ctypes.CDLL:
-    """The library built from _fill.c, compiled on first use and cached in __pycache__.
-
-    The file's name holds a key hashing the source, _CFLAGS and the machine,
-    so an edited source gets its own build, and a process that finds the
-    file only loads it. A build writes a temporary file and renames it into
-    place. Where __pycache__ cannot be made or written, the library is built
-    in a private temporary directory, removed once loaded, so each process
-    builds it anew.
-    """
-    here = os.path.dirname(os.path.abspath(__file__))
-    source = os.path.join(here, "_fill.c")
-    with open(source, "rb") as f:
-        parts = (f.read(), " ".join(_CFLAGS).encode(), platform.machine().encode())
-    key = sha256(b"\0".join(parts))
-    cache = os.path.join(here, "__pycache__")
-    path = os.path.join(cache, f"_fill.{key.hexdigest()[:16]}.so")
-    if os.path.exists(path):
-        return ctypes.CDLL(path)
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(".so", dir=cache)
-    except OSError:
-        with tempfile.TemporaryDirectory(prefix="mecouple-") as private:
-            path = os.path.join(private, "_fill.so")
-            _compile(source, path)
-            return ctypes.CDLL(path)
-    os.close(fd)
-    try:
-        _compile(source, tmp)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    os.replace(tmp, path)
-    return ctypes.CDLL(path)
-
-
-def _compile(source: str, out: str) -> None:
-    """Build source into the shared library out; ImportError, naming the command, if that fails."""
-    import shlex
-    import subprocess
-    import sysconfig
-
-    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS, "-o", out, source]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, text=True)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        raise ImportError(
-            f"mecouple needs a C compiler: `{shlex.join(cmd)}` failed: {detail}"
-        ) from None
-
-
-# from_buffer refuses read-only arrays, so a ProbVec's values go in as addresses
-# (arr.ctypes.data: ndpointer and data_as leave cyclic garbage on every call)
-_DOUBLES, _INTS = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
-_DP, _IP = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-_BAD = ctypes.c_double * 2  # once: each c_double * 2 makes a new type, cyclic garbage
-_FILL = _load_fill().fill
-_FILL.argtypes = (ctypes.c_void_p, ctypes.c_void_p, _DP, ctypes.c_int64, _IP, ctypes.c_int64,
-                  ctypes.c_double, ctypes.c_double, ctypes.c_int, ctypes.c_int64,
-                  _IP, _IP, _DP, _IP, _DP)  # as fill() in _fill.c
-_FILL.restype = ctypes.c_int64
 
 
 @dataclass(frozen=True)
@@ -241,76 +170,66 @@ class DistanceInterval(NamedTuple):
     estimate: float
 
 
-def _inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
-    """Segment boundaries for an already-oriented pair (a dominates at the tail).
-
-    Returns the minimal decreasing 1-based sequence n+1 = i_0 > ... > i_k = 1
-    such that suffix sums of a dominate b's throughout odd segments and the
-    reverse throughout even segments. Read downward from a virtual
-    non-negative sign above index n, a segment ends wherever the sign of the
-    suffix differences beyond eps_zero flips; smaller ones extend any segment.
-    """
-    d = (a - b)[::-1].cumsum()  # d[t]: suffix sum of a - b from index n - t
-    t = (np.abs(d) > eps_zero).nonzero()[0]
-    neg = np.zeros(t.size + 1, dtype=bool)  # neg[0]: the virtual sign above n
-    neg[1:] = d[t] < 0.0
-    return (len(a) + 1, *(len(a) + 1 - t[neg[1:] != neg[:-1]]).tolist(), 1)
-
-
-def _orient(a: np.ndarray, b: np.ndarray, eps: float) -> InversionPoints | None:
-    """inversion_points of the value arrays a, b; None if no component differs beyond eps."""
-    differ = np.abs(a - b) > eps
-    if not np.count_nonzero(differ):
-        return None
-    last = differ.size - 1 - int(differ[::-1].argmax())
-    swapped = bool(a[last] < b[last])
-    if swapped:
-        a, b = b, a
-    return InversionPoints(_inversion_indices(a, b, eps), swapped)
-
-
 def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> InversionPoints:
-    """Dominance segments of a pair of equal-length distributions.
+    """Dominance segments of a pair of equal-length distributions, by _fill.c's segments().
 
     The pair is oriented first: if the largest index where the components
-    differ has p below q, the roles are exchanged and swapped is set.
-    min_entropy_coupling takes the orientation and the segments from the same
-    code. Inputs with no component differing beyond eps_zero are equal, as
-    min_entropy_coupling's diagonal shortcut judges them: a single segment,
-    indices (n+1, 1), not swapped.
+    differ by more than eps_zero has p below q, the roles are exchanged and
+    swapped is set; min_entropy_coupling's prepare() runs the same code.
+    Inputs with no such component are equal, as min_entropy_coupling's
+    diagonal shortcut judges them: a single segment, indices (n+1, 1), not
+    swapped.
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    return _orient(p.values, q.values, tol.eps_zero) or InversionPoints((p.n + 1, 1), False)
+    idx, swapped = np.empty(p.n + 1, np.int64), _native.INFO()
+    at = _native.addresses(p.values, q.values)
+    # k = 0, no component differing beyond eps_zero, leaves idx = (n + 1, 1)
+    k = _native.LIB.segments(*at, p.n, tol.eps_zero, _native.INTS(idx), swapped) or 1
+    return InversionPoints(tuple(idx[: k + 1].tolist()), bool(swapped[0]))
+
+
+def _prepare(
+    at: Sequence[int], n: int, eps: float
+) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+    """_fill.c's prepare() on the pair of length n at the addresses at: the meet z,
+    the k + 1 segment boundaries (None, z unwritten, if no component differs
+    beyond eps), swapped, and m, the count of z_j > 0."""
+    z, idx, info = np.empty(n), np.empty(n + 1, np.int64), _native.INFO()
+    m = _native.LIB.prepare(*at, n, eps, _native.DOUBLES(z), _native.INTS(idx), info)
+    if m < 0:
+        raise InternalInvariant(NEGATIVE_MEET)
+    return z, idx[: info[0] + 1] if info[0] else None, info[1], m
 
 
 def _fill(
-    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: tuple[int, ...], tol: Tolerances,
-    swapped: bool = False,
+    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: Sequence[int] | np.ndarray,
+    tol: Tolerances, swapped: bool = False, m: int | None = None,
+    at: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy kernel: _fill.c's fill() on the caller's sorted pair (a, b).
 
-    z is the pair's meet (meet_values); idx and swapped are its
-    InversionPoints. Returns the pieces (rows, cols, vals), 0-based cells
-    whose row sums are a and column sums b, row-major, as views of three
-    buffers of 2m cells, m the number of components z_j > 0 but at least 1.
-    Each z_j gives at most a diagonal part on (j, j) and a remainder carried
-    to a line below j, no lower than its segment's lo - 1, each only if above
-    eps_zero; remainders still carried at the end, at most eps_sum in total,
-    are left out. a, b and z must be C-contiguous float64 arrays of one
-    length, and z writable; a and b may be read-only.
+    z is the pair's meet, m its count of z_j > 0 (counted if None), idx and
+    swapped its segment boundaries and orientation (as _prepare gives them).
+    Returns the pieces (rows, cols, vals), 0-based cells whose row sums are
+    a and column sums b, row-major, as views of three buffers of 2m cells,
+    m at least 1: each z_j's diagonal part and carried remainder, each only
+    if above eps_zero, less remainders still carried at the end (at most
+    eps_sum). a, b and z are C-contiguous float64 arrays of one length, z
+    writable; at may hold the addresses of a and b, which skips their check.
     """
     n = a.size
-    for v in (a, b, z):
-        if v.dtype != np.float64 or v.size != n or not v.flags.c_contiguous:
-            raise TypeError("the greedy fill takes C-contiguous float64 arrays of one length")
-    m = np.count_nonzero(z > 0.0) or 1  # from_buffer refuses an empty buffer
+    if at is None:
+        at = _native.addresses(a, b, z)[:2]
+    if m is None:
+        m = np.count_nonzero(z > 0.0)
+    m = m or 1  # from_buffer refuses an empty buffer
     rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
-    fifo, bad = np.empty(3 * m, np.int64), _BAD()
-    count = _FILL(
-        a.ctypes.data, b.ctypes.data, _DOUBLES(z), n, _INTS(np.array(idx, np.int64)),
-        len(idx) - 1, tol.eps_zero, tol.eps_sum, swapped, m, _INTS(rows), _INTS(cols),
-        _DOUBLES(vals), _INTS(fifo), bad,
+    fifo, bad, idx = np.empty(3 * m, np.int64), _native.OUT(), np.asarray(idx, np.int64)
+    count = _native.LIB.fill(
+        *at, _native.DOUBLES(z), n, _native.INTS(idx),
+        idx.size - 1, tol.eps_zero, tol.eps_sum, swapped, m, _native.INTS(rows),
+        _native.INTS(cols), _native.DOUBLES(vals), _native.INTS(fifo), bad,
     )
     if count == -1:
         raise InternalInvariant(
@@ -319,14 +238,54 @@ def _fill(
     if count == -2:
         raise InternalInvariant(f"bookkeeping left {bad[0]!r} mass unplaced")
     if count == -3:
-        raise InternalInvariant(f"segment boundaries {idx} do not cut 1..{n}")
+        raise InternalInvariant(f"segment boundaries {tuple(idx.tolist())} do not cut 1..{n}")
     return rows[:count], cols[:count], vals[:count]
+
+
+def _check_pieces(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, a: np.ndarray, b: np.ndarray,
+    tol: Tolerances, at: Sequence[int] | None = None,
+) -> int:
+    """Post-condition of min_entropy_coupling: _fill.c's check(), the total, the support.
+
+    Piece i holds vals[i] at (rows[i], cols[i]) of the n x n coupling of a
+    and b. Raises InternalInvariant, in this order, for the first piece
+    outside the square or whose key rows * n + cols does not exceed the one
+    before (out of row-major order, or a cell written twice), an axis off a
+    or b, or a total off 1, beyond eps_sum (a NaN fails both), and more than
+    2n pieces. Returns nnz, the count of values above eps_zero. The pieces
+    are writable int64, int64 and float64 arrays; at as in _fill.
+    tests/util.py's reference_check_pieces is its numpy form.
+    """
+    n = a.size
+    if not rows.nbytes == cols.nbytes == vals.nbytes == 8 * vals.size:
+        raise TypeError("the check takes three 8-byte arrays of one length")
+    out = _native.OUT()
+    pieces = [None] * 3  # from_buffer refuses an empty buffer: no pieces are null pointers
+    if vals.size:
+        pieces = _native.INTS(rows), _native.INTS(cols), _native.DOUBLES(vals)
+    nnz = _native.LIB.check(*pieces, vals.size, *(at or _native.addresses(a, b)), n,
+                            tol.eps_zero, out)
+    if nnz == -5:
+        i = int(out[2])
+        raise InternalInvariant(f"piece {i} at ({rows[i]}, {cols[i]}) lies outside 0..{n - 1}")
+    if nnz == -6:
+        raise InternalInvariant("pieces out of row-major order, or a cell written twice")
+    if nnz == -7:
+        raise MemoryError(f"no memory for {n} column sums")
+    for axis in (0, 1):
+        if not out[axis] <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {out[axis]!r}")
+    _check_mass(vals, tol)
+    if vals.size > 2 * n:
+        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
+    return nnz
 
 
 def _check_marginals(
     lines: Sequence[np.ndarray], vals: np.ndarray, margins: Sequence[np.ndarray], tol: Tolerances
 ) -> None:
-    """Post-condition of both coupling paths: exact marginals and total mass.
+    """Post-condition of the k-way joint: exact marginals and total mass.
 
     Cell i holds vals[i] at index lines[axis][i] of each axis. Raises
     InternalInvariant unless each axis's per-index sums match margins[axis]
@@ -337,6 +296,10 @@ def _check_marginals(
         dev = float(np.maximum.reduce(np.abs(got - margin)))
         if not dev <= tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    _check_mass(vals, tol)
+
+
+def _check_mass(vals: np.ndarray, tol: Tolerances) -> None:
     total = float(np.add.reduce(vals))
     if not abs(total - 1.0) <= tol.eps_sum:
         raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
@@ -364,22 +327,17 @@ def min_entropy_coupling(
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
-    ip = _orient(a, b, tol.eps_zero)
-    if ip is None:
+    at = a.ctypes.data, b.ctypes.data
+    z, idx, swapped, m = _prepare(at, n, tol.eps_zero)
+    if idx is None:
         # componentwise-equal marginals couple on the diagonal, in lines where
         # both are positive: a mass at or below eps_zero opposite a zero stays
         # out of that zero's line
         rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
         vals = a[rows]
     else:
-        z = meet_values(a, b, tol.eps_zero)
-        rows, cols, vals = _fill(a, b, z, ip.indices, tol, ip.swapped)
-        key = rows * n + cols
-        if np.count_nonzero(key[1:] <= key[:-1]):
-            raise InternalInvariant("pieces out of row-major order, or a cell written twice")
-    _check_marginals((rows, cols), vals, (a, b), tol)
-    if vals.size > 2 * n:
-        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
+        rows, cols, vals = _fill(a, b, z, idx, tol, swapped, m, at)
+    nnz = _check_pieces(rows, cols, vals, a, b, tol, at)
     for arr in (rows, cols, vals):
         arr.flags.writeable = False
     return CouplingMatrix(
@@ -388,7 +346,7 @@ def min_entropy_coupling(
         vals=vals,
         row_perm=row_perm,
         col_perm=col_perm,
-        nnz=int(np.count_nonzero(vals > tol.eps_zero)),
+        nnz=nnz,
     )
 
 

@@ -79,7 +79,7 @@ class ProbVec:
     _checked_eps_sum = float("inf")
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+        values = _float_array(self.values).copy()
         perm = np.asarray(self.perm)
         if perm.size and perm.dtype.kind not in "iu":
             raise ValidationError("perm must hold integers")
@@ -183,11 +183,15 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
 
 
 def _float_array(raw: Sequence[float] | Iterable[float]) -> np.ndarray:
-    """raw as a float array; arrays, lists and tuples are read in place.
-    ValidationError for entries that are not reals or overflow a float."""
+    """raw as a float array; float arrays are read in place, other arrays,
+    lists and tuples converted. ValidationError for entries that are not
+    reals or overflow a float: a complex entry, imaginary part zero or not,
+    is refused before numpy would drop that part with a ComplexWarning."""
     try:
-        if not isinstance(raw, (np.ndarray, list, tuple)):
-            raw = list(raw)
+        if not isinstance(raw, np.ndarray):
+            raw = np.asarray(raw if isinstance(raw, (list, tuple)) else list(raw))
+        if raw.dtype.kind == "c":
+            raise TypeError("complex entries")
         return np.asarray(raw, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"input is not a vector of real numbers: {exc}") from None

@@ -6,6 +6,7 @@ here compares this checkout's src/ with itself, once, at a small size.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ _spec.loader.exec_module(ab)
 RUNS = [
     ["--call", "exact_min_entropy", "--shape", "3", "3", "--count", "3", "--rounds", "2"],
     # q longer than p: the pair is swapped, so the kernel runs on it with swapped set
-    ["--call", "kernel", "--shape", "9", "12", "--count", "2", "--rounds", "1"],
+    ["--call", "fill", "--shape", "9", "12", "--count", "2", "--rounds", "1"],
     ["--call", "k_min_entropy_coupling", "--shape", "5", "4", "3", "--count", "2", "--rounds", "1"],
     ["--call", "cli.main", "--pool", "cli", "--command", "bounds", "--rounds", "1"],
 ]
@@ -34,6 +35,7 @@ def test_a_tree_against_itself(capsys, argv):
     assert out["ratio_q1"] <= out["ratio_median"] <= out["ratio_q3"]
     assert out["cyclic_garbage_per_call"] == {"base": 0.0, "change": 0.0}
     assert out["instances"] == (20 if "--pool" in argv else int(argv[argv.index("--count") + 1]))
+    assert out["numpy_madvise_hugepage"] == os.environ.get("NUMPY_MADVISE_HUGEPAGE", "default")
 
 
 def test_the_byte_comparison_tells_signed_zeros_and_exceptions_apart():

@@ -16,6 +16,7 @@ from mecouple import (
     entropy,
     exact_min_entropy,
     glb,
+    inversion_points,
     k_min_entropy_coupling,
     make_probvec,
     marginalize,
@@ -24,7 +25,6 @@ from mecouple import (
 )
 from mecouple.lattice import meet_values
 from mecouple.multiway import _merge_tree
-from mecouple.pairwise import _inversion_indices
 from mecouple.probvec import DEFAULT_TOL
 from golden13 import (
     COUPLING_CELLS13,
@@ -41,6 +41,7 @@ from util import (
     half,
     half_pow,
     majorizes,
+    oriented,
     random_probvec,
 )
 
@@ -110,9 +111,9 @@ def test_criterion_1_golden_instance():
     z = glb(p, q).meet
     z_ok = bool(np.allclose(z.values, MEET13, atol=1e-12))
 
-    a, b = p.values, q.values
-    idx = _inversion_indices(a, b, DEFAULT_TOL.eps_zero)
-    idx_ok = idx == INVERSIONS13
+    ip = inversion_points(p, q)
+    idx = ip.indices
+    idx_ok = idx == INVERSIONS13 and not ip.swapped
 
     cm = min_entropy_coupling(p, q)
     matrix_ok = bool(np.allclose(cm.matrix, coupling_matrix13(), atol=1e-9))
@@ -263,12 +264,7 @@ def test_criterion_8_meet_identity_suite():
         assert np.all(np.diff(z) <= 1e-12)
         bound = np.minimum(np.cumsum(p.values), np.cumsum(q.values))
         assert np.allclose(np.cumsum(z), bound, atol=1e-12)
-        a, b = p.values, q.values
-        if np.any(np.abs(a - b) > eps):
-            last = int(np.flatnonzero(np.abs(a - b) > eps)[-1])
-            if a[last] < b[last]:
-                a, b = b, a
-        idx = _inversion_indices(a, b, eps)
+        a, b, idx = oriented(p, q)
         check_meet_segment_identities(a, b, idx, meet_values(a, b, eps), atol=1e-12)
     report(8, "meet identity suite on 1,000 pairs", True)
 

@@ -1,4 +1,4 @@
-"""pairwise._load_fill compiles _fill.c into the package's __pycache__ on the
+"""_native._load_fill compiles _fill.c into the package's __pycache__ on the
 first import and only loads it after that. Each test imports a copy of src/
 in a fresh process, so this checkout's own cache is never touched.
 """
@@ -90,7 +90,7 @@ def test_no_compiler_raises_import_error_naming_the_command(package):
 def test_the_source_compiles_without_warnings(tmp_path):
     # -Wall -Wextra -Werror catch what a raw-pointer loop invites, such as an
     # unsequenced write (-Wsequence-point); the package builds without them
-    from mecouple.pairwise import _CFLAGS
+    from mecouple._native import _CFLAGS
 
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     cmd = [*compiler, *_CFLAGS, "-Wall", "-Wextra", "-Werror",

@@ -32,8 +32,8 @@ from mecouple import (
 from mecouple.lattice import meet_values
 from mecouple.pairwise import (
     MATRIX_CELL_CAP,
+    _check_pieces,
     _fill,
-    _inversion_indices,
 )
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 from golden13 import (
@@ -52,6 +52,7 @@ from util import (
     kernel_pieces,
     oriented,
     random_probvec,
+    reference_check_pieces,
     reference_couple_oriented,
     run_python_bounded,
     scan_inversion_indices,
@@ -289,6 +290,34 @@ def tiny_tails(draw, max_len=12):
 
 
 @st.composite
+def near_equal_pairs(draw, max_len=12):
+    """Two marginals that differ by at most eps_zero per component (equal
+    within eps_zero as the coupling judges them), some by exactly eps_zero
+    at 1/64 ties: the suffix differences may still pass eps_zero."""
+    head = draw(st.one_of(sixty_fourths(max_len), generic_floats(max_len)))
+    eps = DEFAULT_TOL.eps_zero
+    moves = st.sampled_from([0.0, eps / 2, -eps / 2, eps, -eps])
+    head = sorted(head, reverse=True)
+    return head, [v + draw(moves) if v > eps else v for v in head]
+
+
+def assert_segments_match_the_scalar_scan(a, b):
+    """_fill.c's segments() (through inversion_points), in both orders,
+    orients the pair by its last component differing beyond eps_zero, or
+    not at all when none does, and cuts it where the scalar scan does."""
+    eps = DEFAULT_TOL.eps_zero
+    for x, y in ((a, b), (b, a)):
+        differ = np.flatnonzero(np.abs(x - y) > eps)
+        ip = inversion_points(*(ProbVec(v, np.arange(v.size)) for v in (x, y)))
+        if not differ.size:
+            assert ip == InversionPoints((x.size + 1, 1), False)
+            continue
+        assert ip.swapped == bool(x[differ[-1]] < y[differ[-1]])
+        x, y = (y, x) if ip.swapped else (x, y)
+        assert ip.indices == scan_inversion_indices(x, y, eps)
+
+
+@st.composite
 def signed_zeros(draw, max_len=12):
     """sixty_fourths plus a few zeros, some of the zeros written as -0.0,
     which make_probvec keeps: the kernel reads x = -0.0, and z_j = 0."""
@@ -370,10 +399,12 @@ class TestKernelReference:
     def test_segment_scan_matches_the_scalar_scan(self, raw_p, raw_q):
         p, q = make_probvec(raw_p), make_probvec(raw_q)
         n = max(p.n, q.n)
-        a, b = pad_to(p, n).values, pad_to(q, n).values
-        eps = DEFAULT_TOL.eps_zero
-        for x, y in ((a, b), (b, a)):
-            assert _inversion_indices(x, y, eps) == scan_inversion_indices(x, y, eps)
+        assert_segments_match_the_scalar_scan(pad_to(p, n).values, pad_to(q, n).values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_equal_pairs())
+    def test_segment_scan_of_pairs_equal_within_eps_zero(self, pair):
+        assert_segments_match_the_scalar_scan(*(np.array(v) for v in pair))
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_inputs, kernel_inputs)
@@ -561,6 +592,163 @@ class TestPerComponentKernel:
 def as_lists(got) -> tuple[list, list, list]:
     """_fill's pieces as lists, in the order it returns them."""
     return tuple(x.tolist() for x in got)
+
+
+def _moved_along_a_row(rows, cols, vals, n):
+    """1e-6 from a piece to the next piece of its row: row sums hold, a column's do not."""
+    same = np.flatnonzero(rows[1:] == rows[:-1])
+    if not same.size:
+        return None
+    i = int(same[0])
+    vals[i] -= 1e-6
+    vals[i + 1] += 1e-6
+    return rows, cols, vals
+
+
+def _moved_along_a_column(rows, cols, vals, n):
+    """1e-6 between two pieces of one column: column sums hold, a row's do not."""
+    for i in range(vals.size):
+        j = np.flatnonzero(cols[i + 1:] == cols[i])
+        if j.size:
+            vals[i] -= 1e-6
+            vals[i + 1 + int(j[0])] += 1e-6
+            return rows, cols, vals
+    return None
+
+
+def _added(rows, cols, vals, n):
+    vals[-1] += 1e-6
+    return rows, cols, vals
+
+
+def _duplicated(rows, cols, vals, n):
+    """The first cell written twice, each time with half its value: exact marginals."""
+    half = vals[:1] / 2
+    return (np.concatenate((rows, rows[:1])), np.concatenate((cols, cols[:1])),
+            np.concatenate((half, vals[1:], half)))
+
+
+def _nan(rows, cols, vals, n):
+    vals[vals.size // 2] = np.nan
+    return rows, cols, vals
+
+
+def _exchanged(rows, cols, vals, n):
+    """Two adjacent pieces swapped: exact marginals, keys out of order."""
+    if vals.size < 2:
+        return None
+    order = [1, 0, *range(2, vals.size)]
+    return rows[order], cols[order], vals[order]
+
+
+def _row_outside(rows, cols, vals, n):
+    rows[-1] = n
+    return rows, cols, vals
+
+
+def _column_below_zero(rows, cols, vals, n):
+    cols[vals.size // 2] = -1
+    return rows, cols, vals
+
+
+def _far_outside(rows, cols, vals, n):
+    """An index whose key rows * n + cols would overflow int64."""
+    rows[0] = 2**62
+    return rows, cols, vals
+
+
+def _product(rows, cols, vals, n):
+    """The product coupling of the marginals, every one of the n x n cells."""
+    a = np.bincount(rows, weights=vals, minlength=n)
+    b = np.bincount(cols, weights=vals, minlength=n)
+    cells = np.arange(n * n)
+    return cells // n, cells % n, np.outer(a, b).ravel()
+
+
+PERTURBATIONS = {f.__name__[1:]: f for f in (
+    _moved_along_a_row, _moved_along_a_column, _added, _duplicated, _nan, _exchanged,
+    _row_outside, _column_below_zero, _far_outside, _product)}
+PERTURBATIONS["none"] = lambda rows, cols, vals, n: (rows, cols, vals)
+TIGHT = Tolerances(eps_sum=2e-16, eps_zero=1e-16)
+
+
+def verdict(check, *args):
+    """check's return value, or the class and message of the InternalInvariant it raised."""
+    try:
+        return check(*args)
+    except InternalInvariant as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckPieces:
+    # _fill.c's check() against tests/util.py's numpy form on perturbed pieces:
+    # the same verdict and the same message, so the same deviation bytes;
+    # under TIGHT even genuine pieces fail on their rounding
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(kernel_inputs, tiny_tails()),
+        st.one_of(kernel_inputs, tiny_tails()),
+        st.sampled_from(sorted(PERTURBATIONS)),
+    )
+    @example(list(P13), list(Q13), "moved_along_a_row")
+    def test_check_and_its_numpy_form_agree(self, raw_p, raw_q, kind):
+        p, q = make_probvec(raw_p), make_probvec(raw_q)
+        cm = min_entropy_coupling(p, q)
+        a, b = pad_to(p, cm.n).values, pad_to(q, cm.n).values
+        pieces = PERTURBATIONS[kind](cm.rows.copy(), cm.cols.copy(), cm.vals.copy(), cm.n)
+        assume(pieces is not None)
+        for tol in (DEFAULT_TOL, TIGHT):
+            got = verdict(_check_pieces, *pieces, a, b, tol)
+            assert got == verdict(reference_check_pieces, *pieces, a, b, tol), (kind, tol)
+            if kind == "none" and tol is DEFAULT_TOL:
+                assert got == cm.nnz
+
+    def test_each_perturbation_is_refused_by_its_own_check(self):
+        p, q = make_probvec(P13), make_probvec(Q13)
+        cm = min_entropy_coupling(p, q)
+        a, b = p.values, q.values
+        refusals = {
+            "moved_along_a_row": r"^axis 1 marginal off by 1\.0000000000\d*e-06$",
+            "moved_along_a_column": r"^axis 0 marginal off by 1\.0000000000\d*e-06$",
+            "added": r"^axis 0 marginal off by 1\.0000000000\d*e-06$",
+            "duplicated": r"^pieces out of row-major order, or a cell written twice$",
+            "nan": r"^axis 0 marginal off by nan$",
+            "exchanged": r"^pieces out of row-major order, or a cell written twice$",
+            "row_outside": rf"^piece {cm.vals.size - 1} at \(13, \d+\) lies outside 0\.\.12$",
+            "column_below_zero": rf"^piece {cm.vals.size // 2} at \(\d+, -1\) lies outside",
+            "far_outside": r"^piece 0 at \(4611686018427387904, 0\) lies outside 0\.\.12$",
+            "product": r"^support size 169 exceeds 2n = 26$",
+        }
+        assert set(refusals) == set(PERTURBATIONS) - {"none"}
+        for kind, message in refusals.items():
+            pieces = PERTURBATIONS[kind](cm.rows.copy(), cm.cols.copy(), cm.vals.copy(), 13)
+            with pytest.raises(InternalInvariant, match=message):
+                _check_pieces(*pieces, a, b, DEFAULT_TOL)
+
+    def test_an_index_outside_the_square_raises_internal_invariant(self, monkeypatch):
+        # numpy's bincount once let this escape as an untyped ValueError
+        real = mecouple.pairwise._fill
+
+        def shifted(*args, **kwargs):
+            rows, cols, vals = (x.copy() for x in real(*args, **kwargs))
+            rows[-1] += 1
+            return rows, cols, vals
+
+        monkeypatch.setattr(mecouple.pairwise, "_fill", shifted)
+        with pytest.raises(InternalInvariant, match=r"^piece 2 at \(2, 1\) lies outside 0\.\.1$"):
+            min_entropy_coupling(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
+
+    def test_pieces_the_check_cannot_read_are_refused(self):
+        # refused before the call: check() reads vals.size 8-byte values from each
+        a = b = np.array([0.5, 0.5])
+        rows, vals = np.array([0, 1]), np.array([0.5, 0.5])
+        for bad in (rows.astype(np.int32), rows[:1], np.array([0.5, 0.5], np.float32)):
+            for pieces in ((bad, rows, vals), (rows, bad, vals), (rows, rows, bad)):
+                with pytest.raises(TypeError, match="8-byte arrays of one length"):
+                    _check_pieces(*pieces, a, b, DEFAULT_TOL)
+        assert _check_pieces(rows, rows, vals, a, b, DEFAULT_TOL) == 2
+        with pytest.raises(InternalInvariant, match=r"^axis 0 marginal off by 0\.5$"):
+            _check_pieces(rows[:0], rows[:0], vals[:0], a, b, DEFAULT_TOL)
 
 
 class TestInputContract:

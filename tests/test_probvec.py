@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,21 @@ class TestMakeProbvec:
         # numpy's OverflowError, ValueError and TypeError, raised as one type
         with pytest.raises(ValidationError, match="not a vector of real numbers"):
             build(raw)
+
+    @pytest.mark.parametrize("build", [make_probvec, entropy_bits])
+    @pytest.mark.parametrize(
+        "raw",
+        [np.array([0.5 + 0.5j, 0.5]), np.array([0.5 + 0j, 0.5]), [np.complex128(0.5), 0.5]],
+        ids=["complex-array", "complex-array-real-valued", "complex-scalar-in-a-list"],
+    )
+    def test_complex_entries_are_refused_without_a_warning(self, build, raw):
+        # numpy would cast them to float, dropping the imaginary part with a
+        # ComplexWarning only
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="not a vector of real numbers"):
+                build(raw)
+        assert seen == []
 
     def test_tiny_negative_clamps_to_zero(self):
         p = make_probvec([1.0, -1e-13])
@@ -168,6 +184,13 @@ class TestArrayContract:
     def test_malformed_input_is_rejected(self, values, perm):
         with pytest.raises(ValidationError):
             ProbVec(values, perm)
+
+    @pytest.mark.parametrize("values", [["a"], [10**400], [1j]],
+                             ids=["string", "int-overflows-float", "complex"])
+    def test_values_that_are_not_reals_are_refused_typed(self, values):
+        # numpy's ValueError, OverflowError and TypeError, raised as one type
+        with pytest.raises(ValidationError, match="not a vector of real numbers"):
+            ProbVec(values, [0])
 
     def test_negative_mass_is_rejected(self):
         with pytest.raises(NegativeMass):

@@ -1,5 +1,5 @@
-"""tools/scale.py imports private names from src/ (the kernel, the
-compiled loop, the checks, the CLI's loader and writers), so a rename there
+"""tools/scale.py imports private names from src/ (the coupling's three
+compiled calls, the CLI's loader and writers), so a rename there
 breaks the tool without failing anything else. Each in-process row runs
 here once, at a small size; process_row is left out, since it spawns
 processes.
@@ -32,9 +32,9 @@ ROWS = [
 ]
 NESTED = {
     "probvec_row": ("kinds", {"dirichlet", "ties64", "uniform"}, {"equal_neighbours"} | TIMES),
-    "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "orient",
-                             "meet_values", "kernel", "fill", "check_marginals",
-                             "entropy_bits", "glb", "bounds", "min_entropy_coupling"}, TIMES),
+    "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "prepare", "fill",
+                             "check", "entropy_bits", "glb", "bounds",
+                             "min_entropy_coupling"}, TIMES),
     "cli_stage_row": ("stages", {"load", "cells", "to_json", "cmd_couple", "main"}, TIMES),
 }
 
@@ -61,8 +61,8 @@ def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
     rng = np.random.default_rng(5)
     raw_p, raw_q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(5))
     monkeypatch.delattr(mecouple.pairwise, "_fill")
-    for stage in ("kernel", "fill"):
+    for stage in ("fill", "check"):
         with pytest.raises(AttributeError, match="_fill"):
             scale.stage_call(mecouple, np, raw_p, raw_q, stage)
-    for stage in ("ProbVec", "orient", "meet_values", "glb", "bounds"):
+    for stage in ("ProbVec", "prepare", "glb", "bounds"):
         scale.stage_call(mecouple, np, raw_p, raw_q, stage)()

@@ -482,8 +482,8 @@ def check_segment_strips(m: np.ndarray, idx, z, atol=1e-9):
 def scan_inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
     """Segment boundaries for an oriented pair, by the scalar downward scan.
 
-    Reference for pairwise._inversion_indices, which must return the same
-    tuple. Scans d = suffix sums of a - b from index n downward with maximal
+    Reference for _fill.c's segments() (inversion_points of the oriented
+    pair), which must return the same tuple. Scans d = suffix sums of a - b from index n downward with maximal
     extension: an odd segment runs while d >= -eps_zero, an even one while
     d <= eps_zero, and each stop opens the next segment.
     """
@@ -592,6 +592,39 @@ def reference_couple_oriented(
     if leftover > tol.eps_sum:
         raise InternalInvariant(f"bookkeeping left {leftover!r} mass unplaced")
     return rows, cols, vals
+
+
+def reference_check_pieces(rows, cols, vals, a, b, tol: Tolerances = DEFAULT_TOL) -> int:
+    """pairwise._check_pieces in numpy, as min_entropy_coupling first ran it:
+    the row-major key check, np.bincount marginals, the total and the support.
+
+    Reference for _fill.c's check(), which must give the same verdict and
+    message: nnz, the count of values above eps_zero, or InternalInvariant.
+    A cell outside [0, n)^2, which np.bincount would refuse untyped, is
+    refused in key order: the first piece that is outside, or whose key
+    rows * n + cols does not exceed the one before, decides.
+    """
+    n = a.size
+    rows, cols, vals = (np.asarray(x) for x in (rows, cols, vals))
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    key = np.where(outside, 0, rows) * n + np.where(outside, 0, cols)
+    bad = np.flatnonzero(outside | np.r_[False, key[1:] <= key[:-1]])
+    if bad.size:
+        i = int(bad[0])
+        if outside[i]:
+            raise InternalInvariant(f"piece {i} at ({rows[i]}, {cols[i]}) lies outside 0..{n - 1}")
+        raise InternalInvariant("pieces out of row-major order, or a cell written twice")
+    for axis, (line, margin) in enumerate(((rows, a), (cols, b))):
+        got = np.bincount(line, weights=vals, minlength=n)
+        dev = float(np.maximum.reduce(np.abs(got - margin)))
+        if not dev <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    total = float(np.add.reduce(vals))
+    if not abs(total - 1.0) <= tol.eps_sum:
+        raise InternalInvariant(f"coupling mass {total!r} deviates from 1 beyond eps_sum")
+    if vals.size > 2 * n:
+        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
+    return int(np.count_nonzero(vals > tol.eps_zero))
 
 
 def assert_same_pieces(got, ref) -> None:

@@ -29,10 +29,10 @@ Each row reports its round count under "rounds".
   vectors of length n. Each of STAGES is timed on its own, with its own
   rounds, on inputs built outside the timed region: make_probvec of a raw
   vector; ProbVec(values, perm) over a validated vector's arrays;
-  check_sorted_total; _orient (orientation and segments); meet_values of
-  the caller's pair; the greedy kernel (that meet, then the compiled loop,
-  which writes the pieces row-major); that loop, _fill, alone on the
-  caller's pair and its meet; _check_marginals and entropy_bits of the
+  check_sorted_total; the coupling's three compiled calls, each on the
+  output of the one before: _prepare (orientation, segments and the meet),
+  _fill (the greedy kernel, which writes the pieces row-major) and
+  _check_pieces (the post-conditions on those pieces); entropy_bits of the
   coupling's pieces; glb; bounds; and the whole min_entropy_coupling, the
   stage to compare across kernel signatures. glb, bounds and the coupling
   take make_probvec's results, as a caller's pairwise call does. stage_call builds one stage's
@@ -72,6 +72,13 @@ Each row reports its round count under "rounds".
   mecouple process pays; both take PYTHONPATH=--src. This row's peak RSS
   is that of the process that times them, not of the CLI.
 
+Every row runs with NUMPY_MADVISE_HUGEPAGE=0, as bench/run.py runs, since
+transparent huge pages make peak RSS vary run to run. The rows in
+HUGEPAGE_BOTH_ROWS, the n = 10⁶ pairwise and stage rows, run once more with
+it unset, under numpy's default (huge-page advice on large arrays), as a
+library user runs. Each row holds its setting under
+"numpy_madvise_hugepage": "0" or "default".
+
 One JSON object goes to stdout: per row the best and the median time of
 each timed stage (under "stages" for the stage rows and "kinds" for the
 make_probvec rows, one entry each with its own round count), the pairwise
@@ -103,8 +110,8 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 PROBVEC_NS = (2048, 1_000_000)
 STAGE_NS = (36, 1_000_000)
-STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "orient", "meet_values", "kernel",
-          "fill", "check_marginals", "entropy_bits", "glb", "bounds", "min_entropy_coupling")
+STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "prepare", "fill", "check",
+          "entropy_bits", "glb", "bounds", "min_entropy_coupling")
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
@@ -112,6 +119,7 @@ CLI_STAGE_NS = (192,)
 CLI_BOUNDS_NS = (1024,)
 ORACLE_SHAPES = ((4, 4), (5, 5), (6, 4))
 PROCESS_SHAPES = ((4, 4),)
+HUGEPAGE_BOTH_ROWS = {("pairwise", 1_000_000), ("stages", 1_000_000)}
 REPEATS = 3
 BUDGET_S = 2.0
 SEED = 0
@@ -210,25 +218,22 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
     if stage == "check_sorted_total":
         probvec = importlib.import_module(f"{mc.__name__}.probvec")
         return functools.partial(probvec.check_sorted_total, p.values, tol)
-    if stage == "orient":
-        return functools.partial(pairwise._orient, a, b, eps)
     if stage in ("glb", "bounds", "min_entropy_coupling"):
         return functools.partial(getattr(mc, stage), p, q, tol)
-    if stage == "check_marginals":
-        cm = mc.min_entropy_coupling(p, q, tol)
-        lines = (cm.rows, cm.cols)
-        return functools.partial(pairwise._check_marginals, lines, cm.vals, (a, b), tol)
     if stage == "entropy_bits":
         return functools.partial(mc.entropy_bits, mc.min_entropy_coupling(p, q, tol).vals)
-    meet_values = importlib.import_module(f"{mc.__name__}.lattice").meet_values
-    ip = pairwise._orient(a, b, eps)
-    if stage == "meet_values":
-        return functools.partial(meet_values, a, b, eps)
-    fill = pairwise._fill
-    if stage == "kernel":
-        return lambda: fill(a, b, meet_values(a, b, eps), ip.indices, tol, ip.swapped)
+    # the three compiled calls of one coupling, each on the output of the one
+    # before; prepare takes the addresses that the coupling takes once, and
+    # holds a and b, so that they stay alive
+    if stage == "prepare":
+        return lambda: pairwise._prepare((a.ctypes.data, b.ctypes.data), n, eps)
+    at = a.ctypes.data, b.ctypes.data
+    z, idx, swapped, m = pairwise._prepare(at, n, eps)
     if stage == "fill":
-        return functools.partial(fill, a, b, meet_values(a, b, eps), ip.indices, tol, ip.swapped)
+        return functools.partial(pairwise._fill, a, b, z, idx, tol, swapped, m, at)
+    if stage == "check":
+        pieces = pairwise._fill(a, b, z, idx, tol, swapped, m, at)
+        return functools.partial(pairwise._check_pieces, *pieces, a, b, tol, at)
     raise ValueError(f"no stage {stage!r}")
 
 
@@ -418,16 +423,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.child is not None:
         print(json.dumps(child(args.src, args.child[0], json.loads(args.child[1]))))
         return 0
-    # as in bench/run.py: transparent huge pages make peak RSS vary run to run
-    env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0")
     runs: dict[str, list[dict]] = {}
     for kind, (_, sizes) in ROWS.items():
         runs[kind] = []
         for size in sizes:
-            # a size or an (n, m) shape, passed as JSON
-            cmd = [sys.executable, __file__, "--src", args.src, "--child", kind, json.dumps(size)]
-            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-            runs[kind].append(json.loads(out.stdout.splitlines()[-1]))
+            for hugepage in ("0", "default") if (kind, size) in HUGEPAGE_BOTH_ROWS else ("0",):
+                env = dict(os.environ)
+                env.pop("NUMPY_MADVISE_HUGEPAGE", None)
+                if hugepage != "default":
+                    env["NUMPY_MADVISE_HUGEPAGE"] = hugepage
+                # a size or an (n, m) shape, passed as JSON
+                cmd = [sys.executable, __file__, "--src", args.src, "--child", kind,
+                       json.dumps(size)]
+                out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+                row = json.loads(out.stdout.splitlines()[-1])
+                runs[kind].append({"numpy_madvise_hugepage": hugepage, **row})
     import numpy
 
     print(json.dumps({
