@@ -61,7 +61,8 @@
    d of a - b downward from a virtual non-negative sign above n, a segment
    ends wherever the sign of d beyond eps flips (taken for b - a when
    swapped, which negates every d exactly); smaller ones extend it. k = 0
-   when no component differs beyond eps; idx then holds (n + 1, 1). */
+   when no component differs beyond eps; idx then holds (n + 1, 1). idx has
+   room for n + 2 entries: k <= n, and n = 0 still writes two. */
 int64_t segments(const double *a, const double *b, int64_t n, double eps, int64_t *idx,
                  int64_t *swapped)
 {
@@ -220,7 +221,7 @@ int64_t check(const int64_t *rows, const int64_t *cols, const double *vals, int6
     }
     out[0] = dev;
     double *sums = calloc((size_t)n, sizeof(double));
-    if (!sums)
+    if (!sums && n)
         return NO_MEMORY;
     for (int64_t i = 0; i < count; i++)
         sums[cols[i]] += vals[i];

@@ -182,7 +182,7 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    idx, swapped = np.empty(p.n + 1, np.int64), _native.INFO()
+    idx, swapped = np.empty(p.n + 2, np.int64), _native.INFO()
     at = _native.addresses(p.values, q.values)
     # k = 0, no component differing beyond eps_zero, leaves idx = (n + 1, 1)
     k = _native.LIB.segments(*at, p.n, tol.eps_zero, _native.INTS(idx), swapped) or 1
@@ -195,7 +195,7 @@ def _prepare(
     """_fill.c's prepare() on the pair of length n at the addresses at: the meet z,
     the k + 1 segment boundaries (None, z unwritten, if no component differs
     beyond eps), swapped, and m, the count of z_j > 0."""
-    z, idx, info = np.empty(n), np.empty(n + 1, np.int64), _native.INFO()
+    z, idx, info = np.empty(n), np.empty(n + 2, np.int64), _native.INFO()
     m = _native.LIB.prepare(*at, n, eps, _native.DOUBLES(z), _native.INTS(idx), info)
     if m < 0:
         raise InternalInvariant(NEGATIVE_MEET)

@@ -19,7 +19,7 @@ pointed at the sanitized build, and the two outputs must be the same bytes
 message). The instances cycle through KINDS:
 
 - pairwise: min_entropy_coupling, inversion_points and glb on pairs of
-  lengths 1 to 64 drawn apart: Dirichlet(1) and Dirichlet(0.1), exact 1/64
+  lengths 1 to 64 drawn apart, and inversion_points of two empty vectors: Dirichlet(1) and Dirichlet(0.1), exact 1/64
   ties, point masses, tails of masses at or below eps_zero, and pairs equal
   within eps_zero (the diagonal shortcut);
 - kway: k_min_entropy_coupling over 2 to 9 such marginals of lengths 1 to 16;
@@ -143,10 +143,12 @@ def _instance(np, mc, pairwise, kind: str, rng):
         n = max(p.n, q.n)
         pp, qq = mc.pad_to(p, n), mc.pad_to(q, n)
 
+        empty = mc.ProbVec([], [])
+
         def run():
             cm = mc.min_entropy_coupling(p, q)
             return (cm.rows, cm.cols, cm.vals, cm.nnz, mc.inversion_points(pp, qq),
-                    mc.glb(p, q).meet.values)
+                    mc.glb(p, q).meet.values, mc.inversion_points(empty, empty))
         return run
     if kind == "kway":
         ps = [_pair(np, mc, rng, eps, 16)[0] for _ in range(int(rng.integers(2, 10)))]
