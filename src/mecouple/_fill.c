@@ -1,17 +1,18 @@
 /* The compiled stages of mecouple.pairwise.min_entropy_coupling.
 
    _native.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
-   and calls it through ctypes, three times per coupling: prepare(), fill()
-   and check(). -ffp-contract=off keeps GCC from fusing a + b*c into one
-   FMA, which rounds once where the written expression rounds twice. Every
-   sum runs in the order of the numpy expression or the test reference it
-   replaced, so the floats are theirs bit for bit.
+   and alone calls it, through one ctypes wrapper per entry point: meet(),
+   prepare(), fill() and check(); a coupling calls the last three.
+   -ffp-contract=off keeps GCC from fusing a + b*c into one FMA, which
+   rounds once where the written expression rounds twice. Every sum runs in
+   the order of the numpy expression or the test reference it replaced, so
+   the floats are theirs bit for bit.
 
-   prepare() orients the pair and cuts it into segments (segments()), then
-   writes the meet z = a ∧ b (meet()) and returns m, the number of z_j > 0.
-   It writes k and swapped to info; k = 0 means no component differs by
-   more than eps, and then z is not written and idx holds (n + 1, 1). pairwise.inversion_points and
-   lattice.meet_values call segments() and meet() on their own.
+   prepare() orients the pair and cuts it into segments (segments(), its
+   static helper), then writes the meet z = a ∧ b (meet()) and returns m,
+   the number of z_j > 0. It writes k and swapped to info; k = 0 means no
+   component differs by more than eps, and then z is not written and idx
+   holds (n + 1, 1).
 
    fill() is the greedy kernel on the caller's pair (a, b), swapped set
    where b holds the last differing component; idx holds the segment
@@ -40,10 +41,11 @@
    returns the number of values above eps. The total and the support size
    are pairwise.py's.
 
-   A negative return is an error code that pairwise.py raises: the
-   offending value goes to bad[0] (fill) or the piece's index to out[2]
-   (check), the 0-based component to bad[1]; a segment outside 0..n is
-   refused before it is read. */
+   A negative return is an error code, which _native.py raises from its
+   ERRORS table: the offending value goes to bad[0] (fill) or the piece's
+   index to out[2] (check), the 0-based component to bad[1]; a segment
+   outside 0..n is refused before it is read. A buffer may be empty: none
+   of its elements is then read or written. */
 
 #include <math.h>
 #include <stdint.h>
@@ -63,8 +65,8 @@
    swapped, which negates every d exactly); smaller ones extend it. k = 0
    when no component differs beyond eps; idx then holds (n + 1, 1). idx has
    room for n + 2 entries: k <= n, and n = 0 still writes two. */
-int64_t segments(const double *a, const double *b, int64_t n, double eps, int64_t *idx,
-                 int64_t *swapped)
+static int64_t segments(const double *a, const double *b, int64_t n, double eps,
+                        int64_t *idx, int64_t *swapped)
 {
     int64_t last = n - 1, k = 0;
     while (last >= 0 && !(fabs(a[last] - b[last]) > eps))
@@ -200,16 +202,12 @@ int64_t check(const int64_t *rows, const int64_t *cols, const double *vals, int6
               const double *a, const double *b, int64_t n, double eps, double *out)
 {
     for (int64_t i = 0; i < count; i++) {
-        int64_t code = 0;
+        out[2] = (double)i;
         if (rows[i] < 0 || rows[i] >= n || cols[i] < 0 || cols[i] >= n)
-            code = OUT_OF_RANGE;
+            return OUT_OF_RANGE;
         /* both cells lie in [0, n)^2, so neither key overflows */
-        else if (i && rows[i] * n + cols[i] <= rows[i - 1] * n + cols[i - 1])
-            code = OUT_OF_ORDER;
-        if (code) {
-            out[2] = (double)i;
-            return code;
-        }
+        if (i && rows[i] * n + cols[i] <= rows[i - 1] * n + cols[i - 1])
+            return OUT_OF_ORDER;
     }
     /* rows ascend, so each row's pieces are one run, summed in order */
     double dev = 0.0;

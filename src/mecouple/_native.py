@@ -1,9 +1,13 @@
-"""The compiled stages of the pairwise coupling: _fill.c, built on first import and cached.
+"""The one module that calls _fill.c, the compiled stages of the pairwise coupling.
 
-Loaded once per import as LIB, with the C signatures of its five entry
-points. Writable arrays go in by from_buffer; read-only ones, such as a
-ProbVec's values, as addresses (arr.ctypes.data: ndpointer and data_as
-leave cyclic garbage on every call), taken once per array per call.
+_fill.c is built on first import, cached and loaded as LIB with the C
+signatures of its four entry points, each called by one wrapper here: meet,
+prepare, fill and check. A wrapper allocates its outputs and raises what
+ERRORS gives for a negative return. Writable arrays, empty ones included,
+go in by DOUBLES and INTS; read-only ones, such as a ProbVec's values, as
+addresses (arr.ctypes.data: ndpointer and data_as leave cyclic garbage on
+every call). The wrappers read LIB when called, so a build swapped in for
+it (tools/sanitize.py's) serves them all.
 """
 
 import ctypes
@@ -12,6 +16,8 @@ import platform
 import tempfile
 
 import numpy as np
+
+from .errors import InternalInvariant
 
 try:  # the builtin module: hashlib loads OpenSSL, a fifth of this package's import time
     from _sha256 import sha256
@@ -75,17 +81,27 @@ def _compile(source: str, out: str) -> None:
         ) from None
 
 
-DOUBLES, INTS = ctypes.c_double.from_buffer, ctypes.c_int64.from_buffer
+# buffers typed as zero-length arrays, which a call passes as their address: their
+# from_buffer takes a writable buffer of any size, where c_double's refuses an empty one
+_D, _I = ctypes.c_double * 0, ctypes.c_int64 * 0
+DOUBLES, INTS = _D.from_buffer, _I.from_buffer
 # out-parameters, typed once: each ctypes array type made per call would be cyclic garbage
 INFO, OUT = ctypes.c_int64 * 2, ctypes.c_double * 3
-_A, _D, _I = ctypes.c_void_p, ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-_N, _X = ctypes.c_int64, ctypes.c_double
-SIGNATURES = {  # as in _fill.c: an address, double and int64 buffers, an int64, a double
-    "segments": (_A, _A, _N, _X, _I, _I),
+_A, _N, _X = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+SIGNATURES = {  # as in _fill.c: an address, buffers, out-parameters, an int64, a double
     "meet": (_A, _A, _N, _X, _D),
-    "prepare": (_A, _A, _N, _X, _D, _I, _I),
-    "fill": (_A, _A, _D, _N, _I, _N, _X, _X, ctypes.c_int, _N, _I, _I, _D, _I, _D),
-    "check": (_I, _I, _D, _N, _A, _A, _N, _X, _D),
+    "prepare": (_A, _A, _N, _X, _D, _I, INFO),
+    "fill": (_A, _A, _D, _N, _I, _N, _X, _X, ctypes.c_int, _N, _I, _I, _D, _I, OUT),
+    "check": (_I, _I, _D, _N, _A, _A, _N, _X, OUT),
+}
+ERRORS = {  # _fill.c's negative returns: the exception, its message formatted by the wrapper
+    -1: (InternalInvariant, "carried remainder {value!r} for component {component} below zero"),
+    -2: (InternalInvariant, "bookkeeping left {value!r} mass unplaced"),
+    -3: (InternalInvariant, "segment boundaries {idx} do not cut 1..{n}"),
+    -4: (InternalInvariant, "meet produced a component below -eps_zero"),
+    -5: (InternalInvariant, "piece {i} at {cell} lies outside 0..{last}"),
+    -6: (InternalInvariant, "pieces out of row-major order, or a cell written twice"),
+    -7: (MemoryError, "no memory for {n} column sums"),
 }
 
 
@@ -108,3 +124,68 @@ def addresses(*arrays: np.ndarray) -> list[int]:
             raise TypeError("the compiled stages take C-contiguous float64 arrays of one length")
         out.append(v.ctypes.data)
     return out
+
+
+def _raise(code: int, **fields) -> None:
+    error, message = ERRORS[code]
+    raise error(message.format(**fields))
+
+
+def meet(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """meet() on a and b, sorted non-increasingly, C-contiguous float64 arrays of one length:
+    the first differences of the pointwise minimum of their prefix sums. The minimum of two
+    concave sequences is concave, so they come out non-increasing without a re-sort; one in
+    [-eps, 0), from cancellation, reads 0.0, and one below raises InternalInvariant. The
+    floats are np.diff(np.minimum(a.cumsum(), b.cumsum()), prepend=0.0)'s."""
+    z = np.empty(a.size)
+    m = LIB.meet(*addresses(a, b), a.size, eps, DOUBLES(z))
+    if m < 0:
+        _raise(m)
+    return z
+
+
+def prepare(at, n: int, eps: float) -> tuple[np.ndarray | None, np.ndarray, int, int]:
+    """prepare() on the pair of length n at the addresses at: the meet z, the k + 1 segment
+    boundaries idx, swapped and m, the count of z_j > 0; if no component differs beyond eps,
+    k = 0, z is None (unwritten), idx (n + 1, 1) and m 0."""
+    z, idx, info = np.empty(n), np.empty(n + 2, np.int64), INFO()
+    m = LIB.prepare(*at, n, eps, DOUBLES(z), INTS(idx), info)
+    if m < 0:
+        _raise(m)
+    k, swapped = info[0], info[1]
+    return z if k else None, idx[: (k or 1) + 1], swapped, m
+
+
+def fill(a, b, z, idx, tol, swapped, m: int, at=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy kernel: fill() on the caller's sorted pair (a, b), z, idx, swapped and m as
+    prepare gives them. Returns the pieces (rows, cols, vals), 0-based cells with row sums a
+    and column sums b, row-major, as views of three buffers of 2m cells: each z_j's diagonal
+    part and carried remainder, each only if above eps_zero, less the remainders carried at
+    the end (at most eps_sum). a, b and z are C-contiguous float64 arrays of one length, z
+    writable; at may hold the addresses of a and b, which skips their check.
+    """
+    if at is None:
+        at = addresses(a, b, z)[:2]
+    rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
+    fifo, bad, idx = np.empty(3 * m, np.int64), OUT(), np.asarray(idx, np.int64)
+    count = LIB.fill(*at, DOUBLES(z), a.size, INTS(idx), idx.size - 1, tol.eps_zero, tol.eps_sum,
+                     swapped, m, INTS(rows), INTS(cols), DOUBLES(vals), INTS(fifo), bad)
+    if count < 0:
+        _raise(count, value=bad[0], component=int(bad[1]) + 1, idx=tuple(idx.tolist()), n=a.size)
+    return rows[:count], cols[:count], vals[:count]
+
+
+def check(rows, cols, vals, a, b, eps: float, at) -> tuple[int, list[float]]:
+    """check() on the pieces (writable int64, int64 and float64 arrays) of the coupling of a
+    and b: nnz and each axis's worst deviation. at as in fill, or None."""
+    n = a.size
+    if not rows.nbytes == cols.nbytes == vals.nbytes == 8 * vals.size:
+        raise TypeError("the check takes three 8-byte arrays of one length")
+    out = OUT()
+    nnz = LIB.check(INTS(rows), INTS(cols), DOUBLES(vals), vals.size, *(at or addresses(a, b)),
+                    n, eps, out)
+    if nnz < 0:
+        i = int(out[2])  # the piece refused; unwritten if check() ran out of memory
+        cell = f"({rows[i]}, {cols[i]})" if i < vals.size else ""
+        _raise(nnz, i=i, cell=cell, last=n - 1, n=n)
+    return nnz, out[:2]

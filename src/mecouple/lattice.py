@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import InternalInvariant
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, _check_entry, _padded
 
 
@@ -18,24 +17,8 @@ class GlbResult:
     meet: ProbVec
 
 
-NEGATIVE_MEET = "meet produced a component below -eps_zero"
-
-
-def meet_values(a: np.ndarray, b: np.ndarray, eps_zero: float) -> np.ndarray:
-    """First differences of the pointwise minimum of two prefix-sum curves.
-
-    Both inputs must be sorted non-increasingly, C-contiguous float64 and of
-    one length. The minimum of two concave sequences is concave, so the
-    differences come out non-increasing without any re-sort. Micro-negative
-    differences produced by floating-point cancellation are clamped to zero.
-    _fill.c's meet() computes them in one pass, with the floats of
-    np.diff(np.minimum(a.cumsum(), b.cumsum()), prepend=0.0).
-    """
-    at, z = _native.addresses(a, b), np.empty(a.size)
-    # from_buffer refuses an empty buffer
-    if a.size and _native.LIB.meet(*at, a.size, eps_zero, _native.DOUBLES(z)) < 0:
-        raise InternalInvariant(NEGATIVE_MEET)
-    return z
+# the meet's values in one O(n) pass, the routine min_entropy_coupling's prepare runs
+meet_values = _native.meet
 
 
 def glb(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> GlbResult:

@@ -5,8 +5,8 @@ exceeds a at the last component in which they differ, and cuts indices
 n..1 into alternating runs ("segments"): in odd ones the suffix sums of
 the marginal larger there dominate the other's, in even ones the reverse,
 and a run ends where the sign of the suffix differences flips. The greedy
-kernel, _fill, then walks the segments downward over the caller's pair:
-each component z_j of the meet z = p ∧ q becomes a part on the diagonal
+kernel, _native.fill, then walks the segments downward over the caller's
+pair: each component z_j of the meet z = p ∧ q becomes a part on the diagonal
 cell (j, j) plus a remainder carried toward the next index, and at a
 segment boundary the carried remainders are flushed one index further.
 Every output cell is therefore one of at most two pieces of some z_j,
@@ -15,14 +15,13 @@ while H(z) itself lower-bounds every coupling's entropy. The kernel merges
 its ascending diagonal parts with its remainders as it ends, so the
 pieces leave it row-major and no sort follows.
 
-min_entropy_coupling makes three calls into _fill.c (see _native):
-prepare() orients the pair, writes the segments and the meet, and counts
-m, its components z_j > 0, which size _fill's buffers; fill() writes the
-pieces; check() sees only the pieces _fill returned and the marginals,
-not z or the segments: it refuses a cell outside the n x n square or out
-of row-major order (or written twice), and sums each axis in piece order,
-as np.bincount does. inversion_points and lattice.meet_values call its
-segments() and meet().
+min_entropy_coupling makes three calls into _fill.c, through _native:
+prepare orients the pair, writes the segments and the meet, and counts m,
+its components z_j > 0; fill writes the pieces into buffers of 2m cells;
+check sees only those pieces and the marginals, refuses a cell outside the
+n x n square or out of row-major order, and sums each axis as np.bincount
+does. This module keeps the policy: the entry check, the padding, the
+equal-marginals shortcut and the eps_sum, total and support checks.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import _native
 from .errors import InstanceTooLarge, InternalInvariant, LengthMismatch
-from .lattice import NEGATIVE_MEET, glb
+from .lattice import glb
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -171,114 +170,40 @@ class DistanceInterval(NamedTuple):
 
 
 def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> InversionPoints:
-    """Dominance segments of a pair of equal-length distributions, by _fill.c's segments().
+    """Dominance segments of a pair of equal-length distributions, by _native.prepare.
 
     The pair is oriented first: if the largest index where the components
     differ by more than eps_zero has p below q, the roles are exchanged and
-    swapped is set; min_entropy_coupling's prepare() runs the same code.
-    Inputs with no such component are equal, as min_entropy_coupling's
-    diagonal shortcut judges them: a single segment, indices (n+1, 1), not
-    swapped.
+    swapped is set, as in min_entropy_coupling. Inputs with no such
+    component are equal, as its diagonal shortcut judges them: a single
+    segment, indices (n+1, 1), not swapped.
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    idx, swapped = np.empty(p.n + 2, np.int64), _native.INFO()
     at = _native.addresses(p.values, q.values)
-    # k = 0, no component differing beyond eps_zero, leaves idx = (n + 1, 1)
-    k = _native.LIB.segments(*at, p.n, tol.eps_zero, _native.INTS(idx), swapped) or 1
-    return InversionPoints(tuple(idx[: k + 1].tolist()), bool(swapped[0]))
-
-
-def _prepare(
-    at: Sequence[int], n: int, eps: float
-) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-    """_fill.c's prepare() on the pair of length n at the addresses at: the meet z,
-    the k + 1 segment boundaries (None, z unwritten, if no component differs
-    beyond eps), swapped, and m, the count of z_j > 0."""
-    z, idx, info = np.empty(n), np.empty(n + 2, np.int64), _native.INFO()
-    m = _native.LIB.prepare(*at, n, eps, _native.DOUBLES(z), _native.INTS(idx), info)
-    if m < 0:
-        raise InternalInvariant(NEGATIVE_MEET)
-    return z, idx[: info[0] + 1] if info[0] else None, info[1], m
-
-
-def _fill(
-    a: np.ndarray, b: np.ndarray, z: np.ndarray, idx: Sequence[int] | np.ndarray,
-    tol: Tolerances, swapped: bool = False, m: int | None = None,
-    at: Sequence[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy kernel: _fill.c's fill() on the caller's sorted pair (a, b).
-
-    z is the pair's meet, m its count of z_j > 0 (counted if None), idx and
-    swapped its segment boundaries and orientation (as _prepare gives them).
-    Returns the pieces (rows, cols, vals), 0-based cells whose row sums are
-    a and column sums b, row-major, as views of three buffers of 2m cells,
-    m at least 1: each z_j's diagonal part and carried remainder, each only
-    if above eps_zero, less remainders still carried at the end (at most
-    eps_sum). a, b and z are C-contiguous float64 arrays of one length, z
-    writable; at may hold the addresses of a and b, which skips their check.
-    """
-    n = a.size
-    if at is None:
-        at = _native.addresses(a, b, z)[:2]
-    if m is None:
-        m = np.count_nonzero(z > 0.0)
-    m = m or 1  # from_buffer refuses an empty buffer
-    rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
-    fifo, bad, idx = np.empty(3 * m, np.int64), _native.OUT(), np.asarray(idx, np.int64)
-    count = _native.LIB.fill(
-        *at, _native.DOUBLES(z), n, _native.INTS(idx),
-        idx.size - 1, tol.eps_zero, tol.eps_sum, swapped, m, _native.INTS(rows),
-        _native.INTS(cols), _native.DOUBLES(vals), _native.INTS(fifo), bad,
-    )
-    if count == -1:
-        raise InternalInvariant(
-            f"carried remainder {bad[0]!r} for component {int(bad[1]) + 1} below zero"
-        )
-    if count == -2:
-        raise InternalInvariant(f"bookkeeping left {bad[0]!r} mass unplaced")
-    if count == -3:
-        raise InternalInvariant(f"segment boundaries {tuple(idx.tolist())} do not cut 1..{n}")
-    return rows[:count], cols[:count], vals[:count]
+    _, idx, swapped, _ = _native.prepare(at, p.n, tol.eps_zero)
+    return InversionPoints(tuple(idx.tolist()), bool(swapped))
 
 
 def _check_pieces(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, a: np.ndarray, b: np.ndarray,
     tol: Tolerances, at: Sequence[int] | None = None,
 ) -> int:
-    """Post-condition of min_entropy_coupling: _fill.c's check(), the total, the support.
+    """Post-condition of min_entropy_coupling: _native.check, the total, the support.
 
-    Piece i holds vals[i] at (rows[i], cols[i]) of the n x n coupling of a
-    and b. Raises InternalInvariant, in this order, for the first piece
-    outside the square or whose key rows * n + cols does not exceed the one
-    before (out of row-major order, or a cell written twice), an axis off a
-    or b, or a total off 1, beyond eps_sum (a NaN fails both), and more than
-    2n pieces. Returns nnz, the count of values above eps_zero. The pieces
-    are writable int64, int64 and float64 arrays; at as in _fill.
-    tests/util.py's reference_check_pieces is its numpy form.
+    Raises InternalInvariant, in this order, for the first piece outside the
+    n x n square or out of row-major order (or written twice), an axis off a
+    or b or a total off 1 beyond eps_sum (a NaN fails both), and more than
+    2n pieces. Returns nnz, the count of values above eps_zero; at as in
+    _native.fill. tests/util.py's reference_check_pieces is its numpy form.
     """
-    n = a.size
-    if not rows.nbytes == cols.nbytes == vals.nbytes == 8 * vals.size:
-        raise TypeError("the check takes three 8-byte arrays of one length")
-    out = _native.OUT()
-    pieces = [None] * 3  # from_buffer refuses an empty buffer: no pieces are null pointers
-    if vals.size:
-        pieces = _native.INTS(rows), _native.INTS(cols), _native.DOUBLES(vals)
-    nnz = _native.LIB.check(*pieces, vals.size, *(at or _native.addresses(a, b)), n,
-                            tol.eps_zero, out)
-    if nnz == -5:
-        i = int(out[2])
-        raise InternalInvariant(f"piece {i} at ({rows[i]}, {cols[i]}) lies outside 0..{n - 1}")
-    if nnz == -6:
-        raise InternalInvariant("pieces out of row-major order, or a cell written twice")
-    if nnz == -7:
-        raise MemoryError(f"no memory for {n} column sums")
+    nnz, devs = _native.check(rows, cols, vals, a, b, tol.eps_zero, at)
     for axis in (0, 1):
-        if not out[axis] <= tol.eps_sum:
-            raise InternalInvariant(f"axis {axis} marginal off by {out[axis]!r}")
+        if not devs[axis] <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {devs[axis]!r}")
     _check_mass(vals, tol)
-    if vals.size > 2 * n:
-        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * n}")
+    if vals.size > 2 * a.size:
+        raise InternalInvariant(f"support size {vals.size} exceeds 2n = {2 * a.size}")
     return nnz
 
 
@@ -328,15 +253,15 @@ def min_entropy_coupling(
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
     at = a.ctypes.data, b.ctypes.data
-    z, idx, swapped, m = _prepare(at, n, tol.eps_zero)
-    if idx is None:
+    z, idx, swapped, m = _native.prepare(at, n, tol.eps_zero)
+    if z is None:
         # componentwise-equal marginals couple on the diagonal, in lines where
         # both are positive: a mass at or below eps_zero opposite a zero stays
         # out of that zero's line
         rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
         vals = a[rows]
     else:
-        rows, cols, vals = _fill(a, b, z, idx, tol, swapped, m, at)
+        rows, cols, vals = _native.fill(a, b, z, idx, tol, swapped, m, at)
     nnz = _check_pieces(rows, cols, vals, a, b, tol, at)
     for arr in (rows, cols, vals):
         arr.flags.writeable = False

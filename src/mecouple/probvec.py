@@ -25,6 +25,7 @@ and the merge inputs, carries no record and is checked.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -232,6 +233,10 @@ def _check_entry(vectors: Iterable[ProbVec], tol: Tolerances) -> None:
 
 def pad_to(p: ProbVec, n: int) -> ProbVec:
     """Append zeros up to length n; fresh original indices for the padding."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"length {n!r} is not an integer") from None
     if n < p.n:
         raise ShrinkRequested(f"cannot pad length-{p.n} vector down to {n}")
     # _padded of a valid p: its values and perm extended by zeros and fresh indices

@@ -97,3 +97,12 @@ def test_the_source_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "_fill.so"), str(SRC / "mecouple" / "_fill.c")]
     done = subprocess.run(cmd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_library_exports_the_four_wrapped_entry_points_only():
+    # segments() is a static helper of prepare(), reached through it alone
+    from mecouple import _native
+
+    with pytest.raises(AttributeError):
+        _native.LIB.segments
+    assert set(_native.SIGNATURES) == {"meet", "prepare", "fill", "check"}

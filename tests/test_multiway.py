@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mecouple._native
 import mecouple.cli
 import mecouple.multiway
-import mecouple.pairwise
 import mecouple.probvec
 from mecouple import (
     AxisOutOfRange,
@@ -404,7 +404,7 @@ class TestDistinctCells:
 
     def test_a_repeated_cell_is_refused(self, monkeypatch):
         # distinctness of the k-way cells rests on this check in every merge
-        real = mecouple.pairwise._fill
+        real = mecouple._native.fill
 
         def doubled(*args, **kwargs):
             rows, cols, vals = real(*args, **kwargs)
@@ -415,7 +415,7 @@ class TestDistinctCells:
                 np.concatenate((half, vals[1:], half)),
             )
 
-        monkeypatch.setattr(mecouple.pairwise, "_fill", doubled)
+        monkeypatch.setattr(mecouple._native, "fill", doubled)
         p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
         with pytest.raises(InternalInvariant, match="written twice"):
             min_entropy_coupling(p, q)

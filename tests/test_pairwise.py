@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mecouple.pairwise
 import mecouple.probvec
+from mecouple import _native
 from mecouple import (
     BadTotal,
     InstanceTooLarge,
@@ -30,11 +31,7 @@ from mecouple import (
     pad_to,
 )
 from mecouple.lattice import meet_values
-from mecouple.pairwise import (
-    MATRIX_CELL_CAP,
-    _check_pieces,
-    _fill,
-)
+from mecouple.pairwise import MATRIX_CELL_CAP, _check_pieces
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 from golden13 import (
     COUPLING_CELLS13,
@@ -302,7 +299,7 @@ def near_equal_pairs(draw, max_len=12):
 
 
 def assert_segments_match_the_scalar_scan(a, b):
-    """_fill.c's segments() (through inversion_points), in both orders,
+    """_fill.c's prepare() (through inversion_points), in both orders,
     orients the pair by its last component differing beyond eps_zero, or
     not at all when none does, and cuts it where the scalar scan does."""
     eps = DEFAULT_TOL.eps_zero
@@ -513,7 +510,7 @@ class TestPerComponentKernel:
         assert np.all(np.diff(t_rows * n + t_cols) > 0)
         assert_same_pieces((t_cols, t_rows, t_vals), (rows, cols, vals))
 
-    # In the _fill tests below, NaN stands where a segment must not read: b
+    # In the fill tests below, NaN stands where a segment must not read: b
     # in even segments, a in odd ones. A NaN read would change the pieces.
 
     def test_remainders_still_carried_at_the_end_are_counted(self):
@@ -522,16 +519,16 @@ class TestPerComponentKernel:
         # read index and the second behind it
         a, b = np.full(3, np.nan), np.array([1e-10, 0.0, 0.0])
         z = np.array([1e-10, 2e-10, 2e-10])
-        assert as_lists(_fill(a, b, z, (4, 1), DEFAULT_TOL)) == ([0], [0], [1e-10])
+        assert as_lists(fill(a, b, z, (4, 1), DEFAULT_TOL)) == ([0], [0], [1e-10])
         tight = Tolerances(eps_sum=3e-10, eps_zero=1e-12)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 4e-10 mass unplaced$"):
-            _fill(a, b, z, (4, 1), tight)
+            fill(a, b, z, (4, 1), tight)
 
     def test_carried_remainders_beyond_eps_sum_raise(self):
         a, b = np.full(5, np.nan), np.array([1e-10, 0.0, 0.0, 0.0, 0.0])
         z = np.array([1e-10] + [3e-10] * 4)
         with pytest.raises(InternalInvariant, match=r"^bookkeeping left 1\.2e-09 mass unplaced$"):
-            _fill(a, b, z, (6, 1), DEFAULT_TOL)
+            fill(a, b, z, (6, 1), DEFAULT_TOL)
 
     def test_a_negative_remainder_raises_with_its_component(self):
         # component 3 is one odd segment, components 1..2 an even one; the
@@ -541,7 +538,7 @@ class TestPerComponentKernel:
         with pytest.raises(
             InternalInvariant, match=r"^carried remainder -0\.25 for component 2 below zero$"
         ):
-            _fill(a, b, z, (4, 3, 1), DEFAULT_TOL)
+            fill(a, b, z, (4, 3, 1), DEFAULT_TOL)
 
     def test_ties_at_eps_zero_neither_pop_nor_carry(self):
         # with eps_zero = 2**-40 every sum below is exact, so each test
@@ -551,21 +548,21 @@ class TestPerComponentKernel:
         tol = Tolerances(eps_sum=1e-9, eps_zero=2**-40)
         x = 0.25 + 2**-40
         a, b = np.full(3, np.nan), np.array([np.nan, x, 0.25])
-        got = _fill(a, b, np.array([0.0, x, 0.5]), (4, 2, 1), tol)
+        got = fill(a, b, np.array([0.0, x, 0.5]), (4, 2, 1), tol)
         assert as_lists(got) == ([1, 2, 2], [1, 0, 2], [x, 0.25, 0.25])
         a, b = np.full(4, np.nan), np.array([np.nan, x, 0.125, 0.125])
         z = np.array([0.0, 0.125 + 2**-40, 0.25, 0.25])
-        got = _fill(a, b, z, (5, 2, 1), tol)
+        got = fill(a, b, z, (5, 2, 1), tol)
         assert as_lists(got) == ([1, 2, 2, 3, 3], [1, 0, 2, 1, 3],
                                [0.125 + 2**-40, 0.125, 0.125, 0.125, 0.125])
         a, b = np.full(2, np.nan), np.array([0.5, 0.25])
-        got = _fill(a, b, np.array([0.5, x]), (3, 1), tol)
+        got = fill(a, b, np.array([0.5, x]), (3, 1), tol)
         assert as_lists(got) == ([0, 1], [0, 1], [0.5, 0.25])
 
     def test_a_meet_with_no_positive_component_gives_no_pieces(self):
-        # m = 0: the buffers still hold a cell, as from_buffer needs one
+        # m = 0: the buffers are empty, and go in as null pointers
         a = np.array([0.5, 0.5])
-        assert as_lists(_fill(a, a, np.zeros(2), (3, 1), DEFAULT_TOL)) == ([], [], [])
+        assert as_lists(fill(a, a, np.zeros(2), (3, 1), DEFAULT_TOL)) == ([], [], [])
 
     def test_arrays_the_loop_cannot_read_are_refused(self):
         # refused before the call: the loop reads n doubles from each
@@ -578,19 +575,24 @@ class TestPerComponentKernel:
         for match, arr in unreadable.items():
             for args in ((arr, good, good), (good, arr, good), (good, good, arr)):
                 with pytest.raises(TypeError, match=match):
-                    _fill(*args, (3, 1), DEFAULT_TOL)
+                    fill(*args, (3, 1), DEFAULT_TOL)
         for idx in ((4, 1), (3, 0), (3, 2, 3, 1)):
             with pytest.raises(InternalInvariant, match=r"^segment boundaries .* do not cut 1\.\.2$"):
-                _fill(good, good, good, idx, DEFAULT_TOL)
+                fill(good, good, good, idx, DEFAULT_TOL)
         # a ProbVec's values are read-only, and go in as they are
         a, b, idx = oriented(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
         assert not (a.flags.writeable or b.flags.writeable)
-        got = _fill(a, b, meet_values(a, b, DEFAULT_TOL.eps_zero), idx, DEFAULT_TOL)
+        got = fill(a, b, meet_values(a, b, DEFAULT_TOL.eps_zero), idx, DEFAULT_TOL)
         assert_same_pieces(got, reference_couple_oriented(a, b, DEFAULT_TOL))
 
 
+def fill(a, b, z, idx, tol):
+    """_native.fill on the unswapped pair, its buffers sized by z's positive components."""
+    return _native.fill(a, b, z, idx, tol, False, np.count_nonzero(z > 0.0))
+
+
 def as_lists(got) -> tuple[list, list, list]:
-    """_fill's pieces as lists, in the order it returns them."""
+    """fill's pieces as lists, in the order it returns them."""
     return tuple(x.tolist() for x in got)
 
 
@@ -727,14 +729,14 @@ class TestCheckPieces:
 
     def test_an_index_outside_the_square_raises_internal_invariant(self, monkeypatch):
         # numpy's bincount once let this escape as an untyped ValueError
-        real = mecouple.pairwise._fill
+        real = _native.fill
 
         def shifted(*args, **kwargs):
             rows, cols, vals = (x.copy() for x in real(*args, **kwargs))
             rows[-1] += 1
             return rows, cols, vals
 
-        monkeypatch.setattr(mecouple.pairwise, "_fill", shifted)
+        monkeypatch.setattr(_native, "fill", shifted)
         with pytest.raises(InternalInvariant, match=r"^piece 2 at \(2, 1\) lies outside 0\.\.1$"):
             min_entropy_coupling(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
 
@@ -960,14 +962,14 @@ class TestSparseCore:
         # two adjacent pieces exchanged keep the marginals exact, so only the
         # order check sees them; a repeated cell is test_multiway's
         # TestDistinctCells::test_a_repeated_cell_is_refused
-        real = mecouple.pairwise._fill
+        real = _native.fill
 
         def exchanged(*args, **kwargs):
             return tuple(x[[1, 0, *range(2, x.size)]] for x in real(*args, **kwargs))
 
         p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
         assert min_entropy_coupling(p, q).vals.size == 3
-        monkeypatch.setattr(mecouple.pairwise, "_fill", exchanged)
+        monkeypatch.setattr(_native, "fill", exchanged)
         with pytest.raises(InternalInvariant, match="row-major"):
             min_entropy_coupling(p, q)
 

@@ -335,6 +335,16 @@ class TestPadTo:
         with pytest.raises(ShrinkRequested):
             pad_to(make_probvec([0.6, 0.4]), 1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_length_rejected(self, n):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            pad_to(make_probvec([0.6, 0.4]), n)
+
+    def test_numpy_integer_length(self):
+        p = pad_to(make_probvec([0.6, 0.4]), np.int64(4))
+        assert p.values.tolist() == [0.6, 0.4, 0.0, 0.0]
+        assert p.perm.tolist() == [0, 1, 2, 3]
+
 
 @st.composite
 def dirichlet_draws(draw):

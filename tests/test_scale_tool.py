@@ -60,9 +60,9 @@ def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
     # to build here are those that do not run it
     rng = np.random.default_rng(5)
     raw_p, raw_q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(5))
-    monkeypatch.delattr(mecouple.pairwise, "_fill")
+    monkeypatch.delattr(mecouple._native, "fill")
     for stage in ("fill", "check"):
-        with pytest.raises(AttributeError, match="_fill"):
+        with pytest.raises(AttributeError, match="fill"):
             scale.stage_call(mecouple, np, raw_p, raw_q, stage)
     for stage in ("ProbVec", "prepare", "glb", "bounds"):
         scale.stage_call(mecouple, np, raw_p, raw_q, stage)()

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from mecouple import _native
 from mecouple import (
     InstanceTooLarge,
     ProbVec,
@@ -32,7 +33,6 @@ from mecouple import (
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
-from mecouple.pairwise import _fill
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 
 
@@ -155,7 +155,8 @@ def oriented(p: ProbVec, q: ProbVec):
 def kernel_pieces(a, b, idx, tol: Tolerances = DEFAULT_TOL, swapped: bool = False):
     """The greedy kernel's pieces for the caller's pair (a, b), as
     min_entropy_coupling gets them: the meet, then the compiled fill."""
-    return _fill(a, b, meet_values(a, b, tol.eps_zero), idx, tol, swapped)
+    z = meet_values(a, b, tol.eps_zero)
+    return _native.fill(a, b, z, idx, tol, swapped, np.count_nonzero(z > 0.0))
 
 
 def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -482,8 +483,8 @@ def check_segment_strips(m: np.ndarray, idx, z, atol=1e-9):
 def scan_inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
     """Segment boundaries for an oriented pair, by the scalar downward scan.
 
-    Reference for _fill.c's segments() (inversion_points of the oriented
-    pair), which must return the same tuple. Scans d = suffix sums of a - b from index n downward with maximal
+    Reference for the segments _fill.c's prepare() writes (inversion_points
+    of the oriented pair), which must be the same tuple. Scans d = suffix sums of a - b from index n downward with maximal
     extension: an odd segment runs while d >= -eps_zero, an even one while
     d <= eps_zero, and each stop opens the next segment.
     """
@@ -513,7 +514,7 @@ def reference_couple_oriented(
 ) -> tuple[list[int], list[int], list[float]]:
     """The pairwise greedy loop as first written: one write closure per cell.
 
-    Reference for the greedy kernel, pairwise._fill, which on an oriented
+    Reference for the greedy kernel, _native.fill, which on an oriented
     pair (kernel_pieces) must return the same pieces: the same cells with
     the same value bytes, in any order (compare them with
     assert_same_pieces). The trace exists only here. Returns the

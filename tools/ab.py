@@ -23,7 +23,11 @@ inputs with its own make_probvec, outside the timed calls.
 (its STAGES, each built only for the call that names it),
 k_min_entropy_coupling (over every marginal of an instance) and
 exact_min_entropy (on its first two), and cli.main (an instance's argv, or
---command and the marginals as JSON, stdout captured).
+--command and the marginals as JSON, stdout captured). The stages prepare,
+fill and check call the wrappers of the same name in mecouple._native; a
+tree from before those wrappers (whose coupling called pairwise._prepare,
+_fill and _check_pieces) lacks them, so across that change compare
+--call min_entropy_coupling or glb instead.
 
 Each tree first runs every instance once, untimed; those outputs are
 compared byte for byte (arrays by dtype, shape and bytes, floats by their

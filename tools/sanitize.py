@@ -19,14 +19,15 @@ pointed at the sanitized build, and the two outputs must be the same bytes
 message). The instances cycle through KINDS:
 
 - pairwise: min_entropy_coupling, inversion_points and glb on pairs of
-  lengths 1 to 64 drawn apart, and inversion_points of two empty vectors: Dirichlet(1) and Dirichlet(0.1), exact 1/64
+  lengths 1 to 64 drawn apart (Dirichlet(1) and Dirichlet(0.1), exact 1/64
   ties, point masses, tails of masses at or below eps_zero, and pairs equal
-  within eps_zero (the diagonal shortcut);
+  within eps_zero: the diagonal shortcut), and, at n = 0, inversion_points
+  of two empty vectors and lattice.meet_values of two empty arrays;
 - kway: k_min_entropy_coupling over 2 to 9 such marginals of lengths 1 to 16;
 - perturbed: pairwise._check_pieces on a coupling's pieces with one index
   moved outside the square, two pieces exchanged, a value made NaN or
   1e-6 moved along a row, each refused by check();
-- bad_segments: pairwise._fill on boundaries that do not cut 1..n, refused
+- bad_segments: _native.fill on boundaries that do not cut 1..n, refused
   before they are read.
 
 A sanitizer report aborts the child (-fno-sanitize-recover=all); the tool
@@ -134,8 +135,10 @@ def _pair(np, mc, rng, eps: float, longest: int = 64):
         mc.make_probvec(_vector(np, rng, kind if rng.random() < 0.5 else "dirichlet1", m, eps))
 
 
-def _instance(np, mc, pairwise, kind: str, rng):
+def _instance(np, mc, kind: str, rng):
     """A thunk running one instance of kind, drawn here from rng."""
+    from mecouple import _native, lattice, pairwise
+
     tol = mc.DEFAULT_TOL
     eps = tol.eps_zero
     if kind == "pairwise":
@@ -148,7 +151,8 @@ def _instance(np, mc, pairwise, kind: str, rng):
         def run():
             cm = mc.min_entropy_coupling(p, q)
             return (cm.rows, cm.cols, cm.vals, cm.nnz, mc.inversion_points(pp, qq),
-                    mc.glb(p, q).meet.values, mc.inversion_points(empty, empty))
+                    mc.glb(p, q).meet.values, mc.inversion_points(empty, empty),
+                    lattice.meet_values(empty.values, empty.values, eps))
         return run
     if kind == "kway":
         ps = [_pair(np, mc, rng, eps, 16)[0] for _ in range(int(rng.integers(2, 10)))]
@@ -180,7 +184,7 @@ def _instance(np, mc, pairwise, kind: str, rng):
     a = b = np.full(n, 1.0 / n)
     bad = ((n + 2, 1), (n + 1, 0), (n + 1, n + 1, 1), (n + 1, 2, 3, 1))
     idx = bad[rng.integers(len(bad))]
-    return lambda: pairwise._fill(a, b, a.copy(), idx, tol)
+    return lambda: _native.fill(a, b, a.copy(), idx, tol, False, n)
 
 
 def _encode(np, mc, thunk) -> bytes:
@@ -203,14 +207,14 @@ def child(library: str, calls: int) -> dict:
     import numpy as np
 
     import mecouple as mc
-    from mecouple import _native, pairwise
+    from mecouple import _native
 
     production = _native.LIB
     sanitized = Counting(_native.declare(ctypes.CDLL(library)))
     differing = []
     for i in range(calls):
         kind = KINDS[i % len(KINDS)]
-        thunk = _instance(np, mc, pairwise, kind, np.random.default_rng([SEED, i]))
+        thunk = _instance(np, mc, kind, np.random.default_rng([SEED, i]))
         want = _encode(np, mc, thunk)
         _native.LIB = sanitized
         try:

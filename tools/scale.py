@@ -29,14 +29,19 @@ Each row reports its round count under "rounds".
   vectors of length n. Each of STAGES is timed on its own, with its own
   rounds, on inputs built outside the timed region: make_probvec of a raw
   vector; ProbVec(values, perm) over a validated vector's arrays;
-  check_sorted_total; the coupling's three compiled calls, each on the
-  output of the one before: _prepare (orientation, segments and the meet),
-  _fill (the greedy kernel, which writes the pieces row-major) and
-  _check_pieces (the post-conditions on those pieces); entropy_bits of the
-  coupling's pieces; glb; bounds; and the whole min_entropy_coupling, the
-  stage to compare across kernel signatures. glb, bounds and the coupling
-  take make_probvec's results, as a caller's pairwise call does. stage_call builds one stage's
-  call for any tree; tools/ab.py times it across two trees.
+  check_sorted_total; the coupling's three compiled calls, by their
+  wrappers in _native, each on the output of the one before: prepare
+  (orientation, segments and the meet), fill (the greedy kernel, which
+  writes the pieces row-major) and check (the index, order and axis checks
+  on those pieces); entropy_bits of the coupling's pieces; glb; bounds;
+  and the whole min_entropy_coupling, the stage to compare across kernel
+  signatures. glb, bounds and the coupling take make_probvec's results, as
+  a caller's pairwise call does. stage_call builds one stage's call for
+  any tree; tools/ab.py times it across two trees. A stage is called in a
+  loop, and the allocator hands each round the buffers the round before
+  freed, so the first-touch page faults of a large stage's buffers show
+  only in whole-call rows, such as the pairwise rows, not in its stage
+  time.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
   own, on inputs built outside the timed region: cli._load of one inline
@@ -205,7 +210,6 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
     the stage's own: a name one tree lacks fails only the stages using it.
     The pair is padded to a common length, as min_entropy_coupling pads it.
     """
-    pairwise = importlib.import_module(f"{mc.__name__}.pairwise")
     tol = mc.DEFAULT_TOL
     eps = tol.eps_zero
     p, q = mc.make_probvec(raw_p), mc.make_probvec(raw_q)
@@ -225,15 +229,16 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
     # the three compiled calls of one coupling, each on the output of the one
     # before; prepare takes the addresses that the coupling takes once, and
     # holds a and b, so that they stay alive
+    native = importlib.import_module(f"{mc.__name__}._native")
     if stage == "prepare":
-        return lambda: pairwise._prepare((a.ctypes.data, b.ctypes.data), n, eps)
+        return lambda: native.prepare((a.ctypes.data, b.ctypes.data), n, eps)
     at = a.ctypes.data, b.ctypes.data
-    z, idx, swapped, m = pairwise._prepare(at, n, eps)
+    z, idx, swapped, m = native.prepare(at, n, eps)
     if stage == "fill":
-        return functools.partial(pairwise._fill, a, b, z, idx, tol, swapped, m, at)
+        return functools.partial(native.fill, a, b, z, idx, tol, swapped, m, at)
     if stage == "check":
-        pieces = pairwise._fill(a, b, z, idx, tol, swapped, m, at)
-        return functools.partial(pairwise._check_pieces, *pieces, a, b, tol, at)
+        pieces = native.fill(a, b, z, idx, tol, swapped, m, at)
+        return functools.partial(native.check, *pieces, a, b, eps, at)
     raise ValueError(f"no stage {stage!r}")
 
 
