@@ -1,13 +1,15 @@
-"""The one module that calls _fill.c, the compiled stages of the pairwise coupling.
+"""The one module that calls _fill.c: the pairwise coupling's compiled stages and the oracle.
 
 _fill.c is built on first import, cached and loaded as LIB with the C
-signatures of its four entry points, each called by one wrapper here: meet,
-prepare, fill and check. A wrapper allocates its outputs and raises what
-ERRORS gives for a negative return. Writable arrays, empty ones included,
-go in by DOUBLES and INTS; read-only ones, such as a ProbVec's values, as
-addresses (arr.ctypes.data: ndpointer and data_as leave cyclic garbage on
-every call). The wrappers read LIB when called, so a build swapped in for
-it (tools/sanitize.py's) serves them all.
+signatures of its five entry points, each called by one wrapper here: meet,
+prepare, fill and check, the stages of a pairwise coupling, and oracle, the
+exact search of mecouple.oracle. A call holds its thread in C until it
+returns, so Ctrl-C is handled only after it. A wrapper allocates its
+outputs and raises what ERRORS gives for a negative return. Writable
+arrays, empty ones included, go in by DOUBLES and INTS; read-only ones,
+such as a ProbVec's values, as addresses (arr.ctypes.data: ndpointer and
+data_as leave cyclic garbage on every call). The wrappers read LIB when
+called, so a build swapped in for it (tools/sanitize.py's) serves them all.
 """
 
 import ctypes
@@ -93,6 +95,7 @@ SIGNATURES = {  # as in _fill.c: an address, buffers, out-parameters, an int64, 
     "prepare": (_A, _A, _N, _X, _D, _I, INFO),
     "fill": (_A, _A, _D, _N, _I, _N, _X, _X, ctypes.c_int, _N, _I, _I, _D, _I, OUT),
     "check": (_I, _I, _D, _N, _A, _A, _N, _X, OUT),
+    "oracle": (_D, _N, _N, _X, _N, _D, OUT),
 }
 ERRORS = {  # _fill.c's negative returns: the exception, its message formatted by the wrapper
     -1: (InternalInvariant, "carried remainder {value!r} for component {component} below zero"),
@@ -101,7 +104,8 @@ ERRORS = {  # _fill.c's negative returns: the exception, its message formatted b
     -4: (InternalInvariant, "meet produced a component below -eps_zero"),
     -5: (InternalInvariant, "piece {i} at {cell} lies outside 0..{last}"),
     -6: (InternalInvariant, "pieces out of row-major order, or a cell written twice"),
-    -7: (MemoryError, "no memory for {n} column sums"),
+    -7: (MemoryError, "no memory for {what}"),
+    -8: (InternalInvariant, "the replay of the {n} x {m} search reached a state it did not solve"),
 }
 
 
@@ -187,5 +191,17 @@ def check(rows, cols, vals, a, b, eps: float, at) -> tuple[int, list[float]]:
     if nnz < 0:
         i = int(out[2])  # the piece refused; unwritten if check() ran out of memory
         cell = f"({rows[i]}, {cols[i]})" if i < vals.size else ""
-        _raise(nnz, i=i, cell=cell, last=n - 1, n=n)
+        _raise(nnz, i=i, cell=cell, last=n - 1, what=f"{n} column sums")
     return nnz, out[:2]
+
+
+def oracle(p: np.ndarray, q: np.ndarray, eps: float, digits: int) -> tuple[float, np.ndarray]:
+    """oracle() on the marginals p and q: the minimum coupling entropy in bits over every
+    greedy fill, with the n x m matrix its stored first moves replay to; a line at eps or
+    below is retired, and memo keys round residuals to digits decimals."""
+    n, m = p.size, q.size
+    res, mat, opt = np.concatenate((p, q), dtype=np.float64), np.zeros((n, m)), OUT()
+    code = LIB.oracle(DOUBLES(res), n, m, eps, digits, DOUBLES(mat), opt)
+    if code < 0:
+        _raise(code, what=f"the search of a {n} x {m} instance", n=n, m=m)
+    return opt[0], mat

@@ -99,10 +99,12 @@ def test_the_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_the_library_exports_the_four_wrapped_entry_points_only():
-    # segments() is a static helper of prepare(), reached through it alone
+def test_the_library_exports_the_wrapped_entry_points_only():
+    # segments() is a static helper of prepare(), reached through it alone,
+    # and solve() one of oracle()
     from mecouple import _native
 
-    with pytest.raises(AttributeError):
-        _native.LIB.segments
-    assert set(_native.SIGNATURES) == {"meet", "prepare", "fill", "check"}
+    for helper in ("segments", "solve"):
+        with pytest.raises(AttributeError):
+            getattr(_native.LIB, helper)
+    assert set(_native.SIGNATURES) == {"meet", "prepare", "fill", "check", "oracle"}

@@ -5,6 +5,7 @@ import pytest
 
 from mecouple import (
     InstanceTooLarge,
+    ProbVec,
     Tolerances,
     entropy,
     exact_min_entropy,
@@ -19,6 +20,8 @@ from util import (
     random_probvec,
     reference_exact_min_entropy,
 )
+from mecouple.oracle import DEFAULT_SIZE_CAP
+from mecouple.probvec import DEFAULT_TOL
 
 OPT_2X2 = 1.3609640474436812
 
@@ -158,16 +161,69 @@ def _reference_draws(rng: np.random.Generator):
         yield rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
 
 
+# p's first mass is t + a + b, where q = (a, b, 1 - a - b) and t is an odd
+# multiple of 2**-13: filling a and b from it in either order leaves t or a
+# float next to it, and the two take one memo key or two depending on how a
+# tie is rounded. Each pair gives other bytes with ties rounded up.
+TIE_NEIGHBOURS = (
+    (("0x1.b9414c1b0e8bep-3", "0x1.0fea1dd63cca6p-1", "0x1.038b1e45ff254p-2"),
+     ("0x1.dce29372d3e95p-4", "0x1.a6400986925cep-5", "0x1.a9ffacf93c5d0p-1")),
+    (("0x1.5718c8e2ee87dp-2", "0x1.159d0c4748f2fp-3", "0x1.0f0c587cb67f6p-1"),
+     ("0x1.ef88914492692p-3", "0x1.bda402052a9a2p-5", "0x1.68439b8e88bc2p-1")),
+)
+
+
+def assert_matches_reference(p, q, tol=DEFAULT_TOL, cap=DEFAULT_SIZE_CAP):
+    opt, vc = exact_min_entropy(p, q, tol, cap)
+    ref_opt, ref_vc = reference_exact_min_entropy(p, q, tol, cap)
+    # bytes, so that a -0.0 optimum or cell differs from 0.0
+    assert struct.pack("<d", opt) == struct.pack("<d", ref_opt), (p, q)
+    assert vc.matrix.shape == ref_vc.matrix.shape
+    assert vc.matrix.tobytes() == ref_vc.matrix.tobytes(), (p, q)
+    assert vc.support_size == ref_vc.support_size
+    return opt, vc
+
+
 class TestReference:
     def test_matches_the_rekeying_dp_bit_for_bit(self):
         for raw_p, raw_q in _reference_draws(np.random.default_rng(67)):
-            p, q = make_probvec(raw_p), make_probvec(raw_q)
-            opt, vc = exact_min_entropy(p, q)
-            ref_opt, ref_vc = reference_exact_min_entropy(p, q)
-            # bytes, so that a -0.0 optimum or cell differs from 0.0
-            assert struct.pack("<d", opt) == struct.pack("<d", ref_opt), (raw_p, raw_q)
-            assert vc.matrix.tobytes() == ref_vc.matrix.tobytes(), (raw_p, raw_q)
-            assert vc.support_size == ref_vc.support_size
+            assert_matches_reference(make_probvec(raw_p), make_probvec(raw_q))
+
+    def test_residuals_on_half_even_ties(self):
+        # k / 8192 has 13 decimals and ends in 5 for odd k, so rounding it
+        # to 12 decimals is an exact tie, which goes to the even digit; the
+        # multiples of 2**-20 have 20 decimals and fall on and near ties too
+        for p_hex, q_hex in TIE_NEIGHBOURS:
+            assert_matches_reference(*(make_probvec([float.fromhex(x) for x in v])
+                                       for v in (p_hex, q_hex)))
+        rng = np.random.default_rng(68)
+        for denominator in (8192, 2**20):
+            for _ in range(8):
+                n = int(rng.integers(2, 6))
+                m = int(rng.integers(2, 9 - n))
+                cuts = (np.sort(rng.integers(0, denominator + 1, size=k - 1)) for k in (n, m))
+                p, q = (make_probvec(np.diff(np.concatenate(([0], c, [denominator]))) / denominator)
+                        for c in cuts)
+                assert_matches_reference(p, q)
+
+    def test_instances_above_the_default_cap(self):
+        # n + m = 11 under a raised cap: every key holds 11 ids; thin shapes
+        # keep the reference fast
+        rng = np.random.default_rng(69)
+        for n, m in ((10, 1), (1, 10)):
+            p, q = make_probvec(rng.dirichlet(np.ones(n))), make_probvec(rng.dirichlet(np.ones(m)))
+            assert_matches_reference(p, q, cap=11)
+        uniform, pair = make_probvec(np.full(9, 1 / 9)), make_probvec(rng.dirichlet(np.ones(2)))
+        assert_matches_reference(uniform, pair, cap=11)
+        assert_matches_reference(pair, uniform, cap=11)
+
+    def test_a_side_of_length_zero(self):
+        empty = ProbVec(np.zeros(0), np.zeros(0, np.intp))
+        q = make_probvec([0.5, 0.3, 0.2])
+        for a, b, shape in ((empty, q, (0, 3)), (q, empty, (3, 0)), (empty, empty, (0, 0))):
+            opt, vc = assert_matches_reference(a, b)
+            assert struct.pack("<d", opt) == struct.pack("<d", 0.0)
+            assert vc.matrix.shape == shape and vc.support_size == 0
 
     def test_a_residual_of_exactly_eps_zero_retires_its_line(self):
         # 0.921875 - 0.90625 is exactly eps_zero, and the optimal fill takes

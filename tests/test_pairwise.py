@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -579,6 +580,14 @@ class TestPerComponentKernel:
         for idx in ((4, 1), (3, 0), (3, 2, 3, 1)):
             with pytest.raises(InternalInvariant, match=r"^segment boundaries .* do not cut 1\.\.2$"):
                 fill(good, good, good, idx, DEFAULT_TOL)
+        # boundaries that leave part of 1..n uncut, none at all, or one
+        # repeated, which would cut an empty segment and flip the parity
+        a, b = np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.4, 0.2])
+        z = meet_values(a, b, DEFAULT_TOL.eps_zero)
+        for idx in ((4,), (2, 1), (), (4, 2, 2, 1)):
+            message = rf"^segment boundaries {re.escape(str(idx))} do not cut 1\.\.3$"
+            with pytest.raises(InternalInvariant, match=message):
+                _native.fill(a, b, z, idx, DEFAULT_TOL, False, 3)
         # a ProbVec's values are read-only, and go in as they are
         a, b, idx = oriented(make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5]))
         assert not (a.flags.writeable or b.flags.writeable)

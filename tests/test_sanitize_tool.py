@@ -27,7 +27,7 @@ def test_a_small_run_is_clean_and_identical(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["clean"] and out["identical"] and out["instances"] == 200
     # every compiled entry point ran under the sanitizers
-    assert set(out["entry_point_calls"]) == {"meet", "prepare", "fill", "check"}
+    assert set(out["entry_point_calls"]) == {"meet", "prepare", "fill", "check", "oracle"}
 
 
 def test_a_write_past_a_buffer_is_reported(tmp_path):

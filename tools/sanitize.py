@@ -28,7 +28,13 @@ message). The instances cycle through KINDS:
   moved outside the square, two pieces exchanged, a value made NaN or
   1e-6 moved along a row, each refused by check();
 - bad_segments: _native.fill on boundaries that do not cut 1..n, refused
-  before they are read.
+  before they are read;
+- oracle: exact_min_entropy on one 5 x 5 Dirichlet(1) pair (the first
+  oracle instance), then, in turn, pairs drawn as tests/test_oracle.py's
+  reference draws are (Dirichlet(1) and Dirichlet(0.1), multiples of 1/64
+  and 1/8, uniform vectors, point masses and pairs a few ulps from equal,
+  n + m <= 8), pairs on multiples of 1/8192 and 2**-20 (residuals on and
+  next to the ties of rounding to 12 decimals), and a side of length 0.
 
 A sanitizer report aborts the child (-fno-sanitize-recover=all); the tool
 then exits 1 with the child's stderr. Otherwise one JSON object goes to
@@ -53,7 +59,7 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 SANITIZE_FLAGS = ("-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined",
                   "-fno-sanitize-recover=all", "-fPIC", "-shared")
-KINDS = ("pairwise", "kway", "perturbed", "bad_segments")
+KINDS = ("pairwise", "kway", "perturbed", "bad_segments", "oracle")
 SEED = 15
 CALLS = 10_000
 
@@ -135,8 +141,38 @@ def _pair(np, mc, rng, eps: float, longest: int = 64):
         mc.make_probvec(_vector(np, rng, kind if rng.random() < 0.5 else "dirichlet1", m, eps))
 
 
-def _instance(np, mc, kind: str, rng):
-    """A thunk running one instance of kind, drawn here from rng."""
+def _oracle_pair(np, mc, rng, nth: int):
+    """The nth oracle instance's pair (from 0), drawn from rng."""
+    if nth == 0:
+        return (mc.make_probvec(rng.dirichlet(np.ones(5))),
+                mc.make_probvec(rng.dirichlet(np.ones(5))))
+    n = int(rng.integers(1, 7))
+    sizes = (n, int(rng.integers(1, 9 - n)))
+    draw = ("dirichlet1", "dirichlet0.1", "multiples", "uniform", "point", "near_half",
+            "ties", "empty")[nth % 8]
+    if draw == "empty":
+        empty, other = mc.ProbVec([], []), mc.make_probvec(rng.dirichlet(np.ones(sizes[0])))
+        return (empty, other) if rng.random() < 0.5 else (other, empty)
+    if draw == "near_half":
+        near = np.array([0.5 + 4e-13, 0.5 - 4e-13])
+        return mc.make_probvec(np.full(2, 0.5)), mc.make_probvec(near)
+    out = []
+    for k in sizes:
+        if draw in ("dirichlet1", "dirichlet0.1"):
+            v = rng.dirichlet(np.full(k, 1.0 if draw == "dirichlet1" else 0.1))
+        elif draw in ("multiples", "ties"):
+            den = int(rng.choice([64, 8] if draw == "multiples" else [8192, 2**20]))
+            v = np.diff(np.r_[0, np.sort(rng.integers(0, den + 1, size=k - 1)), den]) / den
+        elif draw == "uniform":
+            v = np.full(k, 1.0 / k)
+        else:
+            v = np.eye(k)[rng.integers(k)]
+        out.append(mc.make_probvec(v))
+    return tuple(out)
+
+
+def _instance(np, mc, kind: str, rng, nth: int):
+    """A thunk running the nth instance of kind (from 0), drawn here from rng."""
     from mecouple import _native, lattice, pairwise
 
     tol = mc.DEFAULT_TOL
@@ -180,6 +216,13 @@ def _instance(np, mc, kind: str, rng):
             vals[i] -= 1e-6
             vals[(i + 1) % vals.size] += 1e-6
         return lambda: pairwise._check_pieces(rows, cols, vals, a, b, tol)
+    if kind == "oracle":
+        p, q = _oracle_pair(np, mc, rng, nth)
+
+        def run():
+            opt, vc = mc.exact_min_entropy(p, q)
+            return opt, vc.matrix, vc.support_size
+        return run
     n = int(rng.integers(2, 65))
     a = b = np.full(n, 1.0 / n)
     bad = ((n + 2, 1), (n + 1, 0), (n + 1, n + 1, 1), (n + 1, 2, 3, 1))
@@ -214,7 +257,8 @@ def child(library: str, calls: int) -> dict:
     differing = []
     for i in range(calls):
         kind = KINDS[i % len(KINDS)]
-        thunk = _instance(np, mc, kind, np.random.default_rng([SEED, i]))
+        rng = np.random.default_rng([SEED, i])
+        thunk = _instance(np, mc, kind, rng, i // len(KINDS))
         want = _encode(np, mc, thunk)
         _native.LIB = sanitized
         try:
