@@ -8,12 +8,13 @@ index of each positive component. Node i of level l covers leaves i * 2**l
 up to (i + 1) * 2**l - 1, or up to the last leaf.
 Every merge splits the components of the children's meet into at most two
 pieces, so each level of the tree costs at most one bit over the meet of all
-leaves below it. The merged values are fresh positive pieces, already sorted,
-whose marginals and total the pairwise coupling checked, so they go to the
-next merge as ProbVec._adopt wrappers, neither copied nor re-validated;
-the pairwise entry check still reads their order and total. These indices
-compose down the tree, so the root's leaf-major int32 (k x cells) coords are
-written once, by one walk down it; SparseJoint keeps them and the root's values.
+leaves below it. Merged values are fresh positive pieces, sorted and checked
+by the pairwise coupling; the next merge adopts them uncopied and re-checks
+them, except a leaf that keeps its marginal's make_probvec record (its
+values are the checked ones less trailing zeros). These indices compose down
+the tree: the root's leaf-major int32 (k x cells) coords are written once, by
+one walk; SparseJoint keeps them and the root's values. The root is checked
+top-down, one bincount per node down to each leaf's marginal.
 
 When k is not a power of two, the paper pads the leaves with point masses,
 which change neither the entropy, the other marginals nor the meet. Only the
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import AxisOutOfRange, InternalInvariant, TooFewMarginals
-from .pairwise import _Derived, _check_marginals, _scatter, min_entropy_coupling
+from .pairwise import _Derived, _check_mass, _scatter, min_entropy_coupling
 from .probvec import (
     DEFAULT_TOL,
     ProbVec,
@@ -42,6 +43,7 @@ from .probvec import (
 )
 
 DENSE_CELL_CAP = 10**6
+STABLE_MAX = 128  # up to this many pieces a stable sort costs what a default one and a tie check do
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,28 +101,38 @@ class MergeNode:
     values holds the cell masses, sorted non-increasingly. parts holds one
     (pick, child) pair per child: cell i was drawn from cell pick[i] of
     child. A leaf's one part picks each positive component's original index,
-    with child None; the point mass [1.0] has no parts.
+    with child None; the point mass [1.0] has no parts. checked_eps_sum: a
+    leaf's marginal's make_probvec record (see probvec._check_entry).
     """
 
     values: np.ndarray
     parts: tuple[tuple[np.ndarray, MergeNode | None], ...]
+    checked_eps_sum: float = float("inf")
 
 
 def _leaf(p: ProbVec) -> MergeNode:
     kept = p.values > 0.0
-    return MergeNode(values=p.values[kept], parts=((p.perm[kept], None),))
+    return MergeNode(p.values[kept], ((p.perm[kept], None),), p._checked_eps_sum)
 
 
 def _merge(left: MergeNode, right: MergeNode, tol: Tolerances) -> MergeNode:
     # node values are fresh positive pieces or np.ones(1), owned by the node
-    cm = min_entropy_coupling(
-        ProbVec._adopt(left.values, np.arange(left.values.size)),
-        ProbVec._adopt(right.values, np.arange(right.values.size)),
-        tol,
-    )
-    # pieces come row-major; a stable sort by -value keeps that order among ties
-    order = (-cm.vals).argsort(kind="stable")
-    return MergeNode(cm.vals[order], ((cm.rows[order], left), (cm.cols[order], right)))
+    sides = [ProbVec._adopt(node.values, np.arange(node.values.size)) for node in (left, right)]
+    for side, node in zip(sides, (left, right)):
+        object.__setattr__(side, "_checked_eps_sum", node.checked_eps_sum)
+    cm = min_entropy_coupling(*sides, tol)
+    # pieces come row-major and keep that order among ties: above STABLE_MAX the
+    # default sort, unique on distinct values, is redone stably on an exact tie
+    stable = cm.vals.size <= STABLE_MAX
+    if not stable:
+        order = (-cm.vals).argsort()
+        values = cm.vals[order]
+        step = values[1:] != values[:-1]
+        stable = np.count_nonzero(step) != step.size
+    if stable:
+        order = (-cm.vals).argsort(kind="stable")
+        values = cm.vals[order]
+    return MergeNode(values, ((cm.rows[order], left), (cm.cols[order], right)))
 
 
 def _gather(node: MergeNode, cells: np.ndarray) -> Iterator[np.ndarray]:
@@ -130,6 +142,15 @@ def _gather(node: MergeNode, cells: np.ndarray) -> Iterator[np.ndarray]:
             yield pick.take(cells)
         else:
             yield from _gather(child, pick.take(cells))
+
+
+def _pushed(node: MergeNode, mass: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(original index, mass) of each real leaf's cells, in leaf order, when node's hold mass."""
+    for pick, child in node.parts:
+        if child is None:
+            yield pick, mass
+        else:
+            yield from _pushed(child, np.bincount(pick, weights=mass, minlength=child.values.size))
 
 
 def _merge_tree(ps: Sequence[ProbVec], tol: Tolerances = DEFAULT_TOL) -> Iterator[list[MergeNode]]:
@@ -172,7 +193,13 @@ def k_min_entropy_coupling(
     coords = np.empty((len(ps), values.size), dtype=np.int32)
     for row, line in zip(coords, _gather(root, np.arange(values.size)), strict=True):
         row[...] = line
-    _check_marginals(coords, values, [p.in_original_order() for p in ps], tol)
+    # top-down: each marginal, whole, against its leaf's share of the root's values
+    for axis, (p, (pick, mass)) in enumerate(zip(ps, _pushed(root, values), strict=True)):
+        got = np.bincount(pick, weights=mass, minlength=p.n)
+        dev = float(np.maximum.reduce(np.abs(got - p.in_original_order())))
+        if not dev <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    _check_mass(values, tol)
     values.flags.writeable = False
     coords.flags.writeable = False
     return SparseJoint(values=values, coords=coords, dims=tuple(p.n for p in ps))

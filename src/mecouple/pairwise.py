@@ -207,23 +207,6 @@ def _check_pieces(
     return nnz
 
 
-def _check_marginals(
-    lines: Sequence[np.ndarray], vals: np.ndarray, margins: Sequence[np.ndarray], tol: Tolerances
-) -> None:
-    """Post-condition of the k-way joint: exact marginals and total mass.
-
-    Cell i holds vals[i] at index lines[axis][i] of each axis. Raises
-    InternalInvariant unless each axis's per-index sums match margins[axis]
-    and the values total 1, both within eps_sum; a NaN fails either check.
-    """
-    for axis, (line, margin) in enumerate(zip(lines, margins)):
-        got = np.bincount(line, weights=vals, minlength=margin.size)
-        dev = float(np.maximum.reduce(np.abs(got - margin)))
-        if not dev <= tol.eps_sum:
-            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
-    _check_mass(vals, tol)
-
-
 def _check_mass(vals: np.ndarray, tol: Tolerances) -> None:
     total = float(np.add.reduce(vals))
     if not abs(total - 1.0) <= tol.eps_sum:

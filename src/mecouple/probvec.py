@@ -18,9 +18,9 @@ unsorted or short. make_probvec's result has passed that very check: its
 values are a gather in the order of a sort by -value, ties by ascending
 original index, so exactly non-increasing, and its total was summed as
 check_sorted_total sums it. It records the eps_sum it passed under, and
-_check_entry skips it under any eps_sum at least as wide. Every other
-vector, including a dataclasses.replace copy, glb's meet, pad_to's result
-and the merge inputs, carries no record and is checked.
+_check_entry skips it (and the k-way merge leaf cut from it) under any
+eps_sum at least as wide. Every other vector, such as a dataclasses.replace
+copy, glb's meet, pad_to's result or a merge node's values, is checked.
 """
 
 from __future__ import annotations

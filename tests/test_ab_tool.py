@@ -9,6 +9,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,10 +25,14 @@ RUNS = [
     ["--call", "fill", "--shape", "9", "12", "--count", "2", "--rounds", "1"],
     ["--call", "k_min_entropy_coupling", "--shape", "5", "4", "3", "--count", "2", "--rounds", "1"],
     ["--call", "cli.main", "--pool", "cli", "--command", "bounds", "--rounds", "1"],
+    # multiples of 1/64: exact ties inside and across the merges
+    ["--call", "k_min_entropy_coupling", "--shape", "9", "6", "5", "--grid", "64", "--count", "2",
+     "--rounds", "1"],
 ]
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=[run[1] for run in RUNS])
+@pytest.mark.parametrize("argv", RUNS, ids=[run[1] + ("-grid" if "--grid" in run else "")
+                                            for run in RUNS])
 def test_a_tree_against_itself(capsys, argv):
     assert ab.main(["--base", SRC, "--change", SRC, *argv]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -36,6 +41,17 @@ def test_a_tree_against_itself(capsys, argv):
     assert out["cyclic_garbage_per_call"] == {"base": 0.0, "change": 0.0}
     assert out["instances"] == (20 if "--pool" in argv else int(argv[argv.index("--count") + 1]))
     assert out["numpy_madvise_hugepage"] == os.environ.get("NUMPY_MADVISE_HUGEPAGE", "default")
+
+
+def test_grid_draws_multiples_of_one_over_n():
+    instances = ab.drawn_instances(2, [9, 6, 5], 3, 1.0, grid=64)
+    for vectors, argv in instances:
+        assert argv is None and [v.size for v in vectors] == [9, 6, 5]
+        for v in vectors:
+            assert np.array_equal(v * 64, np.round(v * 64)) and v.sum() == 1.0
+    # with n > N, zeros and ties are certain
+    (wide,), _ = ab.drawn_instances(2, [80], 1, 1.0, grid=64)[0]
+    assert np.count_nonzero(wide == 0.0) >= 16 and np.unique(wide).size < wide.size
 
 
 def test_the_byte_comparison_tells_signed_zeros_and_exceptions_apart():

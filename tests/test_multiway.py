@@ -28,8 +28,8 @@ from mecouple import (
     min_entropy_coupling,
     pad_to,
 )
-from mecouple.multiway import _gather, _merge_tree
-from mecouple.probvec import DEFAULT_TOL
+from mecouple.multiway import STABLE_MAX, _gather, _merge_tree, _pushed
+from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 from util import (
     assert_distinct_cells,
     assert_same_pieces,
@@ -39,6 +39,7 @@ from util import (
     majorizes,
     oriented,
     random_probvec,
+    reference_check_marginals,
     reference_couple_oriented,
     reference_k_entries,
     reference_node_coords,
@@ -394,6 +395,228 @@ marginals = st.one_of(
         lambda xs: np.array(xs) / sum(xs)
     ),
 )
+
+
+def edited_root(monkeypatch, edit):
+    """Make k_min_entropy_coupling check a root whose values edit(values) changed;
+    a later call replaces the edit."""
+
+    def tree(ps, tol=DEFAULT_TOL):
+        *levels, (root,) = _merge_tree(ps, tol)  # the module's own, imported unpatched
+        yield from levels
+        values = root.values.copy()
+        edit(values)
+        yield [dataclasses.replace(root, values=values)]
+
+    monkeypatch.setattr(mecouple.multiway, "_merge_tree", tree)
+
+
+def moved(src, dst, delta):
+    """An edit that moves delta from cell src to cell dst; a NaN delta writes NaN at src."""
+    def edit(values):
+        if delta != delta:
+            values[src] = delta
+        else:
+            values[src] -= delta
+            values[dst] += delta
+    return edit
+
+
+def verdict(call) -> str:
+    try:
+        call()
+    except InternalInvariant as exc:
+        return str(exc).partition(" off by")[0]
+    return "passed"
+
+
+class TestTopDownRootCheck:
+    # the root's values are pushed down the tree, one bincount per node, to
+    # each leaf's marginal; util's reference_check_marginals is the check over
+    # the gathered coordinates that it replaced
+
+    def test_pushed_leaf_marginals_equal_the_gathered_rows(self):
+        rng = np.random.default_rng(74)
+        for k in (2, 3, 5, 48, 65):
+            ps = [random_probvec(rng, int(rng.integers(1, 12))) for _ in range(k)]
+            *_, (root,) = _merge_tree(ps)
+            rows = list(_gather(root, np.arange(root.values.size)))
+            pushed = list(_pushed(root, root.values))
+            assert len(rows) == len(pushed) == k
+            for p, row, (pick, mass) in zip(ps, rows, pushed):
+                gathered = np.bincount(row, weights=root.values, minlength=p.n)
+                down = np.bincount(pick, weights=mass, minlength=p.n)
+                np.testing.assert_allclose(down, gathered, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(down, p.in_original_order(), rtol=0, atol=1e-12)
+
+    def test_a_moved_root_value_is_refused_naming_its_axis(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        ps = [random_probvec(rng, 6) for _ in range(5)]
+        *_, (root,) = _merge_tree(ps)
+        coords = reference_node_coords(root)
+        for _ in range(20):
+            src, dst = (int(c) for c in rng.choice(root.values.size, size=2, replace=False))
+            # the first axis on which the two cells differ; cells are distinct
+            axis = int(np.flatnonzero(coords[:, src] != coords[:, dst])[0])
+            edited_root(monkeypatch, moved(src, dst, 1e-6))
+            with pytest.raises(InternalInvariant, match=f"^axis {axis} marginal off by"):
+                k_min_entropy_coupling(ps)
+
+    def test_a_total_off_with_every_marginal_within_eps_sum_is_refused(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        ps = [random_probvec(rng, 40) for _ in range(3)]
+        *_, (root,) = _merge_tree(ps)
+        coords = reference_node_coords(root)
+        # three cells that share no index on any axis: each index moves by
+        # 6e-10 at most, within eps_sum, while the total moves by 1.8e-9
+        cells, used = [], [set() for _ in ps]
+        for cell in range(root.values.size):
+            if len(cells) < 3 and all(coords[a, cell] not in used[a] for a in range(len(ps))):
+                cells.append(cell)
+                for a in range(len(ps)):
+                    used[a].add(coords[a, cell])
+        assert len(cells) == 3
+
+        def edit(values):
+            values[cells] += 6e-10
+
+        edited_root(monkeypatch, edit)
+        with pytest.raises(InternalInvariant, match="^coupling mass"):
+            k_min_entropy_coupling(ps)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-12, float("nan")])
+    def test_same_verdict_as_the_gathered_check(self, monkeypatch, delta):
+        rng = np.random.default_rng(76)
+        ps = [random_probvec(rng, 7) for _ in range(6)]
+        *_, (root,) = _merge_tree(ps)
+        coords = reference_node_coords(root)
+        margins = [p.in_original_order() for p in ps]
+        verdicts = set()
+        for _ in range(10):
+            src, dst = (int(c) for c in rng.choice(root.values.size, size=2, replace=False))
+            values = root.values.copy()
+            moved(src, dst, delta)(values)
+            expected = verdict(lambda: reference_check_marginals(coords, values, margins))
+            edited_root(monkeypatch, moved(src, dst, delta))
+            assert verdict(lambda: k_min_entropy_coupling(ps)) == expected
+            verdicts.add(expected)
+        # 1e-12 stays within eps_sum; a NaN fails the first axis
+        assert verdicts == {"passed"} if delta == 1e-12 else "passed" not in verdicts
+        if delta != delta:
+            assert verdicts == {"axis 0 marginal"}
+
+
+class TestMergeSort:
+    # _merge's order is argsort(kind="stable")'s: up to STABLE_MAX pieces it
+    # sorts stably at once; above, it sorts with the default argsort and
+    # redoes the sort stably only on an exact tie
+
+    def spy_on_sorts(self, monkeypatch) -> list:
+        """The kind of every argsort _merge runs on its negated pieces."""
+        kinds = []
+
+        class Key(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                kinds.append(kwargs.get("kind"))
+                return self.view(np.ndarray).argsort(*args, **kwargs)
+
+        class Pieces(np.ndarray):
+            def __neg__(self):
+                return np.negative(self.view(np.ndarray)).view(Key)
+
+            def __getitem__(self, item):
+                return self.view(np.ndarray)[item]
+
+        real = mecouple.multiway.min_entropy_coupling
+
+        def couple(p, q, tol):
+            cm = real(p, q, tol)
+            object.__setattr__(cm, "vals", cm.vals.view(Pieces))
+            return cm
+
+        monkeypatch.setattr(mecouple.multiway, "min_entropy_coupling", couple)
+        return kinds
+
+    def sorted_levels(self, monkeypatch, ps):
+        """The tree's levels and the kinds of the sorts that built them,
+        after checking every merge's order against a stable sort."""
+        kinds = self.spy_on_sorts(monkeypatch)
+        levels = list(_merge_tree(ps))
+        monkeypatch.undo()
+        for nodes in levels[1:]:
+            for node in nodes:
+                (lpick, left), (rpick, right) = node.parts
+                cm = min_entropy_coupling(*(
+                    ProbVec._adopt(child.values, np.arange(child.values.size))
+                    for child in (left, right)))
+                order = (-cm.vals).argsort(kind="stable")
+                assert node.values.tobytes() == cm.vals[order].tobytes()
+                assert np.array_equal(lpick, cm.rows[order])
+                assert np.array_equal(rpick, cm.cols[order])
+        return levels, kinds
+
+    def test_small_merges_sort_stably_at_once(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        ps = [sixty_fourths(rng, 9) if i % 2 else random_probvec(rng, 9) for i in range(6)]
+        levels, kinds = self.sorted_levels(monkeypatch, ps)
+        assert max(node.values.size for node in levels[-1]) <= STABLE_MAX
+        # 3 + 2 + 1 merges
+        assert kinds == ["stable"] * 6
+
+    def test_large_distinct_pieces_are_sorted_once(self, monkeypatch):
+        rng = np.random.default_rng(78)
+        levels, kinds = self.sorted_levels(
+            monkeypatch, [random_probvec(rng, 100) for _ in range(6)])
+        assert min(node.values.size for nodes in levels[1:] for node in nodes) > STABLE_MAX
+        assert kinds == [None] * 6
+
+    def test_large_tied_pieces_are_sorted_again_stably(self, monkeypatch):
+        # multiples of 1/1024: exact ties among more than 128 pieces
+        rng = np.random.default_rng(79)
+        ps = [make_probvec(rng.multinomial(1024, np.full(200, 1 / 200)) / 1024) for _ in range(6)]
+        levels, kinds = self.sorted_levels(monkeypatch, ps)
+        assert min(node.values.size for nodes in levels[1:] for node in nodes) > STABLE_MAX
+        assert kinds == [None, "stable"] * 6
+
+
+class TestLeafRecord:
+    # a leaf keeps its marginal's make_probvec record, so the merge's entry
+    # check skips it exactly when _check_entry skips the marginal
+
+    def spy_on_checks(self, monkeypatch) -> list:
+        seen = []
+
+        def spy(values, tol=DEFAULT_TOL):
+            seen.append(values.size)
+            check_sorted_total(values, tol)
+
+        monkeypatch.setattr(mecouple.probvec, "check_sorted_total", spy)
+        return seen
+
+    def test_leaves_carry_the_record_and_nodes_none(self):
+        tol = Tolerances(1e-6, DEFAULT_TOL.eps_zero)
+        ps = [make_probvec([0.5, 0.5, 0.0]), make_probvec([0.7, 0.3], tol),
+              ProbVec((0.6, 0.4), (1, 0))]
+        leaves, *levels = _merge_tree(ps)
+        assert [leaf.checked_eps_sum for leaf in leaves] == [1e-9, 1e-6, float("inf")]
+        assert all(node.checked_eps_sum == float("inf") for nodes in levels for node in nodes)
+
+    def test_a_leaf_recorded_under_a_wider_eps_sum_is_rechecked(self, monkeypatch):
+        seen = self.spy_on_checks(monkeypatch)
+        raw = [0.5, 0.25, 0.125, 0.125, 0.0]
+        exact = make_probvec([0.6, 0.4])
+        k_min_entropy_coupling([exact, make_probvec(raw, Tolerances(1e-6, DEFAULT_TOL.eps_zero))])
+        # at entry (5 values) and as a leaf (4: its zero is cut)
+        assert seen == [5, 4]
+        seen.clear()
+        k_min_entropy_coupling([exact, make_probvec(raw)])
+        assert seen == []
+
+    def test_an_unrecorded_marginal_is_checked_at_its_leaf(self, monkeypatch):
+        seen = self.spy_on_checks(monkeypatch)
+        exact = make_probvec([0.6, 0.4])
+        k_min_entropy_coupling([exact, ProbVec((0.5, 0.3, 0.2, 0.0), (3, 0, 1, 2))])
+        assert seen == [4, 3]
 
 
 class TestDistinctCells:

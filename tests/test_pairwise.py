@@ -871,9 +871,10 @@ class TestEntryCheckedOnce:
                 call(p, q, tol)
         assert seen == []
         k_min_entropy_coupling([p, q, p])
-        # none for the marginals; two for each of the three merges, whose
-        # inputs are node values, not make_probvec's
-        assert len(seen) == 6
+        # none for the marginals or their leaves, which keep make_probvec's
+        # record; one for the point mass [1.0] and two for the root merge,
+        # whose inputs are node values
+        assert len(seen) == 3
         seen.clear()
         min_entropy_coupling(p, q, Tolerances(1e-10, DEFAULT_TOL.eps_zero))
         assert len(seen) == 2

@@ -6,6 +6,8 @@ processes.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +68,29 @@ def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
             scale.stage_call(mecouple, np, raw_p, raw_q, stage)
     for stage in ("ProbVec", "prepare", "glb", "bounds"):
         scale.stage_call(mecouple, np, raw_p, raw_q, stage)()
+
+
+def test_an_unknown_row_kind_exits_2_before_any_process(monkeypatch, capsys):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(scale.subprocess, "run", no_process)
+    with pytest.raises(SystemExit) as info:
+        scale.main(["--rows", "kway", "no_such_kind"])
+    assert info.value.code == 2
+    assert "no_such_kind" in capsys.readouterr().err
+
+
+def test_rows_runs_only_the_named_kinds(monkeypatch, capsys):
+    started = []
+
+    def fake_child(cmd, **kwargs):
+        started.append(cmd[-2])
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps({"size": cmd[-1]}) + "\n")
+
+    monkeypatch.setattr(scale.subprocess, "run", fake_child)
+    assert scale.main(["--rows", "cli_process", "oracle"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # in ROWS order, whatever the order named
+    assert started == ["oracle"] * len(scale.ORACLE_SHAPES) + ["cli_process"] * len(scale.PROCESS_SHAPES)
+    assert set(out) & set(scale.ROWS) == {"oracle", "cli_process"}

@@ -33,6 +33,7 @@ from mecouple import (
 from mecouple.errors import InternalInvariant
 from mecouple.lattice import meet_values
 from mecouple.oracle import _KEY_DIGITS, DEFAULT_SIZE_CAP
+from mecouple.pairwise import _check_mass
 from mecouple.probvec import DEFAULT_TOL, Tolerances, check_sorted_total
 
 
@@ -655,6 +656,26 @@ def _reference_merge(left, right, tol):
         (vals[i], left[rows[i]][1] + right[cols[i]][1])
         for i in np.argsort(-cm.vals, kind="stable").tolist()
     ]
+
+
+def reference_check_marginals(
+    lines: Sequence[np.ndarray], vals: np.ndarray, margins: Sequence[np.ndarray],
+    tol: Tolerances = DEFAULT_TOL,
+) -> None:
+    """The k-way joint's post-condition over its gathered coordinates, as
+    k_min_entropy_coupling first ran it: exact marginals and total mass.
+
+    Cell i holds vals[i] at index lines[axis][i] of each axis. Raises
+    InternalInvariant unless each axis's per-index sums match margins[axis]
+    and the values total 1, both within eps_sum; a NaN fails either check.
+    Reference for the top-down root check, which must give the same verdict.
+    """
+    for axis, (line, margin) in enumerate(zip(lines, margins)):
+        got = np.bincount(line, weights=vals, minlength=margin.size)
+        dev = float(np.maximum.reduce(np.abs(got - margin)))
+        if not dev <= tol.eps_sum:
+            raise InternalInvariant(f"axis {axis} marginal off by {dev!r}")
+    _check_mass(vals, tol)
 
 
 def reference_node_coords(node) -> np.ndarray:

@@ -4,6 +4,8 @@
         --pool cli --pool-seed 1 --command oracle --rounds 40
     python3 tools/ab.py --base OLD/src --change src --call exact_min_entropy \\
         --shape 5 5 --count 10 --rounds 5
+    python3 tools/ab.py --base OLD/src --change src --call k_min_entropy_coupling \\
+        --shape 64 64 64 64 --grid 64 --count 10
 
 Both trees' mecouple packages are imported into this process under the
 module names mecouple_base and mecouple_change (the package uses relative
@@ -16,7 +18,10 @@ Inputs are built once, before anything is timed: either the instances of a
 bench/workloads.py pool (--pool, from the seed bench/run.py gives it, with
 --command keeping only the cli pool's instances of one command), or --count
 Dirichlet(--alpha) draws of the marginal lengths --shape from
-numpy.random.default_rng([--seed, *shape]). Each tree validates its own
+numpy.random.default_rng([--seed, *shape]). With --grid N a marginal of
+length n is drawn as multinomial(N, uniform over n) / N instead, as
+bench/workloads.py draws its exact 1/64 ties: multiples of 1/N summing to
+exactly 1, with many exact ties and zeros. Each tree validates its own
 inputs with its own make_probvec, outside the timed calls.
 
 --call is one of CALLS: the stage names of tools/scale.py's stage rows
@@ -110,9 +115,16 @@ def pool_instances(workload: str, seed: int, command: str | None) -> list:
     return [(list(inst), None) for inst in pool]  # a pair, or kway's k marginals
 
 
-def drawn_instances(seed: int, shape: list[int], count: int, alpha: float) -> list:
+def drawn_instances(seed: int, shape: list[int], count: int, alpha: float,
+                    grid: int | None = None) -> list:
     rng = np.random.default_rng([seed, *shape])
-    return [([rng.dirichlet(np.full(n, alpha)) for n in shape], None) for _ in range(count)]
+
+    def draw(n: int) -> np.ndarray:
+        if grid is None:
+            return rng.dirichlet(np.full(n, alpha))
+        return rng.multinomial(grid, np.full(n, 1.0 / n)) / grid
+
+    return [([draw(n) for n in shape], None) for _ in range(count)]
 
 
 def prepare(tree: SimpleNamespace, call: str, inst, command: str):
@@ -244,17 +256,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="drawn inputs: the marginals' lengths")
     parser.add_argument("--count", type=int, default=20, help="drawn inputs: instances")
     parser.add_argument("--alpha", type=float, default=1.0, help="drawn inputs: Dirichlet alpha")
+    parser.add_argument("--grid", type=int, metavar="N",
+                        help="drawn inputs: multiples of 1/N, multinomial(N) / N, not Dirichlet")
     parser.add_argument("--seed", type=int, default=0, help="drawn inputs and the call order")
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.grid is not None and args.grid < 1:
+        parser.error("--grid must be at least 1")
     if args.pool is not None:
         instances = pool_instances(args.pool, args.pool_seed, args.command)
         inputs = {"pool": args.pool, "pool_seed": args.pool_seed, "command": args.command}
     else:
-        instances = drawn_instances(args.seed, args.shape, args.count, args.alpha)
-        inputs = {"shape": args.shape, "count": args.count, "alpha": args.alpha, "seed": args.seed}
+        instances = drawn_instances(args.seed, args.shape, args.count, args.alpha, args.grid)
+        inputs = {"shape": args.shape, "count": args.count, "seed": args.seed,
+                  **({"alpha": args.alpha} if args.grid is None else {"grid": args.grid})}
     if not instances:
         parser.error("no instances")
     base = load_tree(args.base, "mecouple_base")

@@ -2,9 +2,12 @@
 
     python3 tools/scale.py                  # this checkout's src/
     python3 tools/scale.py --src OTHER/src  # another tree, for a before/after pair
+    python3 tools/scale.py --rows kway oracle  # only these kinds of row (see ROWS)
 
 Every row runs in a fresh Python process that imports mecouple from --src;
-the processes run one after another, and each draws its inputs from
+--rows keeps only the rows of the kinds it names (the keys of ROWS; an
+unknown kind exits 2 before any process starts). The processes run one
+after another, and each draws its inputs from
 numpy.random.default_rng([SEED, size]) before anything is timed. A row
 repeats its timed round until it has run at least REPEATS rounds and
 BUDGET_S seconds: the seconds-long rows run REPEATS rounds, while a
@@ -423,6 +426,8 @@ def child(src: str, kind: str, size) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(DEFAULT_SRC), help="directory holding the mecouple package")
+    parser.add_argument("--rows", nargs="+", metavar="KIND", choices=list(ROWS), default=list(ROWS),
+                        help=f"run only these kinds of row, of {', '.join(ROWS)} (default: all)")
     parser.add_argument("--child", nargs=2, metavar=("KIND", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -430,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     runs: dict[str, list[dict]] = {}
     for kind, (_, sizes) in ROWS.items():
+        if kind not in args.rows:
+            continue
         runs[kind] = []
         for size in sizes:
             for hugepage in ("0", "default") if (kind, size) in HUGEPAGE_BOTH_ROWS else ("0",):
