@@ -48,15 +48,16 @@
    eps, cells are tried row-major over them, a move retires the column
    where c < r and the row otherwise, each -v log2 v term and h + sub sum
    is the reference's, and the first strictly better move is kept. States
-   are memoised by key: one id per residual, 0 where it rounds to zero at
-   digits decimals, otherwise one per distinct rounded value, the rounding
-   done by printing and reading back, as Python's round does. It writes the
+   are memoised by key, one word per residual: 0 where it rounds to zero at
+   digits decimals (-0.0 too), otherwise the bits of the rounded value, the
+   rounding done by printing and reading back, as Python's round does, so
+   two keys are equal exactly when the reference's tuples are. It writes the
    optimum to *opt and replays the stored first moves from res, which it
    consumes, into the zeroed n x m matrix mat. The replay can reach a key
    the search never stored only if two states of one memo class lead apart
    (the reference raises KeyError there); oracle() returns UNSOLVED_STATE.
    Every buffer is sized from n + m on the heap: the per-depth keys and
-   line lists take 28 (n + m)^2 bytes.
+   line lists take 32 (n + m)^2 bytes.
 
    A negative return is an error code, which _native.py raises from its
    ERRORS table: the offending value goes to bad[0] (fill) or the piece's
@@ -266,17 +267,17 @@ typedef struct {
     double v, h;
 } Line;
 
-/* A slot of an IdMap: a double's bits and an id + 1, 0 where empty. */
+/* A slot of a WordMap: a residual's bits and its key word + 1, 0 where
+   empty; strtod never reads back the one pattern, all ones, that wraps. */
 typedef struct {
-    uint64_t bits;
-    uint32_t id;
-} IdSlot;
+    uint64_t bits, word;
+} WordSlot;
 
 /* Open addressing over mask + 1 slots, doubled at half load. */
 typedef struct {
-    IdSlot *slots;
+    WordSlot *slots;
     int64_t mask, len;
-} IdMap;
+} WordMap;
 
 /* A memo entry: its key's hash, the optimal completion, and its first move
    i * m + j (-1 for none). */
@@ -290,11 +291,11 @@ typedef struct {
     int64_t n, m, width, err;
     double eps;
     int digits;
-    IdMap by_value, by_rounded;
-    uint32_t *keys;      /* the key of the state at depth d at keys + d * width */
+    WordMap by_value;
+    uint64_t *keys;      /* the key of the state at depth d at keys + d * width */
     Line *lines;         /* its rows, then its columns, at lines + d * width */
     Entry *entries;      /* the memo: len of room entries, entry e's key at */
-    uint32_t *memo_keys; /* memo_keys + e * width; its slot holds e + 1 */
+    uint64_t *memo_keys; /* memo_keys + e * width; its slot holds e + 1 */
     int64_t *slots, mask, len, room;
 } Search;
 
@@ -304,29 +305,29 @@ static int64_t fib(uint64_t x, int64_t mask)
 }
 
 /* the slot of bits in map, which holds it or is empty */
-static IdSlot *id_slot(const IdMap *map, uint64_t bits)
+static WordSlot *word_slot(const WordMap *map, uint64_t bits)
 {
     int64_t at = fib(bits, map->mask);
-    while (map->slots[at].id && map->slots[at].bits != bits)
+    while (map->slots[at].word && map->slots[at].bits != bits)
         at = (at + 1) & map->mask;
     return map->slots + at;
 }
 
-/* bits -> id into map; 0, or NO_MEMORY */
-static int64_t id_put(IdMap *map, uint64_t bits, uint32_t id)
+/* bits -> word into map; 0, or NO_MEMORY */
+static int64_t word_put(WordMap *map, uint64_t bits, uint64_t word)
 {
     if (2 * (map->len + 1) > map->mask + 1) {
-        IdMap grown = {calloc(2 * (size_t)(map->mask + 1), sizeof(IdSlot)), 2 * map->mask + 1,
-                       map->len};
+        WordMap grown = {calloc(2 * (size_t)(map->mask + 1), sizeof(WordSlot)),
+                         2 * map->mask + 1, map->len};
         if (!grown.slots)
             return NO_MEMORY;
         for (int64_t at = 0; at <= map->mask; at++)
-            if (map->slots[at].id)
-                *id_slot(&grown, map->slots[at].bits) = map->slots[at];
+            if (map->slots[at].word)
+                *word_slot(&grown, map->slots[at].bits) = map->slots[at];
         free(map->slots);
         *map = grown;
     }
-    *id_slot(map, bits) = (IdSlot){bits, id + 1};
+    *word_slot(map, bits) = (WordSlot){bits, word + 1};
     map->len++;
     return 0;
 }
@@ -349,36 +350,29 @@ static int64_t rounded(double x, int digits, double *r)
     return 0;
 }
 
-/* The id of residual x: 0 where x rounds to zero (-0.0 too), else one id
-   per distinct rounded value, from 1 up. Each distinct x is rounded once.
-   Sets s->err when out of memory. */
-static uint32_t id_of(Search *s, double x)
+/* The key word of residual x: 0 where x rounds to zero (-0.0 too), else
+   the bits of the rounded value, equal exactly where the values are. Each
+   distinct x is rounded once. Sets s->err when out of memory. */
+static uint64_t word_of(Search *s, double x)
 {
-    uint64_t bits;
+    uint64_t bits, word = 0;
     memcpy(&bits, &x, sizeof bits);
-    IdSlot *known = id_slot(&s->by_value, bits);
-    if (known->id)
-        return known->id - 1;
+    WordSlot *known = word_slot(&s->by_value, bits);
+    if (known->word)
+        return known->word - 1;
     double r;
-    uint32_t id = 0;
     if (rounded(x, s->digits, &r) < 0) {
         s->err = NO_MEMORY;
         return 0;
     }
-    if (r != 0.0) {
-        uint64_t rbits;
-        memcpy(&rbits, &r, sizeof rbits);
-        IdSlot *class = id_slot(&s->by_rounded, rbits);
-        id = class->id ? class->id - 1 : (uint32_t)s->by_rounded.len + 1;
-        if (!class->id && id_put(&s->by_rounded, rbits, id) < 0)
-            s->err = NO_MEMORY;
-    }
-    if (id_put(&s->by_value, bits, id) < 0)
+    if (r != 0.0)
+        memcpy(&word, &r, sizeof word);
+    if (word_put(&s->by_value, bits, word) < 0)
         s->err = NO_MEMORY;
-    return id;
+    return word;
 }
 
-static uint64_t hash_key(const uint32_t *key, int64_t width)
+static uint64_t hash_key(const uint64_t *key, int64_t width)
 {
     uint64_t h = 0xCBF29CE484222325u;
     for (int64_t x = 0; x < width; x++)
@@ -388,7 +382,7 @@ static uint64_t hash_key(const uint32_t *key, int64_t width)
 
 /* the slot of the key hashing to h in the memo, which holds its entry or is
    empty */
-static int64_t *memo_slot(const Search *s, const uint32_t *key, uint64_t h)
+static int64_t *memo_slot(const Search *s, const uint64_t *key, uint64_t h)
 {
     int64_t at = fib(h, s->mask), e;
     size_t size = (size_t)s->width * sizeof *key;
@@ -399,7 +393,7 @@ static int64_t *memo_slot(const Search *s, const uint32_t *key, uint64_t h)
 }
 
 /* the memo's entry for key, or NULL */
-static const Entry *memo_find(const Search *s, const uint32_t *key)
+static const Entry *memo_find(const Search *s, const uint64_t *key)
 {
     int64_t e = *memo_slot(s, key, hash_key(key, s->width));
     return e ? s->entries + e - 1 : NULL;
@@ -407,14 +401,14 @@ static const Entry *memo_find(const Search *s, const uint32_t *key)
 
 /* key's entry into the memo, its arrays doubled when full and its slots at
    half load; sets s->err when out of memory */
-static void memo_add(Search *s, const uint32_t *key, double best, int64_t choice)
+static void memo_add(Search *s, const uint64_t *key, double best, int64_t choice)
 {
     int64_t w = s->width;
     if (s->len == s->room) {
         Entry *entries = realloc(s->entries, 2 * (size_t)s->room * sizeof *entries);
         if (entries)
             s->entries = entries;
-        uint32_t *keys = entries ? realloc(s->memo_keys, 2 * (size_t)(s->room * w) * sizeof *keys)
+        uint64_t *keys = entries ? realloc(s->memo_keys, 2 * (size_t)(s->room * w) * sizeof *keys)
                                  : NULL;
         if (!keys) {
             s->err = NO_MEMORY;
@@ -463,7 +457,7 @@ static int64_t cut(Line *to, const Line *from, int64_t count, int64_t pos, doubl
 static double solve(Search *s, int64_t d, int64_t nr, int64_t nc)
 {
     int64_t w = s->width, choice = -1;
-    uint32_t *key = s->keys + d * w, *child = key + w;
+    uint64_t *key = s->keys + d * w, *child = key + w;
     Line *rows = s->lines + d * w, *cols = rows + nr, *next = rows + w;
     double eps = s->eps, best = INFINITY;
     memcpy(child, key, (size_t)w * sizeof *key);
@@ -480,8 +474,8 @@ static double solve(Search *s, int64_t d, int64_t nr, int64_t nc)
                         : nr == 1 || (left <= eps && nc == 1)) {
                 h = term + 0.0; /* the fill is done; + 0.0 turns -0.0 into 0.0 */
             } else {
-                child[r.line] = col_out ? id_of(s, left) : 0;
-                child[c.line] = col_out ? 0 : id_of(s, left);
+                child[r.line] = col_out ? word_of(s, left) : 0;
+                child[c.line] = col_out ? 0 : word_of(s, left);
                 const Entry *hit = memo_find(s, child);
                 double sub;
                 if (hit) {
@@ -523,8 +517,7 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     *opt = 0.0;
     if (!n || !m) /* nothing to search or replay */
         return 0;
-    s->by_value = (IdMap){calloc(16, sizeof(IdSlot)), 15, 0};
-    s->by_rounded = (IdMap){calloc(16, sizeof(IdSlot)), 15, 0};
+    s->by_value = (WordMap){calloc(16, sizeof(WordSlot)), 15, 0};
     s->keys = calloc((size_t)w * (size_t)w, sizeof *s->keys);
     s->lines = calloc((size_t)w * (size_t)w, sizeof *s->lines);
     s->room = 64;
@@ -532,8 +525,7 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     s->entries = calloc((size_t)s->room, sizeof *s->entries);
     s->memo_keys = calloc((size_t)(s->room * w), sizeof *s->memo_keys);
     s->slots = calloc((size_t)s->mask + 1, sizeof *s->slots);
-    if (!(s->by_value.slots && s->by_rounded.slots && s->keys && s->lines && s->entries &&
-          s->memo_keys && s->slots))
+    if (!(s->by_value.slots && s->keys && s->lines && s->entries && s->memo_keys && s->slots))
         return NO_MEMORY;
     for (int64_t x = 0; x < w; x++)
         if (res[x] > eps)
@@ -541,7 +533,7 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     memmove(s->lines + nr, s->lines + n, (size_t)nc * sizeof *s->lines);
     if (nr && nc) {
         for (int64_t x = 0; x < w; x++)
-            s->keys[x] = id_of(s, res[x]);
+            s->keys[x] = word_of(s, res[x]);
         if (!s->err)
             *opt = solve(s, 0, nr, nc);
         if (s->err)
@@ -550,7 +542,7 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     /* replay the stored choices to materialize one optimal fill */
     while (any_above(res, n, eps) && any_above(res + n, m, eps)) {
         for (int64_t x = 0; x < w; x++)
-            s->keys[x] = id_of(s, res[x]);
+            s->keys[x] = word_of(s, res[x]);
         if (s->err)
             return s->err;
         const Entry *e = memo_find(s, s->keys);
@@ -571,7 +563,6 @@ int64_t oracle(double *res, int64_t n, int64_t m, double eps, int64_t digits, do
     Search s = {.n = n, .m = m, .width = n + m, .eps = eps, .digits = (int)digits};
     int64_t code = search(&s, res, mat, opt);
     free(s.by_value.slots);
-    free(s.by_rounded.slots);
     free(s.keys);
     free(s.lines);
     free(s.entries);

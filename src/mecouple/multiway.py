@@ -35,6 +35,7 @@ from .errors import AxisOutOfRange, InternalInvariant, TooFewMarginals
 from .pairwise import _Derived, _check_mass, _scatter, min_entropy_coupling
 from .probvec import (
     DEFAULT_TOL,
+    STABLE_MAX,
     ProbVec,
     Tolerances,
     _check_entry,
@@ -43,7 +44,6 @@ from .probvec import (
 )
 
 DENSE_CELL_CAP = 10**6
-STABLE_MAX = 128  # up to this many pieces a stable sort costs what a default one and a tie check do
 
 
 @dataclass(frozen=True, eq=False)

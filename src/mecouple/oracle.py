@@ -10,10 +10,10 @@ over all greedy fills therefore gives the true optimum.
 
 The search runs in compiled C, _fill.c's oracle(), through _native.oracle.
 It memoises states by their residual marginals rounded to _KEY_DIGITS
-decimals: each distinct residual gets an id once per call, 0 where it
-rounds to zero, otherwise one per distinct rounded value (printed with
-_KEY_DIGITS decimals and read back, which is Python's round), and a state's
-key is the array of its n + m ids. The memo and every buffer are sized from
+decimals, as the reference does: a state's key is one word per residual,
+the bits of its rounded value (printed with _KEY_DIGITS decimals and read
+back, which is Python's round, once per distinct residual), or 0 where it
+rounds to zero, -0.0 included. The memo and every buffer are sized from
 n + m on the heap and freed when the call returns. A call holds its thread
 in C until it returns, so Ctrl-C waits for it (about 20 ms at the default
 cap). tests/util.py's reference_exact_min_entropy is the search written in

@@ -60,6 +60,7 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+STABLE_MAX = 128  # up to this many values a stable sort costs what a default one and a tie check do
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +140,11 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
     is the caller's bug to fix. Arrays, lists and tuples are read in place;
     other iterables are collected first.
 
-    The sort is numpy's default argsort, which is not stable, and the perm is
-    then unique wherever the values are distinct. Only when two sorted values
-    are equal are the runs of equal values put back in ascending original
-    index, by sorting the keys run * n + index.
+    Up to STABLE_MAX components the sort is numpy's stable argsort. Above,
+    it is the default argsort, which is not stable, and the perm is then
+    unique wherever the values are distinct; only when two sorted values are
+    equal are the runs of equal values put back in ascending original index,
+    by sorting the keys run * n + index.
     """
     arr = _float_array(raw)
     if arr.ndim != 1:
@@ -158,22 +160,24 @@ def make_probvec(raw: Sequence[float] | Iterable[float], tol: Tolerances = DEFAU
             i = int(bad[0])
             raise NegativeMass(f"component {i} is {arr[i]!r}, below -eps_zero")
         arr = np.where(neg, 0.0, arr)
-    order = (-arr).argsort()
+    small = arr.size <= STABLE_MAX
+    order = (-arr).argsort(kind="stable" if small else None)
     values = arr[order]
-    step = values[1:] != values[:-1]
-    if np.count_nonzero(step) != step.size:
-        # run r of equal values has keys in [r * n, (r + 1) * n), below
-        # n**2 < 2**63 in int64 whatever intp's width, so one sort of the
-        # keys orders each run by index; add.accumulate is step.cumsum()
-        # without its method's call overhead
-        n = arr.size
-        run = np.zeros(n, np.int64)
-        np.add.accumulate(step, dtype=np.int64, out=run[1:])
-        run *= n
-        key = run + order
-        key.sort()
-        order = np.subtract(key, run, out=key).astype(np.intp, copy=False)
-        values = arr[order]  # again: a -0.0 in a run of zeros moves with its index
+    if not small:
+        step = values[1:] != values[:-1]
+        if np.count_nonzero(step) != step.size:
+            # run r of equal values has keys in [r * n, (r + 1) * n), below
+            # n**2 < 2**63 in int64 whatever intp's width, so one sort of the
+            # keys orders each run by index; add.accumulate is step.cumsum()
+            # without its method's call overhead
+            n = arr.size
+            run = np.zeros(n, np.int64)
+            np.add.accumulate(step, dtype=np.int64, out=run[1:])
+            run *= n
+            key = run + order
+            key.sort()
+            order = np.subtract(key, run, out=key).astype(np.intp, copy=False)
+            values = arr[order]  # again: a -0.0 in a run of zeros moves with its index
     _check_total(values, tol)  # of the array returned, as check_sorted_total sums it
     # values: a fresh gather of finite entries clamped at 0; order: a perm of range(n)
     p = ProbVec._adopt(values, order)

@@ -206,6 +206,26 @@ class TestReference:
                         for c in cuts)
                 assert_matches_reference(p, q)
 
+    def test_marginals_with_negative_zero_components(self):
+        # make_probvec keeps an input -0.0, so these searches start from -0.0
+        # residuals, whose key word is that of 0.0, as round(-0.0, 12) ==
+        # 0.0 in the reference's tuples; the same pairs with 0.0 in their
+        # place give the same bytes
+        rng = np.random.default_rng(70)
+        support = rng.dirichlet(np.ones(3))
+        pairs = (
+            ([0.5, -0.0, 0.3, 0.2], [0.6, -0.0, 0.4]),
+            ([-0.0, 0.25, 0.75], [0.125, -0.0, 0.375, -0.0, 0.5]),
+            ([support[0], -0.0, support[1], -0.0, support[2]], rng.dirichlet(np.ones(3))),
+        )
+        for raw_p, raw_q in pairs:
+            p, q = make_probvec(raw_p), make_probvec(raw_q)
+            assert np.signbit(p.values).any()
+            opt, vc = assert_matches_reference(p, q)
+            plus = exact_min_entropy(*(make_probvec(np.abs(raw)) for raw in (raw_p, raw_q)))
+            assert struct.pack("<d", plus[0]) == struct.pack("<d", opt)
+            assert plus[1].matrix.tobytes() == vc.matrix.tobytes()
+
     def test_instances_above_the_default_cap(self):
         # n + m = 11 under a raised cap: every key holds 11 ids; thin shapes
         # keep the reference fast

@@ -27,7 +27,7 @@ from mecouple import (
     min_entropy_coupling,
     pad_to,
 )
-from mecouple.probvec import DEFAULT_TOL
+from mecouple.probvec import DEFAULT_TOL, STABLE_MAX
 from util import (
     BadPartition,
     aggregate,
@@ -315,6 +315,51 @@ class TestValidatedOnce:
         assert len(checks) == 1
         dataclasses.replace(p, values=p.values[::-1])
         assert len(checks) == 2
+
+
+class TestSmallVectorSort:
+    # make_probvec's order is argsort(kind="stable")'s: up to STABLE_MAX
+    # components it sorts stably at once; above, it sorts with the default
+    # argsort and puts tied runs back in index order by run keys
+
+    @pytest.mark.parametrize("n", [STABLE_MAX - 1, STABLE_MAX, STABLE_MAX + 1])
+    @pytest.mark.parametrize("kind", ["ties64", "uniform", "zeros"])
+    def test_either_side_of_the_bound_sorts_as_a_stable_sort(self, kind, n):
+        for seed in range(4):
+            raw = raw_vector(kind, n, np.random.default_rng([23, n, seed]))
+            assert_sorted_as_stable_sort(raw, make_probvec(raw))
+
+    def sort_kinds(self, monkeypatch, raw: np.ndarray) -> list:
+        """The kind of every argsort make_probvec runs on its negated input."""
+        kinds = []
+
+        class Key(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                kinds.append(kwargs.get("kind"))
+                return self.view(np.ndarray).argsort(*args, **kwargs)
+
+        class Raw(np.ndarray):
+            def __neg__(self):
+                return np.negative(self.view(np.ndarray)).view(Key)
+
+            def __getitem__(self, item):
+                return self.view(np.ndarray)[item]
+
+        real = mecouple.probvec._float_array
+        monkeypatch.setattr(mecouple.probvec, "_float_array", lambda raw: real(raw).view(Raw))
+        v = make_probvec(raw)
+        monkeypatch.undo()
+        assert_sorted_as_stable_sort(raw, v)
+        return kinds
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "ties64", "uniform"])
+    def test_one_stable_sort_up_to_the_bound_and_a_default_one_above(self, monkeypatch, kind):
+        for n in (1, 36, STABLE_MAX):
+            raw = raw_vector(kind, n, np.random.default_rng([24, n]))
+            assert self.sort_kinds(monkeypatch, raw) == ["stable"]
+        for n in (STABLE_MAX + 1, 2048):
+            raw = raw_vector(kind, n, np.random.default_rng([24, n]))
+            assert self.sort_kinds(monkeypatch, raw) == [None]
 
 
 class TestPadTo:

@@ -34,7 +34,9 @@ message). The instances cycle through KINDS:
   reference draws are (Dirichlet(1) and Dirichlet(0.1), multiples of 1/64
   and 1/8, uniform vectors, point masses and pairs a few ulps from equal,
   n + m <= 8), pairs on multiples of 1/8192 and 2**-20 (residuals on and
-  next to the ties of rounding to 12 decimals), and a side of length 0.
+  next to the ties of rounding to 12 decimals), Dirichlet(1) supports
+  padded by -0.0 components, which make_probvec keeps (residuals whose key
+  word is 0), and a side of length 0.
 
 A sanitizer report aborts the child (-fno-sanitize-recover=all); the tool
 then exits 1 with the child's stderr. Otherwise one JSON object goes to
@@ -149,7 +151,7 @@ def _oracle_pair(np, mc, rng, nth: int):
     n = int(rng.integers(1, 7))
     sizes = (n, int(rng.integers(1, 9 - n)))
     draw = ("dirichlet1", "dirichlet0.1", "multiples", "uniform", "point", "near_half",
-            "ties", "empty")[nth % 8]
+            "ties", "negative_zero", "empty")[nth % 9]
     if draw == "empty":
         empty, other = mc.ProbVec([], []), mc.make_probvec(rng.dirichlet(np.ones(sizes[0])))
         return (empty, other) if rng.random() < 0.5 else (other, empty)
@@ -165,6 +167,10 @@ def _oracle_pair(np, mc, rng, nth: int):
             v = np.diff(np.r_[0, np.sort(rng.integers(0, den + 1, size=k - 1)), den]) / den
         elif draw == "uniform":
             v = np.full(k, 1.0 / k)
+        elif draw == "negative_zero":
+            v = np.full(k, -0.0)
+            support = rng.permutation(k)[:int(rng.integers(1, max(2, k)))]
+            v[support] = rng.dirichlet(np.ones(support.size))
         else:
             v = np.eye(k)[rng.integers(k)]
         out.append(mc.make_probvec(v))

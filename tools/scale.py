@@ -12,7 +12,9 @@ numpy.random.default_rng([SEED, size]) before anything is timed. A row
 repeats its timed round until it has run at least REPEATS rounds and
 BUDGET_S seconds: the seconds-long rows run REPEATS rounds, while a
 millisecond row's best and median rest on hundreds of calls, not three.
-Each row reports its round count under "rounds".
+Each row reports its round count under "rounds". A timed call's result is
+freed after its time is taken, so neither the next call's time nor its
+peak includes that result.
 
 - pairwise, n in PAIR_NS: two Dirichlet(1) vectors of length n. Each round
   times the two make_probvec calls on the raw arrays, then
@@ -25,9 +27,10 @@ Each row reports its round count under "rounds".
   length n, each timed with its own rounds: Dirichlet(1); shuffled 1/64
   ties, each component one of 64 levels k = 1..64 drawn uniformly and
   scaled by the levels' sum, so about n/64 exact ties per level; and the
-  uniform vector, one run of n ties. The sort orders ties by original
-  index only when the sorted vector has equal neighbours, so the row
-  reports their count beside each kind's times.
+  uniform vector, one run of n ties. Up to STABLE_MAX components
+  make_probvec sorts stably at once (n = 64 takes that path); above, it
+  orders ties by original index only when the sorted vector has equal
+  neighbours, so the row reports their count beside each kind's times.
 - stages, n in STAGE_NS: the pairwise path taken apart, on two Dirichlet(1)
   vectors of length n. Each of STAGES is timed on its own, with its own
   rounds, on inputs built outside the timed region: make_probvec of a raw
@@ -116,7 +119,7 @@ from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
-PROBVEC_NS = (2048, 1_000_000)
+PROBVEC_NS = (64, 2048, 1_000_000)
 STAGE_NS = (36, 1_000_000)
 STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "prepare", "fill", "check",
           "entropy_bits", "glb", "bounds", "min_entropy_coupling")
@@ -182,8 +185,9 @@ def _timed(call) -> dict:
     times = []
     for _ in _rounds():
         start = time.perf_counter()
-        call()
+        out = call()
         times.append(time.perf_counter() - start)
+        del out  # freed untimed, and before the next call
     return {"rounds": len(times), "best_s": min(times), "median_s": statistics.median(times)}
 
 
@@ -260,14 +264,7 @@ def stage_row(mc, np, n: int) -> dict:
 def kway_row(mc, np, k: int) -> dict:
     rng = np.random.default_rng([SEED, k])
     ps = [mc.make_probvec(row) for row in rng.dirichlet(np.ones(KWAY_N), size=k)]
-    times = []
-    for _ in _rounds():
-        start = time.perf_counter()
-        joint = mc.k_min_entropy_coupling(ps)
-        times.append(time.perf_counter() - start)
-        # values.size, not len(joint.entries), which would build the tuples
-        entries = joint.values.size
-        del joint  # so the next call's peak does not include this result
+    timed = _timed(lambda: mc.k_min_entropy_coupling(ps))
     # read before tracing, whose bookkeeping of every allocation would inflate it
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     tracemalloc.start()
@@ -277,10 +274,9 @@ def kway_row(mc, np, k: int) -> dict:
     return {
         "k": k,
         "n": KWAY_N,
-        "rounds": len(times),
-        "best_s": min(times),
-        "median_s": statistics.median(times),
-        "entries": entries,
+        **timed,
+        # values.size, not len(joint.entries), which would build the tuples
+        "entries": joint.values.size,
         "coords_mb": joint.coords.nbytes / 2**20,
         "traced_peak_mb": traced_peak / 2**20,
         "peak_rss_mb": peak_rss_mb,
@@ -303,26 +299,19 @@ def cli_row(mc, np, n: int, command: str = "couple") -> dict:
 
     rng = np.random.default_rng([SEED, n])
     argv = [command, *(json.dumps(v.tolist()) for v in rng.dirichlet(np.ones(n), size=2))]
-    times = []
-    with open(os.devnull, "w") as sink:
-        for _ in _rounds():
-            with contextlib.redirect_stdout(sink):
-                start = time.perf_counter()
-                code = mecouple.cli.main(argv)
-                sink.flush()
-                times.append(time.perf_counter() - start)
-            if code != 0:
-                raise RuntimeError(f"mecouple {command} exited {code} at n = {n}")
+
+    def call():
+        code = mecouple.cli.main(argv)
+        sink.flush()
+        if code != 0:
+            raise RuntimeError(f"mecouple {command} exited {code} at n = {n}")
+
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        timed = _timed(call)
     counter = _ByteCount()  # JSON output is ASCII, so characters are bytes
     with contextlib.redirect_stdout(counter):
         mecouple.cli.main(argv)
-    return {
-        "n": n,
-        "rounds": len(times),
-        "best_s": min(times),
-        "median_s": statistics.median(times),
-        "output_bytes": counter.count,
-    }
+    return {"n": n, **timed, "output_bytes": counter.count}
 
 
 def cli_stage_row(mc, np, n: int) -> dict:
@@ -357,17 +346,12 @@ def _oracle_pair(np, shape):
 def oracle_row(mc, np, shape) -> dict:
     n, m = shape
     p, q = (mc.make_probvec(v) for v in _oracle_pair(np, shape))
-    times = []
-    for _ in _rounds():
-        start = time.perf_counter()
-        opt, vc = mc.exact_min_entropy(p, q)
-        times.append(time.perf_counter() - start)
+    timed = _timed(lambda: mc.exact_min_entropy(p, q))
+    opt, vc = mc.exact_min_entropy(p, q)
     return {
         "n": n,
         "m": m,
-        "rounds": len(times),
-        "best_s": min(times),
-        "median_s": statistics.median(times),
+        **timed,
         "opt_entropy": opt,
         "support_size": vc.support_size,
     }
