@@ -2,10 +2,14 @@
    search of mecouple.oracle.exact_min_entropy.
 
    _native.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
-   and alone calls it, through one ctypes wrapper per entry point: meet(),
-   prepare(), fill(), check() and oracle(); a coupling calls prepare(),
-   fill() and check(). -ffp-contract=off keeps GCC from fusing a + b*c into
-   one FMA, which rounds once where the written expression rounds twice.
+   and Python.h's include path into the CPython extension module
+   mecouple._fill, and alone calls it, through one wrapper per entry point:
+   meet(), prepare(), fill(), check() and oracle(); a coupling calls
+   prepare(), fill() and check(). The module's functions, at the end of this
+   file, take numpy arrays through the buffer protocol and refuse a wrong
+   argument before the stage runs; the stages are static, and only
+   PyInit__fill is exported. -ffp-contract=off keeps GCC from fusing a + b*c
+   into one FMA, which rounds once where the written expression rounds twice.
    Every sum runs in the order of the numpy expression or the test
    reference it replaced, so the floats are theirs bit for bit.
 
@@ -61,11 +65,16 @@
 
    A negative return is an error code, which _native.py raises from its
    ERRORS table: the offending value goes to bad[0] (fill) or the piece's
-   index to out[2] (check), the 0-based component to bad[1]. fill() refuses
+   index to out[2] (check), the 0-based component to bad[1], and the module
+   hands them back as Python numbers beside the code. fill() refuses
    boundaries that do not fall strictly from idx[0] = n + 1 to idx[k] = 1
    with k >= 1 before it reads the segment they cut wrongly. A
    buffer may be empty: none of its elements is then read or written. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -115,7 +124,7 @@ static int64_t segments(const double *a, const double *b, int64_t n, double eps,
 /* First differences of the smaller prefix sum, sequential sums as cumsum's,
    the minimum as np.minimum's (a NaN wins); a difference in [-eps, 0) reads
    0.0, and one below -eps is refused. */
-int64_t meet(const double *a, const double *b, int64_t n, double eps, double *z)
+static int64_t meet(const double *a, const double *b, int64_t n, double eps, double *z)
 {
     double sa = 0.0, sb = 0.0, prev = 0.0;
     int64_t m = 0;
@@ -136,16 +145,17 @@ int64_t meet(const double *a, const double *b, int64_t n, double eps, double *z)
     return m;
 }
 
-int64_t prepare(const double *a, const double *b, int64_t n, double eps, double *z,
-                int64_t *idx, int64_t *info)
+static int64_t prepare(const double *a, const double *b, int64_t n, double eps, double *z,
+                       int64_t *idx, int64_t *info)
 {
     info[0] = segments(a, b, n, eps, idx, info + 1);
     return info[0] ? meet(a, b, n, eps, z) : 0;
 }
 
-int64_t fill(const double *a, const double *b, const double *z, int64_t n, const int64_t *idx,
-             int64_t k, double eps, double eps_sum, int swapped, int64_t m, int64_t *rows,
-             int64_t *cols, double *vals, int64_t *fifo, double *bad)
+static int64_t fill(const double *a, const double *b, const double *z, int64_t n,
+                    const int64_t *idx, int64_t k, double eps, double eps_sum, int swapped,
+                    int64_t m, int64_t *rows, int64_t *cols, double *vals, int64_t *fifo,
+                    double *bad)
 {
     int64_t *frows = fifo, *fcols = fifo + m, d = 2 * m, r = 0, w = 0;
     double *fvals = (double *)(fifo + 2 * m);
@@ -222,8 +232,9 @@ static double worse(double dev, double got, double want)
     return (d > dev || d != d) ? d : dev;
 }
 
-int64_t check(const int64_t *rows, const int64_t *cols, const double *vals, int64_t count,
-              const double *a, const double *b, int64_t n, double eps, double *out)
+static int64_t check(const int64_t *rows, const int64_t *cols, const double *vals,
+                     int64_t count, const double *a, const double *b, int64_t n, double eps,
+                     double *out)
 {
     for (int64_t i = 0; i < count; i++) {
         out[2] = (double)i;
@@ -557,10 +568,10 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     return 0;
 }
 
-int64_t oracle(double *res, int64_t n, int64_t m, double eps, int64_t digits, double *mat,
-               double *opt)
+static int64_t oracle(double *res, int64_t n, int64_t m, double eps, int digits, double *mat,
+                      double *opt)
 {
-    Search s = {.n = n, .m = m, .width = n + m, .eps = eps, .digits = (int)digits};
+    Search s = {.n = n, .m = m, .width = n + m, .eps = eps, .digits = digits};
     int64_t code = search(&s, res, mat, opt);
     free(s.by_value.slots);
     free(s.keys);
@@ -569,4 +580,243 @@ int64_t oracle(double *res, int64_t n, int64_t m, double eps, int64_t digits, do
     free(s.memo_keys);
     free(s.slots);
     return code;
+}
+
+/* -- the module ----------------------------------------------------------- */
+
+/* The arguments of one call: the arrays taken so far, released together, and
+   whether one argument was refused, which skips the ones after it. */
+typedef struct {
+    const char *fn;
+    Py_buffer views[8]; /* fill() takes the most arrays, eight */
+    int held, failed;
+    Py_ssize_t len; /* the item count of the array last taken */
+} Call;
+
+static int arity(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", fn, want, nargs);
+    return -1;
+}
+
+/* arg as a C-contiguous array of 8-byte items, float64 for kind 'd' and 'D',
+   int64 for 'i' and 'I', writable for the capitals: its address, or NULL
+   with c->failed and TypeError or ValueError set. An input (lower case)
+   holds need items, an output at least need; need < 0 takes any length. */
+static void *take(Call *c, PyObject *arg, const char *name, char kind, Py_ssize_t need)
+{
+    if (c->failed)
+        return NULL;
+    Py_buffer *view = c->views + c->held;
+    int writable = kind == 'D' || kind == 'I', real = kind == 'd' || kind == 'D';
+    c->failed = 1;
+    if (PyObject_GetBuffer(arg, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT |
+                                          (writable ? PyBUF_WRITABLE : 0)) < 0) {
+        PyErr_Clear();
+    } else {
+        c->held++;
+        const char *f = view->format ? view->format : "B";
+        f += *f == '@' || *f == '=';
+        if (view->itemsize == 8 && f[0] && !f[1] && strchr(real ? "d" : "lq", f[0])) {
+            c->len = view->len / 8;
+            if (need < 0 || c->len == need || (writable && c->len > need)) {
+                c->failed = 0;
+                return view->buf;
+            }
+            PyErr_Format(PyExc_ValueError, "%s(): %s has %zd items, %s %zd", c->fn, name,
+                         c->len, writable ? "fewer than" : "not", need);
+            return NULL;
+        }
+    }
+    PyErr_Format(PyExc_TypeError, "%s(): %s must be a C-contiguous%s %s array", c->fn, name,
+                 writable ? " writable" : "", real ? "float64" : "int64");
+    return NULL;
+}
+
+/* arg as a double; TypeError where it is not a real number */
+static double number(Call *c, PyObject *arg, const char *name)
+{
+    if (c->failed)
+        return 0.0;
+    double x = PyFloat_AsDouble(arg);
+    if (x == -1.0 && PyErr_Occurred()) {
+        c->failed = 1;
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s(): %s must be a real number", c->fn, name);
+        }
+    }
+    return x;
+}
+
+/* arg as an integer in lo..hi; TypeError where it is not an integer,
+   ValueError outside */
+static int64_t integer(Call *c, PyObject *arg, const char *name, int64_t lo, int64_t hi)
+{
+    if (c->failed)
+        return 0;
+    int overflow;
+    long long x = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    c->failed = 1;
+    if (x == -1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s(): %s must be an integer", c->fn, name);
+        }
+    } else if (overflow || x < lo || x > hi) {
+        PyErr_Format(PyExc_ValueError, "%s(): %s = %R lies outside %lld..%lld", c->fn, name,
+                     arg, (long long)lo, (long long)hi);
+    } else {
+        c->failed = 0;
+    }
+    return c->failed ? 0 : x;
+}
+
+/* result, the arrays released */
+static PyObject *finish(Call *c, PyObject *result)
+{
+    while (c->held)
+        PyBuffer_Release(c->views + --c->held);
+    return result;
+}
+
+/* Each entry point takes its stage's arguments in order, less the lengths
+   its arrays give (n, and k, count or the oracle's m), refuses them all
+   before the stage runs, and runs the stage without the interpreter lock.
+   It returns the stage's return, with the stage's scalar out-parameters
+   after it in a tuple. */
+
+/* meet(a, b, eps, z) -> m */
+static PyObject *py_meet(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Call c = {.fn = "meet"};
+    if (arity(c.fn, nargs, 4) < 0)
+        return NULL;
+    const double *a = take(&c, args[0], "a", 'd', -1);
+    int64_t n = c.len, m;
+    const double *b = take(&c, args[1], "b", 'd', n);
+    double eps = number(&c, args[2], "eps"), *z = take(&c, args[3], "z", 'D', n);
+    if (c.failed)
+        return finish(&c, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    m = meet(a, b, n, eps, z);
+    Py_END_ALLOW_THREADS
+    return finish(&c, PyLong_FromLongLong(m));
+}
+
+/* prepare(a, b, eps, z, idx) -> (m, k, swapped) */
+static PyObject *py_prepare(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Call c = {.fn = "prepare"};
+    if (arity(c.fn, nargs, 5) < 0)
+        return NULL;
+    const double *a = take(&c, args[0], "a", 'd', -1);
+    int64_t n = c.len, m, info[2];
+    const double *b = take(&c, args[1], "b", 'd', n);
+    double eps = number(&c, args[2], "eps"), *z = take(&c, args[3], "z", 'D', n);
+    int64_t *idx = take(&c, args[4], "idx", 'I', n + 2);
+    if (c.failed)
+        return finish(&c, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    m = prepare(a, b, n, eps, z, idx, info);
+    Py_END_ALLOW_THREADS
+    return finish(&c, Py_BuildValue("(LLL)", (long long)m, (long long)info[0],
+                                    (long long)info[1]));
+}
+
+/* fill(a, b, z, idx, eps, eps_sum, swapped, m, rows, cols, vals, fifo)
+   -> (count, bad value, its 0-based component); m lies in 0..n */
+static PyObject *py_fill(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Call c = {.fn = "fill"};
+    if (arity(c.fn, nargs, 12) < 0)
+        return NULL;
+    const double *a = take(&c, args[0], "a", 'd', -1);
+    int64_t n = c.len, count;
+    const double *b = take(&c, args[1], "b", 'd', n), *z = take(&c, args[2], "z", 'd', n);
+    const int64_t *idx = take(&c, args[3], "idx", 'i', -1);
+    int64_t k = c.len - 1;
+    double eps = number(&c, args[4], "eps"), eps_sum = number(&c, args[5], "eps_sum");
+    int swapped = (int)integer(&c, args[6], "swapped", 0, 1);
+    int64_t m = integer(&c, args[7], "m", 0, n);
+    int64_t *rows = take(&c, args[8], "rows", 'I', 2 * m);
+    int64_t *cols = take(&c, args[9], "cols", 'I', 2 * m);
+    double *vals = take(&c, args[10], "vals", 'D', 2 * m);
+    int64_t *fifo = take(&c, args[11], "fifo", 'I', 3 * m);
+    double bad[2] = {0.0, 0.0};
+    if (c.failed)
+        return finish(&c, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    count = fill(a, b, z, n, idx, k, eps, eps_sum, swapped, m, rows, cols, vals, fifo, bad);
+    Py_END_ALLOW_THREADS
+    return finish(&c, Py_BuildValue("(LdL)", (long long)count, bad[0], (long long)bad[1]));
+}
+
+/* check(rows, cols, vals, a, b, eps) -> (nnz, row deviation, column
+   deviation, the index of the piece refused) */
+static PyObject *py_check(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Call c = {.fn = "check"};
+    if (arity(c.fn, nargs, 6) < 0)
+        return NULL;
+    const double *vals = take(&c, args[2], "vals", 'd', -1);
+    int64_t count = c.len, nnz;
+    const int64_t *rows = take(&c, args[0], "rows", 'i', count);
+    const int64_t *cols = take(&c, args[1], "cols", 'i', count);
+    const double *a = take(&c, args[3], "a", 'd', -1);
+    int64_t n = c.len;
+    const double *b = take(&c, args[4], "b", 'd', n);
+    double eps = number(&c, args[5], "eps"), out[3] = {0.0, 0.0, 0.0};
+    if (c.failed)
+        return finish(&c, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    nnz = check(rows, cols, vals, count, a, b, n, eps, out);
+    Py_END_ALLOW_THREADS
+    return finish(&c, Py_BuildValue("(LddL)", (long long)nnz, out[0], out[1], (long long)out[2]));
+}
+
+/* oracle(res, n, eps, digits, mat) -> (code, optimum): the first n of res
+   are the rows' marginal, the rest the columns' */
+static PyObject *py_oracle(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Call c = {.fn = "oracle"};
+    if (arity(c.fn, nargs, 5) < 0)
+        return NULL;
+    double *res = take(&c, args[0], "res", 'D', -1);
+    int64_t n = integer(&c, args[1], "n", 0, c.len), m = c.len - n, code;
+    double eps = number(&c, args[2], "eps");
+    int digits = (int)integer(&c, args[3], "digits", 0, INT_MAX);
+    double *mat = take(&c, args[4], "mat", 'D', n * m), opt = 0.0;
+    if (c.failed)
+        return finish(&c, NULL);
+    Py_BEGIN_ALLOW_THREADS
+    code = oracle(res, n, m, eps, digits, mat, &opt);
+    Py_END_ALLOW_THREADS
+    return finish(&c, Py_BuildValue("(Ld)", (long long)code, opt));
+}
+
+#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef entry_points[] = {
+    ENTRY(meet, "meet(a, b, eps, z) -> m"),
+    ENTRY(prepare, "prepare(a, b, eps, z, idx) -> (m, k, swapped)"),
+    ENTRY(fill, "fill(a, b, z, idx, eps, eps_sum, swapped, m, rows, cols, vals, fifo)"
+                " -> (count, bad value, bad component)"),
+    ENTRY(check, "check(rows, cols, vals, a, b, eps) -> (nnz, row dev, column dev, piece)"),
+    ENTRY(oracle, "oracle(res, n, eps, digits, mat) -> (code, optimum)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "mecouple._fill",
+    .m_size = -1,
+    .m_methods = entry_points,
+};
+
+PyMODINIT_FUNC PyInit__fill(void)
+{
+    return PyModule_Create(&module);
 }

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,24 +180,23 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    at = _native.addresses(p.values, q.values)
-    _, idx, swapped, _ = _native.prepare(at, p.n, tol.eps_zero)
+    _, idx, swapped, _ = _native.prepare(p.values, q.values, tol.eps_zero)
     return InversionPoints(tuple(idx.tolist()), bool(swapped))
 
 
 def _check_pieces(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, a: np.ndarray, b: np.ndarray,
-    tol: Tolerances, at: Sequence[int] | None = None,
+    tol: Tolerances,
 ) -> int:
     """Post-condition of min_entropy_coupling: _native.check, the total, the support.
 
     Raises InternalInvariant, in this order, for the first piece outside the
     n x n square or out of row-major order (or written twice), an axis off a
     or b or a total off 1 beyond eps_sum (a NaN fails both), and more than
-    2n pieces. Returns nnz, the count of values above eps_zero; at as in
-    _native.fill. tests/util.py's reference_check_pieces is its numpy form.
+    2n pieces. Returns nnz, the count of values above eps_zero.
+    tests/util.py's reference_check_pieces is its numpy form.
     """
-    nnz, devs = _native.check(rows, cols, vals, a, b, tol.eps_zero, at)
+    nnz, devs = _native.check(rows, cols, vals, a, b, tol.eps_zero)
     for axis in (0, 1):
         if not devs[axis] <= tol.eps_sum:
             raise InternalInvariant(f"axis {axis} marginal off by {devs[axis]!r}")
@@ -235,8 +234,7 @@ def min_entropy_coupling(
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
-    at = a.ctypes.data, b.ctypes.data
-    z, idx, swapped, m = _native.prepare(at, n, tol.eps_zero)
+    z, idx, swapped, m = _native.prepare(a, b, tol.eps_zero)
     if z is None:
         # componentwise-equal marginals couple on the diagonal, in lines where
         # both are positive: a mass at or below eps_zero opposite a zero stays
@@ -244,8 +242,8 @@ def min_entropy_coupling(
         rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
         vals = a[rows]
     else:
-        rows, cols, vals = _native.fill(a, b, z, idx, tol, swapped, m, at)
-    nnz = _check_pieces(rows, cols, vals, a, b, tol, at)
+        rows, cols, vals = _native.fill(a, b, z, idx, tol, swapped, m)
+    nnz = _check_pieces(rows, cols, vals, a, b, tol)
     for arr in (rows, cols, vals):
         arr.flags.writeable = False
     return CouplingMatrix(

@@ -1,8 +1,10 @@
-"""_native._load_fill compiles _fill.c into the package's __pycache__ on the
-first import and only loads it after that. Each test imports a copy of src/
-in a fresh process, so this checkout's own cache is never touched.
+"""_native._load_fill compiles _fill.c into a CPython extension module in the
+package's __pycache__ on the first import and only loads it after that.
+Each test imports a copy of src/ in a fresh process, so this checkout's own
+cache is never touched.
 """
 
+import ctypes
 import os
 import shlex
 import shutil
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+INCLUDE = sysconfig.get_paths()["include"]
 PROBE = (
     "import mecouple as mc; "
     "print(mc.min_entropy_coupling(mc.make_probvec([0.5, 0.5]), mc.make_probvec([0.6, 0.4])).nnz)"
@@ -39,9 +43,10 @@ def test_a_cold_import_builds_the_library_once(package):
     done = import_in_a_fresh_process(package)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "3\n"
-    # one library under its key, and no temporary file left beside it
+    # one build under its key, tied to this interpreter's ABI by its suffix,
+    # and no temporary file left beside it
     [library] = cached(package)
-    assert library.name.startswith("_fill.") and library.suffix == ".so"
+    assert library.name.startswith("_fill.") and library.name.endswith(EXT_SUFFIX)
 
 
 def test_a_warm_import_loads_the_cached_library_without_a_compiler(package):
@@ -83,7 +88,7 @@ def test_no_compiler_raises_import_error_naming_the_command(package):
     assert done.returncode != 0
     compiler = shlex.join(shlex.split(sysconfig.get_config_var("CC") or "cc"))
     assert "ImportError: mecouple needs a C compiler" in done.stderr
-    assert f"`{compiler} -O2 -ffp-contract=off -fPIC -shared -o " in done.stderr
+    assert f"`{compiler} -O2 -ffp-contract=off -fPIC -shared -I{INCLUDE} -o " in done.stderr
     assert cached(package) == []
 
 
@@ -93,7 +98,7 @@ def test_the_source_compiles_without_warnings(tmp_path):
     from mecouple._native import _CFLAGS
 
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    cmd = [*compiler, *_CFLAGS, "-Wall", "-Wextra", "-Werror",
+    cmd = [*compiler, *_CFLAGS, "-Wall", "-Wextra", "-Werror", f"-I{INCLUDE}",
            "-o", str(tmp_path / "_fill.so"), str(SRC / "mecouple" / "_fill.c")]
     done = subprocess.run(cmd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -101,10 +106,14 @@ def test_the_source_compiles_without_warnings(tmp_path):
 
 def test_the_library_exports_the_wrapped_entry_points_only():
     # segments() is a static helper of prepare(), reached through it alone,
-    # and solve() one of oracle()
+    # and solve() one of oracle(); the stages are static too, so the shared
+    # object exports the module's init function and none of them
     from mecouple import _native
 
-    for helper in ("segments", "solve"):
+    names = {name for name in vars(_native.LIB) if not name.startswith("__")}
+    assert names == {"meet", "prepare", "fill", "check", "oracle"}
+    shared = ctypes.CDLL(_native.LIB.__file__)
+    assert hasattr(shared, "PyInit__fill")
+    for symbol in (*names, "segments", "solve"):
         with pytest.raises(AttributeError):
-            getattr(_native.LIB, helper)
-    assert set(_native.SIGNATURES) == {"meet", "prepare", "fill", "check", "oracle"}
+            getattr(shared, symbol)

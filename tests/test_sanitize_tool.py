@@ -35,9 +35,9 @@ def test_a_write_past_a_buffer_is_reported(tmp_path):
     # writes past them, which the production build would not notice
     library = sanitize.build(SRC, str(tmp_path))
     script = (
-        "import ctypes, numpy as np, mecouple as mc\n"
+        "import numpy as np, mecouple as mc\n"
         "from mecouple import _native, lattice\n"
-        f"_native.LIB = _native.declare(ctypes.CDLL({library!r}))\n"
+        f"_native.LIB = _native.load({library!r})\n"
         "p, q = (mc.make_probvec(v) for v in np.random.default_rng(0).dirichlet(np.ones(50), 2))\n"
         "ip, a, b = mc.inversion_points(p, q), p.values, q.values\n"
         "z = lattice.meet_values(a, b, 1e-12)\n"

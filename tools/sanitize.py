@@ -9,8 +9,8 @@ at the end. A child Python then runs with LD_PRELOAD set to the compiler's
 libasan (`CC -print-file-name=libasan.so`, which must come first among the
 process's libraries) and ASAN_OPTIONS=detect_leaks=0 (the interpreter
 keeps objects alive to its exit by design). The child imports mecouple
-from --src with its production build, and declares the sanitized build's
-entry points as mecouple._native declares the production ones.
+from --src with its production build, and loads the sanitized build, an
+extension module as the production one, with mecouple._native.load.
 
 Each of --calls instances is drawn from numpy.random.default_rng([SEED, i])
 and run twice, once with mecouple._native.LIB as imported and once with it
@@ -79,9 +79,10 @@ def libasan() -> str | None:
 
 
 def build(src: Path, out_dir: str) -> str:
-    """_fill.c under src built with SANITIZE_FLAGS into out_dir; the library's path."""
+    """_fill.c under src built with SANITIZE_FLAGS into out_dir; the extension module's path."""
     out = os.path.join(out_dir, "_fill_sanitized.so")
-    cmd = [*compiler(), *SANITIZE_FLAGS, "-o", out, str(src / "mecouple" / "_fill.c")]
+    cmd = [*compiler(), *SANITIZE_FLAGS, f"-I{sysconfig.get_paths()['include']}", "-o", out,
+           str(src / "mecouple" / "_fill.c")]
     subprocess.run(cmd, check=True, capture_output=True, text=True)
     return out
 
@@ -99,7 +100,7 @@ def sanitized_env(src: Path) -> dict:
 
 
 class Counting:
-    """A library whose entry points count their calls."""
+    """A module whose entry points count their calls."""
 
     def __init__(self, lib) -> None:
         self.lib, self.calls = lib, Counter()
@@ -251,15 +252,13 @@ def _encode(np, mc, thunk) -> bytes:
 
 
 def child(library: str, calls: int) -> dict:
-    import ctypes
-
     import numpy as np
 
     import mecouple as mc
     from mecouple import _native
 
     production = _native.LIB
-    sanitized = Counting(_native.declare(ctypes.CDLL(library)))
+    sanitized = Counting(_native.load(library))
     differing = []
     for i in range(calls):
         kind = KINDS[i % len(KINDS)]

@@ -36,13 +36,15 @@ peak includes that result.
   rounds, on inputs built outside the timed region: make_probvec of a raw
   vector; ProbVec(values, perm) over a validated vector's arrays;
   check_sorted_total; the coupling's three compiled calls, by their
-  wrappers in _native, each on the output of the one before: prepare
+  wrappers in _native, each on the arrays of the one before: prepare
   (orientation, segments and the meet), fill (the greedy kernel, which
   writes the pieces row-major) and check (the index, order and axis checks
   on those pieces); entropy_bits of the coupling's pieces; glb; bounds;
   and the whole min_entropy_coupling, the stage to compare across kernel
-  signatures. glb, bounds and the coupling take make_probvec's results, as
-  a caller's pairwise call does. stage_call builds one stage's call for
+  signatures: while _fill.c was called through ctypes, the wrappers took
+  addresses, not arrays, so across that change compare min_entropy_coupling
+  or glb. glb, bounds and the coupling take make_probvec's results, as a
+  caller's pairwise call does. stage_call builds one stage's call for
   any tree; tools/ab.py times it across two trees. A stage is called in a
   loop, and the allocator hands each round the buffers the round before
   freed, so the first-touch page faults of a large stage's buffers show
@@ -233,19 +235,16 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
         return functools.partial(getattr(mc, stage), p, q, tol)
     if stage == "entropy_bits":
         return functools.partial(mc.entropy_bits, mc.min_entropy_coupling(p, q, tol).vals)
-    # the three compiled calls of one coupling, each on the output of the one
-    # before; prepare takes the addresses that the coupling takes once, and
-    # holds a and b, so that they stay alive
+    # the three compiled calls of one coupling, each on the output of the one before
     native = importlib.import_module(f"{mc.__name__}._native")
     if stage == "prepare":
-        return lambda: native.prepare((a.ctypes.data, b.ctypes.data), n, eps)
-    at = a.ctypes.data, b.ctypes.data
-    z, idx, swapped, m = native.prepare(at, n, eps)
+        return functools.partial(native.prepare, a, b, eps)
+    z, idx, swapped, m = native.prepare(a, b, eps)
     if stage == "fill":
-        return functools.partial(native.fill, a, b, z, idx, tol, swapped, m, at)
+        return functools.partial(native.fill, a, b, z, idx, tol, swapped, m)
     if stage == "check":
-        pieces = native.fill(a, b, z, idx, tol, swapped, m, at)
-        return functools.partial(native.check, *pieces, a, b, eps, at)
+        pieces = native.fill(a, b, z, idx, tol, swapped, m)
+        return functools.partial(native.check, *pieces, a, b, eps)
     raise ValueError(f"no stage {stage!r}")
 
 
