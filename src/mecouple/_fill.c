@@ -4,77 +4,77 @@
    _native.py compiles this file with -O2 -ffp-contract=off -fPIC -shared
    and Python.h's include path into the CPython extension module
    mecouple._fill, and alone calls it, through one wrapper per entry point:
-   meet(), prepare(), fill(), check() and oracle(); a coupling calls
-   prepare(), fill() and check(). The module's functions, at the end of this
-   file, take numpy arrays through the buffer protocol and refuse a wrong
-   argument before the stage runs; the stages are static, and only
-   PyInit__fill is exported. -ffp-contract=off keeps GCC from fusing a + b*c
-   into one FMA, which rounds once where the written expression rounds twice.
-   Every sum runs in the order of the numpy expression or the test
-   reference it replaced, so the floats are theirs bit for bit.
+   meet(), segments(), couple(), check() and oracle(); a coupling calls
+   couple() and check(). The module's functions, at the end of this file,
+   take numpy arrays through the buffer protocol, read every length from
+   them, and refuse a wrong argument before the stage runs; the stages are
+   static, and only PyInit__fill is exported. -ffp-contract=off keeps GCC
+   from fusing a + b*c into one FMA, which rounds once where the written
+   expression rounds twice. Every sum runs in the order of the numpy
+   expression or the test reference it replaced, so the floats are theirs
+   bit for bit.
 
-   prepare() orients the pair and cuts it into segments (segments(), its
-   static helper), then writes the meet z = a ∧ b (meet()) and returns m,
-   the number of z_j > 0. It writes k and swapped to info; k = 0 means no
-   component differs by more than eps, and then z is not written and idx
-   holds (n + 1, 1).
+   couple() builds a pair's pieces in one call: segments() orients and cuts
+   the pair; where no component differs by more than eps (k = 0), the
+   pieces are the cells (j, j) holding a_j wherever a_j > 0 and b_j > 0;
+   otherwise meet() writes z = a ∧ b, counting m, the z_j > 0, and fill()
+   runs. Its buffers are sized from n (2n per output; idx n + 2, z n, the
+   FIFO 3n), so no count crosses the module's boundary.
 
    fill() is the greedy kernel on the caller's pair (a, b), swapped set
    where b holds the last differing component; idx holds the segment
    boundaries (1-based). z_j in segment s gives at most one diagonal part,
    on (j, j), and at most one push, a remainder carried to a lower line:
    side = (s odd) != swapped reads b_j and pushes to (j, line), !side reads
-   a_j and pushes to (line, j). Only the components z_j > 0, m at most,
-   give pieces: the buffers rows, cols and vals hold 2m cells, the FIFO 3m
-   values (frows, fcols, fvals). The diagonal parts fill the buffers
-   downward from slot 2m - 1, so, as j falls, their keys row * n + col
-   ascend from d. A push writes the value and its own line at w, a pop or
-   flush the receiving line at r: [0, r) is placed, [r, w) still carried.
-   Receiving lines fall, so placed keys descend in push order. After the
-   leftover check, one forward merge of the diagonal run and the placed
-   remainders, newest first, writes the pieces row-major to [0, count), in
-   place: the write index is dk - d plus the remainders taken, at most
-   r <= m <= d, so it never passes dk.
+   a_j and pushes to (line, j). Only the m components z_j > 0 give pieces:
+   fill() uses 2m cells of rows, cols and vals, and 3m values of the FIFO
+   (frows, fcols, fvals). The diagonal parts fill the buffers downward from
+   slot 2m - 1, so, as j falls, their keys row * n + col ascend from d. A
+   push writes the value and its own line at w, a pop or flush the
+   receiving line at r: [0, r) is placed, [r, w) still carried. Receiving
+   lines fall, so placed keys descend in push order. After the leftover
+   check, one forward merge of the diagonal run and the placed remainders,
+   newest first, writes the pieces row-major to [0, count), in place: the
+   write index is dk - d plus the remainders taken, at most r <= m <= d, so
+   it never passes dk. Boundaries that do not fall strictly from idx[0] =
+   n + 1 to idx[k] = 1, k >= 1, which segments() never writes, are refused.
 
-   check() is the post-condition. It shares no code or state with fill()
+   check() is the post-condition. It shares no code or state with couple()
    and sees only the pieces handed to it (count cells, whoever wrote them)
-   and the marginals a and b: not z, the segments or the FIFO. It refuses
-   an index outside [0, n) and a key row * n + col that does not strictly
-   ascend, piece by piece. It then sums each axis in piece order, as
-   np.bincount does, and writes each axis's worst deviation from a or b
-   (NaN if any is NaN, as np.maximum.reduce) to out[0] and out[1]. It
-   returns the number of values above eps. The total and the support size
-   are pairwise.py's.
+   and the marginals a and b. It refuses an index outside [0, n) and a key
+   row * n + col that does not strictly ascend, piece by piece, then sums
+   each axis in piece order, as np.bincount does, and writes each axis's
+   worst deviation from a or b (NaN if any is NaN, as np.maximum.reduce) to
+   out[0] and out[1]. It returns the number of values above eps; the total
+   and the support size are pairwise.py's.
 
-   oracle() is the exact search over every greedy fill of the marginals
-   res[0..n) (rows) and res[n..n + m) (columns), as tests/util.py's
-   reference_exact_min_entropy runs it: the active lines are those above
-   eps, cells are tried row-major over them, a move retires the column
-   where c < r and the row otherwise, each -v log2 v term and h + sub sum
-   is the reference's, and the first strictly better move is kept. States
-   are memoised by key, one word per residual: 0 where it rounds to zero at
-   digits decimals (-0.0 too), otherwise the bits of the rounded value, the
-   rounding done by printing and reading back, as Python's round does, so
-   two keys are equal exactly when the reference's tuples are. It writes the
-   optimum to *opt and replays the stored first moves from res, which it
-   consumes, into the zeroed n x m matrix mat. The replay can reach a key
-   the search never stored only if two states of one memo class lead apart
-   (the reference raises KeyError there); oracle() returns UNSOLVED_STATE.
-   Every buffer is sized from n + m on the heap: the per-depth keys and
-   line lists take 32 (n + m)^2 bytes.
+   oracle() is the exact search over every greedy fill of the marginals p
+   (rows) and q (columns), as tests/util.py's reference_exact_min_entropy
+   runs it: the active lines are those above eps, cells are tried row-major
+   over them, a move retires the column where c < r and the row otherwise,
+   each -v log2 v term and h + sub sum is the reference's, and the first
+   strictly better move is kept. States are memoised by key, one word per
+   residual: 0 where it rounds to zero at KEY_DIGITS decimals (-0.0 too),
+   otherwise the bits of the rounded value, the rounding done by printing
+   and reading back, as Python's round does, so two keys are equal exactly
+   when the reference's tuples are. It writes the optimum to *opt and
+   replays the stored first moves from a copy of p and q, into the zeroed
+   n x m matrix mat. The replay can reach a key the search never stored
+   only if two states of one memo class lead apart (the reference raises
+   KeyError there); oracle() returns UNSOLVED_STATE. Every buffer, the
+   residuals' copy too, is sized from n + m on the heap: the per-depth keys
+   and line lists take 32 (n + m)^2 bytes.
 
    A negative return is an error code, which _native.py raises from its
-   ERRORS table: the offending value goes to bad[0] (fill) or the piece's
-   index to out[2] (check), the 0-based component to bad[1], and the module
-   hands them back as Python numbers beside the code. fill() refuses
-   boundaries that do not fall strictly from idx[0] = n + 1 to idx[k] = 1
-   with k >= 1 before it reads the segment they cut wrongly. A
-   buffer may be empty: none of its elements is then read or written. */
+   ERRORS table: the offending value goes to bad[0] (couple) or the piece's
+   index to out[2] (check), the 0-based component to bad[1], handed back as
+   Python numbers beside the code. An empty buffer is never read or
+   written. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include <limits.h>
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -89,6 +89,8 @@
 #define OUT_OF_ORDER (-6)
 #define NO_MEMORY (-7)
 #define UNSOLVED_STATE (-8)
+
+#define KEY_DIGITS 12 /* the oracle's memo keys round residuals to this many decimals */
 
 /* The boundaries n + 1 = idx[0] > ... > idx[k] = 1: reading the suffix sums
    d of a - b downward from a virtual non-negative sign above n, a segment
@@ -145,15 +147,8 @@ static int64_t meet(const double *a, const double *b, int64_t n, double eps, dou
     return m;
 }
 
-static int64_t prepare(const double *a, const double *b, int64_t n, double eps, double *z,
-                       int64_t *idx, int64_t *info)
-{
-    info[0] = segments(a, b, n, eps, idx, info + 1);
-    return info[0] ? meet(a, b, n, eps, z) : 0;
-}
-
 static int64_t fill(const double *a, const double *b, const double *z, int64_t n,
-                    const int64_t *idx, int64_t k, double eps, double eps_sum, int swapped,
+                    const int64_t *idx, int64_t k, double eps, double eps_sum, int64_t swapped,
                     int64_t m, int64_t *rows, int64_t *cols, double *vals, int64_t *fifo,
                     double *bad)
 {
@@ -222,6 +217,26 @@ static int64_t fill(const double *a, const double *b, const double *z, int64_t n
             vals[count] = fvals[rk--];
         }
     }
+    return count;
+}
+
+static int64_t couple(const double *a, const double *b, int64_t n, double eps, double eps_sum,
+                      int64_t *rows, int64_t *cols, double *vals, int64_t *idx, double *z,
+                      int64_t *fifo, double *bad)
+{
+    int64_t swapped, count = 0, k = segments(a, b, n, eps, idx, &swapped);
+    if (k) {
+        int64_t m = meet(a, b, n, eps, z);
+        return m < 0 ? m : fill(a, b, z, n, idx, k, eps, eps_sum, swapped, m, rows, cols, vals,
+                                fifo, bad);
+    }
+    /* equal within eps: a mass at or below eps opposite a zero stays out of
+       that zero's line */
+    for (int64_t j = 0; j < n; j++)
+        if (a[j] > 0.0 && b[j] > 0.0) {
+            rows[count] = cols[count] = j;
+            vals[count++] = a[j];
+        }
     return count;
 }
 
@@ -300,8 +315,7 @@ typedef struct {
 
 typedef struct {
     int64_t n, m, width, err;
-    double eps;
-    int digits;
+    double eps, *res;    /* the residuals, p then q, copied */
     WordMap by_value;
     uint64_t *keys;      /* the key of the state at depth d at keys + d * width */
     Line *lines;         /* its rows, then its columns, at lines + d * width */
@@ -343,22 +357,15 @@ static int64_t word_put(WordMap *map, uint64_t bits, uint64_t word)
     return 0;
 }
 
-/* x printed with digits decimals and read back into *r: Python's
-   round(x, digits), which also rounds the decimal correctly and an exact
-   tie to even; 0, or NO_MEMORY */
-static int64_t rounded(double x, int digits, double *r)
+/* x printed with KEY_DIGITS decimals and read back: Python's round(x,
+   KEY_DIGITS), which also rounds the decimal correctly and an exact tie to
+   even. text holds the longest, -DBL_MAX's 309 digits, the point, the
+   decimals and the NUL. */
+static double rounded(double x)
 {
-    char small[64], *text = small;
-    int len = snprintf(small, sizeof small, "%.*f", digits, x);
-    if (len >= (int)sizeof small) {
-        if (!(text = malloc((size_t)len + 1)))
-            return NO_MEMORY;
-        snprintf(text, (size_t)len + 1, "%.*f", digits, x);
-    }
-    *r = strtod(text, NULL);
-    if (text != small)
-        free(text);
-    return 0;
+    char text[DBL_MAX_10_EXP + KEY_DIGITS + 4];
+    snprintf(text, sizeof text, "%.*f", KEY_DIGITS, x);
+    return strtod(text, NULL);
 }
 
 /* The key word of residual x: 0 where x rounds to zero (-0.0 too), else
@@ -371,11 +378,7 @@ static uint64_t word_of(Search *s, double x)
     WordSlot *known = word_slot(&s->by_value, bits);
     if (known->word)
         return known->word - 1;
-    double r;
-    if (rounded(x, s->digits, &r) < 0) {
-        s->err = NO_MEMORY;
-        return 0;
-    }
+    double r = rounded(x);
     if (r != 0.0)
         memcpy(&word, &r, sizeof word);
     if (word_put(&s->by_value, bits, word) < 0)
@@ -521,7 +524,7 @@ static int any_above(const double *res, int64_t count, double eps)
     return 0;
 }
 
-static int64_t search(Search *s, double *res, double *mat, double *opt)
+static int64_t search(Search *s, const double *p, const double *q, double *mat, double *opt)
 {
     int64_t n = s->n, m = s->m, w = s->width, nr = 0, nc = 0;
     double eps = s->eps;
@@ -536,8 +539,12 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     s->entries = calloc((size_t)s->room, sizeof *s->entries);
     s->memo_keys = calloc((size_t)(s->room * w), sizeof *s->memo_keys);
     s->slots = calloc((size_t)s->mask + 1, sizeof *s->slots);
-    if (!(s->by_value.slots && s->keys && s->lines && s->entries && s->memo_keys && s->slots))
+    double *res = s->res = malloc((size_t)w * sizeof *res);
+    if (!(s->by_value.slots && s->keys && s->lines && s->entries && s->memo_keys && s->slots &&
+          res))
         return NO_MEMORY;
+    memcpy(res, p, (size_t)n * sizeof *res);
+    memcpy(res + n, q, (size_t)m * sizeof *res);
     for (int64_t x = 0; x < w; x++)
         if (res[x] > eps)
             s->lines[x < n ? nr++ : n + nc++] = (Line){x, res[x], -res[x] * log2(res[x])};
@@ -568,11 +575,12 @@ static int64_t search(Search *s, double *res, double *mat, double *opt)
     return 0;
 }
 
-static int64_t oracle(double *res, int64_t n, int64_t m, double eps, int digits, double *mat,
-                      double *opt)
+static int64_t oracle(const double *p, const double *q, int64_t n, int64_t m, double eps,
+                      double *mat, double *opt)
 {
-    Search s = {.n = n, .m = m, .width = n + m, .eps = eps, .digits = digits};
-    int64_t code = search(&s, res, mat, opt);
+    Search s = {.n = n, .m = m, .width = n + m, .eps = eps};
+    int64_t code = search(&s, p, q, mat, opt);
+    free(s.res);
     free(s.by_value.slots);
     free(s.keys);
     free(s.lines);
@@ -588,7 +596,7 @@ static int64_t oracle(double *res, int64_t n, int64_t m, double eps, int digits,
    whether one argument was refused, which skips the ones after it. */
 typedef struct {
     const char *fn;
-    Py_buffer views[8]; /* fill() takes the most arrays, eight */
+    Py_buffer views[8]; /* couple() takes the most arrays, eight */
     int held, failed;
     Py_ssize_t len; /* the item count of the array last taken */
 } Call;
@@ -651,29 +659,6 @@ static double number(Call *c, PyObject *arg, const char *name)
     return x;
 }
 
-/* arg as an integer in lo..hi; TypeError where it is not an integer,
-   ValueError outside */
-static int64_t integer(Call *c, PyObject *arg, const char *name, int64_t lo, int64_t hi)
-{
-    if (c->failed)
-        return 0;
-    int overflow;
-    long long x = PyLong_AsLongLongAndOverflow(arg, &overflow);
-    c->failed = 1;
-    if (x == -1 && PyErr_Occurred()) {
-        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
-            PyErr_Clear();
-            PyErr_Format(PyExc_TypeError, "%s(): %s must be an integer", c->fn, name);
-        }
-    } else if (overflow || x < lo || x > hi) {
-        PyErr_Format(PyExc_ValueError, "%s(): %s = %R lies outside %lld..%lld", c->fn, name,
-                     arg, (long long)lo, (long long)hi);
-    } else {
-        c->failed = 0;
-    }
-    return c->failed ? 0 : x;
-}
-
 /* result, the arrays released */
 static PyObject *finish(Call *c, PyObject *result)
 {
@@ -683,7 +668,7 @@ static PyObject *finish(Call *c, PyObject *result)
 }
 
 /* Each entry point takes its stage's arguments in order, less the lengths
-   its arrays give (n, and k, count or the oracle's m), refuses them all
+   its arrays give (n, count, or the oracle's n and m), refuses them all
    before the stage runs, and runs the stage without the interpreter lock.
    It returns the stage's return, with the stage's scalar out-parameters
    after it in a tuple. */
@@ -706,50 +691,46 @@ static PyObject *py_meet(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ss
     return finish(&c, PyLong_FromLongLong(m));
 }
 
-/* prepare(a, b, eps, z, idx) -> (m, k, swapped) */
-static PyObject *py_prepare(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* segments(a, b, eps, idx) -> (k, swapped) */
+static PyObject *py_segments(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Call c = {.fn = "prepare"};
-    if (arity(c.fn, nargs, 5) < 0)
+    Call c = {.fn = "segments"};
+    if (arity(c.fn, nargs, 4) < 0)
         return NULL;
     const double *a = take(&c, args[0], "a", 'd', -1);
-    int64_t n = c.len, m, info[2];
+    int64_t n = c.len, k, swapped;
     const double *b = take(&c, args[1], "b", 'd', n);
-    double eps = number(&c, args[2], "eps"), *z = take(&c, args[3], "z", 'D', n);
-    int64_t *idx = take(&c, args[4], "idx", 'I', n + 2);
+    double eps = number(&c, args[2], "eps");
+    int64_t *idx = take(&c, args[3], "idx", 'I', n + 2);
     if (c.failed)
         return finish(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    m = prepare(a, b, n, eps, z, idx, info);
+    k = segments(a, b, n, eps, idx, &swapped);
     Py_END_ALLOW_THREADS
-    return finish(&c, Py_BuildValue("(LLL)", (long long)m, (long long)info[0],
-                                    (long long)info[1]));
+    return finish(&c, Py_BuildValue("(LL)", (long long)k, (long long)swapped));
 }
 
-/* fill(a, b, z, idx, eps, eps_sum, swapped, m, rows, cols, vals, fifo)
-   -> (count, bad value, its 0-based component); m lies in 0..n */
-static PyObject *py_fill(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* couple(a, b, eps, eps_sum, rows, cols, vals, idx, z, fifo)
+   -> (count, bad value, its 0-based component) */
+static PyObject *py_couple(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Call c = {.fn = "fill"};
-    if (arity(c.fn, nargs, 12) < 0)
+    Call c = {.fn = "couple"};
+    if (arity(c.fn, nargs, 10) < 0)
         return NULL;
     const double *a = take(&c, args[0], "a", 'd', -1);
     int64_t n = c.len, count;
-    const double *b = take(&c, args[1], "b", 'd', n), *z = take(&c, args[2], "z", 'd', n);
-    const int64_t *idx = take(&c, args[3], "idx", 'i', -1);
-    int64_t k = c.len - 1;
-    double eps = number(&c, args[4], "eps"), eps_sum = number(&c, args[5], "eps_sum");
-    int swapped = (int)integer(&c, args[6], "swapped", 0, 1);
-    int64_t m = integer(&c, args[7], "m", 0, n);
-    int64_t *rows = take(&c, args[8], "rows", 'I', 2 * m);
-    int64_t *cols = take(&c, args[9], "cols", 'I', 2 * m);
-    double *vals = take(&c, args[10], "vals", 'D', 2 * m);
-    int64_t *fifo = take(&c, args[11], "fifo", 'I', 3 * m);
-    double bad[2] = {0.0, 0.0};
+    const double *b = take(&c, args[1], "b", 'd', n);
+    double eps = number(&c, args[2], "eps"), eps_sum = number(&c, args[3], "eps_sum");
+    int64_t *rows = take(&c, args[4], "rows", 'I', 2 * n);
+    int64_t *cols = take(&c, args[5], "cols", 'I', 2 * n);
+    double *vals = take(&c, args[6], "vals", 'D', 2 * n);
+    int64_t *idx = take(&c, args[7], "idx", 'I', n + 2);
+    double *z = take(&c, args[8], "z", 'D', n), bad[2] = {0.0, 0.0};
+    int64_t *fifo = take(&c, args[9], "fifo", 'I', 3 * n);
     if (c.failed)
         return finish(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    count = fill(a, b, z, n, idx, k, eps, eps_sum, swapped, m, rows, cols, vals, fifo, bad);
+    count = couple(a, b, n, eps, eps_sum, rows, cols, vals, idx, z, fifo, bad);
     Py_END_ALLOW_THREADS
     return finish(&c, Py_BuildValue("(LdL)", (long long)count, bad[0], (long long)bad[1]));
 }
@@ -777,22 +758,22 @@ static PyObject *py_check(PyObject *Py_UNUSED(self), PyObject *const *args, Py_s
     return finish(&c, Py_BuildValue("(LddL)", (long long)nnz, out[0], out[1], (long long)out[2]));
 }
 
-/* oracle(res, n, eps, digits, mat) -> (code, optimum): the first n of res
-   are the rows' marginal, the rest the columns' */
+/* oracle(p, q, eps, mat) -> (code, optimum) */
 static PyObject *py_oracle(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Call c = {.fn = "oracle"};
-    if (arity(c.fn, nargs, 5) < 0)
+    if (arity(c.fn, nargs, 4) < 0)
         return NULL;
-    double *res = take(&c, args[0], "res", 'D', -1);
-    int64_t n = integer(&c, args[1], "n", 0, c.len), m = c.len - n, code;
+    const double *p = take(&c, args[0], "p", 'd', -1);
+    int64_t n = c.len, code;
+    const double *q = take(&c, args[1], "q", 'd', -1);
+    int64_t m = c.len;
     double eps = number(&c, args[2], "eps");
-    int digits = (int)integer(&c, args[3], "digits", 0, INT_MAX);
-    double *mat = take(&c, args[4], "mat", 'D', n * m), opt = 0.0;
+    double *mat = take(&c, args[3], "mat", 'D', n * m), opt = 0.0;
     if (c.failed)
         return finish(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    code = oracle(res, n, m, eps, digits, mat, &opt);
+    code = oracle(p, q, n, m, eps, mat, &opt);
     Py_END_ALLOW_THREADS
     return finish(&c, Py_BuildValue("(Ld)", (long long)code, opt));
 }
@@ -801,11 +782,11 @@ static PyObject *py_oracle(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
 
 static PyMethodDef entry_points[] = {
     ENTRY(meet, "meet(a, b, eps, z) -> m"),
-    ENTRY(prepare, "prepare(a, b, eps, z, idx) -> (m, k, swapped)"),
-    ENTRY(fill, "fill(a, b, z, idx, eps, eps_sum, swapped, m, rows, cols, vals, fifo)"
-                " -> (count, bad value, bad component)"),
+    ENTRY(segments, "segments(a, b, eps, idx) -> (k, swapped)"),
+    ENTRY(couple, "couple(a, b, eps, eps_sum, rows, cols, vals, idx, z, fifo)"
+                  " -> (count, bad value, bad component)"),
     ENTRY(check, "check(rows, cols, vals, a, b, eps) -> (nnz, row dev, column dev, piece)"),
-    ENTRY(oracle, "oracle(res, n, eps, digits, mat) -> (code, optimum)"),
+    ENTRY(oracle, "oracle(p, q, eps, mat) -> (code, optimum)"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -818,5 +799,8 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__fill(void)
 {
-    return PyModule_Create(&module);
+    PyObject *mod = PyModule_Create(&module);
+    if (mod && PyModule_AddIntConstant(mod, "KEY_DIGITS", KEY_DIGITS) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

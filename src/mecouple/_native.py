@@ -2,18 +2,19 @@
 
 _fill.c is built on first import as the CPython extension module
 mecouple._fill, cached and loaded as LIB. Each of its five entry points is
-called by one wrapper here: meet, prepare, fill and check, the stages of a
-pairwise coupling, and oracle, the exact search of mecouple.oracle. The
-module takes numpy arrays as they are, and refuses with TypeError or
-ValueError, before its stage runs, a wrong argument count, an array that is
-not C-contiguous float64 (int64 where the stage takes indices), an input
-whose length differs from the one its stage reads, and an output that is
-read-only or shorter than the stage writes. A call releases the
-interpreter lock while its stage runs, so other threads run Python
-meanwhile; Ctrl-C is handled only after it returns. A wrapper allocates its
-outputs and raises what ERRORS gives for a negative return. The wrappers
-read LIB when called, so a build swapped in for it (tools/sanitize.py's)
-serves them all.
+called by one wrapper here: couple and check, the two calls of a pairwise
+coupling; meet (lattice's meet_values); segments (inversion_points); and
+oracle, the exact search of mecouple.oracle. The module takes numpy arrays
+as they are, reads every length from them, and refuses with TypeError or
+ValueError, before its stage runs, a wrong argument count, an array that
+is not C-contiguous float64 (int64 where the stage takes indices), an
+input whose length differs from the one its stage reads, and an output or
+scratch buffer that is read-only or shorter than the length demanded. A
+call releases the interpreter lock while its stage runs, so other threads
+run Python meanwhile; Ctrl-C is handled only after it returns. A wrapper
+allocates every buffer with np.empty and raises what ERRORS gives for a
+negative return. The wrappers read LIB when called, so a build swapped in
+for it (tools/sanitize.py's) serves them all.
 """
 
 import os
@@ -104,7 +105,7 @@ def _compile(source: str, out: str) -> None:
 ERRORS = {  # _fill.c's negative returns: the exception, its message formatted by the wrapper
     -1: (InternalInvariant, "carried remainder {value!r} for component {component} below zero"),
     -2: (InternalInvariant, "bookkeeping left {value!r} mass unplaced"),
-    -3: (InternalInvariant, "segment boundaries {idx} do not cut 1..{n}"),
+    -3: (InternalInvariant, "segment boundaries do not cut 1..{n}"),
     -4: (InternalInvariant, "meet produced a component below -eps_zero"),
     -5: (InternalInvariant, "piece {i} at {cell} lies outside 0..{last}"),
     -6: (InternalInvariant, "pieces out of row-major order, or a cell written twice"),
@@ -114,6 +115,13 @@ ERRORS = {  # _fill.c's negative returns: the exception, its message formatted b
 
 
 LIB = _load_fill()
+
+# Above SPARE components couple's outputs get SPARE cells beyond 2n, so resize() frees a
+# tail of 2 KiB or more, above the 1 KiB up to which glibc caches a freed block unmerged.
+# A tail of a few cells stayed a hole between buffers that the next coupling's could not
+# span: at n = 10**6 each coupling grew the heap, ru_maxrss 142, 180, 226, 241 MB. The
+# scratch is made largest first, so check()'s column sums reuse the FIFO's written pages.
+SPARE = 256
 
 
 def _raise(code: int, **fields) -> None:
@@ -134,34 +142,29 @@ def meet(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return z
 
 
-def prepare(
-    a: np.ndarray, b: np.ndarray, eps: float
-) -> tuple[np.ndarray | None, np.ndarray, int, int]:
-    """prepare() on the pair (a, b) of length n: the meet z, the k + 1 segment boundaries
-    idx, swapped and m, the count of z_j > 0; if no component differs beyond eps, k = 0, z
-    is None (unwritten), idx (n + 1, 1) and m 0."""
+def segments(a: np.ndarray, b: np.ndarray, eps: float) -> tuple[tuple[int, ...], bool]:
+    """segments() on the pair (a, b) of length n: the boundaries n + 1 = idx[0] > ... > idx[k]
+    = 1 and swapped; (n + 1, 1), not swapped, where no component differs beyond eps."""
+    idx = np.empty(a.size + 2, np.int64)
+    k, swapped = LIB.segments(a, b, eps, idx)
+    return tuple(idx[: (k or 1) + 1].tolist()), bool(swapped)
+
+
+def couple(a: np.ndarray, b: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """couple() on the caller's sorted pair (a, b), C-contiguous float64 arrays of length n:
+    the pieces (rows, cols, vals), 0-based cells with row sums a and column sums b,
+    row-major, less the remainders carried at the end (at most eps_sum). Every buffer is
+    sized from n; the outputs are then shrunk in place, so each owns exactly its cells."""
     n = a.size
-    z, idx = np.empty(n), np.empty(n + 2, np.int64)
-    m, k, swapped = LIB.prepare(a, b, eps, z, idx)
-    if m < 0:
-        _raise(m)
-    return z if k else None, idx[: (k or 1) + 1], swapped, m
-
-
-def fill(a, b, z, idx, tol, swapped, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy kernel: fill() on the caller's sorted pair (a, b), z, idx, swapped and m as
-    prepare gives them. Returns the pieces (rows, cols, vals), 0-based cells with row sums a
-    and column sums b, row-major, as views of three buffers of 2m cells: each z_j's diagonal
-    part and carried remainder, each only if above eps_zero, less the remainders carried at
-    the end (at most eps_sum). a, b and z are C-contiguous float64 arrays of one length.
-    """
-    rows, cols, vals = np.empty(2 * m, np.int64), np.empty(2 * m, np.int64), np.empty(2 * m)
-    fifo, idx = np.empty(3 * m, np.int64), np.asarray(idx, np.int64)
-    count, value, j = LIB.fill(a, b, z, idx, tol.eps_zero, tol.eps_sum, swapped, m,
-                               rows, cols, vals, fifo)
+    size = 2 * n + (SPARE if n > SPARE else 0)
+    rows, cols, vals = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
+    fifo, z, idx = np.empty(3 * n, np.int64), np.empty(n), np.empty(n + 2, np.int64)
+    count, value, j = LIB.couple(a, b, tol.eps_zero, tol.eps_sum, rows, cols, vals, idx, z, fifo)
     if count < 0:
-        _raise(count, value=value, component=j + 1, idx=tuple(idx.tolist()), n=a.size)
-    return rows[:count], cols[:count], vals[:count]
+        _raise(count, value=value, component=j + 1, n=n)
+    for x in (rows, cols, vals):
+        x.resize(count, refcheck=False)
+    return rows, cols, vals
 
 
 def check(rows, cols, vals, a, b, eps: float) -> tuple[int, tuple[float, float]]:
@@ -175,13 +178,13 @@ def check(rows, cols, vals, a, b, eps: float) -> tuple[int, tuple[float, float]]
     return nnz, (dev_rows, dev_cols)
 
 
-def oracle(p: np.ndarray, q: np.ndarray, eps: float, digits: int) -> tuple[float, np.ndarray]:
+def oracle(p: np.ndarray, q: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
     """oracle() on the marginals p and q: the minimum coupling entropy in bits over every
     greedy fill, with the n x m matrix its stored first moves replay to; a line at eps or
-    below is retired, and memo keys round residuals to digits decimals."""
+    below is retired, and memo keys round residuals to KEY_DIGITS decimals."""
     n, m = p.size, q.size
-    res, mat = np.concatenate((p, q), dtype=np.float64), np.zeros((n, m))
-    code, opt = LIB.oracle(res, n, eps, digits, mat)
+    mat = np.zeros((n, m))
+    code, opt = LIB.oracle(p, q, eps, mat)
     if code < 0:
         _raise(code, what=f"the search of a {n} x {m} instance", n=n, m=m)
     return opt, mat

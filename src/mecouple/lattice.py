@@ -17,7 +17,7 @@ class GlbResult:
     meet: ProbVec
 
 
-# the meet's values in one O(n) pass, the routine min_entropy_coupling's prepare runs
+# the meet's values in one O(n) pass, the routine min_entropy_coupling's couple runs
 meet_values = _native.meet
 
 

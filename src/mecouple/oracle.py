@@ -8,12 +8,13 @@ some row or column is a leaf, and its single cell carries exactly that
 minimum, so induction over all cell orders reaches every vertex.) Minimizing
 over all greedy fills therefore gives the true optimum.
 
-The search runs in compiled C, _fill.c's oracle(), through _native.oracle.
-It memoises states by their residual marginals rounded to _KEY_DIGITS
-decimals, as the reference does: a state's key is one word per residual,
-the bits of its rounded value (printed with _KEY_DIGITS decimals and read
-back, which is Python's round, once per distinct residual), or 0 where it
-rounds to zero, -0.0 included. The memo and every buffer are sized from
+The search runs in compiled C, _fill.c's oracle(), through _native.oracle,
+which hands it the marginals and eps alone. It memoises states by their
+residuals rounded to _KEY_DIGITS decimals (the compiled module's
+KEY_DIGITS), as the reference does: a state's key is one word per residual,
+the bits of its rounded value (printed and read back, which is Python's
+round, once per distinct residual), or 0 where it rounds to zero, -0.0
+included. The residuals' copy, the memo and every buffer are sized from
 n + m on the heap and freed when the call returns. A call holds its thread
 in C until it returns, so Ctrl-C waits for it (about 20 ms at the default
 cap). tests/util.py's reference_exact_min_entropy is the search written in
@@ -31,7 +32,7 @@ from .errors import InstanceTooLarge
 from .probvec import DEFAULT_TOL, ProbVec, Tolerances, entropy_bits
 
 DEFAULT_SIZE_CAP = 10
-_KEY_DIGITS = 12
+_KEY_DIGITS = _native.LIB.KEY_DIGITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +67,6 @@ def exact_min_entropy(
     """
     if p.n + q.n > cap:
         raise InstanceTooLarge(f"instance size {p.n}+{q.n} exceeds the enumeration cap {cap}")
-    opt, mat = _native.oracle(p.values, q.values, tol.eps_zero, _KEY_DIGITS)
+    opt, mat = _native.oracle(p.values, q.values, tol.eps_zero)
     mat.flags.writeable = False
     return opt, VertexCoupling(mat, int((mat > tol.eps_zero).sum()))

@@ -5,7 +5,7 @@ exceeds a at the last component in which they differ, and cuts indices
 n..1 into alternating runs ("segments"): in odd ones the suffix sums of
 the marginal larger there dominate the other's, in even ones the reverse,
 and a run ends where the sign of the suffix differences flips. The greedy
-kernel, _native.fill, then walks the segments downward over the caller's
+kernel, _fill.c's fill(), then walks the segments downward over the caller's
 pair: each component z_j of the meet z = p ∧ q becomes a part on the diagonal
 cell (j, j) plus a remainder carried toward the next index, and at a
 segment boundary the carried remainders are flushed one index further.
@@ -15,13 +15,13 @@ while H(z) itself lower-bounds every coupling's entropy. The kernel merges
 its ascending diagonal parts with its remainders as it ends, so the
 pieces leave it row-major and no sort follows.
 
-min_entropy_coupling makes three calls into _fill.c, through _native:
-prepare orients the pair, writes the segments and the meet, and counts m,
-its components z_j > 0; fill writes the pieces into buffers of 2m cells;
-check sees only those pieces and the marginals, refuses a cell outside the
-n x n square or out of row-major order, and sums each axis as np.bincount
-does. This module keeps the policy: the entry check, the padding, the
-equal-marginals shortcut and the eps_sum, total and support checks.
+min_entropy_coupling makes two calls into _fill.c, through _native:
+couple orients and cuts the pair, and writes the meet and the pieces, or,
+where the marginals are equal within eps_zero, the diagonal; check sees
+only those pieces and the marginals, refuses a cell outside the n x n
+square or out of row-major order, and sums each axis as np.bincount does.
+This module keeps the policy: the entry check, the padding and the
+eps_sum, total and support checks.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class DistanceInterval(NamedTuple):
 
 
 def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> InversionPoints:
-    """Dominance segments of a pair of equal-length distributions, by _native.prepare.
+    """Dominance segments of a pair of equal-length distributions, by _native.segments.
 
     The pair is oriented first: if the largest index where the components
     differ by more than eps_zero has p below q, the roles are exchanged and
@@ -180,8 +180,7 @@ def inversion_points(p: ProbVec, q: ProbVec, tol: Tolerances = DEFAULT_TOL) -> I
     """
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-    _, idx, swapped, _ = _native.prepare(p.values, q.values, tol.eps_zero)
-    return InversionPoints(tuple(idx.tolist()), bool(swapped))
+    return InversionPoints(*_native.segments(p.values, q.values, tol.eps_zero))
 
 
 def _check_pieces(
@@ -234,15 +233,7 @@ def min_entropy_coupling(
     n = max(p.n, q.n)
     a, row_perm = _padded(p, n)
     b, col_perm = _padded(q, n)
-    z, idx, swapped, m = _native.prepare(a, b, tol.eps_zero)
-    if z is None:
-        # componentwise-equal marginals couple on the diagonal, in lines where
-        # both are positive: a mass at or below eps_zero opposite a zero stays
-        # out of that zero's line
-        rows = cols = ((a > 0.0) & (b > 0.0)).nonzero()[0]
-        vals = a[rows]
-    else:
-        rows, cols, vals = _native.fill(a, b, z, idx, tol, swapped, m)
+    rows, cols, vals = _native.couple(a, b, tol)
     nnz = _check_pieces(rows, cols, vals, a, b, tol)
     for arr in (rows, cols, vals):
         arr.flags.writeable = False

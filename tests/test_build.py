@@ -105,15 +105,17 @@ def test_the_source_compiles_without_warnings(tmp_path):
 
 
 def test_the_library_exports_the_wrapped_entry_points_only():
-    # segments() is a static helper of prepare(), reached through it alone,
-    # and solve() one of oracle(); the stages are static too, so the shared
-    # object exports the module's init function and none of them
+    # meet(), segments() and fill() are static helpers of couple() too, and
+    # solve() one of oracle(); the stages are static, so the shared object
+    # exports the module's init function and none of them. The module holds
+    # the five entry points and one constant, the oracle's key digits.
     from mecouple import _native
 
     names = {name for name in vars(_native.LIB) if not name.startswith("__")}
-    assert names == {"meet", "prepare", "fill", "check", "oracle"}
+    assert names == {"meet", "segments", "couple", "check", "oracle", "KEY_DIGITS"}
+    assert _native.LIB.KEY_DIGITS == 12
     shared = ctypes.CDLL(_native.LIB.__file__)
     assert hasattr(shared, "PyInit__fill")
-    for symbol in (*names, "segments", "solve"):
+    for symbol in (*names - {"KEY_DIGITS"}, "fill", "solve"):
         with pytest.raises(AttributeError):
             getattr(shared, symbol)

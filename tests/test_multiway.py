@@ -267,7 +267,7 @@ class TestGuarantees:
                     # the trace comes from the reference, whose pieces the kernel matches
                     trace = {}
                     pieces = reference_couple_oriented(a, b, DEFAULT_TOL, trace)
-                    assert_same_pieces(kernel_pieces(a, b, idx), pieces)
+                    assert_same_pieces(kernel_pieces(a, b), pieces)
                     check_piece_partition(trace["meet"], trace)
 
 
@@ -627,7 +627,7 @@ class TestDistinctCells:
 
     def test_a_repeated_cell_is_refused(self, monkeypatch):
         # distinctness of the k-way cells rests on this check in every merge
-        real = mecouple._native.fill
+        real = mecouple._native.couple
 
         def doubled(*args, **kwargs):
             rows, cols, vals = real(*args, **kwargs)
@@ -638,7 +638,7 @@ class TestDistinctCells:
                 np.concatenate((half, vals[1:], half)),
             )
 
-        monkeypatch.setattr(mecouple._native, "fill", doubled)
+        monkeypatch.setattr(mecouple._native, "couple", doubled)
         p, q = make_probvec([0.6, 0.4]), make_probvec([0.5, 0.5])
         with pytest.raises(InternalInvariant, match="written twice"):
             min_entropy_coupling(p, q)

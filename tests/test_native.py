@@ -19,38 +19,30 @@ A, B = np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.4, 0.2])
 # and whether its length is demanded; None for a number.
 SIGNATURES = {
     "meet": (("a", "d", False), ("b", "d", True), ("eps", None), ("z", "D", True)),
-    "prepare": (("a", "d", False), ("b", "d", True), ("eps", None), ("z", "D", True),
-                ("idx", "I", True)),
-    "fill": (("a", "d", False), ("b", "d", True), ("z", "d", True), ("idx", "i", False),
-             ("eps", None), ("eps_sum", None), ("swapped", None), ("m", None),
-             ("rows", "I", True), ("cols", "I", True), ("vals", "D", True),
-             ("fifo", "I", True)),
+    "segments": (("a", "d", False), ("b", "d", True), ("eps", None), ("idx", "I", True)),
+    "couple": (("a", "d", False), ("b", "d", True), ("eps", None), ("eps_sum", None),
+               ("rows", "I", True), ("cols", "I", True), ("vals", "D", True),
+               ("idx", "I", True), ("z", "D", True), ("fifo", "I", True)),
     "check": (("rows", "i", True), ("cols", "i", True), ("vals", "d", False),
               ("a", "d", False), ("b", "d", True), ("eps", None)),
-    "oracle": (("res", "D", False), ("n", None), ("eps", None), ("digits", None),
-               ("mat", "D", True)),
+    "oracle": (("p", "d", False), ("q", "d", False), ("eps", None), ("mat", "D", True)),
 }
-# numbers each stage cannot take: a wrong type, or one out of range
-BAD_NUMBERS = {
-    "eps": (("nan", TypeError),), "eps_sum": ((None, TypeError),),
-    "swapped": ((2, ValueError), (0.0, TypeError)),
-    "m": ((-1, ValueError), (4, ValueError), (1.5, TypeError)),
-    "n": ((-1, ValueError), (6, ValueError)), "digits": ((-1, ValueError),),
-}
+# numbers each stage cannot take: not real numbers
+BAD_NUMBERS = {"eps": (("nan", TypeError),), "eps_sum": ((None, TypeError),)}
 
 
 def valid(entry: str) -> list:
-    """A call of entry that runs: the pair (A, B), its outputs filled with 7."""
-    z = _native.meet(A, B, EPS)
-    _, idx, swapped, m = _native.prepare(A, B, EPS)
+    """A call of entry that runs: the pair (A, B), of n = 3, its outputs and scratch filled
+    with 7, each of the length its stage demands: 2n cells per piece array for couple, and
+    n + 2 boundaries, n meet components and 3n FIFO values of scratch."""
     out, ints = (lambda k: np.full(k, 7.0)), (lambda k: np.full(k, 7, np.int64))
     return {
         "meet": lambda: [A, B, EPS, out(3)],
-        "prepare": lambda: [A, B, EPS, out(3), ints(5)],
-        "fill": lambda: [A, B, z, idx, EPS, EPS_SUM, swapped, m,
-                         ints(2 * m), ints(2 * m), out(2 * m), ints(3 * m)],
-        "check": lambda: [*_native.fill(A, B, z, idx, DEFAULT_TOL, swapped, m), A, B, EPS],
-        "oracle": lambda: [np.r_[A, 0.6, 0.4], 3, EPS, 12, out(6)],
+        "segments": lambda: [A, B, EPS, ints(5)],
+        "couple": lambda: [A, B, EPS, EPS_SUM, ints(6), ints(6), out(6), ints(5), out(3),
+                           ints(9)],
+        "check": lambda: [*_native.couple(A, B, DEFAULT_TOL), A, B, EPS],
+        "oracle": lambda: [A, np.array([0.6, 0.4]), EPS, out(6)],
     }[entry]()
 
 
@@ -111,7 +103,7 @@ def test_a_call_lets_other_threads_run_python_meanwhile():
     # matrix, so it reads zeros only if the oracle let go of the lock while
     # it searched; had the call held the lock, the watcher would run after
     # it and read the replayed matrix.
-    res, mat = np.r_[np.arange(6, 0, -1) / 21, np.arange(4, 0, -1) / 10], np.zeros((6, 4))
+    p, q, mat = np.arange(6, 0, -1) / 21, np.arange(4, 0, -1) / 10, np.zeros((6, 4))
     go, seen = threading.Event(), []
 
     def watch():
@@ -121,8 +113,58 @@ def test_a_call_lets_other_threads_run_python_meanwhile():
     watcher = threading.Thread(target=watch)
     watcher.start()
     go.set()
-    code, _ = _native.LIB.oracle(res, 6, EPS, 12, mat)
+    code, _ = _native.LIB.oracle(p, q, EPS, mat)
     watcher.join(timeout=60)
     assert not watcher.is_alive()
     assert code == 0 and mat.any()
     assert seen == [False]
+
+
+def test_the_oracle_reads_its_marginals_and_leaves_them_as_they_were():
+    # the search runs on its own copy of the residuals, so read-only
+    # marginals go in as they are and come out unchanged
+    p, q = np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])
+    for x in (p, q):
+        x.flags.writeable = False
+    mat = np.zeros((3, 2))
+    code, opt = _native.LIB.oracle(p, q, EPS, mat)
+    assert code == 0 and opt > 0.0
+    assert p.tolist() == [0.5, 0.3, 0.2] and q.tolist() == [0.6, 0.4]
+    assert np.array_equal(mat.sum(axis=1), p) and np.array_equal(mat.sum(axis=0), q)
+    assert _native.LIB.KEY_DIGITS == 12
+
+
+def test_couple_demands_its_buffers_from_n_alone():
+    # on a 50-component pair, whose meet has 50 positive components, every
+    # buffer one cell short of its demand from n is refused before the
+    # stage runs, and the buffers at their demand give the wrapper's pieces
+    rng = np.random.default_rng(0)
+    a, b = (-np.sort(-v) for v in rng.dirichlet(np.ones(50), 2))
+    n = 50
+    demands = {"rows": 2 * n, "cols": 2 * n, "vals": 2 * n, "idx": n + 2, "z": n, "fifo": 3 * n}
+    kinds = {"vals": np.float64, "z": np.float64}
+
+    def buffers(short: str = "") -> list:
+        return [np.empty(k - (name == short), kinds.get(name, np.int64))
+                for name, k in demands.items()]
+
+    for name in demands:
+        with pytest.raises(ValueError, match=rf"^couple\(\): {name} has "):
+            _native.LIB.couple(a, b, EPS, EPS_SUM, *buffers(name))
+    out = buffers()
+    count, _, _ = _native.LIB.couple(a, b, EPS, EPS_SUM, *out)
+    want = _native.couple(a, b, DEFAULT_TOL)
+    assert count == want[0].size > n
+    assert all(np.array_equal(x[:count], y) for x, y in zip(out, want))
+
+
+def test_an_empty_pair_couples_to_no_pieces():
+    # n = 0: the outputs, z and the FIFO are empty and never touched, and
+    # idx holds the two boundaries (1, 1)
+    empty = np.empty(0)
+    idx = np.full(2, 7, np.int64)
+    ints = np.empty(0, np.int64)
+    assert _native.LIB.couple(empty, empty, EPS, EPS_SUM, ints, ints, empty, idx, empty,
+                              ints) == (0, 0.0, 0)
+    assert _native.segments(empty, empty, EPS) == ((1, 1), False)
+    assert all(x.size == 0 for x in _native.couple(empty, empty, DEFAULT_TOL))

@@ -6,6 +6,7 @@ that a clean run means something.
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,21 +28,32 @@ def test_a_small_run_is_clean_and_identical(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["clean"] and out["identical"] and out["instances"] == 200
     # every compiled entry point ran under the sanitizers
-    assert set(out["entry_point_calls"]) == {"meet", "prepare", "fill", "check", "oracle"}
+    assert set(out["entry_point_calls"]) == {"meet", "segments", "couple", "check", "oracle"}
 
 
 def test_a_write_past_a_buffer_is_reported(tmp_path):
-    # fill() trusts m to size its buffers: m = 1 on a 50-component pair
-    # writes past them, which the production build would not notice
-    library = sanitize.build(SRC, str(tmp_path))
+    # every length demand of the module guards a buffer: a copy of the
+    # source whose couple() takes a rows buffer of one cell, built with the
+    # sanitizers, writes past it on a 50-component pair, which a production
+    # build would not notice
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "mecouple", copy / "mecouple",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / "mecouple" / "_fill.c"
+    text = source.read_text()
+    demand = """take(&c, args[4], "rows", 'I', 2 * n)"""
+    assert text.count(demand) == 1
+    source.write_text(text.replace(demand, demand.replace("2 * n", "1")))
+    library = sanitize.build(copy, str(tmp_path))
     script = (
         "import numpy as np, mecouple as mc\n"
-        "from mecouple import _native, lattice\n"
-        f"_native.LIB = _native.load({library!r})\n"
+        "from mecouple import _native\n"
+        f"lib = _native.load({library!r})\n"
         "p, q = (mc.make_probvec(v) for v in np.random.default_rng(0).dirichlet(np.ones(50), 2))\n"
-        "ip, a, b = mc.inversion_points(p, q), p.values, q.values\n"
-        "z = lattice.meet_values(a, b, 1e-12)\n"
-        "_native.fill(a, b, z, ip.indices, mc.DEFAULT_TOL, ip.swapped, 1)\n"
+        "a, b, n = p.values, q.values, 50\n"
+        "lib.couple(a, b, 1e-12, 1e-9, np.empty(1, np.int64), np.empty(2 * n, np.int64),\n"
+        "           np.empty(2 * n), np.empty(n + 2, np.int64), np.empty(n),\n"
+        "           np.empty(3 * n, np.int64))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=sanitize.sanitized_env(SRC),
                           capture_output=True, text=True, timeout=60)

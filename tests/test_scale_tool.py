@@ -34,9 +34,8 @@ ROWS = [
 ]
 NESTED = {
     "probvec_row": ("kinds", {"dirichlet", "ties64", "uniform"}, {"equal_neighbours"} | TIMES),
-    "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "prepare", "fill",
-                             "check", "entropy_bits", "glb", "bounds",
-                             "min_entropy_coupling"}, TIMES),
+    "stage_row": ("stages", {"make_probvec", "ProbVec", "check_sorted_total", "couple", "check",
+                             "entropy_bits", "glb", "bounds", "min_entropy_coupling"}, TIMES),
     "cli_stage_row": ("stages", {"load", "cells", "to_json", "cmd_couple", "main"}, TIMES),
 }
 
@@ -62,11 +61,11 @@ def test_a_missing_private_name_fails_only_the_stages_using_it(monkeypatch):
     # to build here are those that do not run it
     rng = np.random.default_rng(5)
     raw_p, raw_q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(5))
-    monkeypatch.delattr(mecouple._native, "fill")
-    for stage in ("fill", "check"):
-        with pytest.raises(AttributeError, match="fill"):
+    monkeypatch.delattr(mecouple._native, "couple")
+    for stage in ("couple", "check"):
+        with pytest.raises(AttributeError, match="couple"):
             scale.stage_call(mecouple, np, raw_p, raw_q, stage)
-    for stage in ("ProbVec", "prepare", "glb", "bounds"):
+    for stage in ("ProbVec", "check_sorted_total", "glb", "bounds"):
         scale.stage_call(mecouple, np, raw_p, raw_q, stage)()
 
 

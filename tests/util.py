@@ -153,11 +153,16 @@ def oriented(p: ProbVec, q: ProbVec):
     return (b, a, ip.indices) if ip.swapped else (a, b, ip.indices)
 
 
-def kernel_pieces(a, b, idx, tol: Tolerances = DEFAULT_TOL, swapped: bool = False):
-    """The greedy kernel's pieces for the caller's pair (a, b), as
-    min_entropy_coupling gets them: the meet, then the compiled fill."""
-    z = meet_values(a, b, tol.eps_zero)
-    return _native.fill(a, b, z, idx, tol, swapped, np.count_nonzero(z > 0.0))
+def kernel_pieces(a, b, tol: Tolerances = DEFAULT_TOL):
+    """The pieces of the caller's pair (a, b), as min_entropy_coupling gets them: one
+    compiled couple(), which orients and cuts the pair, then runs the meet and the greedy
+    fill, or, where no component differs beyond eps_zero, writes the diagonal."""
+    return _native.couple(a, b, tol)
+
+
+def owns_exactly(x: np.ndarray, count: int) -> bool:
+    """x owns its memory, no view of a larger buffer, and holds count cells."""
+    return x.base is None and x.flags.owndata and x.size == count
 
 
 def majorizes(a: ProbVec, b: ProbVec, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -484,7 +489,7 @@ def check_segment_strips(m: np.ndarray, idx, z, atol=1e-9):
 def scan_inversion_indices(a: np.ndarray, b: np.ndarray, eps_zero: float) -> tuple[int, ...]:
     """Segment boundaries for an oriented pair, by the scalar downward scan.
 
-    Reference for the segments _fill.c's prepare() writes (inversion_points
+    Reference for the segments _fill.c's segments() writes (inversion_points
     of the oriented pair), which must be the same tuple. Scans d = suffix sums of a - b from index n downward with maximal
     extension: an odd segment runs while d >= -eps_zero, an even one while
     d <= eps_zero, and each stop opens the next segment.
@@ -515,7 +520,7 @@ def reference_couple_oriented(
 ) -> tuple[list[int], list[int], list[float]]:
     """The pairwise greedy loop as first written: one write closure per cell.
 
-    Reference for the greedy kernel, _native.fill, which on an oriented
+    Reference for the greedy kernel, _native.couple, which on an oriented
     pair (kernel_pieces) must return the same pieces: the same cells with
     the same value bytes, in any order (compare them with
     assert_same_pieces). The trace exists only here. Returns the

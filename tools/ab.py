@@ -28,12 +28,13 @@ inputs with its own make_probvec, outside the timed calls.
 (its STAGES, each built only for the call that names it),
 k_min_entropy_coupling (over every marginal of an instance) and
 exact_min_entropy (on its first two), and cli.main (an instance's argv, or
---command and the marginals as JSON, stdout captured). The stages prepare,
-fill and check call the wrappers of the same name in mecouple._native,
-which take arrays. A tree from before those wrappers (whose coupling called
-pairwise._prepare, _fill and _check_pieces) lacks them, and in a tree that
-called _fill.c through ctypes they took addresses, so across either change
-compare --call min_entropy_coupling or glb instead.
+--command and the marginals as JSON, stdout captured). The stages couple
+and check call the wrappers of the same name in mecouple._native, which
+take arrays. A tree whose coupling called _native.prepare and fill lacks
+couple, a tree from before those wrappers (whose coupling called
+pairwise._prepare, _fill and _check_pieces) lacks them all, and in a tree
+that called _fill.c through ctypes they took addresses, so across any of
+these changes compare --call min_entropy_coupling or glb instead.
 
 Each tree first runs every instance once, untimed; those outputs are
 compared byte for byte (arrays by dtype, shape and bytes, floats by their

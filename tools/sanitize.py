@@ -27,8 +27,11 @@ message). The instances cycle through KINDS:
 - perturbed: pairwise._check_pieces on a coupling's pieces with one index
   moved outside the square, two pieces exchanged, a value made NaN or
   1e-6 moved along a row, each refused by check();
-- bad_segments: _native.fill on boundaries that do not cut 1..n, refused
-  before they are read;
+- raw: _native.couple on the pairs of RAW_PAIRS, then on raw arrays of
+  lengths 0 to 16, multiples of 1/8, unsorted, of unequal totals and, in a
+  quarter of the pairs, with one component -1/8, which no validated pair
+  is: they reach each of couple()'s error returns, NEGATIVE_REMAINDER,
+  MASS_UNPLACED and NEGATIVE_MEET;
 - oracle: exact_min_entropy on one 5 x 5 Dirichlet(1) pair (the first
   oracle instance), then, in turn, pairs drawn as tests/test_oracle.py's
   reference draws are (Dirichlet(1) and Dirichlet(0.1), multiples of 1/64
@@ -61,7 +64,10 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 SANITIZE_FLAGS = ("-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined",
                   "-fno-sanitize-recover=all", "-fPIC", "-shared")
-KINDS = ("pairwise", "kway", "perturbed", "bad_segments", "oracle")
+KINDS = ("pairwise", "kway", "perturbed", "raw", "oracle")
+# raw arrays that carry a remainder below zero, and leave 0.875 unplaced
+RAW_PAIRS = (([0.5, 0.375, 0.25, 0.625], [0.25, 0.25, 1.0, 0.125]),
+             ([0.5, 0.375, 0.125, 0.25, 0.0], [0.0, 0.0, 0.125, 0.625, 0.5]))
 SEED = 15
 CALLS = 10_000
 
@@ -230,11 +236,14 @@ def _instance(np, mc, kind: str, rng, nth: int):
             opt, vc = mc.exact_min_entropy(p, q)
             return opt, vc.matrix, vc.support_size
         return run
-    n = int(rng.integers(2, 65))
-    a = b = np.full(n, 1.0 / n)
-    bad = ((n + 2, 1), (n + 1, 0), (n + 1, n + 1, 1), (n + 1, 2, 3, 1))
-    idx = bad[rng.integers(len(bad))]
-    return lambda: _native.fill(a, b, a.copy(), idx, tol, False, n)
+    if nth < len(RAW_PAIRS):
+        a, b = (np.array(v) for v in RAW_PAIRS[nth])
+    else:
+        n = int(rng.integers(0, 17))
+        a, b = rng.integers(0, 8, size=(2, n)) / 8
+        if n and rng.random() < 0.25:
+            a[rng.integers(n)] = -0.125
+    return lambda: _native.couple(a, b, tol)
 
 
 def _encode(np, mc, thunk) -> bytes:

@@ -35,21 +35,21 @@ peak includes that result.
   vectors of length n. Each of STAGES is timed on its own, with its own
   rounds, on inputs built outside the timed region: make_probvec of a raw
   vector; ProbVec(values, perm) over a validated vector's arrays;
-  check_sorted_total; the coupling's three compiled calls, by their
-  wrappers in _native, each on the arrays of the one before: prepare
-  (orientation, segments and the meet), fill (the greedy kernel, which
-  writes the pieces row-major) and check (the index, order and axis checks
-  on those pieces); entropy_bits of the coupling's pieces; glb; bounds;
-  and the whole min_entropy_coupling, the stage to compare across kernel
-  signatures: while _fill.c was called through ctypes, the wrappers took
-  addresses, not arrays, so across that change compare min_entropy_coupling
-  or glb. glb, bounds and the coupling take make_probvec's results, as a
-  caller's pairwise call does. stage_call builds one stage's call for
-  any tree; tools/ab.py times it across two trees. A stage is called in a
-  loop, and the allocator hands each round the buffers the round before
-  freed, so the first-touch page faults of a large stage's buffers show
-  only in whole-call rows, such as the pairwise rows, not in its stage
-  time.
+  check_sorted_total; the coupling's two compiled calls, by their
+  wrappers in _native: couple (orientation, segments, the meet and the
+  greedy kernel, which writes the pieces row-major) and check (the index,
+  order and axis checks on couple's pieces); entropy_bits of the
+  coupling's pieces; glb; bounds; and the whole min_entropy_coupling, the
+  stage to compare across kernel signatures: while _fill.c was called
+  through ctypes, the wrappers took addresses, not arrays, and before
+  couple a coupling called prepare and fill, so across either change
+  compare min_entropy_coupling or glb. glb, bounds and the coupling take
+  make_probvec's results, as a caller's pairwise call does. stage_call
+  builds one stage's call for any tree; tools/ab.py times it across two
+  trees. A stage is called in a loop, and the allocator hands each round
+  the buffers the round before freed, so the first-touch page faults of a
+  large stage's buffers show only in whole-call rows, such as the pairwise
+  rows, not in its stage time.
 - CLI stages, n in CLI_STAGE_NS: the input and the serialisation of a
   `couple` taken apart, on the CLI row's pair. Each stage is timed on its
   own, on inputs built outside the timed region: cli._load of one inline
@@ -123,8 +123,8 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 PAIR_NS = (16, 1024, 65_536, 1_000_000)
 PROBVEC_NS = (64, 2048, 1_000_000)
 STAGE_NS = (36, 1_000_000)
-STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "prepare", "fill", "check",
-          "entropy_bits", "glb", "bounds", "min_entropy_coupling")
+STAGES = ("make_probvec", "ProbVec", "check_sorted_total", "couple", "check", "entropy_bits",
+          "glb", "bounds", "min_entropy_coupling")
 KWAY_N = 64
 KWAY_KS = (8, 32, 48, 128, 512, 513, 1024)
 CLI_NS = (192, 4096)
@@ -235,16 +235,12 @@ def stage_call(mc, np, raw_p, raw_q, stage: str):
         return functools.partial(getattr(mc, stage), p, q, tol)
     if stage == "entropy_bits":
         return functools.partial(mc.entropy_bits, mc.min_entropy_coupling(p, q, tol).vals)
-    # the three compiled calls of one coupling, each on the output of the one before
+    # the two compiled calls of one coupling, check on couple's pieces
     native = importlib.import_module(f"{mc.__name__}._native")
-    if stage == "prepare":
-        return functools.partial(native.prepare, a, b, eps)
-    z, idx, swapped, m = native.prepare(a, b, eps)
-    if stage == "fill":
-        return functools.partial(native.fill, a, b, z, idx, tol, swapped, m)
+    if stage == "couple":
+        return functools.partial(native.couple, a, b, tol)
     if stage == "check":
-        pieces = native.fill(a, b, z, idx, tol, swapped, m)
-        return functools.partial(native.check, *pieces, a, b, eps)
+        return functools.partial(native.check, *native.couple(a, b, tol), a, b, eps)
     raise ValueError(f"no stage {stage!r}")
 
 
