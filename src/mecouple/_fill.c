@@ -55,15 +55,15 @@
    each -v log2 v term and h + sub sum is the reference's, and the first
    strictly better move is kept. States are memoised by key, one word per
    residual: 0 where it rounds to zero at KEY_DIGITS decimals (-0.0 too),
-   otherwise the bits of the rounded value, the rounding done by printing
-   and reading back, as Python's round does, so two keys are equal exactly
-   when the reference's tuples are. It writes the optimum to *opt and
-   replays the stored first moves from a copy of p and q, into the zeroed
-   n x m matrix mat. The replay can reach a key the search never stored
-   only if two states of one memo class lead apart (the reference raises
-   KeyError there); oracle() returns UNSOLVED_STATE. Every buffer, the
-   residuals' copy too, is sized from n + m on the heap: the per-depth keys
-   and line lists take 32 (n + m)^2 bytes.
+   otherwise the bits of the rounded value, which rounded() computes as
+   Python's round does, so two keys are equal exactly when the reference's
+   tuples are; the memo is the search's one growing table. It writes the
+   optimum to *opt and replays the stored first moves from a copy of p and
+   q, into the zeroed n x m matrix mat. The replay can reach a key the
+   search never stored only if two states of one memo class lead apart
+   (the reference raises KeyError there); oracle() returns UNSOLVED_STATE.
+   Every buffer, the residuals' copy too, is sized from n + m on the heap:
+   the per-depth keys and line lists take 32 (n + m)^2 bytes.
 
    A negative return is an error code, which _native.py raises from its
    ERRORS table: the offending value goes to bad[0] (couple) or the piece's
@@ -91,6 +91,9 @@
 #define UNSOLVED_STATE (-8)
 
 #define KEY_DIGITS 12 /* the oracle's memo keys round residuals to this many decimals */
+#define POWER_OF_TEN(digits) 1e##digits
+#define TEN_TO(digits) POWER_OF_TEN(digits)
+#define KEY_SCALE TEN_TO(KEY_DIGITS) /* 10^KEY_DIGITS, an exact double */
 
 /* The boundaries n + 1 = idx[0] > ... > idx[k] = 1: reading the suffix sums
    d of a - b downward from a virtual non-negative sign above n, a segment
@@ -293,18 +296,6 @@ typedef struct {
     double v, h;
 } Line;
 
-/* A slot of a WordMap: a residual's bits and its key word + 1, 0 where
-   empty; strtod never reads back the one pattern, all ones, that wraps. */
-typedef struct {
-    uint64_t bits, word;
-} WordSlot;
-
-/* Open addressing over mask + 1 slots, doubled at half load. */
-typedef struct {
-    WordSlot *slots;
-    int64_t mask, len;
-} WordMap;
-
 /* A memo entry: its key's hash, the optimal completion, and its first move
    i * m + j (-1 for none). */
 typedef struct {
@@ -316,7 +307,6 @@ typedef struct {
 typedef struct {
     int64_t n, m, width, err;
     double eps, *res;    /* the residuals, p then q, copied */
-    WordMap by_value;
     uint64_t *keys;      /* the key of the state at depth d at keys + d * width */
     Line *lines;         /* its rows, then its columns, at lines + d * width */
     Entry *entries;      /* the memo: len of room entries, entry e's key at */
@@ -329,60 +319,38 @@ static int64_t fib(uint64_t x, int64_t mask)
     return (int64_t)((x * 0x9E3779B97F4A7C15u) >> 32) & mask;
 }
 
-/* the slot of bits in map, which holds it or is empty */
-static WordSlot *word_slot(const WordMap *map, uint64_t bits)
-{
-    int64_t at = fib(bits, map->mask);
-    while (map->slots[at].word && map->slots[at].bits != bits)
-        at = (at + 1) & map->mask;
-    return map->slots + at;
-}
-
-/* bits -> word into map; 0, or NO_MEMORY */
-static int64_t word_put(WordMap *map, uint64_t bits, uint64_t word)
-{
-    if (2 * (map->len + 1) > map->mask + 1) {
-        WordMap grown = {calloc(2 * (size_t)(map->mask + 1), sizeof(WordSlot)),
-                         2 * map->mask + 1, map->len};
-        if (!grown.slots)
-            return NO_MEMORY;
-        for (int64_t at = 0; at <= map->mask; at++)
-            if (map->slots[at].word)
-                *word_slot(&grown, map->slots[at].bits) = map->slots[at];
-        free(map->slots);
-        *map = grown;
-    }
-    *word_slot(map, bits) = (WordSlot){bits, word + 1};
-    map->len++;
-    return 0;
-}
-
-/* x printed with KEY_DIGITS decimals and read back: Python's round(x,
-   KEY_DIGITS), which also rounds the decimal correctly and an exact tie to
+/* x rounded to KEY_DIGITS decimals as Python's round(x, KEY_DIGITS) rounds
+   it: the double nearest the decimal that x's exact value rounds to, an
+   exact tie going to even. Where y = x * KEY_SCALE lies below 2^40 in
+   magnitude and more than 2^-12 from the nearest half-integer, that is
+   r / KEY_SCALE for r = nearbyint(y). Below 2^40 the product is off the
+   exact x * 10^KEY_DIGITS by at most half an ulp, 2^-14, so the exact
+   product lies on y's side of every half-integer: r is its nearest
+   integer, and no tie is possible. r and KEY_SCALE are exact doubles, and
+   one correctly rounded division gives the double nearest the decimal
+   r * 10^-KEY_DIGITS, which is what strtod reads back from it. Every other
+   x (near a tie, large or not finite) is printed with KEY_DIGITS decimals
+   and read back, which rounds the decimal correctly and an exact tie to
    even. text holds the longest, -DBL_MAX's 309 digits, the point, the
    decimals and the NUL. */
 static double rounded(double x)
 {
+    double y = x * KEY_SCALE, r = nearbyint(y);
+    if (fabs(y) < 0x1p40 && fabs(y - r) < 0.5 - 0x1p-12)
+        return r / KEY_SCALE;
     char text[DBL_MAX_10_EXP + KEY_DIGITS + 4];
     snprintf(text, sizeof text, "%.*f", KEY_DIGITS, x);
     return strtod(text, NULL);
 }
 
 /* The key word of residual x: 0 where x rounds to zero (-0.0 too), else
-   the bits of the rounded value, equal exactly where the values are. Each
-   distinct x is rounded once. Sets s->err when out of memory. */
-static uint64_t word_of(Search *s, double x)
+   the bits of the rounded value, equal exactly where the values are. */
+static uint64_t word_of(double x)
 {
-    uint64_t bits, word = 0;
-    memcpy(&bits, &x, sizeof bits);
-    WordSlot *known = word_slot(&s->by_value, bits);
-    if (known->word)
-        return known->word - 1;
+    uint64_t word = 0;
     double r = rounded(x);
     if (r != 0.0)
         memcpy(&word, &r, sizeof word);
-    if (word_put(&s->by_value, bits, word) < 0)
-        s->err = NO_MEMORY;
     return word;
 }
 
@@ -488,8 +456,8 @@ static double solve(Search *s, int64_t d, int64_t nr, int64_t nc)
                         : nr == 1 || (left <= eps && nc == 1)) {
                 h = term + 0.0; /* the fill is done; + 0.0 turns -0.0 into 0.0 */
             } else {
-                child[r.line] = col_out ? word_of(s, left) : 0;
-                child[c.line] = col_out ? 0 : word_of(s, left);
+                child[r.line] = col_out ? word_of(left) : 0;
+                child[c.line] = col_out ? 0 : word_of(left);
                 const Entry *hit = memo_find(s, child);
                 double sub;
                 if (hit) {
@@ -531,7 +499,6 @@ static int64_t search(Search *s, const double *p, const double *q, double *mat, 
     *opt = 0.0;
     if (!n || !m) /* nothing to search or replay */
         return 0;
-    s->by_value = (WordMap){calloc(16, sizeof(WordSlot)), 15, 0};
     s->keys = calloc((size_t)w * (size_t)w, sizeof *s->keys);
     s->lines = calloc((size_t)w * (size_t)w, sizeof *s->lines);
     s->room = 64;
@@ -540,8 +507,7 @@ static int64_t search(Search *s, const double *p, const double *q, double *mat, 
     s->memo_keys = calloc((size_t)(s->room * w), sizeof *s->memo_keys);
     s->slots = calloc((size_t)s->mask + 1, sizeof *s->slots);
     double *res = s->res = malloc((size_t)w * sizeof *res);
-    if (!(s->by_value.slots && s->keys && s->lines && s->entries && s->memo_keys && s->slots &&
-          res))
+    if (!(s->keys && s->lines && s->entries && s->memo_keys && s->slots && res))
         return NO_MEMORY;
     memcpy(res, p, (size_t)n * sizeof *res);
     memcpy(res + n, q, (size_t)m * sizeof *res);
@@ -551,18 +517,15 @@ static int64_t search(Search *s, const double *p, const double *q, double *mat, 
     memmove(s->lines + nr, s->lines + n, (size_t)nc * sizeof *s->lines);
     if (nr && nc) {
         for (int64_t x = 0; x < w; x++)
-            s->keys[x] = word_of(s, res[x]);
-        if (!s->err)
-            *opt = solve(s, 0, nr, nc);
+            s->keys[x] = word_of(res[x]);
+        *opt = solve(s, 0, nr, nc);
         if (s->err)
             return s->err;
     }
     /* replay the stored choices to materialize one optimal fill */
     while (any_above(res, n, eps) && any_above(res + n, m, eps)) {
         for (int64_t x = 0; x < w; x++)
-            s->keys[x] = word_of(s, res[x]);
-        if (s->err)
-            return s->err;
+            s->keys[x] = word_of(res[x]);
         const Entry *e = memo_find(s, s->keys);
         if (!e || e->choice < 0)
             return UNSOLVED_STATE;
@@ -581,7 +544,6 @@ static int64_t oracle(const double *p, const double *q, int64_t n, int64_t m, do
     Search s = {.n = n, .m = m, .width = n + m, .eps = eps};
     int64_t code = search(&s, p, q, mat, opt);
     free(s.res);
-    free(s.by_value.slots);
     free(s.keys);
     free(s.lines);
     free(s.entries);

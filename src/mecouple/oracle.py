@@ -12,12 +12,12 @@ The search runs in compiled C, _fill.c's oracle(), through _native.oracle,
 which hands it the marginals and eps alone. It memoises states by their
 residuals rounded to _KEY_DIGITS decimals (the compiled module's
 KEY_DIGITS), as the reference does: a state's key is one word per residual,
-the bits of its rounded value (printed and read back, which is Python's
-round, once per distinct residual), or 0 where it rounds to zero, -0.0
-included. The residuals' copy, the memo and every buffer are sized from
-n + m on the heap and freed when the call returns. A call holds its thread
-in C until it returns, so Ctrl-C waits for it (about 20 ms at the default
-cap). tests/util.py's reference_exact_min_entropy is the search written in
+the bits of its rounded value (Python's round, which _fill.c's rounded()
+gives bit for bit), or 0 where it rounds to zero, -0.0 included. The
+residuals' copy, the memo and every buffer are sized from n + m on the
+heap and freed when the call returns. A call holds its thread in C until
+it returns, so Ctrl-C waits for it (about 20 ms at the default cap).
+tests/util.py's reference_exact_min_entropy is the search written in
 Python, and the two agree bit for bit.
 """
 

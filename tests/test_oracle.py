@@ -205,6 +205,20 @@ class TestReference:
                 p, q = (make_probvec(np.diff(np.concatenate(([0], c, [denominator]))) / denominator)
                         for c in cuts)
                 assert_matches_reference(p, q)
+        # x moved 1 to 8 ulps off (N + 1/2) / 10**12 lies on either side of
+        # the 2**-12 margin (in units of 10**-12) around the tie, inside which
+        # _fill.c's rounded() prints and reads back; p = (x, 1 - x) and q on
+        # multiples of 1/8, so the residuals x - q_j stay next to the tie
+        ulps = np.array([1, -2, 3, -4, 5, -6, 7, -8])
+        xs = (rng.integers(25 * 10**10, 5 * 10**11, size=ulps.size) + 0.5) / 10**12
+        xs += ulps * np.spacing(xs)
+        off = 0.5 - np.abs(xs * 10**12 - np.rint(xs * 10**12))
+        assert (off < 2**-12).any() and (off > 2**-12).any()
+        for x in xs:
+            cuts = np.sort(rng.integers(0, 9, size=int(rng.integers(1, 4))))
+            p, q = make_probvec([x, 1 - x]), make_probvec(np.diff(np.r_[0, cuts, 8]) / 8)
+            assert_matches_reference(p, q)
+            assert_matches_reference(q, p)
 
     def test_marginals_with_negative_zero_components(self):
         # make_probvec keeps an input -0.0, so these searches start from -0.0

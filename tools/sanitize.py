@@ -39,7 +39,12 @@ message). The instances cycle through KINDS:
   n + m <= 8), pairs on multiples of 1/8192 and 2**-20 (residuals on and
   next to the ties of rounding to 12 decimals), Dirichlet(1) supports
   padded by -0.0 components, which make_probvec keeps (residuals whose key
-  word is 0), and a side of length 0.
+  word is 0), a side of length 0, marginals (x, x', 1 - x - x') opposite
+  multiples of 1/8 whose x and x' lie 0 to 8 ulps from (N + 1/2) / 10**12,
+  on both sides of the 2**-12 margin (in units of 10**-12) inside which
+  _fill.c's rounded() prints and reads back, and a ProbVec built by hand
+  whose first component, in [1.1, 3), lies above 2**40 / 10**12, where
+  rounded() prints too.
 
 A sanitizer report aborts the child (-fno-sanitize-recover=all); the tool
 then exits 1 with the child's stderr. Otherwise one JSON object goes to
@@ -158,10 +163,19 @@ def _oracle_pair(np, mc, rng, nth: int):
     n = int(rng.integers(1, 7))
     sizes = (n, int(rng.integers(1, 9 - n)))
     draw = ("dirichlet1", "dirichlet0.1", "multiples", "uniform", "point", "near_half",
-            "ties", "negative_zero", "empty")[nth % 9]
+            "ties", "negative_zero", "empty", "margin", "large")[nth % 11]
     if draw == "empty":
         empty, other = mc.ProbVec([], []), mc.make_probvec(rng.dirichlet(np.ones(sizes[0])))
         return (empty, other) if rng.random() < 0.5 else (other, empty)
+    if draw == "large":
+        large = mc.ProbVec(np.r_[rng.uniform(1.1, 3.0), np.full(n - 1, 1 / n)], np.arange(n))
+        other = mc.make_probvec(rng.dirichlet(np.ones(sizes[1])))
+        return (large, other) if rng.random() < 0.5 else (other, large)
+    if draw == "margin":
+        ties = (rng.integers(25 * 10**10, 5 * 10**11, size=2) + 0.5) / 10**12
+        x = ties + rng.integers(-8, 9, size=2) * np.spacing(ties)
+        cuts = np.sort(rng.integers(0, 9, size=int(rng.integers(0, 5))))
+        return mc.make_probvec([*x, 1 - x.sum()]), mc.make_probvec(np.diff(np.r_[0, cuts, 8]) / 8)
     if draw == "near_half":
         near = np.array([0.5 + 4e-13, 0.5 - 4e-13])
         return mc.make_probvec(np.full(2, 0.5)), mc.make_probvec(near)
